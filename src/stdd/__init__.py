@@ -14,9 +14,9 @@ from .errors import (ConfigError, MeshError, MismatchedProblem,
                      NonConvergence, SingularMatrix, StddError)
 from .mesh import SpaceTimeWindow, Subdomain, build_window
 from .physics import (BETA_C, STB_TO_FT3, BrooksCoreyModel, FluidModel,
-                      FluidRockModel, RockModel, property_curves)
+                      FluidRockModel, property_curves)
 from .run import Problem, compare, run
-from .solver import (LedgerEntry, NewtonConfig, RunLedger, WindowController,
-                     march, newton_solve_window)
+from .solver import (LedgerEntry, NewtonConfig, RunLedger, march,
+                     newton_solve_window)
 
 __version__ = "0.1.0"

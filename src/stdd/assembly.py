@@ -362,7 +362,6 @@ class ReducedSystem:
 
     jacobian: sp.spmatrix
     residual: np.ndarray
-    residual_norm: np.ndarray
     system: MonolithicSystem
     _d_inv: sp.spmatrix | None = field(default=None, repr=False)
 
@@ -381,8 +380,7 @@ class ReducedSystem:
 def schur_reduce(system: MonolithicSystem) -> ReducedSystem:
     """Eliminate the flux block by exact inversion of its 4x4 face blocks."""
     if system.n_flux == 0:
-        return ReducedSystem(system.A.tocsr(), system.r_y.copy(),
-                             system.r_norm.copy(), system)
+        return ReducedSystem(system.A.tocsr(), system.r_y.copy(), system)
     a, lam_o, lam_w = system.a_diag, system.lam_o, system.lam_w
     if np.any(a <= 0) or not np.all(np.isfinite(a)):
         raise SingularFluxBlock("auxiliary-flux diagonal is not positive")
@@ -400,4 +398,4 @@ def schur_reduce(system: MonolithicSystem) -> ReducedSystem:
     d_inv = sp.coo_matrix((vals, (rows, cols)), shape=(4 * nf, 4 * nf)).tocsr()
     jac = (system.A - system.B @ (d_inv @ system.C)).tocsr()
     res = system.r_y - system.B @ (d_inv @ system.r_f)
-    return ReducedSystem(jac, res, system.r_norm.copy(), system, _d_inv=d_inv)
+    return ReducedSystem(jac, res, system, _d_inv=d_inv)

@@ -9,13 +9,27 @@ assembly happens.
 from __future__ import annotations
 
 import configparser
+import inspect
 import json
 from dataclasses import asdict, dataclass, field, replace
 
+from .adaptivity import Thresholds
 from .errors import ConfigError
+from .permfields import GENERATORS, LAYOUTS, load_fields
+from .physics import BrooksCoreyModel, FluidModel
+from .solver import NewtonConfig
 
 MODES = ("uniform-fine", "uniform-coarse", "static-dd", "dynamic-dd")
+# the constant identifier of each uniform reference mode
+UNIFORM_IDENTIFIER = {"uniform-fine": 1, "uniform-coarse": 4}
 WELL_KINDS = ("rate-water-injector", "bhp-producer")
+
+# A config's `newton` and `thresholds` sections are laid over these.
+NEWTON_DEFAULTS = {"tol": 1.0e-6, "max_iters": 60, "damping": False,
+                   "max_ds": 0.2}
+# calibrated so dynamic refinement tracks the front (accuracy) at a small
+# fraction of the uniformly fine cost; see the preset notes
+THRESHOLD_DEFAULTS = {"theta_ds": 0.04, "theta_dt": 0.04, "theta_eta": 0.5}
 
 
 @dataclass(frozen=True)
@@ -68,12 +82,8 @@ class RunConfig:
     wells: list = field(default_factory=lambda: [
         WellSpec((0, 0), "rate-water-injector", 0.3),
         WellSpec((43, 11), "bhp-producer", 1000.0)])
-    # calibrated so dynamic refinement tracks the front (accuracy) at a
-    # small fraction of the uniformly fine cost; see the preset notes
-    thresholds: dict = field(default_factory=lambda: {
-        "theta_ds": 0.04, "theta_dt": 0.04, "theta_eta": 0.5})
-    newton: dict = field(default_factory=lambda: {
-        "tol": 1.0e-6, "max_iters": 60, "damping": False, "max_ds": 0.2})
+    thresholds: dict = field(default_factory=dict)  # over THRESHOLD_DEFAULTS
+    newton: dict = field(default_factory=dict)      # over NEWTON_DEFAULTS
     upscaling: str = "flow"
     initial_pressure: float = 1000.0     # psi
     initial_saturation: float = 0.2
@@ -81,6 +91,8 @@ class RunConfig:
     label: str = "run"
 
     def __post_init__(self):
+        self.thresholds = {**THRESHOLD_DEFAULTS, **self.thresholds}
+        self.newton = {**NEWTON_DEFAULTS, **self.newton}
         self.validate()
 
     # -- validation -------------------------------------------------------
@@ -105,6 +117,8 @@ class RunConfig:
             self._check_ratio(hx, self.base_cell[0], f"h/base id {k} x")
             self._check_ratio(hy, self.base_cell[1], f"h/base id {k} y")
             self._check_ratio(self.delta_t, dt, f"delta_t/dt id {k}")
+        self._check_ratio(self.horizon, self.window_length,
+                          "horizon/window length")
         ntx = round((x1 - x0) / self.tile[0])
         nty = round((y1 - y0) / self.tile[1])
         for w in self.wells:
@@ -117,6 +131,18 @@ class RunConfig:
             raise ConfigError(f"unknown upscaling {self.upscaling!r}")
         if not (0 < self.phi <= 1):
             raise ConfigError("porosity must lie in (0, 1]")
+        unknown = set(self.newton) - set(NEWTON_DEFAULTS)
+        if unknown:
+            raise ConfigError(f"unknown newton keys: {sorted(unknown)}")
+        for name, build in (("fluid", FluidModel),
+                            ("relcap", BrooksCoreyModel),
+                            ("thresholds", Thresholds),
+                            ("newton", NewtonConfig),
+                            ("permeability", _check_permeability)):
+            try:
+                build(**getattr(self, name))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
 
     @staticmethod
     def _check_ratio(num, den, what):
@@ -125,6 +151,13 @@ class RunConfig:
             raise ConfigError(f"{what}: {num}/{den} not a positive integer")
 
     # -- derived geometry -------------------------------------------------
+
+    @property
+    def window_length(self):
+        """Days per window: the constant identifier's own step in a
+        uniform mode, the matching step `delta_t` otherwise."""
+        k = UNIFORM_IDENTIFIER.get(self.mode)
+        return self.delta_t if k is None else self.table[k][2]
 
     @property
     def base_shape(self):
@@ -165,6 +198,18 @@ class RunConfig:
             return cls(**d)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _check_permeability(kind="uniform", **params):
+    """Raise TypeError or ValueError unless the spec can build a field."""
+    if kind == "file":
+        inspect.signature(load_fields).bind(None, **params)
+        if params.get("layout", "row-major") not in LAYOUTS:
+            raise ValueError(f"unknown layout {params['layout']!r}")
+    elif kind in GENERATORS:
+        inspect.signature(GENERATORS[kind]).bind(None, **params)
+    else:
+        raise ValueError(f"unknown field kind {kind!r}")
 
 
 def load_config(path):

@@ -174,9 +174,6 @@ class SpaceTimeWindow:
     def saturation_dof(self, c):
         return 2 * np.asarray(c) + 1
 
-    def flux_dof(self, f, kind):
-        return self.n_y + 4 * np.asarray(f) + _FLUX_KINDS.index(kind)
-
     def decode_dof(self, g):
         """Inverse of the dof numbering: global index -> (kind, entity index)."""
         g = int(g)
@@ -187,11 +184,6 @@ class SpaceTimeWindow:
         g -= self.n_y
         return (_FLUX_KINDS[g % 4], g // 4)
 
-    def st_index(self, sub, level, local):
-        """Space-time cell index from (subdomain, time level, local cell)."""
-        nc = self.subdomains[sub].nx * self.subdomains[sub].ny
-        return self.st_offset[sub] + (level - 1) * nc + local
-
     def final_level_cells(self):
         """Space-time indices of every spatial cell at the window's end time."""
         out = np.empty(self.n_spatial, dtype=np.int64)
@@ -201,16 +193,6 @@ class SpaceTimeWindow:
             sl = slice(self.spatial_offset[k], self.spatial_offset[k] + nc)
             out[sl] = self.st_offset[k] + (steps - 1) * nc + np.arange(nc)
         return out
-
-    def count_dofs(self):
-        """Per-kind unknown counts for the full (unreduced) system."""
-        return {
-            "pressure": self.n_st,
-            "saturation": self.n_st,
-            "darcy_flux_per_phase": self.n_faces,
-            "aux_flux_per_phase": self.n_faces,
-            "total": self.n_dofs,
-        }
 
     # -- debug dump ----------------------------------------------------
 

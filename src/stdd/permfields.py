@@ -11,6 +11,8 @@ from scipy.ndimage import gaussian_filter
 
 from .errors import DimensionMismatch, NonPositivePermeability
 
+LAYOUTS = ("row-major", "column-major")
+
 
 def load_permeability(path, shape, layout="row-major"):
     """Read an ASCII whitespace-separated field of md values.
@@ -32,7 +34,20 @@ def load_permeability(path, shape, layout="row-major"):
     raise ValueError(f"unknown layout {layout!r}")
 
 
-def gaussian_field(shape, seed, *, mean_log=3.0, sigma_log=1.0, corr_len=4.0):
+def load_fields(shape, kx_path, ky_path=None, layout="row-major"):
+    """(kx, ky) read from files; without `ky_path`, ky is a copy of kx."""
+    kx = load_permeability(kx_path, shape, layout)
+    ky = load_permeability(ky_path, shape, layout) if ky_path else kx.copy()
+    return kx, ky
+
+
+def uniform_field(shape, seed=0, *, value=100.0):
+    """Constant field; `seed` is unused."""
+    return np.full(shape, float(value))
+
+
+def gaussian_field(shape, seed=0, *, mean_log=3.0, sigma_log=1.0,
+                   corr_len=4.0):
     """Lognormal field with Gaussian-filtered white-noise log-permeability.
 
     `corr_len` is the filter radius in cells.  The filtered noise is
@@ -46,7 +61,7 @@ def gaussian_field(shape, seed, *, mean_log=3.0, sigma_log=1.0, corr_len=4.0):
     return np.exp(mean_log + sigma_log * smooth)
 
 
-def channelized_field(shape, seed, *, k_background=5.0, k_channel=500.0,
+def channelized_field(shape, seed=0, *, k_background=5.0, k_channel=500.0,
                       n_channels=3, width=3.0, wiggle=0.15):
     """High-contrast field with sinuous high-permeability channels along x.
 
@@ -69,12 +84,12 @@ def channelized_field(shape, seed, *, k_background=5.0, k_channel=500.0,
     return field
 
 
+GENERATORS = {"uniform": uniform_field, "gaussian": gaussian_field,
+              "channelized": channelized_field}
+
+
 def make_field(kind, shape, seed=0, **kwargs):
     """Dispatch on generator kind: uniform, gaussian, channelized."""
-    if kind == "uniform":
-        return np.full(shape, float(kwargs.get("value", 100.0)))
-    if kind == "gaussian":
-        return gaussian_field(shape, seed, **kwargs)
-    if kind == "channelized":
-        return channelized_field(shape, seed, **kwargs)
-    raise ValueError(f"unknown field kind {kind!r}")
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown field kind {kind!r}")
+    return GENERATORS[kind](shape, seed, **kwargs)

@@ -147,34 +147,6 @@ class BrooksCoreyModel:
 
 
 @dataclass(frozen=True)
-class RockModel:
-    """Porosity and diagonal permeability on the fine base grid.
-
-    `kx`, `ky` are (nx, ny) arrays in md; `phi` is a scalar or an array of
-    the same shape.
-    """
-
-    phi: object
-    kx: np.ndarray
-    ky: np.ndarray
-
-    def __post_init__(self):
-        kx = np.asarray(self.kx, dtype=float)
-        ky = np.asarray(self.ky, dtype=float)
-        if np.any(kx <= 0) or np.any(ky <= 0):
-            raise ValueError("permeabilities must be positive")
-        phi = np.asarray(self.phi, dtype=float)
-        if np.any(phi <= 0) or np.any(phi > 1):
-            raise ValueError("porosity must lie in (0, 1]")
-
-    def phi_array(self, shape):
-        phi = np.asarray(self.phi, dtype=float)
-        if phi.ndim == 0:
-            return np.full(shape, float(phi))
-        return phi
-
-
-@dataclass(frozen=True)
 class FluidRockModel:
     """All closures needed by assembly, bundled.
 

@@ -16,14 +16,13 @@ from .adaptivity import (BaseGrid, IdentifierMap, RefinementTable,
                          decompose, delta_change, final_spatial,
                          residual_indicator, transfer_state)
 from .assembly import CellProperties, ResolvedWells, StateField, assemble
-from .config import RunConfig
+from .config import UNIFORM_IDENTIFIER, RunConfig
 from .errors import MismatchedProblem, NonConvergence, StddError
-from .mesh import Subdomain, build_window
+from .mesh import build_window
 from .physics import (BETA_C, OIL, STB_TO_FT3, WATER, BrooksCoreyModel,
                       FluidModel, FluidRockModel, property_curves)
-from .permfields import load_permeability, make_field
-from .solver import (NewtonConfig, WindowController, march,
-                     newton_solve_window)
+from .permfields import load_fields, make_field
+from .solver import NewtonConfig, RunLedger, march, newton_solve_window
 
 
 class Problem:
@@ -48,14 +47,8 @@ class Problem:
         p = dict(cfg.permeability)
         kind = p.pop("kind", "uniform")
         if kind == "file":
-            layout = p.get("layout", "row-major")
-            kx = load_permeability(p["kx_path"], self.base.shape, layout)
-            ky_path = p.get("ky_path")
-            ky = (load_permeability(ky_path, self.base.shape, layout)
-                  if ky_path else kx.copy())
-            return kx, ky
-        seed = p.pop("seed", 0)
-        k = make_field(kind, self.base.shape, seed, **p)
+            return load_fields(self.base.shape, **p)
+        k = make_field(kind, self.base.shape, **p)
         return k, k.copy()
 
     # -- per-window closures ----------------------------------------------
@@ -117,66 +110,82 @@ class Problem:
             & (np.abs(cy - my) <= window.cell_hy / 2.0))[0]
         return host[:1]
 
-    # -- decompositions ---------------------------------------------------
+    # -- identifier maps --------------------------------------------------
 
-    def uniform_subdomains(self, identifier):
-        hx, hy, dt = self.table.resolution(identifier)
-        return [Subdomain(self.cfg.reservoir, (hx, hy), dt,
-                          identifier=identifier)]
+    def constant_idmap(self, identifier):
+        """`identifier` on every tile, with zero indicators."""
+        shape = self.tiling.shape
+        z = np.zeros(shape)
+        return IdentifierMap(np.full(shape, identifier), z, z.copy(),
+                             z.copy())
 
     def static_idmap(self):
         """Fine inside the configured box, coarse elsewhere; no buffering."""
+        idmap = self.constant_idmap(4)
         ntx, nty = self.tiling.shape
-        ids = np.full((ntx, nty), 4, dtype=int)
         fx0, fy0, fx1, fy1 = self.cfg.static_fine_box
         x0, y0, _, _ = self.cfg.reservoir
-        for i in range(ntx):
-            for j in range(nty):
-                cx = x0 + (i + 0.5) * self.cfg.tile[0]
-                cy = y0 + (j + 0.5) * self.cfg.tile[1]
-                if fx0 < cx < fx1 and fy0 < cy < fy1:
-                    ids[i, j] = 1
-        z = np.zeros((ntx, nty))
-        return IdentifierMap(ids, z, z.copy(), z.copy())
+        cx = x0 + (np.arange(ntx) + 0.5) * self.cfg.tile[0]
+        cy = y0 + (np.arange(nty) + 0.5) * self.cfg.tile[1]
+        idmap.identifiers[np.outer((fx0 < cx) & (cx < fx1),
+                                   (fy0 < cy) & (cy < fy1))] = 1
+        return idmap
+
+    def fixed_idmap(self):
+        """The mode's identifier map if it never changes, else None."""
+        if self.cfg.mode == "static-dd":
+            return self.static_idmap()
+        if self.cfg.mode in UNIFORM_IDENTIFIER:
+            return self.constant_idmap(UNIFORM_IDENTIFIER[self.cfg.mode])
+        return None
 
 
-class DynamicController:
-    """Reclassifies the decomposition between windows.
+class Controller:
+    """Identifier map and decomposition of every window, in every mode.
 
-    Indicators for the upcoming window come from a cheap predictor: an
-    all-coarse trial window starting at the new time is solved, and the
-    predicted saturation deltas say where the front will move *during*
-    the window, so refinement leads the front instead of trailing it.
-    The trial's warm-start residual provides the residual indicator.
+    A fixed map serves every window: constant 1 or 4 for the uniform
+    references, the configured box for static-dd.  Otherwise the map is
+    predicted before each window: an all-coarse trial window starting at
+    the new time is solved, and the predicted saturation deltas say where
+    the front will move *during* the window, so refinement leads the
+    front instead of trailing it.  The trial's warm-start residual
+    provides the residual indicator.  Only predicted maps escalate.
     """
 
     def __init__(self, problem: Problem, newton_cfg: NewtonConfig):
         self.pb = problem
         self.newton_cfg = newton_cfg
-        self.idmap = self._classify_for(0.0, None, None, None)
-        self.subs = decompose(self.idmap, problem.tiling, problem.table)
-        self.idmaps = [self.idmap]
-        self._escalated = False
+        self.fixed = problem.fixed_idmap()
+        self.all_coarse = decompose(problem.constant_idmap(4), problem.tiling,
+                                problem.table)
+        self.idmap = None
+        self.idmaps = []
+        self.after_window(None, None, None)
 
     def decomposition(self, window_index, t_start):
         return self.subs
 
     def transfer(self, old_window, final_p, final_s, new_window):
+        """Final state of `old_window` on the cells of `new_window`; the
+        identity when both windows share their subdomains."""
+        if new_window.subdomains == old_window.subdomains:
+            return final_p, final_s
         return transfer_state(old_window, final_p, final_s, new_window,
                               self.pb.base, self.pb.phi_base)
 
-    def _classify_for(self, t_next, window, fin_p, fin_s):
+    def _predict(self, t_next, window, state):
         """Identifier map for the window starting at `t_next`."""
         pb = self.pb
         cfg = pb.cfg
-        d_next = min(cfg.delta_t, cfg.horizon - t_next)
-        trial = build_window(pb.uniform_subdomains(4), d_next,
-                             cfg.reservoir, t_start=t_next, dz=cfg.dz)
+        d_next = min(cfg.window_length, cfg.horizon - t_next)
+        trial = build_window(self.all_coarse, d_next, cfg.reservoir,
+                             t_start=t_next, dz=cfg.dz)
         if window is None:
             tp = np.full(trial.n_spatial, cfg.initial_pressure)
             ts = np.full(trial.n_spatial, cfg.initial_saturation)
             s_now = np.full(pb.base.shape, cfg.initial_saturation)
         else:
+            fin_p, fin_s = final_spatial(window, state)
             tp, ts = transfer_state(window, fin_p, fin_s, trial, pb.base,
                                     pb.phi_base)
             s_now = pb.base.rasterize(window, fin_s)
@@ -204,18 +213,25 @@ class DynamicController:
                         pb.thresholds)
 
     def after_window(self, window, state, entry):
+        """Choose the map of the window after `window`, or of the first
+        window when `window` is None."""
         cfg = self.pb.cfg
-        t_next = window.t_end
+        t_next = 0.0 if window is None else window.t_end
         if cfg.horizon - t_next <= 1.0e-9 * max(1.0, cfg.horizon):
             return
-        fin_p, fin_s = final_spatial(window, state)
-        self.idmap = self._classify_for(t_next, window, fin_p, fin_s)
-        self.subs = decompose(self.idmap, self.pb.tiling, self.pb.table)
-        self.idmaps.append(self.idmap)
+        idmap = self.fixed
+        if idmap is None:
+            idmap = self._predict(t_next, window, state)
+        if idmap is not self.idmap:
+            self.subs = decompose(idmap, self.pb.tiling, self.pb.table)
+        self.idmap = idmap
+        self.idmaps.append(idmap)
         self._escalated = False
 
     def escalate(self, window_index, t_start):
-        if self._escalated:
+        """Replacement decomposition after a convergence failure, or None:
+        a predicted map is promoted once, a fixed map never."""
+        if self.fixed is not None or self._escalated:
             return None
         self._escalated = True
         promote = {1: 1, 2: 1, 3: 1, 4: 2}
@@ -256,9 +272,9 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
 
     Artifacts: resolved config, property curves, permeability field,
     per-window saturation/pressure snapshots (CSV and VTK), identifier
-    maps (adaptive modes), solver ledger, and run_summary.json.  On a
-    convergence failure, everything produced so far is flushed alongside
-    a FAILED marker before the exception propagates.
+    maps, solver ledger, and run_summary.json.  On a simulator error,
+    everything produced so far is flushed alongside a FAILED marker
+    before the exception propagates.
     """
     os.makedirs(outdir, exist_ok=True)
     pb = Problem(cfg)
@@ -271,24 +287,7 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     output.write_grid_csv(os.path.join(outdir, "perm_kx.csv"), pb.kx_base,
                           origin, cfg.base_cell, name="kx")
 
-    ncfg = NewtonConfig(tol=cfg.newton.get("tol", 1.0e-6),
-                        max_iters=cfg.newton.get("max_iters", 15),
-                        damping=cfg.newton.get("damping", True),
-                        max_ds=cfg.newton.get("max_ds", 0.2))
-
-    if cfg.mode == "uniform-fine":
-        controller = WindowController(pb.uniform_subdomains(1))
-        delta_t_run = pb.table.resolution(1)[2]
-    elif cfg.mode == "uniform-coarse":
-        controller = WindowController(pb.uniform_subdomains(4))
-        delta_t_run = pb.table.resolution(4)[2]
-    elif cfg.mode == "static-dd":
-        subs = decompose(pb.static_idmap(), pb.tiling, pb.table)
-        controller = _TransferController(pb, subs)
-        delta_t_run = cfg.delta_t
-    else:
-        controller = DynamicController(pb, ncfg)
-        delta_t_run = cfg.delta_t
+    ncfg = NewtonConfig(**cfg.newton)
 
     def initial_trace(window):
         n = window.n_spatial
@@ -329,22 +328,18 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
             _emit_fine_levels(outdir, window, state, base, origin, cfg)
         snapshots.append({"index": idx, "time": window.t_end,
                           "sw": sw_name, "p": f"snap_p_{idx:03d}.csv"})
-        if isinstance(controller, (DynamicController, _TransferController)):
-            idmap = (controller.idmaps[idx]
-                     if idx < len(controller.idmaps) else None)
-            if idmap is not None:
-                output.write_idmap_csv(
-                    os.path.join(outdir, f"idmap_{idx:03d}.csv"), idmap)
+        output.write_idmap_csv(os.path.join(outdir, f"idmap_{idx:03d}.csv"),
+                               controller.idmaps[idx])
 
     try:
-        ledger, last_window, last_state = march(
-            cfg.horizon, delta_t_run, cfg.reservoir, controller, pb.model,
-            pb.props_for, pb.wells_for, initial_trace, ncfg,
+        controller = Controller(pb, ncfg)
+        ledger, _, _ = march(
+            cfg.horizon, cfg.window_length, cfg.reservoir, controller,
+            pb.model, pb.props_for, pb.wells_for, initial_trace, ncfg,
             observer=observer, dz=cfg.dz)
-    except NonConvergence as exc:
-        if getattr(exc, "ledger", None) is not None:
-            output.write_ledger_csv(os.path.join(outdir, "ledger.csv"),
-                                    exc.ledger)
+    except StddError as exc:
+        output.write_ledger_csv(os.path.join(outdir, "ledger.csv"),
+                                getattr(exc, "ledger", RunLedger()))
         output.mark_failure(outdir, str(exc))
         raise
 
@@ -373,23 +368,6 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     }
     output.write_summary(os.path.join(outdir, "run_summary.json"), summary)
     return summary
-
-
-class _TransferController(WindowController):
-    """Fixed decomposition with base-grid transfer and idmap emission."""
-
-    def __init__(self, problem, subdomains, idmap=None):
-        super().__init__(subdomains)
-        self.pb = problem
-        self.idmaps = [idmap if idmap is not None
-                       else problem.static_idmap()]
-
-    def transfer(self, old_window, final_p, final_s, new_window):
-        return transfer_state(old_window, final_p, final_s, new_window,
-                              self.pb.base, self.pb.phi_base)
-
-    def after_window(self, window, state, entry):
-        self.idmaps.append(self.idmaps[-1])
 
 
 def _emit_fine_levels(outdir, window, state, base, origin, cfg):

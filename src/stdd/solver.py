@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import StateField, assemble, schur_reduce
-from .errors import NonConvergence, SingularMatrix
+from .errors import NonConvergence, SingularMatrix, StddError
 from .mesh import build_window
 
 
@@ -138,26 +138,6 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
     raise NonConvergence(cfg.max_iters, norms[-1])
 
 
-class WindowController:
-    """Fixed decomposition, identity transfer between identical windows."""
-
-    def __init__(self, subdomains):
-        self.subdomains = list(subdomains)
-
-    def decomposition(self, window_index, t_start):
-        return self.subdomains
-
-    def transfer(self, old_window, final_p, final_s, new_window):
-        return final_p, final_s
-
-    def after_window(self, window, state, ledger_entry):
-        pass
-
-    def escalate(self, window_index, t_start):
-        """Replacement decomposition after a convergence failure, or None."""
-        return None
-
-
 def march(horizon, delta_t, reservoir, controller, model, props_for,
           wells_for, initial_trace, cfg, *, observer=None, dz=1.0):
     """March matching windows across the horizon.
@@ -167,8 +147,8 @@ def march(horizon, delta_t, reservoir, controller, model, props_for,
     condition.  ``observer(window, state, entry)``, when given, is called
     after every accepted window (snapshot emission).  Returns
     (RunLedger, last_window, last_state).  A window that still fails after
-    the controller's one escalation pass aborts with the ledger attached to
-    the exception.
+    the controller's one escalation pass aborts the march; any simulator
+    error leaves it with the ledger of the accepted windows attached.
     """
     ledger = RunLedger()
     t = 0.0
@@ -181,21 +161,11 @@ def march(horizon, delta_t, reservoir, controller, model, props_for,
             return initial_trace(window)
         return controller.transfer(prev_window, fin_p, fin_s, window)
 
-    while t < horizon - 1.0e-9 * max(1.0, horizon):
-        dT = min(delta_t, horizon - t)
-        subs = controller.decomposition(widx, t)
-        window = build_window(subs, dT, reservoir, window_index=widx,
-                              t_start=t, dz=dz)
-        trace_p, trace_s = traces(window)
-        try:
-            state, entry = newton_solve_window(
-                window, props_for(window), wells_for(window),
-                trace_p, trace_s, model, cfg)
-        except NonConvergence:
-            esc = controller.escalate(widx, t)
-            if esc is None:
-                raise _aborted(ledger, widx)
-            window = build_window(esc, dT, reservoir, window_index=widx,
+    try:
+        while t < horizon - 1.0e-9 * max(1.0, horizon):
+            dT = min(delta_t, horizon - t)
+            subs = controller.decomposition(widx, t)
+            window = build_window(subs, dT, reservoir, window_index=widx,
                                   t_start=t, dz=dz)
             trace_p, trace_s = traces(window)
             try:
@@ -203,23 +173,34 @@ def march(horizon, delta_t, reservoir, controller, model, props_for,
                     window, props_for(window), wells_for(window),
                     trace_p, trace_s, model, cfg)
             except NonConvergence:
-                raise _aborted(ledger, widx)
-        ledger.entries.append(entry)
-        fin = window.final_level_cells()
-        fin_p, fin_s = state.p[fin], state.s[fin]
-        if observer is not None:
-            observer(window, state, entry)
-        controller.after_window(window, state, entry)
-        prev_window = window
-        t += dT
-        widx += 1
+                esc = controller.escalate(widx, t)
+                if esc is None:
+                    raise _aborted(widx, "")
+                window = build_window(esc, dT, reservoir, window_index=widx,
+                                      t_start=t, dz=dz)
+                trace_p, trace_s = traces(window)
+                try:
+                    state, entry = newton_solve_window(
+                        window, props_for(window), wells_for(window),
+                        trace_p, trace_s, model, cfg)
+                except NonConvergence:
+                    raise _aborted(widx, " after escalation")
+            ledger.entries.append(entry)
+            fin = window.final_level_cells()
+            fin_p, fin_s = state.p[fin], state.s[fin]
+            if observer is not None:
+                observer(window, state, entry)
+            controller.after_window(window, state, entry)
+            prev_window = window
+            t += dT
+            widx += 1
+    except StddError as exc:
+        exc.ledger = ledger
+        raise
 
     return ledger, prev_window, state
 
 
-def _aborted(ledger, window_index):
-    exc = NonConvergence(
-        0, float("nan"),
-        f"window {window_index} failed to converge after escalation")
-    exc.ledger = ledger
-    return exc
+def _aborted(window_index, how):
+    return NonConvergence(
+        0, float("nan"), f"window {window_index} failed to converge{how}")

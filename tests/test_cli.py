@@ -4,12 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+import stdd.solver
 from stdd.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK,
                       _apply_thread_cap, main)
 from stdd.config import preset
+from stdd.errors import SingularMatrix
+from stdd.output import read_ledger_csv
+from stdd.run import run
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +82,58 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(path), "--out", str(out)])
         assert rc == EXIT_NONCONVERGENCE
         assert (out / "FAILED").exists()
+
+
+class TestExitCodes:
+    """Toy configs with one top-level key replaced, and their exit codes."""
+
+    CASES = [
+        ("runs", {"mode": "uniform-coarse"}, EXIT_OK),
+        ("unknown fluid key", {"fluid": {"bogus": 1}}, EXIT_CONFIG),
+        ("invalid relcap", {"relcap": {"s_or": 0.9}}, EXIT_CONFIG),
+        ("unknown threshold", {"thresholds": {"theta": 0.1}}, EXIT_CONFIG),
+        ("newton typo", {"newton": {"max_iter": 1}}, EXIT_CONFIG),
+        ("unknown permeability key",
+         {"permeability": {"kind": "gaussian", "bogus": 1}}, EXIT_CONFIG),
+        ("horizon not whole windows", {"horizon": 9.0}, EXIT_CONFIG),
+        ("newton budget too small",
+         {"mode": "uniform-coarse", "newton": {"max_iters": 1}},
+         EXIT_NONCONVERGENCE),
+        ("missing permeability file",
+         {"permeability": {"kind": "file", "kx_path": "missing.txt"}},
+         EXIT_IO),
+    ]
+
+    @pytest.mark.parametrize("override, code", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_exit_code(self, tmp_path, monkeypatch, override, code):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**preset("toy").to_dict(), **override}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(out)]) == code
+        # a config error stops before anything is assembled or written
+        assert out.exists() == (code != EXIT_CONFIG)
+        assert (out / "FAILED").exists() == (code == EXIT_NONCONVERGENCE)
+
+    def test_any_solver_error_leaves_ledger_and_marker(self, tmp_path,
+                                                       monkeypatch):
+        real = stdd.solver.newton_solve_window
+
+        def fail_window_1(window, *args):
+            if window.window_index == 1:
+                raise SingularMatrix("injected")
+            return real(window, *args)
+
+        monkeypatch.setattr(stdd.solver, "newton_solve_window",
+                            fail_window_1)
+        cfg = replace(preset("toy"), mode="uniform-coarse")
+        with pytest.raises(SingularMatrix):
+            run(cfg, tmp_path, emit_vtk=False)
+        assert "injected" in (tmp_path / "FAILED").read_text()
+        assert {row[0] for row in read_ledger_csv(tmp_path / "ledger.csv")} \
+            == {0}
 
 
 class TestCompare:

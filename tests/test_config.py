@@ -1,10 +1,14 @@
 """Configuration loading, validation, and presets."""
 
 import json
+import pathlib
+from dataclasses import replace
 
 import pytest
 
-from stdd.config import MODES, RunConfig, WellSpec, load_config, preset
+import stdd.config
+from stdd.config import (MODES, NEWTON_DEFAULTS, THRESHOLD_DEFAULTS,
+                         RunConfig, WellSpec, load_config, preset)
 from stdd.errors import ConfigError
 
 
@@ -57,6 +61,62 @@ class TestValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"reservoirs": [0, 0, 1, 1]})
+
+    @pytest.mark.parametrize("mode, horizon", [
+        ("dynamic-dd", 9.0), ("static-dd", 9.0), ("uniform-coarse", 9.0),
+        ("uniform-fine", 8.25)])
+    def test_horizon_not_whole_windows_rejected(self, mode, horizon):
+        with pytest.raises(ConfigError):
+            replace(preset("toy"), mode=mode, horizon=horizon)
+
+    def test_horizon_counted_in_the_modes_window_length(self):
+        # toy windows: dt(1) = 0.5 days uniform-fine, delta_t = 2 otherwise
+        cfg = replace(preset("toy"), mode="uniform-fine", horizon=8.5)
+        assert cfg.window_length == 0.5
+        assert replace(cfg, mode="uniform-coarse", horizon=8.0) \
+            .window_length == 2.0
+        assert preset("toy").window_length == cfg.delta_t
+
+
+class TestNestedSections:
+    @pytest.mark.parametrize("section, override, defaults", [
+        ("newton", {"tol": 1e-8}, NEWTON_DEFAULTS),
+        ("thresholds", {"theta_eta": 0.3}, THRESHOLD_DEFAULTS)])
+    def test_partial_section_overlays_defaults(self, section, override,
+                                               defaults):
+        cfg = RunConfig.from_dict({section: override})
+        assert getattr(cfg, section) == {**defaults, **override}
+
+    # unknown keys of each section are in test_cli.py's exit-code table
+    @pytest.mark.parametrize("section, bad", [
+        ("fluid", {"mu_w": -1.0}),
+        ("newton", {"tol": 0.0}),
+        ("newton", {"max_halvings": 2}),
+        ("permeability", {"kind": "uniform", "seed": 1, "valeu": 5.0}),
+        ("permeability", {"kind": "fractal"}),
+        ("permeability", {"kind": "file"}),
+        ("permeability", {"kind": "file", "kx_path": "k.txt",
+                          "layout": "diagonal"})])
+    def test_bad_section_is_config_error(self, section, bad):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({section: bad})
+
+
+class TestSchema:
+    """config.schema.json and the loader name the same keys."""
+
+    SCHEMA = json.loads((pathlib.Path(stdd.config.__file__).parent
+                         / "config.schema.json").read_text())
+
+    def test_top_level_properties_are_the_fields(self):
+        assert set(self.SCHEMA["properties"]) == \
+            set(RunConfig.__dataclass_fields__)
+
+    @pytest.mark.parametrize("section, defaults", [
+        ("newton", NEWTON_DEFAULTS), ("thresholds", THRESHOLD_DEFAULTS)])
+    def test_section_properties_are_the_defaults(self, section, defaults):
+        assert set(self.SCHEMA["properties"][section]["properties"]) == \
+            set(defaults)
 
 
 class TestSerialization:

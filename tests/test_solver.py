@@ -8,8 +8,8 @@ from stdd.assembly import CellProperties, ResolvedWells
 from stdd.errors import NonConvergence, SingularMatrix
 from stdd.mesh import Subdomain, build_window
 from stdd.physics import BrooksCoreyModel, FluidModel, FluidRockModel
-from stdd.solver import (NewtonConfig, RunLedger, WindowController,
-                         linear_solve, march, newton_solve_window)
+from stdd.solver import (NewtonConfig, RunLedger, linear_solve, march,
+                         newton_solve_window)
 
 
 def nonlinear_model():
@@ -174,11 +174,30 @@ class TestNewtonWindow:
         assert np.all(st.s >= 0.2 - 1e-9)
 
 
+class FixedController:
+    """One decomposition for every window, identity transfer, no escalation."""
+
+    def __init__(self, subdomains):
+        self.subdomains = list(subdomains)
+
+    def decomposition(self, window_index, t_start):
+        return self.subdomains
+
+    def transfer(self, old_window, final_p, final_s, new_window):
+        return final_p, final_s
+
+    def after_window(self, window, state, ledger_entry):
+        pass
+
+    def escalate(self, window_index, t_start):
+        return None
+
+
 class TestMarch:
     def _problem(self, nx=8, ny=2, h=1.0):
         box = (0.0, 0.0, nx * h, ny * h)
         n = nx * ny
-        ctl = WindowController([Subdomain(box, (h, h), 1.0)])
+        ctl = FixedController([Subdomain(box, (h, h), 1.0)])
         m = nonlinear_model()
         return box, n, ctl, m
 
@@ -231,7 +250,7 @@ class TestMarch:
     def test_escalation_hook_used_once(self):
         box, n, _, m = self._problem()
 
-        class Escalating(WindowController):
+        class Escalating(FixedController):
             def __init__(self, subs):
                 super().__init__(subs)
                 self.calls = 0
