@@ -14,7 +14,8 @@ pore-volume weighting, which preserves total water pore volume exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,12 +97,21 @@ class Thresholds:
     theta_eta: float = 1.0e-5
 
 
+@dataclass(frozen=True)
+class OwnerMap:
+    """Where one decomposition's spatial cells sit on the base grid."""
+
+    cells: np.ndarray   # (nx, ny) window spatial cell owning each base cell
+    blocks: tuple       # per subdomain: (i0, j0, mi, mj) in base cells
+
+
 class BaseGrid:
     """Uniform fine reference grid carrying rock properties.
 
     All subdomain cells are axis-aligned unions of base cells, so every
     transfer between decompositions can be expressed as rasterize to the
-    base grid followed by block averaging.
+    base grid followed by block averaging, both through the owner map of
+    the decomposition.
     """
 
     def __init__(self, reservoir, cell_size, dz=1.0):
@@ -111,6 +121,7 @@ class BaseGrid:
         x0, y0, x1, y1 = self.reservoir
         self.nx = _int_ratio(x1 - x0, self.hx, NonIntegerRatio, "base nx")
         self.ny = _int_ratio(y1 - y0, self.hy, NonIntegerRatio, "base ny")
+        self._owner_maps = functools.lru_cache(maxsize=8)(self._build_owner)
 
     @property
     def shape(self):
@@ -120,39 +131,46 @@ class BaseGrid:
     def cell_volume(self):
         return self.hx * self.hy * self.dz
 
-    def block(self, cx, cy, hx, hy):
-        """Index slices of the base cells covered by one subdomain cell."""
+    def owner(self, window):
+        """The OwnerMap of the window's decomposition, built once."""
+        return self._owner_maps(window.subdomains)
+
+    def _build_owner(self, subdomains):
         x0, y0, _, _ = self.reservoir
-        i0 = _int_offset(cx - hx / 2.0 - x0, self.hx, NonIntegerRatio,
-                         "cell/base alignment in x")
-        j0 = _int_offset(cy - hy / 2.0 - y0, self.hy, NonIntegerRatio,
-                         "cell/base alignment in y")
-        mi = _int_ratio(hx, self.hx, NonIntegerRatio, "cell/base ratio in x")
-        mj = _int_ratio(hy, self.hy, NonIntegerRatio, "cell/base ratio in y")
-        return slice(i0, i0 + mi), slice(j0, j0 + mj)
+        cells = np.empty(self.shape, dtype=np.int64)
+        blocks = []
+        offset = 0
+        for sub in subdomains:
+            hx, hy = sub.cell_size
+            i0 = _int_offset(sub.region[0] - x0, self.hx, NonIntegerRatio,
+                             "cell/base alignment in x")
+            j0 = _int_offset(sub.region[1] - y0, self.hy, NonIntegerRatio,
+                             "cell/base alignment in y")
+            mi = _int_ratio(hx, self.hx, NonIntegerRatio,
+                            "cell/base ratio in x")
+            mj = _int_ratio(hy, self.hy, NonIntegerRatio,
+                            "cell/base ratio in y")
+            nx, ny = sub.nx, sub.ny
+            ii = np.arange(nx * mi)[:, None] // mi
+            jj = np.arange(ny * mj)[None, :] // mj
+            cells[i0:i0 + nx * mi, j0:j0 + ny * mj] = offset + ii + jj * nx
+            blocks.append((i0, j0, mi, mj))
+            offset += nx * ny
+        cells.setflags(write=False)
+        return OwnerMap(cells, tuple(blocks))
 
     def rasterize(self, window, values):
         """Spread per-spatial-cell values onto the base grid by injection."""
-        out = np.empty(self.shape)
-        for c in range(window.n_spatial):
-            si, sj = self.block(window.cell_cx[c], window.cell_cy[c],
-                                window.cell_hx[c], window.cell_hy[c])
-            out[si, sj] = values[c]
-        return out
+        return np.asarray(values, dtype=float)[self.owner(window).cells]
 
     def average_to(self, window, base_field, weights=None):
         """Weighted block average of a base field onto a window's cells."""
-        out = np.empty(window.n_spatial)
-        for c in range(window.n_spatial):
-            si, sj = self.block(window.cell_cx[c], window.cell_cy[c],
-                                window.cell_hx[c], window.cell_hy[c])
-            blk = base_field[si, sj]
-            if weights is None:
-                out[c] = blk.mean()
-            else:
-                wblk = weights[si, sj]
-                out[c] = np.sum(wblk * blk) / np.sum(wblk)
-        return out
+        owner = self.owner(window).cells.ravel()
+        f = np.asarray(base_field, dtype=float).ravel()
+        w = (np.ones_like(f) if weights is None
+             else np.asarray(weights, dtype=float).ravel())
+        n = window.n_spatial
+        return np.bincount(owner, w * f, n) / np.bincount(owner, w, n)
 
 
 def final_spatial(window, state):
@@ -314,35 +332,28 @@ def upscale_permeability(k_block, hx, hy, direction, method="flow"):
     # no-flow top/bottom.  Unit conversion constants cancel in K_eff.
     n = mx * my
     idx = np.arange(n).reshape(mx, my)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    rhs = np.zeros(n)
-
-    def add_face(a, b, t):
-        rows.extend((a, b))
-        cols.extend((b, a))
-        vals.extend((-t, -t))
-        diag[a] += t
-        diag[b] += t
-
     tx = (hy / hx) * 2.0 * k[:-1, :] * k[1:, :] / (k[:-1, :] + k[1:, :])
-    for i in range(mx - 1):
-        for j in range(my):
-            add_face(idx[i, j], idx[i + 1, j], tx[i, j])
     ty = (hx / hy) * 2.0 * k[:, :-1] * k[:, 1:] / (k[:, :-1] + k[:, 1:])
-    for i in range(mx):
-        for j in range(my - 1):
-            add_face(idx[i, j], idx[i, j + 1], ty[i, j])
     # half-cell transmissibilities tie the edge columns to the boundary
     tb_l = (hy / hx) * 2.0 * k[0, :]
     tb_r = (hy / hx) * 2.0 * k[-1, :]
-    diag[idx[0, :]] += tb_l
-    rhs[idx[0, :]] += tb_l * 1.0
-    diag[idx[-1, :]] += tb_r
+    # each diagonal sums its faces low-x, high-x, low-y, high-y, boundary
+    diag = np.zeros((mx, my))
+    diag[1:, :] += tx
+    diag[:-1, :] += tx
+    diag[:, 1:] += ty
+    diag[:, :-1] += ty
+    diag[0, :] += tb_l
+    diag[-1, :] += tb_r
+    rhs = np.zeros(n)
+    rhs[idx[0, :]] = tb_l
 
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(diag)
+    lo = np.concatenate((idx[:-1, :].ravel(), idx[:, :-1].ravel()))
+    hi = np.concatenate((idx[1:, :].ravel(), idx[:, 1:].ravel()))
+    t = np.concatenate((tx.ravel(), ty.ravel()))
+    rows = np.concatenate((lo, hi, idx.ravel()))
+    cols = np.concatenate((hi, lo, idx.ravel()))
+    vals = np.concatenate((-t, -t, diag.ravel()))
     mat = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
     p = spla.spsolve(mat, rhs)
     q_in = float(np.sum(tb_l * (1.0 - p[idx[0, :]])))
@@ -383,26 +394,34 @@ def cell_permeability(window, base: BaseGrid, kx_base, ky_base,
                       method="flow", cache=None):
     """Per-cell (kx, ky) for a window, upscaling blocks coarser than base.
 
-    `cache` maps block index bounds to computed values so repeated
-    decompositions reuse earlier solves.
+    Base-resolution subdomains take the base values as they are.  `cache`
+    maps block index bounds to computed values so repeated decompositions
+    reuse earlier solves.
     """
     kx = np.empty(window.n_spatial)
     ky = np.empty(window.n_spatial)
     if cache is None:
         cache = {}
-    for c in range(window.n_spatial):
-        si, sj = base.block(window.cell_cx[c], window.cell_cy[c],
-                            window.cell_hx[c], window.cell_hy[c])
-        if si.stop - si.start == 1 and sj.stop - sj.start == 1:
-            kx[c] = kx_base[si.start, sj.start]
-            ky[c] = ky_base[si.start, sj.start]
+    for k, (sub, (i0, j0, mi, mj)) in enumerate(
+            zip(window.subdomains, base.owner(window).blocks)):
+        nx, ny = sub.nx, sub.ny
+        first = window.spatial_offset[k]
+        if mi == 1 and mj == 1:
+            cells = slice(first, first + nx * ny)
+            # window cells run x-fastest, base arrays are (x, y)
+            kx[cells] = kx_base[i0:i0 + nx, j0:j0 + ny].ravel(order="F")
+            ky[cells] = ky_base[i0:i0 + nx, j0:j0 + ny].ravel(order="F")
             continue
-        key = (si.start, si.stop, sj.start, sj.stop)
-        if key not in cache:
-            cache[key] = (
-                upscale_permeability(kx_base[si, sj], base.hx, base.hy,
-                                     "x", method),
-                upscale_permeability(ky_base[si, sj], base.hx, base.hy,
-                                     "y", method))
-        kx[c], ky[c] = cache[key]
+        for c in range(nx * ny):
+            bi = i0 + (c % nx) * mi
+            bj = j0 + (c // nx) * mj
+            key = (bi, bi + mi, bj, bj + mj)
+            if key not in cache:
+                si, sj = slice(bi, bi + mi), slice(bj, bj + mj)
+                cache[key] = (
+                    upscale_permeability(kx_base[si, sj], base.hx, base.hy,
+                                         "x", method),
+                    upscale_permeability(ky_base[si, sj], base.hx, base.hy,
+                                         "y", method))
+            kx[first + c], ky[first + c] = cache[key]
     return kx, ky

@@ -11,12 +11,13 @@ from __future__ import annotations
 import configparser
 import inspect
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 from .adaptivity import Thresholds
 from .errors import ConfigError
 from .permfields import GENERATORS, LAYOUTS, load_fields
-from .physics import BrooksCoreyModel, FluidModel
+from .physics import MOBILITY_MODELS, BrooksCoreyModel, FluidModel
 from .solver import NewtonConfig
 
 MODES = ("uniform-fine", "uniform-coarse", "static-dd", "dynamic-dd")
@@ -125,6 +126,13 @@ class RunConfig:
             i, j = w.tile
             if not (0 <= i < ntx and 0 <= j < nty):
                 raise ConfigError(f"well tile {w.tile} outside {ntx}x{nty}")
+            if (w.kind == "bhp-producer"
+                    and w.r_w >= self.well_equivalent_radius):
+                raise ConfigError(
+                    f"well radius {w.r_w} ft too large for tile {self.tile}")
+        if self.mobility_model not in MOBILITY_MODELS:
+            raise ConfigError(
+                f"unknown mobility model {self.mobility_model!r}")
         if not (0 <= self.initial_saturation <= 1):
             raise ConfigError("initial saturation must lie in [0, 1]")
         if self.upscaling not in ("flow", "layered"):
@@ -158,6 +166,13 @@ class RunConfig:
         uniform mode, the matching step `delta_t` otherwise."""
         k = UNIFORM_IDENTIFIER.get(self.mode)
         return self.delta_t if k is None else self.table[k][2]
+
+    @property
+    def well_equivalent_radius(self):
+        """Peaceman equivalent radius of a producer, ft.  The completion
+        spans the whole tile, so it uses the tile diagonal; this keeps the
+        well index positive and independent of the local refinement."""
+        return 0.14 * math.hypot(*self.tile)
 
     @property
     def base_shape(self):

@@ -21,6 +21,9 @@ STB_TO_FT3 = 5.615
 # Phase labels used throughout.
 OIL, WATER = "o", "w"
 
+# Mobility closures: Brooks-Corey, or a constant unit mobility.
+MOBILITY_MODELS = ("brooks-corey", "constant")
+
 
 @dataclass(frozen=True)
 class FluidModel:
@@ -162,7 +165,7 @@ class FluidRockModel:
     use_capillarity: bool = True
 
     def __post_init__(self):
-        if self.mobility_model not in ("brooks-corey", "constant"):
+        if self.mobility_model not in MOBILITY_MODELS:
             raise ValueError(f"unknown mobility model {self.mobility_model!r}")
 
     @property

@@ -24,6 +24,10 @@ from .physics import (BETA_C, OIL, STB_TO_FT3, WATER, BrooksCoreyModel,
 from .permfields import load_fields, make_field
 from .solver import NewtonConfig, RunLedger, march, newton_solve_window
 
+# Decompositions whose cell properties and wells `Problem` keeps: the
+# current window's, the predictor's all-coarse trial and an escalation.
+MAP_CACHE_SIZE = 4
+
 
 class Problem:
     """A RunConfig resolved into concrete fields and closures."""
@@ -42,6 +46,7 @@ class Problem:
         self.phi_base = np.full(self.base.shape, cfg.phi)
         self.kx_base, self.ky_base = self._fields(cfg)
         self._perm_cache = {}
+        self._map_cache = {}
 
     def _fields(self, cfg):
         p = dict(cfg.permeability)
@@ -54,39 +59,46 @@ class Problem:
     # -- per-window closures ----------------------------------------------
 
     def props_for(self, window):
-        phi = self.base.average_to(window, self.phi_base)
-        kx, ky = cell_permeability(window, self.base, self.kx_base,
-                                   self.ky_base, self.cfg.upscaling,
-                                   self._perm_cache)
-        return CellProperties(phi=phi, kx=kx, ky=ky)
+        return self._maps(window)[0]
 
     def wells_for(self, window):
+        return self._maps(window)[1]
+
+    def _maps(self, window):
+        """(props, wells) of the window's decomposition, built once and
+        kept for the last few decompositions."""
+        key = window.subdomains
+        maps = self._map_cache.pop(key, None)
+        if maps is None:
+            phi = self.base.average_to(window, self.phi_base)
+            kx, ky = cell_permeability(window, self.base, self.kx_base,
+                                       self.ky_base, self.cfg.upscaling,
+                                       self._perm_cache)
+            props = CellProperties(phi=phi, kx=kx, ky=ky)
+            maps = (props, self._wells(window, props))
+            for arr in (*vars(maps[0]).values(), *vars(maps[1]).values()):
+                arr.setflags(write=False)
+            if len(self._map_cache) >= MAP_CACHE_SIZE:
+                del self._map_cache[next(iter(self._map_cache))]
+        self._map_cache[key] = maps        # most recently used last
+        return maps
+
+    def _wells(self, window, props):
         cfg = self.cfg
-        n = window.n_spatial
-        wells = ResolvedWells.none(n)
+        wells = ResolvedWells.none(window.n_spatial)
         rho_w_ref = self.model.fluid.rho_w_ref
         for w in cfg.wells:
             cells = self._well_cells(window, w)
             if w.kind == "rate-water-injector":
-                pv = (window.cell_vol[cells]
-                      * self.base.average_to(window, self.phi_base)[cells])
+                pv = window.cell_vol[cells] * props.phi[cells]
                 mass_rate = w.value * STB_TO_FT3 * rho_w_ref   # lb/day
                 wells.inj_w[cells] += mass_rate * pv / np.sum(pv)
             else:
-                kx, ky = cell_permeability(
-                    window, self.base, self.kx_base, self.ky_base,
-                    self.cfg.upscaling, self._perm_cache)
-                # the completion spans the whole tile, so the equivalent
-                # radius uses the tile diagonal; this keeps the index
-                # positive and independent of the local refinement level
-                re = 0.14 * math.hypot(*cfg.tile)
-                if re <= w.r_w:
-                    raise StddError(
-                        f"well radius {w.r_w} ft too large for tile {cfg.tile}")
                 area = window.cell_hx[cells] * window.cell_hy[cells]
                 wi_tile = (2.0 * math.pi * BETA_C
-                           * np.sqrt(kx[cells] * ky[cells]) * cfg.dz
-                           / math.log(re / w.r_w))
+                           * np.sqrt(props.kx[cells] * props.ky[cells])
+                           * cfg.dz
+                           / math.log(cfg.well_equivalent_radius / w.r_w))
                 wells.prod_wi[cells] += wi_tile * area / np.sum(area)
                 wells.prod_bhp[cells] = w.value
         return wells
@@ -371,14 +383,19 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
 
 
 def _emit_fine_levels(outdir, window, state, base, origin, cfg):
-    """One saturation raster per distinct interior time of the window."""
+    """One saturation raster per distinct interior time of the window.
+
+    Each spatial cell shows its first level ending at or after the time.
+    Levels of a cell are consecutive in time, so that level is the one
+    reaching the time whose previous level does not.
+    """
     times = np.unique(np.round(window.st_t_end, 9))
+    prev = window.st_prev
     for t in times:
+        reached = window.st_t_end >= t - 1.0e-9
+        first = reached & ((prev < 0) | ~reached[np.maximum(prev, 0)])
         vals = np.empty(window.n_spatial)
-        for c in range(window.n_spatial):
-            cells = np.nonzero((window.st_spatial == c)
-                               & (window.st_t_end >= t - 1.0e-9))[0]
-            vals[c] = state.s[cells[np.argmin(window.st_t_end[cells])]]
+        vals[window.st_spatial[first]] = state.s[first]
         s2d = base.rasterize(window, vals)
         name = f"fine_sw_w{window.window_index:03d}_t{t:09.3f}.csv"
         output.write_grid_csv(os.path.join(outdir, name), s2d, origin,

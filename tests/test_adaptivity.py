@@ -1,14 +1,23 @@
 """Region classification, decomposition, transfer, and upscaling."""
 
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from stdd.adaptivity import (BaseGrid, IdentifierMap, RefinementTable,
                              Thresholds, Tiling, cell_permeability, classify,
                              decompose, delta_change, final_spatial,
                              transfer_state, upscale_field,
                              upscale_permeability)
-from stdd.mesh import Subdomain, build_window
+from stdd.config import preset
+from stdd.errors import NonIntegerRatio
+from stdd.mesh import Subdomain, _int_offset, _int_ratio, build_window
+
+run_module = importlib.import_module("stdd.run")
 
 TABLE = RefinementTable({1: (0.5, 0.5, 1.0), 2: (0.5, 0.5, 4.0),
                          3: (2.5, 2.5, 1.0), 4: (2.5, 2.5, 4.0)})
@@ -277,6 +286,12 @@ class TestUpscaling:
         b = upscale_permeability(k.T, 0.5, 0.5, "x")
         assert a == pytest.approx(b, rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 5), (3, 7), (8, 2)])
+    def test_flow_matches_loop_assembly(self, shape):
+        k = np.exp(np.random.default_rng(9).normal(3.0, 1.5, shape))
+        assert upscale_permeability(k, 0.5, 0.7, "x") == \
+            ref_upscale_flow(k, 0.5, 0.7)
+
     def test_cell_permeability_passthrough_on_base_cells(self):
         res = (0.0, 0.0, 4.0, 2.0)
         base = BaseGrid(res, (0.5, 0.5))
@@ -300,3 +315,140 @@ class TestUpscaling:
         assert len(cache) == w.n_spatial
         kx2, _ = cell_permeability(w, base, kxb, kyb, cache=cache)
         assert np.array_equal(kx1, kx2)
+
+
+def ref_upscale_flow(k, hx, hy):
+    """Flow upscaling in x with the two-point matrix built face by face."""
+    mx, my = k.shape
+    n = mx * my
+    idx = np.arange(n).reshape(mx, my)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n)
+    rhs = np.zeros(n)
+
+    def add_face(a, b, t):
+        rows.extend((a, b))
+        cols.extend((b, a))
+        vals.extend((-t, -t))
+        diag[a] += t
+        diag[b] += t
+
+    tx = (hy / hx) * 2.0 * k[:-1, :] * k[1:, :] / (k[:-1, :] + k[1:, :])
+    for i in range(mx - 1):
+        for j in range(my):
+            add_face(idx[i, j], idx[i + 1, j], tx[i, j])
+    ty = (hx / hy) * 2.0 * k[:, :-1] * k[:, 1:] / (k[:, :-1] + k[:, 1:])
+    for i in range(mx):
+        for j in range(my - 1):
+            add_face(idx[i, j], idx[i, j + 1], ty[i, j])
+    tb_l = (hy / hx) * 2.0 * k[0, :]
+    tb_r = (hy / hx) * 2.0 * k[-1, :]
+    diag[idx[0, :]] += tb_l
+    rhs[idx[0, :]] += tb_l
+    diag[idx[-1, :]] += tb_r
+    rows.extend(range(n))
+    cols.extend(range(n))
+    vals.extend(diag)
+    p = spla.spsolve(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)), rhs)
+    q_in = float(np.sum(tb_l * (1.0 - p[idx[0, :]])))
+    return q_in * (mx * hx) / (my * hy)
+
+
+# -- the base-grid owner map against per-cell slices ------------------------
+
+def ref_block(base, window, c):
+    """Base-cell slices of spatial cell `c`, checked cell by cell."""
+    x0, y0, _, _ = base.reservoir
+    hx, hy = window.cell_hx[c], window.cell_hy[c]
+    i0 = _int_offset(window.cell_cx[c] - hx / 2.0 - x0, base.hx,
+                     NonIntegerRatio, "x alignment")
+    j0 = _int_offset(window.cell_cy[c] - hy / 2.0 - y0, base.hy,
+                     NonIntegerRatio, "y alignment")
+    mi = _int_ratio(hx, base.hx, NonIntegerRatio, "x ratio")
+    mj = _int_ratio(hy, base.hy, NonIntegerRatio, "y ratio")
+    return slice(i0, i0 + mi), slice(j0, j0 + mj)
+
+
+class TestOwnerMap:
+    RES = (0.0, 0.0, 15.0, 10.0)
+
+    def setup_method(self):
+        self.base = BaseGrid(self.RES, (0.5, 0.5))
+        tiling = Tiling(self.RES, 2.5, 2.5)
+        ids = np.full(tiling.shape, 4)
+        ids[1:3, 1:3] = 1        # a fine box
+        ids[4:, :2] = 3          # refined in time only
+        ids[0, 3] = 2
+        subs = decompose(IdentifierMap(ids, *(np.zeros(ids.shape),) * 3),
+                         tiling, TABLE)
+        assert {s.identifier for s in subs} == {1, 2, 3, 4}
+        self.window = build_window(subs, 4.0, self.RES)
+        self.rng = np.random.default_rng(8)
+
+    def blocks(self):
+        return [ref_block(self.base, self.window, c)
+                for c in range(self.window.n_spatial)]
+
+    def test_rasterize_exact(self):
+        vals = self.rng.random(self.window.n_spatial)
+        ref = np.full(self.base.shape, np.nan)
+        for c, (si, sj) in enumerate(self.blocks()):
+            ref[si, sj] = vals[c]
+        assert np.array_equal(self.base.rasterize(self.window, vals), ref)
+
+    def test_average_to(self):
+        f = self.rng.random(self.base.shape)
+        w = self.rng.uniform(0.1, 1.0, self.base.shape)
+        ref = np.array([f[b].mean() for b in self.blocks()])
+        ref_w = np.array([np.sum(w[b] * f[b]) / np.sum(w[b])
+                          for b in self.blocks()])
+        np.testing.assert_allclose(self.base.average_to(self.window, f),
+                                   ref, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(self.base.average_to(self.window, f, w),
+                                   ref_w, rtol=1e-14, atol=0)
+
+    def test_cell_permeability(self):
+        kxb = self.rng.uniform(1, 10, self.base.shape)
+        kyb = self.rng.uniform(1, 10, self.base.shape)
+        kx, ky = cell_permeability(self.window, self.base, kxb, kyb)
+        for c, (si, sj) in enumerate(self.blocks()):
+            assert kx[c] == upscale_permeability(kxb[si, sj], 0.5, 0.5, "x")
+            assert ky[c] == upscale_permeability(kyb[si, sj], 0.5, 0.5, "y")
+
+    @pytest.mark.parametrize("subs, what", [
+        # a cell size that is not a whole number of base cells
+        ([Subdomain((0.0, 0.0, 3.0, 1.0), (1.5, 1.0), 1.0),
+          Subdomain((3.0, 0.0, 4.0, 1.0), (1.0, 1.0), 1.0)], "ratio"),
+        # whole base cells, but starting half a base cell off
+        ([Subdomain((0.5, 0.0, 3.5, 1.0), (1.0, 1.0), 1.0),
+          Subdomain((0.0, 0.0, 0.5, 1.0), (0.5, 1.0), 1.0),
+          Subdomain((3.5, 0.0, 4.0, 1.0), (0.5, 1.0), 1.0)], "alignment"),
+    ])
+    def test_misaligned_subdomain_raises(self, subs, what):
+        res = (0.0, 0.0, 4.0, 1.0)
+        window = build_window(subs, 1.0, res)
+        with pytest.raises(NonIntegerRatio, match=what):
+            BaseGrid(res, (1.0, 1.0)).rasterize(window,
+                                                np.zeros(window.n_spatial))
+
+    def test_props_built_once_per_decomposition(self, tmp_path, monkeypatch):
+        built, seen = [], set()
+        real_perm = run_module.cell_permeability
+        real_props = run_module.Problem.props_for
+
+        def counted(window, *args):
+            built.append(window.subdomains)
+            return real_perm(window, *args)
+
+        def props_for(self, window):
+            seen.add(window.subdomains)
+            return real_props(self, window)
+
+        monkeypatch.setattr(run_module, "cell_permeability", counted)
+        monkeypatch.setattr(run_module.Problem, "props_for", props_for)
+        summary = run_module.run(replace(preset("toy"), horizon=4.0),
+                                 tmp_path, emit_vtk=False)
+        assert summary["windows"] == 2
+        # the predictor's all-coarse trial and at least one window
+        assert len(seen) >= 2
+        assert len(built) == len(seen) and set(built) == seen

@@ -96,6 +96,13 @@ class TestExitCodes:
         ("unknown permeability key",
          {"permeability": {"kind": "gaussian", "bogus": 1}}, EXIT_CONFIG),
         ("horizon not whole windows", {"horizon": 9.0}, EXIT_CONFIG),
+        ("unknown mobility model", {"mobility_model": "quadratic"},
+         EXIT_CONFIG),
+        ("well radius too large for its tile",
+         {"wells": [{"tile": [0, 0], "kind": "rate-water-injector",
+                     "value": 0.1},
+                    {"tile": [7, 1], "kind": "bhp-producer",
+                     "value": 1000.0, "r_w": 1.0}]}, EXIT_CONFIG),
         ("newton budget too small",
          {"mode": "uniform-coarse", "newton": {"max_iters": 1}},
          EXIT_NONCONVERGENCE),
