@@ -20,7 +20,8 @@ def report(name, k, direction="x"):
     eff = upscale_permeability(k, 0.5, 0.5, direction)
     harm = k.size / np.sum(1.0 / k)
     arith = np.mean(k)
-    inside = harm - 1e-12 <= eff <= arith + 1e-12
+    # relative slack: a block that hits a bound matches it to round-off
+    inside = harm * (1 - 1e-12) <= eff <= arith * (1 + 1e-12)
     print(f"{name:34s} harmonic {harm:9.3f} <= effective {eff:9.3f}"
           f" <= arithmetic {arith:9.3f}   [{'ok' if inside else 'VIOLATED'}]")
     return eff
@@ -42,9 +43,10 @@ def main():
     report("lognormal field 10x10", np.exp(rng.normal(3.0, 1.0, (10, 10))))
     report("gaussian generator block",
            gaussian_field((20, 20), seed=4)[:10, :10])
-    chan = channelized_field((40, 12), seed=7)[:10, :10]
-    ex = report("channelized block, along channel", chan, "x")
-    ey = report("channelized block, across channel", chan, "y")
+    # rows 2-9 lie in a channel (500 md), rows 10-11 in the background
+    chan = channelized_field((40, 12), seed=7)[:10, 2:12]
+    ex = report("channel-edge block, along channel", chan, "x")
+    ey = report("channel-edge block, across channel", chan, "y")
     print(f"\nchannel anisotropy: Kx/Ky = {ex / ey:.2f} "
           "(channels conduct along x, so Kx >> Ky)")
 

@@ -6,9 +6,8 @@ from .adaptivity import (BaseGrid, IdentifierMap, RefinementTable,
                          Thresholds, Tiling, classify, decompose,
                          delta_change, residual_indicator, transfer_state,
                          upscale_field, upscale_permeability)
-from .assembly import (CellProperties, MonolithicSystem, ReducedSystem,
-                       ResolvedWells, StateField, assemble, compute_fluxes,
-                       schur_reduce)
+from .assembly import (CellProperties, CellSystem, ResolvedWells,
+                       StateField, linearize)
 from .config import RunConfig, WellSpec, load_config, preset
 from .errors import (ConfigError, MeshError, MismatchedProblem,
                      NonConvergence, SingularMatrix, StddError)

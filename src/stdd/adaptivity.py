@@ -18,8 +18,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solveh_banded
 
 from .errors import NonIntegerRatio
 from .mesh import Subdomain, _int_offset, _int_ratio
@@ -330,8 +329,6 @@ def upscale_permeability(k_block, hx, hy, direction, method="flow"):
 
     # Two-point flux problem: p = 1 on the left edge, 0 on the right,
     # no-flow top/bottom.  Unit conversion constants cancel in K_eff.
-    n = mx * my
-    idx = np.arange(n).reshape(mx, my)
     tx = (hy / hx) * 2.0 * k[:-1, :] * k[1:, :] / (k[:-1, :] + k[1:, :])
     ty = (hx / hy) * 2.0 * k[:, :-1] * k[:, 1:] / (k[:, :-1] + k[:, 1:])
     # half-cell transmissibilities tie the edge columns to the boundary
@@ -345,18 +342,19 @@ def upscale_permeability(k_block, hx, hy, direction, method="flow"):
     diag[:, :-1] += ty
     diag[0, :] += tb_l
     diag[-1, :] += tb_r
-    rhs = np.zeros(n)
-    rhs[idx[0, :]] = tb_l
-
-    lo = np.concatenate((idx[:-1, :].ravel(), idx[:, :-1].ravel()))
-    hi = np.concatenate((idx[1:, :].ravel(), idx[:, 1:].ravel()))
-    t = np.concatenate((tx.ravel(), ty.ravel()))
-    rows = np.concatenate((lo, hi, idx.ravel()))
-    cols = np.concatenate((hi, lo, idx.ravel()))
-    vals = np.concatenate((-t, -t, diag.ravel()))
-    mat = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-    p = spla.spsolve(mat, rhs)
-    q_in = float(np.sum(tb_l * (1.0 - p[idx[0, :]])))
+    # the matrix is symmetric positive definite and banded: with cell
+    # (i, j) as unknown i * my + j, y-neighbours sit 1 apart and
+    # x-neighbours my apart.  Upper band storage: row my - d of `band`
+    # holds diagonal d, entry (k, k + d) in column k + d.
+    band = np.zeros((my + 1, mx, my))
+    band[my] = diag
+    band[my - 1, :, 1:] = -ty
+    band[0, 1:, :] = -tx
+    rhs = np.zeros((mx, my))
+    rhs[0, :] = tb_l
+    p = solveh_banded(band.reshape(my + 1, mx * my), rhs.ravel()).reshape(
+        mx, my)
+    q_in = float(np.sum(tb_l * (1.0 - p[0, :])))
     # q = K_eff * (my * hy) * (dp=1) / (mx * hx), same face scaling
     return q_in * (mx * hx) / (my * hy)
 

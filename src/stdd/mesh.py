@@ -14,11 +14,13 @@ Windows are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    MeshError,
     MisalignedInterface,
     NonIntegerRatio,
     TilingGap,
@@ -133,11 +135,28 @@ class FaceSet:
 _FLUX_KINDS = ("aux_o", "aux_w", "darcy_o", "darcy_w")
 
 
+@dataclass(frozen=True)
+class JacobianPattern:
+    """CSC sparsity of a window's flux-eliminated Jacobian.
+
+    `pos[k]` holds the CSC data positions of the four entries of block k
+    of `SpaceTimeWindow.jacobian_blocks`; no two blocks share a position.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    pos: np.ndarray          # (blocks, 4)
+
+    @property
+    def nnz(self):
+        return len(self.indices)
+
+
 class SpaceTimeWindow:
     """Immutable mesh + DOF numbering for one matching step."""
 
     def __init__(self, subdomains, delta_t, reservoir, window_index, t_start,
-                 dz, cells, st, faces, bundles):
+                 dz, cells, st, faces, interfaces):
         self.subdomains = tuple(subdomains)
         self.delta_t = float(delta_t)
         self.reservoir = tuple(reservoir)
@@ -151,7 +170,8 @@ class SpaceTimeWindow:
         (self.st_spatial, self.st_level, self.st_dt, self.st_t_end,
          self.st_prev, self.st_offset) = st
         self.faces = faces
-        self.bundles = tuple(bundles)
+        # per interface: (first face, bundle groups, coarse-side subdomain)
+        self._interfaces = tuple(interfaces)
 
         self.n_spatial = len(self.sub_of_cell)
         self.n_st = len(self.st_spatial)
@@ -165,6 +185,28 @@ class SpaceTimeWindow:
             a.setflags(write=False)
         for a in vars(self.faces).values():
             a.setflags(write=False)
+
+    @cached_property
+    def bundles(self):
+        """Interface bundles, built on first read (tests and `dump()`)."""
+        out = []
+        for first, grp, ksub in self._interfaces:
+            gid = np.asarray(grp["gid"]).ravel()
+            faces = first + np.argsort(gid, kind="stable")
+            ends = np.cumsum(np.bincount(gid, minlength=len(grp["keys"])))
+            nc = self.spatial_offset[ksub + 1] - self.spatial_offset[ksub]
+            for (local, level), idx in zip(grp["keys"],
+                                           np.split(faces, ends[:-1])):
+                out.append(InterfaceBundle(
+                    coarse_sub=int(ksub),
+                    coarse_cell=int(self.st_offset[ksub]
+                                    + (level - 1) * nc + local),
+                    coarse_level=int(level),
+                    coarse_is_left=bool(grp["coarse_is_left"]),
+                    coarse_extent=float(grp["coarse_extent"] * self.dz),
+                    faces=tuple(idx.tolist()),
+                ))
+        return tuple(out)
 
     # -- DOF numbering -------------------------------------------------
 
@@ -183,6 +225,51 @@ class SpaceTimeWindow:
             return ("pressure" if g % 2 == 0 else "saturation", g // 2)
         g -= self.n_y
         return (_FLUX_KINDS[g % 4], g // 4)
+
+    def jacobian_blocks(self):
+        """(row cell, column cell) of every 2x2 block of the flux-eliminated
+        Jacobian.
+
+        The blocks are, in order: each cell against itself, each cell with
+        a previous level against that level, each face's left cell against
+        its right, then each face's right cell against its left.  A block's
+        entries are ordered (total, p), (total, s), (water, p), (water, s).
+        """
+        hp = np.nonzero(self.st_prev >= 0)[0]
+        cl, cr = self.faces.c_left, self.faces.c_right
+        c = np.arange(self.n_st)
+        return (np.concatenate([c, hp, cl, cr]),
+                np.concatenate([c, self.st_prev[hp], cr, cl]))
+
+    @cached_property
+    def jacobian_pattern(self):
+        """The Jacobian's CSC pattern, built on first use.
+
+        Column 2j (p) and column 2j + 1 (s) of cell j hold the same rows:
+        2i and 2i + 1 for each cell i coupled to j, in order of i.
+        """
+        n = self.n_st
+        rows, cols = self.jacobian_blocks()
+        pairs, block = np.unique(cols * n + rows, return_inverse=True)
+        if len(pairs) != len(rows):
+            raise MeshError("two faces join the same pair of cells")
+        j, i = np.divmod(pairs, n)
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=n))])
+        m = np.diff(ptr)                  # blocks in each column of cells
+        first = 4 * ptr[j] + 2 * (np.arange(len(pairs)) - ptr[j])
+        entry = (first[:, None] + np.array([0, 0, 1, 1])
+                 + 2 * m[j][:, None] * np.array([0, 1, 0, 1]))
+        indices = np.empty(4 * len(pairs), dtype=np.int32)
+        indices[entry] = 2 * i[:, None] + np.array([0, 0, 1, 1])
+        indptr = np.empty(2 * n + 1, dtype=np.int32)
+        indptr[0:-1:2] = 4 * ptr[:-1]
+        indptr[1::2] = 4 * ptr[:-1] + 2 * m
+        indptr[-1] = 4 * ptr[-1]
+        pattern = JacobianPattern(indptr=indptr, indices=indices,
+                                  pos=entry[block.ravel()])
+        for a in vars(pattern).values():
+            a.setflags(write=False)
+        return pattern
 
     def final_level_cells(self):
         """Space-time indices of every spatial cell at the window's end time."""
@@ -460,7 +547,7 @@ def build_window(subdomains, delta_t, reservoir, *, window_index=0,
                      stbase[:-1, :].ravel(), stbase[1:, :].ravel(), hy, hy)
                 n_faces += (ny - 1) * nx
 
-    bundles = []
+    interfaces = []
     for a in range(n_sub):
         for b in range(a + 1, n_sub):
             edge = shared_edge(subdomains[a], subdomains[b])
@@ -484,22 +571,8 @@ def build_window(subdomains, delta_t, reservoir, *, window_index=0,
             push(axis, rec["hf_edge"] * dz, rec["dt"], sl_, sr_, cl_, cr_,
                  hl_, hr_)
             n_faces += len(sl_)
-
-            gid = grp["gid"]
-            cil = grp["coarse_is_left"]
-            ksub = kl if cil else kr
-            nc_c = ncl if cil else ncr
-            for g, (local, level) in enumerate(grp["keys"]):
-                idx = first + np.nonzero(gid == g)[0]
-                cc = int(st_offset[ksub] + (level - 1) * nc_c + local)
-                bundles.append(InterfaceBundle(
-                    coarse_sub=int(ksub),
-                    coarse_cell=cc,
-                    coarse_level=int(level),
-                    coarse_is_left=bool(cil),
-                    coarse_extent=float(grp["coarse_extent"] * dz),
-                    faces=tuple(int(i) for i in idx),
-                ))
+            interfaces.append((first, grp,
+                               kl if grp["coarse_is_left"] else kr))
 
     if n_faces:
         faces = FaceSet(
@@ -521,5 +594,5 @@ def build_window(subdomains, delta_t, reservoir, *, window_index=0,
         cells=(sub_of_cell, cell_cx, cell_cy, cell_hx, cell_hy, cell_vol,
                spatial_offset),
         st=(st_spatial, st_level, st_dt, st_t_end, st_prev, st_offset),
-        faces=faces, bundles=bundles,
+        faces=faces, interfaces=interfaces,
     )

@@ -22,14 +22,16 @@ def write_grid_csv(path, field2d, origin, cell_size, name="value"):
     nx, ny = field2d.shape
     x0, y0 = origin
     hx, hy = cell_size
+    xs = (x0 + (np.arange(nx) + 0.5) * hx).tolist()
+    ys = (y0 + (np.arange(ny) + 0.5) * hy).tolist()
+    by_j = np.asarray(field2d, dtype=float).T.tolist()
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "x", "y", name])
-        for j in range(ny):
-            for i in range(nx):
-                w.writerow([i, j, _fmt(x0 + (i + 0.5) * hx),
-                            _fmt(y0 + (j + 0.5) * hy),
-                            _fmt(field2d[i, j])])
+        csv.writer(fh).writerow(["i", "j", "x", "y", name])
+        # the rows csv.writer would write: no field needs quoting
+        fh.write("".join(
+            "%d,%d,%.17g,%.17g,%.17g\r\n" % (i, j, x, y, v)
+            for j, (y, row) in enumerate(zip(ys, by_j))
+            for i, (x, v) in enumerate(zip(xs, row))))
 
 
 def read_grid_csv(path):

@@ -15,7 +15,7 @@ from .adaptivity import (BaseGrid, IdentifierMap, RefinementTable,
                          Thresholds, Tiling, cell_permeability, classify,
                          decompose, delta_change, final_spatial,
                          residual_indicator, transfer_state)
-from .assembly import CellProperties, ResolvedWells, StateField, assemble
+from .assembly import CellProperties, ResolvedWells, StateField, linearize
 from .config import UNIFORM_IDENTIFIER, RunConfig
 from .errors import MismatchedProblem, NonConvergence, StddError
 from .mesh import build_window
@@ -203,9 +203,9 @@ class Controller:
             s_now = pb.base.rasterize(window, fin_s)
 
         trial_state = StateField.from_trace(trial, tp, ts)
-        sys_ = assemble(trial, trial_state, pb.props_for(trial),
-                        pb.wells_for(trial), pb.model)
-        eta = residual_indicator(trial, sys_.r_norm, pb.tiling)
+        r_norm = linearize(trial, trial_state, pb.props_for(trial),
+                           pb.wells_for(trial), pb.model).r_norm
+        eta = residual_indicator(trial, r_norm, pb.tiling)
 
         try:
             sol, _ = newton_solve_window(

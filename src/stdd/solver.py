@@ -1,9 +1,9 @@
 """Time-concurrent outer loop: Newton per window, windows marched in sequence.
 
-Each matching window is solved monolithically: assemble the space-time
-system, eliminate the flux unknowns, solve the reduced sparse system
-directly, update, and re-check the max norm of the normalized conservation
-residual.  Window n+1 starts from window n's final time level.
+Each matching window is solved monolithically: evaluate the residual of the
+flux-eliminated space-time system and check the max norm of its normalized
+form; above tolerance, fill the reduced Jacobian, solve it directly and
+update.  Window n+1 starts from window n's final time level.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import StateField, assemble, schur_reduce
+from .assembly import StateField, linearize
 from .errors import NonConvergence, SingularMatrix, StddError
 from .mesh import build_window
 
@@ -108,15 +108,14 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
             wall_ms=(time.perf_counter() - t0) * 1.0e3, converged=converged)
 
     for k in range(cfg.max_iters + 1):
-        sys_ = assemble(window, state, props, wells, model)
+        sys_ = linearize(window, state, props, wells, model)
         norm = float(np.max(np.abs(sys_.r_norm))) if window.n_st else 0.0
         norms.append(norm)
         if norm <= cfg.tol:
             return state, entry(True, k)
         if k == cfg.max_iters:
             break
-        red = schur_reduce(sys_)
-        dy = linear_solve(red.jacobian, red.residual, cfg.linear_tol)
+        dy = linear_solve(sys_.jacobian(), sys_.r_y, cfg.linear_tol)
         dp, ds = dy[0::2], dy[1::2]
         # saturation chopping keeps iterates near the physical range; the
         # constant-mobility model is exactly linear and must not be chopped
@@ -128,7 +127,7 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
                 trial = StateField(state.p + step * dp, state.s + step * ds,
                                    state.trace_p, state.trace_s)
                 tnorm = float(np.max(np.abs(
-                    assemble(window, trial, props, wells, model).r_norm)))
+                    linearize(window, trial, props, wells, model).r_norm)))
                 if tnorm <= norm or step <= 1.0 / 2**cfg.max_halvings:
                     break
                 step *= 0.5

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solveh_banded
 
 from stdd.adaptivity import (BaseGrid, IdentifierMap, RefinementTable,
                              Thresholds, Tiling, cell_permeability, classify,
@@ -292,6 +293,15 @@ class TestUpscaling:
         assert upscale_permeability(k, 0.5, 0.7, "x") == \
             ref_upscale_flow(k, 0.5, 0.7)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 5), (3, 7), (8, 2),
+                                       (6, 1), (10, 10)])
+    def test_flow_matches_sparse_solve(self, shape):
+        k = np.exp(np.random.default_rng(3).normal(3.0, 1.5, shape))
+        assert upscale_permeability(k, 0.5, 0.7, "x") == pytest.approx(
+            ref_upscale_flow(k, 0.5, 0.7, solve="sparse"), rel=1e-12)
+        assert upscale_permeability(k, 0.5, 0.7, "y") == pytest.approx(
+            ref_upscale_flow(k.T, 0.7, 0.5, solve="sparse"), rel=1e-12)
+
     def test_cell_permeability_passthrough_on_base_cells(self):
         res = (0.0, 0.0, 4.0, 2.0)
         base = BaseGrid(res, (0.5, 0.5))
@@ -317,8 +327,9 @@ class TestUpscaling:
         assert np.array_equal(kx1, kx2)
 
 
-def ref_upscale_flow(k, hx, hy):
-    """Flow upscaling in x with the two-point matrix built face by face."""
+def ref_flow_system(k, hx, hy):
+    """Two-point flow matrix of x-upscaling, built face by face, with its
+    right-hand side and left boundary transmissibilities."""
     mx, my = k.shape
     n = mx * my
     idx = np.arange(n).reshape(mx, my)
@@ -349,8 +360,22 @@ def ref_upscale_flow(k, hx, hy):
     rows.extend(range(n))
     cols.extend(range(n))
     vals.extend(diag)
-    p = spla.spsolve(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)), rhs)
-    q_in = float(np.sum(tb_l * (1.0 - p[idx[0, :]])))
+    return sp.csc_matrix((vals, (rows, cols)), shape=(n, n)), rhs, tb_l
+
+
+def ref_upscale_flow(k, hx, hy, solve="banded"):
+    """Flow upscaling in x of the face-by-face matrix, solved in the
+    matrix's upper band storage or, with solve="sparse", by spsolve."""
+    mx, my = k.shape
+    mat, rhs, tb_l = ref_flow_system(k, hx, hy)
+    if solve == "sparse":
+        p = spla.spsolve(mat, rhs)
+    else:
+        dense = mat.toarray()
+        band = np.array([np.concatenate([np.zeros(d), np.diagonal(dense, d)])
+                         for d in range(my, -1, -1)])
+        p = solveh_banded(band, rhs)
+    q_in = float(np.sum(tb_l * (1.0 - p[:my])))
     return q_in * (mx * hx) / (my * hy)
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from stdd.assembly import (CellProperties, ResolvedWells, StateField,
-                           assemble, compute_fluxes, schur_reduce)
+                           assemble, linearize, schur_reduce)
 from stdd.errors import MissingPrevTrace, ZeroPermeability
 from stdd.mesh import Subdomain, build_window
 from stdd.physics import (BETA_C, BrooksCoreyModel, FluidModel,
@@ -85,7 +85,8 @@ class TestResidualBasics:
             trace_s=np.array([0.5, 0.5]))
         m = FluidRockModel(FluidModel(), BrooksCoreyModel(),
                            use_capillarity=False)
-        fluxes = compute_fluxes(w, state, uniform_props(2, k=1.0), m)
+        fluxes = assemble(w, state, uniform_props(2, k=1.0),
+                          ResolvedWells.none(2), m).fluxes
         assert fluxes["aux_o"][0] == pytest.approx(BETA_C, rel=1e-13)
 
     def test_uniform_pressure_zero_flux(self):
@@ -96,7 +97,8 @@ class TestResidualBasics:
             trace_s=np.full(w.n_spatial, 0.5))
         m = FluidRockModel(FluidModel(), BrooksCoreyModel(),
                            use_capillarity=False)
-        fluxes = compute_fluxes(w, state, uniform_props(w.n_spatial), m)
+        fluxes = assemble(w, state, uniform_props(w.n_spatial),
+                          ResolvedWells.none(w.n_spatial), m).fluxes
         for arr in fluxes.values():
             assert np.all(arr == 0.0)
 
@@ -368,6 +370,104 @@ class TestBackwardEulerEquivalence:
             fd[:, j] = (oracle(xp) - oracle(xm)) / (2 * hj)
         denom = np.maximum(1e-7, np.maximum(np.abs(red), np.abs(fd)))
         assert np.max(np.abs(red - fd) / denom) <= 1e-5
+
+
+def fine_box_window():
+    """A fine box (h 0.5, dt 0.25) ringed by coarse subdomains (h 1, dt
+    0.5) over a 1-day window: four fine and two coarse levels."""
+    coarse = [(0.0, 0.0, 2.0, 6.0), (2.0, 0.0, 4.0, 2.0),
+              (2.0, 4.0, 4.0, 6.0), (4.0, 0.0, 6.0, 6.0)]
+    subs = [Subdomain(r, (1.0, 1.0), 0.5, 4) for r in coarse]
+    subs.append(Subdomain((2.0, 2.0, 4.0, 4.0), (0.5, 0.5), 0.25, 1))
+    return build_window(subs, 1.0, (0.0, 0.0, 6.0, 6.0))
+
+
+def time_refined_window():
+    """Equal cells on both sides of an interface, dt 1 against dt 1/3."""
+    a = Subdomain((0.0, 0.0, 3.0, 2.0), (1.0, 1.0), 1.0 / 3.0)
+    b = Subdomain((3.0, 0.0, 6.0, 2.0), (1.0, 1.0), 1.0)
+    return build_window([a, b], 1.0, (0.0, 0.0, 6.0, 2.0))
+
+
+def uniform_window():
+    s = Subdomain((0.0, 0.0, 4.0, 3.0), (1.0, 1.0), 0.5)
+    return build_window([s], 1.0, (0.0, 0.0, 4.0, 3.0))
+
+
+MODELS = {
+    "capillarity": model,
+    "no-capillarity": lambda: FluidRockModel(
+        FluidModel(), BrooksCoreyModel(), use_capillarity=False),
+    "constant": lambda: FluidRockModel(
+        FluidModel(), BrooksCoreyModel(), mobility_model="constant"),
+}
+
+
+class TestDirectJacobian:
+    """The face kernel's Jacobian against the oracle's Schur complement."""
+
+    @staticmethod
+    def case(window, seed):
+        rng = np.random.default_rng(seed)
+        n = window.n_spatial
+        props = CellProperties(phi=rng.uniform(0.1, 0.3, n),
+                               kx=rng.uniform(10.0, 300.0, n),
+                               ky=rng.uniform(10.0, 300.0, n))
+        wells = ResolvedWells(
+            inj_w=np.where(np.arange(n) == 0, 2.0, 0.0),
+            prod_wi=np.where(np.arange(n) == n - 1, 0.5, 0.0),
+            prod_bhp=np.full(n, 950.0))
+        state = random_state(window, seed)
+        # cells at the saturation end points, where mobility derivatives
+        # (and the water mobility) vanish
+        state.s[::5] = 0.2
+        state.s[1::7] = 0.8
+        return state, props, wells
+
+    @pytest.mark.parametrize("make", [uniform_window, fine_box_window,
+                                      time_refined_window, line_window])
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_matches_schur_complement(self, make, kind):
+        w = make()
+        m = MODELS[kind]()
+        state, props, wells = self.case(w, seed=len(kind) + w.n_st)
+        red = schur_reduce(assemble(w, state, props, wells, m))
+        want = red.jacobian.tocsc()
+        want.sort_indices()
+        got = linearize(w, state, props, wells, m).jacobian()
+        assert got.format == "csc" and got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.max(np.abs(got.data - want.data)) <= \
+            1e-12 * np.max(np.abs(want.data))
+        assert np.all(got.data != 0.0)
+
+    @pytest.mark.parametrize("make", [uniform_window, fine_box_window,
+                                      time_refined_window])
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_residual_matches_oracle(self, make, kind):
+        w = make()
+        m = MODELS[kind]()
+        state, props, wells = self.case(w, seed=3)
+        sys_ = assemble(w, state, props, wells, m)
+        red = schur_reduce(sys_)
+        got = linearize(w, state, props, wells, m)
+        assert np.max(np.abs(got.r_norm - sys_.r_norm)) <= \
+            1e-14 * np.max(np.abs(sys_.r_norm))
+        assert np.max(np.abs(got.r_y - red.residual)) <= \
+            1e-14 * np.max(np.abs(red.residual))
+
+    def test_pattern_built_once_per_window(self):
+        w = fine_box_window()
+        state, props, wells = self.case(w, seed=1)
+        m = model()
+        a = linearize(w, state, props, wells, m).jacobian()
+        pattern = w.jacobian_pattern
+        state.p += 1.0
+        b = linearize(w, state, props, wells, m).jacobian()
+        assert w.jacobian_pattern is pattern
+        assert not np.shares_memory(a.indices, pattern.indices)
+        assert not np.shares_memory(a.indices, b.indices)
 
 
 class TestDumps:

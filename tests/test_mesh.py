@@ -116,6 +116,28 @@ class TestInterfaceBundles:
             1.0, (0.0, 0.0, 10.0, 5.0))
         assert w.n_faces == whole.n_faces
 
+    def test_bundles_partition_interface_faces(self):
+        # a fine box ringed by coarse subdomains: every face between two
+        # subdomains is in exactly one bundle, whose coarse cell it touches
+        coarse = [(0.0, 0.0, 2.0, 6.0), (2.0, 0.0, 4.0, 2.0),
+                  (2.0, 4.0, 4.0, 6.0), (4.0, 0.0, 6.0, 6.0)]
+        subs = [Subdomain(r, (1.0, 1.0), 0.5, 4) for r in coarse]
+        subs.append(Subdomain((2.0, 2.0, 4.0, 4.0), (0.5, 0.5), 0.25, 1))
+        w = build_window(subs, 1.0, (0.0, 0.0, 6.0, 6.0))
+        f = w.faces
+        sub_l = w.sub_of_cell[f.s_left]
+        sub_r = w.sub_of_cell[f.s_right]
+        bundled = [i for b in w.bundles for i in b.faces]
+        assert sorted(bundled) == list(np.nonzero(sub_l != sub_r)[0])
+        for b in w.bundles:
+            assert list(b.faces) == sorted(b.faces)
+            ends = f.c_left if b.coarse_is_left else f.c_right
+            assert set(ends[list(b.faces)]) == {b.coarse_cell}
+            assert w.st_level[b.coarse_cell] == b.coarse_level
+            assert w.sub_of_cell[w.st_spatial[b.coarse_cell]] == \
+                b.coarse_sub
+        assert w.bundles is w.bundles
+
     def test_temporal_only_refinement(self):
         # the ratio-3 line case: one coarse face level bundles 3 fine levels
         a = Subdomain((0.0, 0.0, 3.0, 1.0), (1.0, 1.0), 1.0)

@@ -1,5 +1,7 @@
 """Artifact writers/readers: exact round trips and cross-format agreement."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -38,12 +40,41 @@ class TestGridCsv:
         output.write_grid_csv(b, field, (0.0, 0.0), (0.5, 0.5))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("origin, cell", [
+        ((0.0, 0.0), (0.5, 0.5)), ((10.0, -5.0), (2.0, 1.0)),
+        ((3, 1), (2, 7)), ((-1.0e5, 0.1), (1.0 / 3.0, 0.1))])
+    def test_bytes_match_csv_writer(self, tmp_path, field, origin, cell):
+        field = field.copy()
+        field[0, :] = [0.0, -0.0, 1.0e-300, 1.0e17]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        output.write_grid_csv(a, field, origin, cell, name="s,w")
+        ref_write_grid_csv(b, field, origin, cell, name="s,w")
+        assert a.read_bytes() == b.read_bytes()
+
     def test_nonzero_origin_round_trip(self, tmp_path, field):
         p = tmp_path / "f.csv"
         output.write_grid_csv(p, field, (10.0, -5.0), (2.0, 1.0))
         got, origin, cell = output.read_grid_csv(p)
         assert np.array_equal(got, field)
         assert origin == (10.0, -5.0) and cell == (2.0, 1.0)
+
+
+def ref_write_grid_csv(path, field2d, origin, cell_size, name="value"):
+    """The grid CSV written row by row through csv.writer."""
+    nx, ny = field2d.shape
+    x0, y0 = origin
+    hx, hy = cell_size
+
+    def fmt(v):
+        return "%.17g" % float(v)
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["i", "j", "x", "y", name])
+        for j in range(ny):
+            for i in range(nx):
+                w.writerow([i, j, fmt(x0 + (i + 0.5) * hx),
+                            fmt(y0 + (j + 0.5) * hy), fmt(field2d[i, j])])
 
 
 class TestVtk:
