@@ -383,7 +383,7 @@ def fine_box_window():
 
 
 def time_refined_window():
-    """Equal cells on both sides of an interface, dt 1 against dt 1/3."""
+    """Equal cells on both sides of an interface, dt 1/3 against dt 1."""
     a = Subdomain((0.0, 0.0, 3.0, 2.0), (1.0, 1.0), 1.0 / 3.0)
     b = Subdomain((3.0, 0.0, 6.0, 2.0), (1.0, 1.0), 1.0)
     return build_window([a, b], 1.0, (0.0, 0.0, 6.0, 2.0))
@@ -418,8 +418,8 @@ class TestDirectJacobian:
             prod_wi=np.where(np.arange(n) == n - 1, 0.5, 0.0),
             prod_bhp=np.full(n, 950.0))
         state = random_state(window, seed)
-        # cells at the saturation end points, where mobility derivatives
-        # (and the water mobility) vanish
+        # cells at the saturation end points, where one phase's mobility
+        # and its derivative vanish
         state.s[::5] = 0.2
         state.s[1::7] = 0.8
         return state, props, wells
@@ -430,7 +430,7 @@ class TestDirectJacobian:
     def test_matches_schur_complement(self, make, kind):
         w = make()
         m = MODELS[kind]()
-        state, props, wells = self.case(w, seed=len(kind) + w.n_st)
+        state, props, wells = self.case(w, seed=2)
         red = schur_reduce(assemble(w, state, props, wells, m))
         want = red.jacobian.tocsc()
         want.sort_indices()
