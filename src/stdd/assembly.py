@@ -114,9 +114,15 @@ class _FaceClosure:
     water: tuple             # d/dp_left, d/dp_right, upwind_is_left
 
 
-def _face_closure(window, state, props, model, fluxes=None):
+def _densities(fluid, p):
+    """Each phase's density pair (rho, drho/dp) at every cell's pressure."""
+    return {OIL: fluid.density(OIL, p), WATER: fluid.density(WATER, p)}
+
+
+def _face_closure(window, state, props, model, rho, fluxes=None):
     """Auxiliary fluxes from their closure, or from `fluxes` when given,
-    and the upwind mobilities they select."""
+    and the upwind mobilities they select.  `rho` is `_densities` at
+    `state.p`."""
     f = window.faces
     a = _face_geometry(window, props)
     pl, pr = state.p[f.c_left], state.p[f.c_right]
@@ -131,10 +137,15 @@ def _face_closure(window, state, props, model, fluxes=None):
     else:
         ut_o = np.asarray(fluxes["aux_o"], dtype=float)
         ut_w = np.asarray(fluxes["aux_w"], dtype=float)
-    return _FaceClosure(
-        a, drive_o, drive_w, dpc_l, dpc_r, ut_o, ut_w,
-        model.upwind_mobility(OIL, ut_o, sl, sr, pl, pr),
-        model.upwind_mobility(WATER, ut_w, sl, sr, pl, pr))
+
+    def upwind(phase, ut):
+        r, dr = rho[phase]
+        return model.upwind_mobility(phase, ut, sl, sr,
+                                     (r[f.c_left], dr[f.c_left]),
+                                     (r[f.c_right], dr[f.c_right]))
+
+    return _FaceClosure(a, drive_o, drive_w, dpc_l, dpc_r, ut_o, ut_w,
+                        upwind(OIL, ut_o), upwind(WATER, ut_w))
 
 
 def _mass_block(pv, rho_w, drho_w, rho_o, drho_o, s):
@@ -146,7 +157,7 @@ def _mass_block(pv, rho_w, drho_w, rho_o, drho_o, s):
     return np.column_stack([w_p + o_p, w_s + o_s, w_p, w_s])
 
 
-def _cell_terms(window, state, props, wells, model):
+def _cell_terms(window, state, props, wells, model, rho):
     """Accumulation and well terms of every cell, without the divergence.
 
     Returns (r_t, r_w, own, prev): the total and water residuals, and
@@ -167,8 +178,8 @@ def _cell_terms(window, state, props, wells, model):
     pp = np.where(has_prev, p[np.maximum(prev, 0)], state.trace_p[sp_idx])
     sp_ = np.where(has_prev, s[np.maximum(prev, 0)], state.trace_s[sp_idx])
 
-    rho_w, drho_w = fluid.density(WATER, p)
-    rho_o, drho_o = fluid.density(OIL, p)
+    rho_w, drho_w = rho[WATER]
+    rho_o, drho_o = rho[OIL]
     rho_wp, drho_wp = fluid.density(WATER, pp)
     rho_op, drho_op = fluid.density(OIL, pp)
 
@@ -293,8 +304,10 @@ class CellSystem:
 def linearize(window, state, props, wells, model):
     """Residual of the flux-eliminated system at `state`, the Jacobian on
     demand."""
-    fc = _face_closure(window, state, props, model)
-    r_t, r_w, own, prev = _cell_terms(window, state, props, wells, model)
+    rho = _densities(model.fluid, state.p)
+    fc = _face_closure(window, state, props, model, rho)
+    r_t, r_w, own, prev = _cell_terms(window, state, props, wells, model,
+                                      rho)
     _add_divergence(window, fc.oil[0] * fc.ut_o, fc.water[0] * fc.ut_w,
                     r_t, r_w)
     r_y, r_norm = _rows(window, props, model.fluid, r_t, r_w)
@@ -367,7 +380,8 @@ def assemble(window, state, props, wells, model, *, fluxes=None):
     f = window.faces
     nf = window.n_faces
     n_y = window.n_y
-    fc = _face_closure(window, state, props, model, fluxes)
+    rho = _densities(model.fluid, state.p)
+    fc = _face_closure(window, state, props, model, rho, fluxes)
     a, ut_o, ut_w = fc.a, fc.ut_o, fc.ut_w
     lam_o, dlam_o_ds, dlam_o_dpl, dlam_o_dpr, up_o = fc.oil
     lam_w, dlam_w_ds, dlam_w_dpl, dlam_w_dpr, up_w = fc.water
@@ -379,7 +393,8 @@ def assemble(window, state, props, wells, model, *, fluxes=None):
         u_w = np.asarray(fluxes["darcy_w"], dtype=float)
     flux_vals = {"aux_o": ut_o, "aux_w": ut_w, "darcy_o": u_o, "darcy_w": u_w}
 
-    r_t, r_w, own, prev = _cell_terms(window, state, props, wells, model)
+    r_t, r_w, own, prev = _cell_terms(window, state, props, wells, model,
+                                      rho)
     _add_divergence(window, u_o, u_w, r_t, r_w)
     r_y, r_norm = _rows(window, props, model.fluid, r_t, r_w)
 

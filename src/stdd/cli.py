@@ -133,11 +133,17 @@ def _write_curves_to(fh, curves):
 
 
 def _print_report(rep):
-    a, b = rep["a"], rep["b"]
-    print(f"{'':12s}{'cost metric':>16s}{'wall ms':>14s}")
-    print(f"{a['label']:12s}{a['cost_metric']:>16d}{a['wall_ms']:>14.1f}")
-    print(f"{b['label']:12s}{b['cost_metric']:>16d}{b['wall_ms']:>14.1f}")
+    def known(v, fmt=""):
+        return "n/a" if v is None else format(v, fmt)
+
+    print(f"{'':12s}{'cost metric':>16s}{'all-in cost':>16s}"
+          f"{'wall ms':>14s}")
+    for r in (rep["a"], rep["b"]):
+        print(f"{r['label']:12s}{r['cost_metric']:>16d}"
+              f"{known(r['all_in_cost']):>16s}{r['wall_ms']:>14.1f}")
     print(f"cost ratio (a/b): {rep['cost_ratio']:.4f}")
+    print(f"all-in cost ratio (a/b): "
+          f"{known(rep['all_in_cost_ratio'], '.4f')}")
     print(f"wall ratio (a/b): {rep['wall_ratio']:.4f}")
     print(f"{'time (d)':>10s}{'L_inf dS':>12s}{'L2 dS':>12s}")
     for d in rep["saturation_differences"]:

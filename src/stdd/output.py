@@ -76,9 +76,9 @@ def write_vtk_rectilinear(path, fields, origin, cell_size, title="snapshot"):
         for name, field in fields.items():
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             # VTK cell order: x fastest, then y
-            for j in range(field.shape[1]):
-                fh.write(" ".join(_fmt(field[i, j])
-                                  for i in range(field.shape[0])) + "\n")
+            row = " ".join(["%.17g"] * field.shape[0]) + "\n"
+            fh.write("".join(row % tuple(by_j) for by_j in
+                             np.asarray(field, dtype=float).T.tolist()))
 
 
 def read_vtk_cell_scalars(path):

@@ -194,12 +194,14 @@ class FluidRockModel:
         lam = kr * rho / mu
         return lam, dkr * rho / mu, kr * drho / mu
 
-    def upwind_mobility(self, phase, ut, s_left, s_right, p_left, p_right):
+    def upwind_mobility(self, phase, ut, s_left, s_right, rho_left,
+                        rho_right):
         """Interface mobility: upstream k_r with arithmetic interface density.
 
-        The upstream cell is the left one when the auxiliary flux is
-        positive; ties take the right cell.  Returns
-        (lambda*, d/dS_up, d/dp_left, d/dp_right, upwind_is_left).
+        `rho_left` and `rho_right` are the phase's `density` pairs
+        (rho, drho/dp) of the two cells.  The upstream cell is the left one
+        when the auxiliary flux is positive; ties take the right cell.
+        Returns (lambda*, d/dS_up, d/dp_left, d/dp_right, upwind_is_left).
         """
         ut = np.asarray(ut, dtype=float)
         up_left = ut > 0.0
@@ -209,8 +211,8 @@ class FluidRockModel:
             return one, zero, zero, zero, up_left
         s_up = np.where(up_left, s_left, s_right)
         kr, dkr = self.relcap.relperm(phase, s_up)
-        rho_l, drho_l = self.fluid.density(phase, p_left)
-        rho_r, drho_r = self.fluid.density(phase, p_right)
+        rho_l, drho_l = rho_left
+        rho_r, drho_r = rho_right
         mu = self.fluid.viscosity(phase)
         half = 0.5 / mu
         lam = half * (rho_l + rho_r) * kr

@@ -162,6 +162,7 @@ class Controller:
     the front will move *during* the window, so refinement leads the
     front instead of trailing it.  The trial's warm-start residual
     provides the residual indicator.  Only predicted maps escalate.
+    `predictor_cost` sums the reduced DOFs of every predictor solve.
     """
 
     def __init__(self, problem: Problem, newton_cfg: NewtonConfig):
@@ -172,6 +173,7 @@ class Controller:
                                 problem.table)
         self.idmap = None
         self.idmaps = []
+        self.predictor_cost = 0
         self.after_window(None, None, None)
 
     def decomposition(self, window_index, t_start):
@@ -208,12 +210,14 @@ class Controller:
         eta = residual_indicator(trial, r_norm, pb.tiling)
 
         try:
-            sol, _ = newton_solve_window(
+            sol, entry = newton_solve_window(
                 trial, pb.props_for(trial), pb.wells_for(trial), tp, ts,
                 pb.model, self.newton_cfg)
+            self.predictor_cost += entry.iterations * trial.n_y
             _, pred_s = final_spatial(trial, sol)
             s_pred = pb.base.rasterize(trial, pred_s)
-        except NonConvergence:
+        except NonConvergence as fail:
+            self.predictor_cost += fail.iterations * trial.n_y
             # predictor failed: refine everywhere rather than guess
             big = np.full(pb.tiling.shape,
                           pb.thresholds.theta_ds + 1.0)
@@ -374,6 +378,11 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
         "windows": len(ledger.entries),
         "iterations": sum(e.iterations for e in ledger.entries),
         "cost_metric": ledger.cost_metric,
+        # every linear solve: accepted windows, predictor, failed attempts
+        "predictor_cost": controller.predictor_cost,
+        "failed_cost": ledger.failed_cost,
+        "all_in_cost": (ledger.cost_metric + controller.predictor_cost
+                        + ledger.failed_cost),
         "total_wall_ms": ledger.total_wall_ms,
         "mass_balance": {**balance, "accumulated": accumulated,
                          "relative_error": rel},
@@ -410,7 +419,8 @@ def compare(dir_a, dir_b):
     Both runs must describe the same physical problem (reservoir, base
     grid, horizon, wells, permeability source).  Saturation differences
     are computed at every common snapshot time; L2 is the RMS over base
-    cells.
+    cells.  The all-in cost ratio is None when either run's summary
+    predates its `all_in_cost`.
     """
     sa = output.read_summary(os.path.join(dir_a, "run_summary.json"))
     sb = output.read_summary(os.path.join(dir_b, "run_summary.json"))
@@ -433,14 +443,17 @@ def compare(dir_a, dir_b):
         diffs.append({"time": t,
                       "linf": float(np.max(np.abs(d))),
                       "l2": float(np.sqrt(np.mean(d * d)))})
+    all_a, all_b = sa.get("all_in_cost"), sb.get("all_in_cost")
     return {
         "a": {"label": sa["label"], "mode": sa["mode"],
-              "cost_metric": sa["cost_metric"],
+              "cost_metric": sa["cost_metric"], "all_in_cost": all_a,
               "wall_ms": sa["total_wall_ms"]},
         "b": {"label": sb["label"], "mode": sb["mode"],
-              "cost_metric": sb["cost_metric"],
+              "cost_metric": sb["cost_metric"], "all_in_cost": all_b,
               "wall_ms": sb["total_wall_ms"]},
         "cost_ratio": sa["cost_metric"] / max(sb["cost_metric"], 1),
+        "all_in_cost_ratio": (None if all_a is None or all_b is None
+                              else all_a / max(all_b, 1)),
         "wall_ratio": (sa["total_wall_ms"]
                        / max(sb["total_wall_ms"], 1.0e-9)),
         "saturation_differences": diffs,

@@ -50,6 +50,7 @@ class RunLedger:
     """Per-window solver statistics and the cumulative cost metric."""
 
     entries: list = field(default_factory=list)
+    failed_cost: int = 0    # reduced DOFs of the solves of failed attempts
 
     @property
     def cost_metric(self):
@@ -70,10 +71,29 @@ class RunLedger:
         return rows
 
 
+# SuperLU supernodes: no relaxation, because relaxed supernodes pad the
+# 2x2-block Jacobians with stored zeros; four-column panels, because one
+# column slows the densest factors and eight the sparser ones.
+SUPERLU_RELAX = 1
+SUPERLU_PANEL_SIZE = 4
+
+
 def linear_solve(jacobian, residual, linear_tol=1.0e-10):
-    """Direct sparse solve of J dy = -r with a relative-residual check."""
+    """Direct sparse solve of J dy = -r with a relative-residual check.
+
+    SuperLU factors with COLAMD ordering, unrelaxed supernodes and
+    four-column panels (`SUPERLU_RELAX`, `SUPERLU_PANEL_SIZE`).  Relaxed
+    supernodes store padding zeros in these block-structured Jacobians:
+    on the recorded Newton Jacobians of the desk presets, the unrelaxed
+    factors hold 0.74-0.96x the default fill and take 3-28% less time
+    (up to 2% more, within noise, on the densest static-dd factors), and
+    the solutions agree to round-off.  One-column panels are faster
+    still on uniform-fine and dynamic-dd but up to 24% slower than the
+    defaults on those dense static-dd factors.
+    """
     try:
-        lu = spla.splu(jacobian.tocsc())
+        lu = spla.splu(jacobian.tocsc(), relax=SUPERLU_RELAX,
+                       panel_size=SUPERLU_PANEL_SIZE)
         dy = lu.solve(-residual)
     except (RuntimeError, ValueError) as exc:
         raise SingularMatrix(str(exc)) from exc
@@ -171,7 +191,8 @@ def march(horizon, delta_t, reservoir, controller, model, props_for,
                 state, entry = newton_solve_window(
                     window, props_for(window), wells_for(window),
                     trace_p, trace_s, model, cfg)
-            except NonConvergence:
+            except NonConvergence as fail:
+                ledger.failed_cost += fail.iterations * window.n_y
                 esc = controller.escalate(widx, t)
                 if esc is None:
                     raise _aborted(widx, "")
@@ -182,7 +203,8 @@ def march(horizon, delta_t, reservoir, controller, model, props_for,
                     state, entry = newton_solve_window(
                         window, props_for(window), wells_for(window),
                         trace_p, trace_s, model, cfg)
-                except NonConvergence:
+                except NonConvergence as fail:
+                    ledger.failed_cost += fail.iterations * window.n_y
                     raise _aborted(widx, " after escalation")
             ledger.entries.append(entry)
             fin = window.final_level_cells()

@@ -317,9 +317,11 @@ class TestBackwardEulerEquivalence:
             pc_r, _ = m.pc(s[i + 1])
             ut_w = t * ((p[i] - pc_l) - (p[i + 1] - pc_r))
             lam_o = m.upwind_mobility("o", ut_o, s[i], s[i + 1],
-                                      p[i], p[i + 1])[0]
+                                      m.density("o", p[i]),
+                                      m.density("o", p[i + 1]))[0]
             lam_w = m.upwind_mobility("w", ut_w, s[i], s[i + 1],
-                                      p[i], p[i + 1])[0]
+                                      m.density("w", p[i]),
+                                      m.density("w", p[i + 1]))[0]
             uo, uw = lam_o * ut_o, lam_w * ut_w
             r[2 * i] += uo + uw
             r[2 * i + 2] -= uo + uw

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -149,7 +150,18 @@ class TestCompare:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "cost ratio (a/b): 1.0000" in out
+        assert "all-in cost ratio (a/b): 1.0000" in out
         assert "0.00000" in out
+
+    def test_summary_without_all_in_cost(self, toy_run, tmp_path, capsys):
+        old = tmp_path / "old"
+        shutil.copytree(toy_run, old)
+        summary = json.loads((old / "run_summary.json").read_text())
+        del summary["all_in_cost"]
+        (old / "run_summary.json").write_text(json.dumps(summary))
+        assert main(["compare", "--a", str(toy_run),
+                     "--b", str(old)]) == EXIT_OK
+        assert "all-in cost ratio (a/b): n/a" in capsys.readouterr().out
 
     def test_missing_directory_is_io_error(self, toy_run, tmp_path, capsys):
         rc = main(["compare", "--a", str(toy_run),

@@ -77,7 +77,48 @@ def ref_write_grid_csv(path, field2d, origin, cell_size, name="value"):
                             fmt(y0 + (j + 0.5) * hy), fmt(field2d[i, j])])
 
 
+def ref_write_vtk_rectilinear(path, fields, origin, cell_size,
+                              title="snapshot"):
+    """The VTK snapshot with every value formatted on its own."""
+    nx, ny = next(iter(fields.values())).shape
+    x0, y0 = origin
+    hx, hy = cell_size
+
+    def fmt(v):
+        return "%.17g" % float(v)
+
+    with open(path, "w") as fh:
+        fh.write(f"# vtk DataFile Version 3.0\n{title}\n")
+        fh.write("ASCII\nDATASET RECTILINEAR_GRID\n")
+        fh.write(f"DIMENSIONS {nx + 1} {ny + 1} 2\n")
+        fh.write(f"X_COORDINATES {nx + 1} double\n")
+        fh.write(" ".join(fmt(x0 + i * hx) for i in range(nx + 1)) + "\n")
+        fh.write(f"Y_COORDINATES {ny + 1} double\n")
+        fh.write(" ".join(fmt(y0 + j * hy) for j in range(ny + 1)) + "\n")
+        fh.write("Z_COORDINATES 2 double\n0 1\n")
+        fh.write(f"CELL_DATA {nx * ny}\n")
+        for name, field in fields.items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for j in range(field.shape[1]):
+                fh.write(" ".join(fmt(field[i, j])
+                                  for i in range(field.shape[0])) + "\n")
+
+
 class TestVtk:
+    @pytest.mark.parametrize("origin, cell", [
+        ((0.0, 0.0), (0.5, 0.5)), ((10.0, -5.0), (2.0, 1.0)),
+        ((3, 1), (2, 7)), ((-1.0e5, 0.1), (1.0 / 3.0, 0.1))])
+    def test_bytes_match_per_value_writer(self, tmp_path, field, origin,
+                                          cell):
+        field = field.copy()
+        field[0, :] = [0.0, -0.0, 1.0e-300, 1.0e17]
+        fields = {"sw": field, "p": np.arange(field.size).reshape(
+            field.shape)}
+        a, b = tmp_path / "a.vtk", tmp_path / "b.vtk"
+        output.write_vtk_rectilinear(a, fields, origin, cell, title="t=1")
+        ref_write_vtk_rectilinear(b, fields, origin, cell, title="t=1")
+        assert a.read_bytes() == b.read_bytes()
+
     def test_cell_scalars_round_trip(self, tmp_path, field):
         p = tmp_path / "snap.vtk"
         other = field * 3.0 + 1.0

@@ -134,27 +134,31 @@ class TestMobility:
 
 class TestUpwindMobility:
     def test_positive_flux_takes_left(self, model):
-        lam, *_ = model.upwind_mobility(WATER, 1.0, 0.5, 0.2, 1000.0, 1000.0)
+        rho = model.density(WATER, 1000.0)
+        lam, *_ = model.upwind_mobility(WATER, 1.0, 0.5, 0.2, rho, rho)
         assert lam == pytest.approx(64.0 * 0.25, rel=1e-12)
 
     def test_negative_flux_takes_right(self, model):
-        lam, *_ = model.upwind_mobility(WATER, -1.0, 0.5, 0.2, 1000.0,
-                                        1000.0)
+        rho = model.density(WATER, 1000.0)
+        lam, *_ = model.upwind_mobility(WATER, -1.0, 0.5, 0.2, rho, rho)
         assert lam == 0.0
 
     def test_tie_takes_right(self, model):
+        rho = model.density(WATER, 1000.0)
         lam, *_, up_left = model.upwind_mobility(WATER, 0.0, 0.5, 0.2,
-                                                 1000.0, 1000.0)
+                                                 rho, rho)
         assert not up_left
         assert lam == 0.0
 
     def test_equal_states_sign_independent(self, model):
-        a = model.upwind_mobility(OIL, 3.0, 0.4, 0.4, 1100.0, 1100.0)[0]
-        b = model.upwind_mobility(OIL, -3.0, 0.4, 0.4, 1100.0, 1100.0)[0]
+        rho = model.density(OIL, 1100.0)
+        a = model.upwind_mobility(OIL, 3.0, 0.4, 0.4, rho, rho)[0]
+        b = model.upwind_mobility(OIL, -3.0, 0.4, 0.4, rho, rho)[0]
         assert a == b
 
     def test_depends_on_sign_only(self, model):
-        args = (0.6, 0.3, 1050.0, 950.0)
+        args = (0.6, 0.3, model.density(WATER, 1050.0),
+                model.density(WATER, 950.0))
         small = model.upwind_mobility(WATER, 1e-9, *args)[0]
         large = model.upwind_mobility(WATER, 1e9, *args)[0]
         assert small == large

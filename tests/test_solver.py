@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from stdd.assembly import CellProperties, ResolvedWells
+import stdd.solver
+import test_assembly
+from stdd.assembly import CellProperties, ResolvedWells, linearize
+from stdd.config import preset
 from stdd.errors import NonConvergence, SingularMatrix
 from stdd.mesh import Subdomain, build_window
 from stdd.physics import BrooksCoreyModel, FluidModel, FluidRockModel
+from stdd.run import run
 from stdd.solver import (NewtonConfig, RunLedger, linear_solve, march,
                          newton_solve_window)
 
@@ -62,6 +67,33 @@ class TestLinearSolve:
         r = np.array([3.0, -1.0, 2.0])
         dy = linear_solve(sp.identity(3, format="csr"), r)
         assert np.array_equal(dy, -r)
+
+    @pytest.mark.parametrize("make", [test_assembly.uniform_window,
+                                      test_assembly.fine_box_window])
+    def test_unrelaxed_supernodes_cut_fill(self, make, monkeypatch):
+        """The LU of a window's Newton Jacobian stores less fill than
+        SuperLU's default supernodes and solves to the same update."""
+        w = make()
+        state, props_, wells = test_assembly.TestDirectJacobian.case(w, 2)
+        sys_ = linearize(w, state, props_, wells, nonlinear_model())
+        jac = sys_.jacobian()
+        lus = []
+
+        class Spla:
+            def __getattr__(self, name):
+                return getattr(spla, name)
+
+            def splu(self, *args, **kwargs):
+                lus.append(spla.splu(*args, **kwargs))
+                return lus[-1]
+
+        monkeypatch.setattr(stdd.solver, "spla", Spla())
+        dy = linear_solve(jac, sys_.r_y)
+        default = spla.splu(jac)
+        ref = default.solve(-sys_.r_y)
+        assert len(lus) == 1
+        assert lus[0].nnz <= 0.9 * default.nnz
+        assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 class TestNewtonWindow:
@@ -247,8 +279,9 @@ class TestMarch:
               observer=lambda w, s, e: seen.append(w.window_index))
         assert seen == [0, 1]
 
-    def test_escalation_hook_used_once(self):
+    def test_escalation_hook_used_once(self, monkeypatch):
         box, n, _, m = self._problem()
+        dofs = solved_dofs(monkeypatch)
 
         class Escalating(FixedController):
             def __init__(self, subs):
@@ -267,6 +300,9 @@ class TestMarch:
                   NewtonConfig(max_iters=2))
         assert ctl.calls == 1
         assert isinstance(exc.value.ledger, RunLedger)
+        # both failed attempts' two solves are counted, each of two time
+        # levels x two unknowns per cell
+        assert exc.value.ledger.failed_cost == sum(dofs) == 2 * 2 * 4 * n
 
     def test_ledger_iteration_rows_shape(self):
         box, n, ctl, m = self._problem()
@@ -278,6 +314,31 @@ class TestMarch:
         rows = ledger.iteration_rows()
         assert len(rows) == sum(len(e.norms) for e in ledger.entries)
         assert all(len(r) == 5 for r in rows)
+
+
+def solved_dofs(monkeypatch):
+    """The reduced DOFs of every `linear_solve` made from now on."""
+    dofs = []
+    real = stdd.solver.linear_solve
+
+    def counted(jacobian, residual, *args):
+        dofs.append(len(residual))
+        return real(jacobian, residual, *args)
+
+    monkeypatch.setattr(stdd.solver, "linear_solve", counted)
+    return dofs
+
+
+class TestAllInCost:
+    def test_counts_every_linear_solve(self, tmp_path, monkeypatch):
+        dofs = solved_dofs(monkeypatch)
+        summary = run(preset("toy"), tmp_path, emit_vtk=False)
+        assert summary["mode"] == "dynamic-dd"
+        assert summary["all_in_cost"] == sum(dofs)
+        assert summary["all_in_cost"] == (summary["cost_metric"]
+                                          + summary["predictor_cost"]
+                                          + summary["failed_cost"])
+        assert summary["predictor_cost"] > 0
 
 
 class TestNewtonConfigValidation:
