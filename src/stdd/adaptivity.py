@@ -89,11 +89,16 @@ class IdentifierMap:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Classification thresholds in saturation units / normalized residual."""
+    """Classification thresholds in saturation units / normalized residual.
 
-    theta_ds: float = 0.05
-    theta_dt: float = 0.05
-    theta_eta: float = 1.0e-5
+    These values are a config's `thresholds` defaults, calibrated so
+    dynamic refinement tracks the front (accuracy) at a small fraction of
+    the uniformly fine cost.
+    """
+
+    theta_ds: float = 0.04
+    theta_dt: float = 0.04
+    theta_eta: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -357,35 +362,6 @@ def upscale_permeability(k_block, hx, hy, direction, method="flow"):
     q_in = float(np.sum(tb_l * (1.0 - p[0, :])))
     # q = K_eff * (my * hy) * (dp=1) / (mx * hx), same face scaling
     return q_in * (mx * hx) / (my * hy)
-
-
-@dataclass
-class UpscaledField:
-    """Per-tile effective (Kx, Ky) with the producing method recorded."""
-
-    kx: np.ndarray
-    ky: np.ndarray
-    method: str
-    tiling: Tiling = None
-
-
-def upscale_field(base: BaseGrid, kx_base, ky_base, tiling: Tiling,
-                  method="flow"):
-    """Upscale the base permeability to every tile of the tiling."""
-    ntx, nty = tiling.shape
-    mx = _int_ratio(tiling.tile_hx, base.hx, NonIntegerRatio, "tile/base x")
-    my = _int_ratio(tiling.tile_hy, base.hy, NonIntegerRatio, "tile/base y")
-    kx = np.empty((ntx, nty))
-    ky = np.empty((ntx, nty))
-    for i in range(ntx):
-        for j in range(nty):
-            si = slice(i * mx, (i + 1) * mx)
-            sj = slice(j * my, (j + 1) * my)
-            kx[i, j] = upscale_permeability(kx_base[si, sj], base.hx,
-                                            base.hy, "x", method)
-            ky[i, j] = upscale_permeability(ky_base[si, sj], base.hx,
-                                            base.hy, "y", method)
-    return UpscaledField(kx, ky, method, tiling)
 
 
 def cell_permeability(window, base: BaseGrid, kx_base, ky_base,

@@ -354,21 +354,6 @@ class MonolithicSystem:
     def residual_full(self):
         return np.concatenate([self.r_y, self.r_f])
 
-    def dump_matrix_market(self, path):
-        from scipy.io import mmwrite
-        mmwrite(str(path), self.jacobian_full.tocoo())
-
-    def residual_rows(self):
-        """(spatial cell, time level, equation, raw, normalized) per row."""
-        w = self.window
-        rows = []
-        for c in range(w.n_st):
-            for k, eq in enumerate(("total", "water")):
-                rows.append((int(w.st_spatial[c]), int(w.st_level[c]), eq,
-                             float(self.r_y[2 * c + k]),
-                             float(self.r_norm[2 * c + k])))
-        return rows
-
 
 def assemble(window, state, props, wells, model, *, fluxes=None):
     """Evaluate residual and Jacobian blocks of the expanded system.

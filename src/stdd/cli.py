@@ -144,7 +144,7 @@ def _print_report(rep):
     print(f"cost ratio (a/b): {rep['cost_ratio']:.4f}")
     print(f"all-in cost ratio (a/b): "
           f"{known(rep['all_in_cost_ratio'], '.4f')}")
-    print(f"wall ratio (a/b): {rep['wall_ratio']:.4f}")
+    print(f"Newton wall ratio (a/b): {rep['wall_ratio']:.4f}")
     print(f"{'time (d)':>10s}{'L_inf dS':>12s}{'L2 dS':>12s}")
     for d in rep["saturation_differences"]:
         print(f"{d['time']:>10.3f}{d['linf']:>12.5f}{d['l2']:>12.5f}")

@@ -26,11 +26,8 @@ UNIFORM_IDENTIFIER = {"uniform-fine": 1, "uniform-coarse": 4}
 WELL_KINDS = ("rate-water-injector", "bhp-producer")
 
 # A config's `newton` and `thresholds` sections are laid over these.
-NEWTON_DEFAULTS = {"tol": 1.0e-6, "max_iters": 60, "damping": False,
-                   "max_ds": 0.2}
-# calibrated so dynamic refinement tracks the front (accuracy) at a small
-# fraction of the uniformly fine cost; see the preset notes
-THRESHOLD_DEFAULTS = {"theta_ds": 0.04, "theta_dt": 0.04, "theta_eta": 0.5}
+NEWTON_DEFAULTS = asdict(NewtonConfig())
+THRESHOLD_DEFAULTS = asdict(Thresholds())
 
 
 @dataclass(frozen=True)

@@ -132,9 +132,6 @@ class FaceSet:
         return len(self.axis)
 
 
-_FLUX_KINDS = ("aux_o", "aux_w", "darcy_o", "darcy_w")
-
-
 @dataclass(frozen=True)
 class JacobianPattern:
     """CSC sparsity of a window's flux-eliminated Jacobian.
@@ -207,24 +204,6 @@ class SpaceTimeWindow:
                     faces=tuple(idx.tolist()),
                 ))
         return tuple(out)
-
-    # -- DOF numbering -------------------------------------------------
-
-    def pressure_dof(self, c):
-        return 2 * np.asarray(c)
-
-    def saturation_dof(self, c):
-        return 2 * np.asarray(c) + 1
-
-    def decode_dof(self, g):
-        """Inverse of the dof numbering: global index -> (kind, entity index)."""
-        g = int(g)
-        if g < 0 or g >= self.n_dofs:
-            raise IndexError(g)
-        if g < self.n_y:
-            return ("pressure" if g % 2 == 0 else "saturation", g // 2)
-        g -= self.n_y
-        return (_FLUX_KINDS[g % 4], g // 4)
 
     def jacobian_blocks(self):
         """(row cell, column cell) of every 2x2 block of the flux-eliminated

@@ -134,19 +134,6 @@ def write_curves_csv(path, curves):
             w.writerow([_fmt(v) for v in row])
 
 
-def write_residual_csv(path, window, r_norm):
-    """Normalized conservation residual keyed by (cell, level, equation)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["st_cell", "spatial_cell", "level", "equation",
-                    "residual"])
-        for c in range(window.n_st):
-            for eq, name in ((0, "total"), (1, "water")):
-                w.writerow([c, int(window.st_spatial[c]),
-                            int(window.st_level[c]), name,
-                            _fmt(r_norm[2 * c + eq])])
-
-
 def write_summary(path, summary):
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -1,6 +1,7 @@
 """Simulation driver: resolve a config, march the windows, emit artifacts.
 
-Also provides the comparison report between two finished run directories.
+`run()` holds the one window loop.  `compare()` reports on two finished
+run directories.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .mesh import build_window
 from .physics import (BETA_C, OIL, STB_TO_FT3, WATER, BrooksCoreyModel,
                       FluidModel, FluidRockModel, property_curves)
 from .permfields import load_fields, make_field
-from .solver import NewtonConfig, RunLedger, march, newton_solve_window
+from .solver import NewtonConfig, RunLedger, newton_solve_window
 
 # Decompositions whose cell properties and wells `Problem` keeps: the
 # current window's, the predictor's all-coarse trial and an escalation.
@@ -152,118 +153,61 @@ class Problem:
         return None
 
 
-class Controller:
-    """Identifier map and decomposition of every window, in every mode.
+def _predict(pb, ncfg, all_coarse, t_start, prev, final, s_now):
+    """Identifier map of the window starting at `t_start`, and the reduced
+    DOFs of its predictor solves.
 
-    A fixed map serves every window: constant 1 or 4 for the uniform
-    references, the configured box for static-dd.  Otherwise the map is
-    predicted before each window: an all-coarse trial window starting at
-    the new time is solved, and the predicted saturation deltas say where
-    the front will move *during* the window, so refinement leads the
-    front instead of trailing it.  The trial's warm-start residual
-    provides the residual indicator.  Only predicted maps escalate.
-    `predictor_cost` sums the reduced DOFs of every predictor solve.
+    An all-coarse trial window is solved from the final level `final` of
+    the window `prev` (or from the initial state, when `prev` is None).
+    The predicted saturation deltas say where the front will move *during*
+    the window, so refinement leads the front instead of trailing it.  The
+    trial's warm-start residual provides the residual indicator.  `s_now`
+    is the saturation raster at `t_start`.
     """
-
-    def __init__(self, problem: Problem, newton_cfg: NewtonConfig):
-        self.pb = problem
-        self.newton_cfg = newton_cfg
-        self.fixed = problem.fixed_idmap()
-        self.all_coarse = decompose(problem.constant_idmap(4), problem.tiling,
-                                problem.table)
-        self.idmap = None
-        self.idmaps = []
-        self.predictor_cost = 0
-        self.after_window(None, None, None)
-
-    def decomposition(self, window_index, t_start):
-        return self.subs
-
-    def transfer(self, old_window, final_p, final_s, new_window):
-        """Final state of `old_window` on the cells of `new_window`; the
-        identity when both windows share their subdomains."""
-        if new_window.subdomains == old_window.subdomains:
-            return final_p, final_s
-        return transfer_state(old_window, final_p, final_s, new_window,
-                              self.pb.base, self.pb.phi_base)
-
-    def _predict(self, t_next, window, state):
-        """Identifier map for the window starting at `t_next`."""
-        pb = self.pb
-        cfg = pb.cfg
-        d_next = min(cfg.window_length, cfg.horizon - t_next)
-        trial = build_window(self.all_coarse, d_next, cfg.reservoir,
-                             t_start=t_next, dz=cfg.dz)
-        if window is None:
-            tp = np.full(trial.n_spatial, cfg.initial_pressure)
-            ts = np.full(trial.n_spatial, cfg.initial_saturation)
-            s_now = np.full(pb.base.shape, cfg.initial_saturation)
-        else:
-            fin_p, fin_s = final_spatial(window, state)
-            tp, ts = transfer_state(window, fin_p, fin_s, trial, pb.base,
-                                    pb.phi_base)
-            s_now = pb.base.rasterize(window, fin_s)
-
-        trial_state = StateField.from_trace(trial, tp, ts)
-        r_norm = linearize(trial, trial_state, pb.props_for(trial),
-                           pb.wells_for(trial), pb.model).r_norm
-        eta = residual_indicator(trial, r_norm, pb.tiling)
-
-        try:
-            sol, entry = newton_solve_window(
-                trial, pb.props_for(trial), pb.wells_for(trial), tp, ts,
-                pb.model, self.newton_cfg)
-            self.predictor_cost += entry.iterations * trial.n_y
-            _, pred_s = final_spatial(trial, sol)
-            s_pred = pb.base.rasterize(trial, pred_s)
-        except NonConvergence as fail:
-            self.predictor_cost += fail.iterations * trial.n_y
-            # predictor failed: refine everywhere rather than guess
-            big = np.full(pb.tiling.shape,
-                          pb.thresholds.theta_ds + 1.0)
-            return classify(eta, big, big.copy(), pb.thresholds)
-
-        d_s_now, _ = delta_change(s_now, s_now, pb.base, pb.tiling)
-        d_s_pred, d_t = delta_change(s_now, s_pred, pb.base, pb.tiling)
-        return classify(eta, np.maximum(d_s_now, d_s_pred), d_t,
-                        pb.thresholds)
-
-    def after_window(self, window, state, entry):
-        """Choose the map of the window after `window`, or of the first
-        window when `window` is None."""
-        cfg = self.pb.cfg
-        t_next = 0.0 if window is None else window.t_end
-        if cfg.horizon - t_next <= 1.0e-9 * max(1.0, cfg.horizon):
-            return
-        idmap = self.fixed
-        if idmap is None:
-            idmap = self._predict(t_next, window, state)
-        if idmap is not self.idmap:
-            self.subs = decompose(idmap, self.pb.tiling, self.pb.table)
-        self.idmap = idmap
-        self.idmaps.append(idmap)
-        self._escalated = False
-
-    def escalate(self, window_index, t_start):
-        """Replacement decomposition after a convergence failure, or None:
-        a predicted map is promoted once, a fixed map never."""
-        if self.fixed is not None or self._escalated:
-            return None
-        self._escalated = True
-        promote = {1: 1, 2: 1, 3: 1, 4: 2}
-        ids = np.vectorize(promote.get)(self.idmap.identifiers)
-        self.idmap = IdentifierMap(ids, self.idmap.eta, self.idmap.delta_s,
-                                   self.idmap.delta_t)
-        self.subs = decompose(self.idmap, self.pb.tiling, self.pb.table)
-        self.idmaps[-1] = self.idmap
-        return self.subs
+    cfg = pb.cfg
+    trial = build_window(all_coarse, cfg.window_length, cfg.reservoir,
+                         t_start=t_start, dz=cfg.dz)
+    if prev is None:
+        tp, ts = _initial_trace(cfg, trial)
+    else:
+        tp, ts = transfer_state(prev, *final, trial, pb.base, pb.phi_base)
+    props, wells = pb.props_for(trial), pb.wells_for(trial)
+    r_norm = linearize(trial, StateField.from_trace(trial, tp, ts), props,
+                       wells, pb.model).r_norm
+    eta = residual_indicator(trial, r_norm, pb.tiling)
+    try:
+        sol, entry = newton_solve_window(trial, props, wells, tp, ts,
+                                         pb.model, ncfg)
+    except NonConvergence as fail:
+        # predictor failed: refine everywhere rather than guess
+        big = np.full(pb.tiling.shape, pb.thresholds.theta_ds + 1.0)
+        return (classify(eta, big, big.copy(), pb.thresholds),
+                fail.iterations * trial.n_y)
+    s_pred = pb.base.rasterize(trial, final_spatial(trial, sol)[1])
+    d_s_now, _ = delta_change(s_now, s_now, pb.base, pb.tiling)
+    d_s_pred, d_t = delta_change(s_now, s_pred, pb.base, pb.tiling)
+    return (classify(eta, np.maximum(d_s_now, d_s_pred), d_t, pb.thresholds),
+            entry.iterations * trial.n_y)
 
 
-def window_mass(window, state, props, wells, model):
+def _escalate(idmap):
+    """`idmap` with every tile promoted one step toward identifier 1."""
+    ids = np.where(idmap.identifiers == 4, 2, 1)
+    return IdentifierMap(ids, idmap.eta, idmap.delta_s, idmap.delta_t)
+
+
+def _initial_trace(cfg, window):
+    n = window.n_spatial
+    return (np.full(n, cfg.initial_pressure),
+            np.full(n, cfg.initial_saturation))
+
+
+def window_mass(window, state, final, props, wells, model):
     """(injected, produced water, produced oil, water in place at end/start).
 
     Masses in lb over the window; "in place" values are snapshots at the
-    window's final level and entry trace.
+    window's final level `final`, (P, S) per spatial cell, and at its
+    entry trace.
     """
     sp_idx = window.st_spatial
     injected = float(np.sum(wells.inj_w[sp_idx] * window.st_dt))
@@ -278,19 +222,25 @@ def window_mass(window, state, props, wells, model):
         rho = model.density(WATER, p)[0]
         return float(np.sum(props.phi * rho * s * window.cell_vol))
 
-    fp, fs = final_spatial(window, state)
     return (injected, produced_w, produced_o,
-            in_place(fp, fs), in_place(state.trace_p, state.trace_s))
+            in_place(*final), in_place(state.trace_p, state.trace_s))
 
 
 def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     """Execute one configured simulation; returns the summary dict.
 
+    Each window's identifier map is the mode's fixed map (constant 1 or 4
+    for the uniform references, the configured box for static-dd) or is
+    predicted before the window (dynamic-dd).  The map is decomposed, the
+    window is built on the previous window's final level and solved by
+    Newton.  A predicted map that fails to converge is promoted once and
+    the window solved again; a fixed map is never promoted.
+
     Artifacts: resolved config, property curves, permeability field,
     per-window saturation/pressure snapshots (CSV and VTK), identifier
     maps, solver ledger, and run_summary.json.  On a simulator error,
     everything produced so far is flushed alongside a FAILED marker
-    before the exception propagates.
+    before the exception propagates, with the ledger attached to it.
     """
     os.makedirs(outdir, exist_ok=True)
     pb = Problem(cfg)
@@ -304,58 +254,91 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                           origin, cfg.base_cell, name="kx")
 
     ncfg = NewtonConfig(**cfg.newton)
-
-    def initial_trace(window):
-        n = window.n_spatial
-        return (np.full(n, cfg.initial_pressure),
-                np.full(n, cfg.initial_saturation))
-
+    fixed = pb.fixed_idmap()
+    if fixed is None:
+        all_coarse = decompose(pb.constant_idmap(4), pb.tiling, pb.table)
+    ledger = RunLedger()
+    predictor_cost = 0
     snapshots = []
     balance = {"injected": 0.0, "produced_w": 0.0, "produced_o": 0.0,
                "initial_w": None, "final_w": 0.0}
-
-    def observer(window, state, entry):
-        props = pb.props_for(window)
-        wells = pb.wells_for(window)
-        inj, pw, po, w_end, w_start = window_mass(window, state, props,
-                                                  wells, pb.model)
-        balance["injected"] += inj
-        balance["produced_w"] += pw
-        balance["produced_o"] += po
-        if balance["initial_w"] is None:
-            balance["initial_w"] = w_start
-        balance["final_w"] = w_end
-
-        idx = window.window_index
-        fp, fs = final_spatial(window, state)
-        s2d = base.rasterize(window, fs)
-        p2d = base.rasterize(window, fp)
-        sw_name = f"snap_sw_{idx:03d}.csv"
-        output.write_grid_csv(os.path.join(outdir, sw_name), s2d, origin,
-                              cfg.base_cell, name="sw")
-        output.write_grid_csv(os.path.join(outdir, f"snap_p_{idx:03d}.csv"),
-                              p2d, origin, cfg.base_cell, name="p")
-        if emit_vtk:
-            output.write_vtk_rectilinear(
-                os.path.join(outdir, f"snap_{idx:03d}.vtk"),
-                {"sw": s2d, "p": p2d}, origin, cfg.base_cell,
-                title=f"t={window.t_end:g} days")
-        if cfg.emit_fine_levels:
-            _emit_fine_levels(outdir, window, state, base, origin, cfg)
-        snapshots.append({"index": idx, "time": window.t_end,
-                          "sw": sw_name, "p": f"snap_p_{idx:03d}.csv"})
-        output.write_idmap_csv(os.path.join(outdir, f"idmap_{idx:03d}.csv"),
-                               controller.idmaps[idx])
+    window = final = idmap = None
+    s2d = np.full(base.shape, cfg.initial_saturation)
 
     try:
-        controller = Controller(pb, ncfg)
-        ledger, _, _ = march(
-            cfg.horizon, cfg.window_length, cfg.reservoir, controller,
-            pb.model, pb.props_for, pb.wells_for, initial_trace, ncfg,
-            observer=observer, dz=cfg.dz)
+        for widx in range(round(cfg.horizon / cfg.window_length)):
+            t = 0.0 if window is None else window.t_end
+            new_map = fixed
+            if fixed is None:
+                new_map, cost = _predict(pb, ncfg, all_coarse, t, window,
+                                         final, s2d)
+                predictor_cost += cost
+            if new_map is not idmap:
+                subs = decompose(new_map, pb.tiling, pb.table)
+            idmap = new_map
+
+            # a predicted map gets one escalated retry, a fixed map none
+            attempts = 1 if fixed is not None else 2
+            for attempt in range(attempts):
+                new = build_window(subs, cfg.window_length, cfg.reservoir,
+                                   window_index=widx, t_start=t, dz=cfg.dz)
+                if window is None:
+                    trace = _initial_trace(cfg, new)
+                elif new.subdomains == window.subdomains:
+                    trace = final
+                else:
+                    trace = transfer_state(window, *final, new, base,
+                                           pb.phi_base)
+                try:
+                    state, entry = newton_solve_window(
+                        new, pb.props_for(new), pb.wells_for(new), *trace,
+                        pb.model, ncfg)
+                    break
+                except NonConvergence as fail:
+                    ledger.failed_cost += fail.iterations * new.n_y
+                    if attempt == attempts - 1:
+                        how = " after escalation" if attempt else ""
+                        raise NonConvergence(
+                            0, float("nan"),
+                            f"window {widx} failed to converge{how}")
+                    idmap = _escalate(idmap)
+                    subs = decompose(idmap, pb.tiling, pb.table)
+            window = new
+            ledger.entries.append(entry)
+            final = final_spatial(window, state)
+
+            inj, pw, po, w_end, w_start = window_mass(
+                window, state, final, pb.props_for(window),
+                pb.wells_for(window), pb.model)
+            balance["injected"] += inj
+            balance["produced_w"] += pw
+            balance["produced_o"] += po
+            if balance["initial_w"] is None:
+                balance["initial_w"] = w_start
+            balance["final_w"] = w_end
+
+            s2d = base.rasterize(window, final[1])
+            p2d = base.rasterize(window, final[0])
+            sw_name = f"snap_sw_{widx:03d}.csv"
+            p_name = f"snap_p_{widx:03d}.csv"
+            output.write_grid_csv(os.path.join(outdir, sw_name), s2d,
+                                  origin, cfg.base_cell, name="sw")
+            output.write_grid_csv(os.path.join(outdir, p_name), p2d,
+                                  origin, cfg.base_cell, name="p")
+            if emit_vtk:
+                output.write_vtk_rectilinear(
+                    os.path.join(outdir, f"snap_{widx:03d}.vtk"),
+                    {"sw": s2d, "p": p2d}, origin, cfg.base_cell,
+                    title=f"t={window.t_end:g} days")
+            if cfg.emit_fine_levels:
+                _emit_fine_levels(outdir, window, state, base, origin, cfg)
+            snapshots.append({"index": widx, "time": window.t_end,
+                              "sw": sw_name, "p": p_name})
+            output.write_idmap_csv(
+                os.path.join(outdir, f"idmap_{widx:03d}.csv"), idmap)
     except StddError as exc:
-        output.write_ledger_csv(os.path.join(outdir, "ledger.csv"),
-                                getattr(exc, "ledger", RunLedger()))
+        exc.ledger = ledger
+        output.write_ledger_csv(os.path.join(outdir, "ledger.csv"), ledger)
         output.mark_failure(outdir, str(exc))
         raise
 
@@ -379,9 +362,9 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
         "iterations": sum(e.iterations for e in ledger.entries),
         "cost_metric": ledger.cost_metric,
         # every linear solve: accepted windows, predictor, failed attempts
-        "predictor_cost": controller.predictor_cost,
+        "predictor_cost": predictor_cost,
         "failed_cost": ledger.failed_cost,
-        "all_in_cost": (ledger.cost_metric + controller.predictor_cost
+        "all_in_cost": (ledger.cost_metric + predictor_cost
                         + ledger.failed_cost),
         "total_wall_ms": ledger.total_wall_ms,
         "mass_balance": {**balance, "accumulated": accumulated,
@@ -420,7 +403,8 @@ def compare(dir_a, dir_b):
     grid, horizon, wells, permeability source).  Saturation differences
     are computed at every common snapshot time; L2 is the RMS over base
     cells.  The all-in cost ratio is None when either run's summary
-    predates its `all_in_cost`.
+    predates its `all_in_cost`.  `wall_ratio` divides the two runs' Newton
+    wall times (`total_wall_ms`), not their end-to-end times.
     """
     sa = output.read_summary(os.path.join(dir_a, "run_summary.json"))
     sb = output.read_summary(os.path.join(dir_b, "run_summary.json"))

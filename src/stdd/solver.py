@@ -1,9 +1,9 @@
-"""Time-concurrent outer loop: Newton per window, windows marched in sequence.
+"""Monolithic Newton on one space-time window, and the run's solver ledger.
 
 Each matching window is solved monolithically: evaluate the residual of the
 flux-eliminated space-time system and check the max norm of its normalized
 form; above tolerance, fill the reduced Jacobian, solve it directly and
-update.  Window n+1 starts from window n's final time level.
+update.  `stdd.run` marches the windows.
 """
 
 from __future__ import annotations
@@ -15,18 +15,22 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import StateField, linearize
-from .errors import NonConvergence, SingularMatrix, StddError
-from .mesh import build_window
+from .errors import NonConvergence, SingularMatrix
+
+# Damping halves a step at most this many times.
+MAX_HALVINGS = 4
+# A linear solve fails when |J dy + r| exceeds 1e4 x this x |r|.
+LINEAR_TOL = 1.0e-10
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
+    """A config's `newton` section; these values are its defaults."""
+
     tol: float = 1.0e-6        # on the max norm of the normalized residual
-    max_iters: int = 15
+    max_iters: int = 60
     damping: bool = False      # halve the step while the norm increases
-    max_halvings: int = 4
     max_ds: float = 0.2        # per-cell saturation step cap (0 disables)
-    linear_tol: float = 1.0e-10
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iters < 1:
@@ -78,7 +82,7 @@ SUPERLU_RELAX = 1
 SUPERLU_PANEL_SIZE = 4
 
 
-def linear_solve(jacobian, residual, linear_tol=1.0e-10):
+def linear_solve(jacobian, residual):
     """Direct sparse solve of J dy = -r with a relative-residual check.
 
     SuperLU factors with COLAMD ordering, unrelaxed supernodes and
@@ -102,7 +106,7 @@ def linear_solve(jacobian, residual, linear_tol=1.0e-10):
     scale = np.max(np.abs(residual)) if len(residual) else 0.0
     if scale > 0:
         lin_res = np.max(np.abs(jacobian @ dy + residual))
-        if lin_res > linear_tol * scale * 1.0e4:
+        if lin_res > LINEAR_TOL * scale * 1.0e4:
             raise SingularMatrix(
                 f"linear residual {lin_res:.3e} vs scale {scale:.3e}")
     return dy
@@ -135,7 +139,7 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
             return state, entry(True, k)
         if k == cfg.max_iters:
             break
-        dy = linear_solve(sys_.jacobian(), sys_.r_y, cfg.linear_tol)
+        dy = linear_solve(sys_.jacobian(), sys_.r_y)
         dp, ds = dy[0::2], dy[1::2]
         # saturation chopping keeps iterates near the physical range; the
         # constant-mobility model is exactly linear and must not be chopped
@@ -143,85 +147,15 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
             ds = np.clip(ds, -cfg.max_ds, cfg.max_ds)
         step = 1.0
         if cfg.damping:
-            for _ in range(cfg.max_halvings + 1):
+            for _ in range(MAX_HALVINGS + 1):
                 trial = StateField(state.p + step * dp, state.s + step * ds,
                                    state.trace_p, state.trace_s)
                 tnorm = float(np.max(np.abs(
                     linearize(window, trial, props, wells, model).r_norm)))
-                if tnorm <= norm or step <= 1.0 / 2**cfg.max_halvings:
+                if tnorm <= norm or step <= 1.0 / 2**MAX_HALVINGS:
                     break
                 step *= 0.5
         state.p += step * dp
         state.s += step * ds
 
     raise NonConvergence(cfg.max_iters, norms[-1])
-
-
-def march(horizon, delta_t, reservoir, controller, model, props_for,
-          wells_for, initial_trace, cfg, *, observer=None, dz=1.0):
-    """March matching windows across the horizon.
-
-    ``props_for(window)`` / ``wells_for(window)`` map properties and wells
-    onto each window's cells; ``initial_trace(window)`` provides the t=0
-    condition.  ``observer(window, state, entry)``, when given, is called
-    after every accepted window (snapshot emission).  Returns
-    (RunLedger, last_window, last_state).  A window that still fails after
-    the controller's one escalation pass aborts the march; any simulator
-    error leaves it with the ledger of the accepted windows attached.
-    """
-    ledger = RunLedger()
-    t = 0.0
-    widx = 0
-    prev_window = None
-    fin_p = fin_s = None
-
-    def traces(window):
-        if prev_window is None:
-            return initial_trace(window)
-        return controller.transfer(prev_window, fin_p, fin_s, window)
-
-    try:
-        while t < horizon - 1.0e-9 * max(1.0, horizon):
-            dT = min(delta_t, horizon - t)
-            subs = controller.decomposition(widx, t)
-            window = build_window(subs, dT, reservoir, window_index=widx,
-                                  t_start=t, dz=dz)
-            trace_p, trace_s = traces(window)
-            try:
-                state, entry = newton_solve_window(
-                    window, props_for(window), wells_for(window),
-                    trace_p, trace_s, model, cfg)
-            except NonConvergence as fail:
-                ledger.failed_cost += fail.iterations * window.n_y
-                esc = controller.escalate(widx, t)
-                if esc is None:
-                    raise _aborted(widx, "")
-                window = build_window(esc, dT, reservoir, window_index=widx,
-                                      t_start=t, dz=dz)
-                trace_p, trace_s = traces(window)
-                try:
-                    state, entry = newton_solve_window(
-                        window, props_for(window), wells_for(window),
-                        trace_p, trace_s, model, cfg)
-                except NonConvergence as fail:
-                    ledger.failed_cost += fail.iterations * window.n_y
-                    raise _aborted(widx, " after escalation")
-            ledger.entries.append(entry)
-            fin = window.final_level_cells()
-            fin_p, fin_s = state.p[fin], state.s[fin]
-            if observer is not None:
-                observer(window, state, entry)
-            controller.after_window(window, state, entry)
-            prev_window = window
-            t += dT
-            widx += 1
-    except StddError as exc:
-        exc.ledger = ledger
-        raise
-
-    return ledger, prev_window, state
-
-
-def _aborted(window_index, how):
-    return NonConvergence(
-        0, float("nan"), f"window {window_index} failed to converge{how}")

@@ -472,18 +472,6 @@ class TestDirectJacobian:
         assert not np.shares_memory(a.indices, b.indices)
 
 
-class TestDumps:
-    def test_matrix_market_and_residual_rows(self, tmp_path):
-        w = line_window(3)
-        sys_ = assemble(w, random_state(w), uniform_props(3),
-                        ResolvedWells.none(3), model())
-        path = tmp_path / "jac.mtx"
-        sys_.dump_matrix_market(str(path))
-        assert path.exists() and path.stat().st_size > 0
-        rows = sys_.residual_rows()
-        assert len(rows) == 2 * w.n_st
-
-
 def _pack(w, state, fluxes):
     x = np.empty(w.n_dofs)
     x[0:2 * w.n_st:2] = state.p

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, environment handling."""
 
+import importlib
 import json
 import os
 import shutil
@@ -9,13 +10,14 @@ from dataclasses import replace
 
 import pytest
 
-import stdd.solver
 from stdd.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK,
                       _apply_thread_cap, main)
 from stdd.config import preset
 from stdd.errors import SingularMatrix
 from stdd.output import read_ledger_csv
 from stdd.run import run
+
+run_module = importlib.import_module("stdd.run")
 
 
 @pytest.fixture(scope="module")
@@ -127,14 +129,14 @@ class TestExitCodes:
 
     def test_any_solver_error_leaves_ledger_and_marker(self, tmp_path,
                                                        monkeypatch):
-        real = stdd.solver.newton_solve_window
+        real = run_module.newton_solve_window
 
         def fail_window_1(window, *args):
             if window.window_index == 1:
                 raise SingularMatrix("injected")
             return real(window, *args)
 
-        monkeypatch.setattr(stdd.solver, "newton_solve_window",
+        monkeypatch.setattr(run_module, "newton_solve_window",
                             fail_window_1)
         cfg = replace(preset("toy"), mode="uniform-coarse")
         with pytest.raises(SingularMatrix):
@@ -151,6 +153,7 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "cost ratio (a/b): 1.0000" in out
         assert "all-in cost ratio (a/b): 1.0000" in out
+        assert "Newton wall ratio (a/b): 1.0000" in out
         assert "0.00000" in out
 
     def test_summary_without_all_in_cost(self, toy_run, tmp_path, capsys):

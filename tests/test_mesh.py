@@ -59,21 +59,6 @@ class TestDofNumbering:
         assert w.n_y == 2 * w.n_st
         assert w.n_dofs == 2 * w.n_st + 4 * w.n_faces
 
-    def test_round_trip_identity(self):
-        w = two_subdomain_window()
-        seen = set()
-        for dof in range(w.n_dofs):
-            key = w.decode_dof(dof)
-            assert key not in seen
-            seen.add(key)
-        assert len(seen) == w.n_dofs
-
-    def test_pressure_saturation_interleave(self):
-        w = two_subdomain_window()
-        for c in (0, 7, w.n_st - 1):
-            assert w.pressure_dof(c) == 2 * c
-            assert w.saturation_dof(c) == 2 * c + 1
-
     def test_final_level_covers_each_spatial_cell_once(self):
         w = two_subdomain_window()
         fin = w.final_level_cells()

@@ -205,15 +205,3 @@ class TestCurvesAndMarkers:
     def test_failure_marker(self, tmp_path):
         output.mark_failure(tmp_path, "window 3 diverged")
         assert (tmp_path / "FAILED").read_text() == "window 3 diverged\n"
-
-    def test_residual_csv(self, tmp_path):
-        from stdd.mesh import Subdomain, build_window
-        box = (0.0, 0.0, 2.0, 1.0)
-        w = build_window([Subdomain(box, (1.0, 1.0), 1.0)], 2.0, box)
-        r = np.arange(2.0 * w.n_st)
-        p = tmp_path / "res.csv"
-        output.write_residual_csv(p, w, r)
-        lines = p.read_text().splitlines()
-        assert len(lines) == 1 + 2 * w.n_st
-        assert lines[1].split(",")[3] == "total"
-        assert lines[2].split(",")[3] == "water"

@@ -1,4 +1,7 @@
-"""Newton/window marching: convergence behavior, equivalences, the ledger."""
+"""Newton and the window loop: convergence behavior, equivalences, the ledger."""
+
+import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +12,13 @@ import stdd.solver
 import test_assembly
 from stdd.assembly import CellProperties, ResolvedWells, linearize
 from stdd.config import preset
-from stdd.errors import NonConvergence, SingularMatrix
+from stdd.errors import ConfigError, NonConvergence, SingularMatrix
 from stdd.mesh import Subdomain, build_window
+from stdd.output import read_ledger_csv
 from stdd.physics import BrooksCoreyModel, FluidModel, FluidRockModel
 from stdd.run import run
-from stdd.solver import (NewtonConfig, RunLedger, linear_solve, march,
-                         newton_solve_window)
+from stdd.solver import (MAX_HALVINGS, NewtonConfig, RunLedger,
+                         linear_solve, newton_solve_window)
 
 
 def nonlinear_model():
@@ -205,115 +209,150 @@ class TestNewtonWindow:
         assert entry.converged
         assert np.all(st.s >= 0.2 - 1e-9)
 
+    def test_damping_accepts_descent_or_shortest_step(self, monkeypatch):
+        """With `damping`, Newton converges on a front entering a strip at
+        irreducible saturation, and every step it takes either lowers the
+        norm or is the shortest one (MAX_HALVINGS halvings)."""
+        w = strip_window()
+        n = w.n_spatial
+        evaluated = []           # (state, norm) of every residual
+        real = stdd.solver.linearize
 
-class FixedController:
-    """One decomposition for every window, identity transfer, no escalation."""
+        def recording(window, state, *args):
+            sys_ = real(window, state, *args)
+            evaluated.append((state, float(np.max(np.abs(sys_.r_norm)))))
+            return sys_
 
-    def __init__(self, subdomains):
-        self.subdomains = list(subdomains)
+        monkeypatch.setattr(stdd.solver, "linearize", recording)
+        _, entry = newton_solve_window(
+            w, props(n), corner_wells(n, rate=0.05), np.full(n, 1000.0),
+            np.full(n, 0.2), nonlinear_model(), NewtonConfig(damping=True))
+        assert entry.converged
+        # Newton's own iterate is one object, updated in place; every
+        # other residual is a trial step of the iterate before it
+        iterate = evaluated[0][0]
+        steps = []
+        for state, norm in evaluated:
+            if state is iterate:
+                steps.append((norm, []))
+            else:
+                steps[-1][1].append(norm)
+        assert [norm for norm, _ in steps] == entry.norms
+        for (norm, trials), (next_norm, _) in zip(steps, steps[1:]):
+            assert 1 <= len(trials) <= MAX_HALVINGS + 1
+            assert trials[-1] == next_norm
+            assert next_norm <= norm or len(trials) == MAX_HALVINGS + 1
+        # the case exercises both halving and the shortest step
+        assert any(len(t) > 1 for _, t in steps)
+        assert any(len(t) == MAX_HALVINGS + 1 for _, t in steps)
 
-    def decomposition(self, window_index, t_start):
-        return self.subdomains
 
-    def transfer(self, old_window, final_p, final_s, new_window):
-        return final_p, final_s
+run_module = importlib.import_module("stdd.run")
 
-    def after_window(self, window, state, ledger_entry):
-        pass
 
-    def escalate(self, window_index, t_start):
-        return None
+@pytest.fixture(scope="module")
+def toy_runs(tmp_path_factory):
+    """Two runs of the toy preset (dynamic-dd: predicted maps)."""
+    dirs = [tmp_path_factory.mktemp(f"toy{k}") for k in range(2)]
+    return [(d, run(preset("toy"), d, emit_vtk=False)) for d in dirs]
+
+
+def newton_calls(monkeypatch):
+    """Per `newton_solve_window` call that `run()` makes from now on, the
+    window and the reduced DOFs of each linear solve of that call."""
+    dofs = solved_dofs(monkeypatch)
+    calls = []
+    real = run_module.newton_solve_window
+
+    def recorded(window, *args):
+        start = len(dofs)
+        try:
+            return real(window, *args)
+        finally:
+            calls.append((window, dofs[start:]))
+
+    monkeypatch.setattr(run_module, "newton_solve_window", recorded)
+    return calls
 
 
 class TestMarch:
-    def _problem(self, nx=8, ny=2, h=1.0):
-        box = (0.0, 0.0, nx * h, ny * h)
-        n = nx * ny
-        ctl = FixedController([Subdomain(box, (h, h), 1.0)])
-        m = nonlinear_model()
-        return box, n, ctl, m
+    """The window loop of `run()`, on the toy preset."""
 
-    def test_window_count_and_partial_final_window(self):
-        box, n, ctl, m = self._problem()
-        ledger, w, st = march(
-            5.0, 2.0, box, ctl, m, lambda w: props(n),
-            lambda w: corner_wells(n, rate=0.02),
-            lambda w: (np.full(n, 1000.0), np.full(n, 0.3)),
-            NewtonConfig(max_iters=40))
-        assert len(ledger.entries) == 3          # 2 + 2 + 1 days
-        assert ledger.entries[-1].t_end == pytest.approx(5.0)
-        assert w.t_end == pytest.approx(5.0)
+    def test_window_count_and_partial_final_window(self, toy_runs):
+        cfg = preset("toy")
+        _, summary = toy_runs[0]
+        assert summary["windows"] == round(cfg.horizon / cfg.window_length)
+        assert summary["snapshots"][-1]["time"] == pytest.approx(cfg.horizon)
+        # no partial final window: such a horizon is rejected up front
+        with pytest.raises(ConfigError):
+            replace(cfg, horizon=cfg.horizon - 0.5 * cfg.window_length)
 
-    def test_cost_metric_accumulates(self):
-        box, n, ctl, m = self._problem()
-        ledger, _, _ = march(
-            4.0, 2.0, box, ctl, m, lambda w: props(n),
-            lambda w: corner_wells(n, rate=0.02),
-            lambda w: (np.full(n, 1000.0), np.full(n, 0.3)),
-            NewtonConfig(max_iters=40))
-        manual = sum(e.iterations * e.n_reduced_dofs for e in ledger.entries)
-        assert ledger.cost_metric == manual > 0
+    def test_cost_metric_accumulates(self, toy_runs):
+        out, summary = toy_runs[0]
+        rows = read_ledger_csv(out / "ledger.csv")
+        dofs = {r[0]: r[3] for r in rows}
+        # a window's rows are its norms: one more than its iterations
+        manual = sum(d * (sum(r[0] == w for r in rows) - 1)
+                     for w, d in dofs.items())
+        assert summary["cost_metric"] == manual > 0
 
-    def test_bitwise_reproducible(self):
-        box, n, ctl, m = self._problem()
-        out = []
-        for _ in range(2):
-            ledger, _, st = march(
-                4.0, 2.0, box, ctl, m, lambda w: props(n),
-                lambda w: corner_wells(n, rate=0.02),
-                lambda w: (np.full(n, 1000.0), np.full(n, 0.3)),
-                NewtonConfig(max_iters=40))
-            out.append((st.p.copy(), st.s.copy(),
-                        [tuple(e.norms) for e in ledger.entries]))
-        assert np.array_equal(out[0][0], out[1][0])
-        assert np.array_equal(out[0][1], out[1][1])
-        assert out[0][2] == out[1][2]
+    def test_bitwise_reproducible(self, toy_runs):
+        (a, sa), (b, sb) = toy_runs
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            if name.startswith("snap_") or name.startswith("idmap_"):
+                assert (a / name).read_bytes() == (b / name).read_bytes()
+        norms = [[r[:4] for r in read_ledger_csv(d / "ledger.csv")]
+                 for d in (a, b)]
+        assert norms[0] == norms[1]
+        for key in ("iterations", "cost_metric", "all_in_cost",
+                    "mass_balance"):
+            assert sa[key] == sb[key]
 
-    def test_observer_sees_every_window(self):
-        box, n, ctl, m = self._problem()
-        seen = []
-        march(4.0, 2.0, box, ctl, m, lambda w: props(n),
-              lambda w: corner_wells(n, rate=0.02),
-              lambda w: (np.full(n, 1000.0), np.full(n, 0.3)),
-              NewtonConfig(max_iters=40),
-              observer=lambda w, s, e: seen.append(w.window_index))
-        assert seen == [0, 1]
+    def test_observer_sees_every_window(self, toy_runs):
+        """One snapshot and one identifier map per window."""
+        out, summary = toy_runs[0]
+        n = summary["windows"]
+        assert [s["index"] for s in summary["snapshots"]] == list(range(n))
+        for prefix in ("snap_sw_", "snap_p_", "idmap_"):
+            assert sorted(p.name for p in out.glob(prefix + "*.csv")) == [
+                f"{prefix}{k:03d}.csv" for k in range(n)]
 
-    def test_escalation_hook_used_once(self, monkeypatch):
-        box, n, _, m = self._problem()
-        dofs = solved_dofs(monkeypatch)
-
-        class Escalating(FixedController):
-            def __init__(self, subs):
-                super().__init__(subs)
-                self.calls = 0
-
-            def escalate(self, widx, t):
-                self.calls += 1
-                return self.subdomains
-
-        ctl = Escalating([Subdomain(box, (1.0, 1.0), 1.0)])
-        with pytest.raises(NonConvergence) as exc:
-            march(2.0, 2.0, box, ctl, m, lambda w: props(n),
-                  lambda w: corner_wells(n, rate=5.0),
-                  lambda w: (np.full(n, 1000.0), np.full(n, 0.25)),
-                  NewtonConfig(max_iters=2))
-        assert ctl.calls == 1
+    def test_escalation_hook_used_once(self, tmp_path, monkeypatch):
+        """A predicted map that fails is promoted once, and the solves of
+        both failed attempts are the ledger's failed cost."""
+        calls = newton_calls(monkeypatch)
+        cfg = replace(preset("toy"), newton={"max_iters": 2})
+        with pytest.raises(NonConvergence, match="after escalation") as exc:
+            run(cfg, tmp_path, emit_vtk=False)
+        # the predictor's trial solve, then the window's two attempts
+        assert len(calls) == 3
+        attempts = calls[1:]
+        assert all(w.window_index == 0 and w.t_start == 0.0
+                   for w, _ in attempts)
+        assert all(len(d) == 2 for _, d in attempts)
         assert isinstance(exc.value.ledger, RunLedger)
-        # both failed attempts' two solves are counted, each of two time
-        # levels x two unknowns per cell
-        assert exc.value.ledger.failed_cost == sum(dofs) == 2 * 2 * 4 * n
+        assert exc.value.ledger.failed_cost == sum(
+            sum(d) for _, d in attempts) > 0
+        assert (tmp_path / "FAILED").exists()
 
-    def test_ledger_iteration_rows_shape(self):
-        box, n, ctl, m = self._problem()
-        ledger, _, _ = march(
-            2.0, 2.0, box, ctl, m, lambda w: props(n),
-            lambda w: corner_wells(n, rate=0.02),
-            lambda w: (np.full(n, 1000.0), np.full(n, 0.3)),
-            NewtonConfig(max_iters=40))
-        rows = ledger.iteration_rows()
-        assert len(rows) == sum(len(e.norms) for e in ledger.entries)
+    def test_fixed_map_never_escalates(self, tmp_path, monkeypatch):
+        calls = newton_calls(monkeypatch)
+        cfg = replace(preset("toy"), mode="uniform-coarse",
+                      newton={"max_iters": 1})
+        with pytest.raises(NonConvergence) as exc:
+            run(cfg, tmp_path, emit_vtk=False)
+        assert "escalation" not in str(exc.value)
+        assert len(calls) == 1
+        assert exc.value.ledger.failed_cost == sum(calls[0][1]) > 0
+
+    def test_ledger_iteration_rows_shape(self, toy_runs):
+        out, summary = toy_runs[0]
+        rows = read_ledger_csv(out / "ledger.csv")
+        assert len(rows) == summary["iterations"] + summary["windows"]
         assert all(len(r) == 5 for r in rows)
+
 
 
 def solved_dofs(monkeypatch):
