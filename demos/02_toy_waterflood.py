@@ -32,16 +32,16 @@ def ascii_field(s2d, lo=0.2, hi=0.8):
 
 def main():
     cfg = preset("toy")
-    outdir = tempfile.mkdtemp(prefix="toy_waterflood_")
-    print(f"running {cfg.label!r} ({cfg.mode}) into {outdir}\n")
-    summary = run(cfg, outdir)
+    with tempfile.TemporaryDirectory(prefix="toy_waterflood_") as outdir:
+        print(f"running {cfg.label!r} ({cfg.mode}) into {outdir}\n")
+        summary = run(cfg, outdir)
 
-    for snap in summary["snapshots"]:
-        s2d, _, _ = output.read_grid_csv(f"{outdir}/{snap['sw']}")
-        print(f"water saturation at t = {snap['time']:g} days "
-              f"(darker = more water):")
-        print(ascii_field(s2d))
-        print()
+        for snap in summary["snapshots"]:
+            s2d = output.read_grid_csv(f"{outdir}/{snap['sw']}")
+            print(f"water saturation at t = {snap['time']:g} days "
+                  f"(darker = more water):")
+            print(ascii_field(s2d))
+            print()
 
     mb = summary["mass_balance"]
     print(f"windows: {summary['windows']}   "

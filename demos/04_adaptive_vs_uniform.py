@@ -36,16 +36,16 @@ def make_config(mode):
 
 
 def main():
-    base = tempfile.mkdtemp(prefix="adaptive_vs_uniform_")
-    dirs = {}
-    for mode in ("uniform-fine", "dynamic-dd"):
-        dirs[mode] = f"{base}/{mode}"
-        print(f"running {mode} ...")
-        s = run(make_config(mode), dirs[mode], emit_vtk=False)
-        print(f"  windows {s['windows']}  iterations {s['iterations']}"
-              f"  cost {s['cost_metric']}")
+    with tempfile.TemporaryDirectory(prefix="adaptive_vs_uniform_") as base:
+        dirs = {}
+        for mode in ("uniform-fine", "dynamic-dd"):
+            dirs[mode] = f"{base}/{mode}"
+            print(f"running {mode} ...")
+            s = run(make_config(mode), dirs[mode], emit_vtk=False)
+            print(f"  windows {s['windows']}  iterations {s['iterations']}"
+                  f"  cost {s['cost_metric']}")
 
-    rep = compare(dirs["uniform-fine"], dirs["dynamic-dd"])
+        rep = compare(dirs["uniform-fine"], dirs["dynamic-dd"])
     print("\nsaturation difference (adaptive vs uniform fine):")
     print(f"{'time (d)':>10s}{'L_inf':>10s}{'L2':>10s}")
     for d in rep["saturation_differences"]:

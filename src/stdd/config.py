@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .adaptivity import Thresholds
 from .errors import ConfigError
+from .mesh import _int_ratio
 from .permfields import GENERATORS, LAYOUTS, load_fields
 from .physics import MOBILITY_MODELS, BrooksCoreyModel, FluidModel
 from .solver import NewtonConfig
@@ -105,18 +106,18 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if set(self.table) != {1, 2, 3, 4}:
             raise ConfigError("table must define identifiers 1..4")
-        self._check_ratio(self.tile[0], self.base_cell[0], "tile/base x")
-        self._check_ratio(self.tile[1], self.base_cell[1], "tile/base y")
-        self._check_ratio(x1 - x0, self.tile[0], "reservoir/tile x")
-        self._check_ratio(y1 - y0, self.tile[1], "reservoir/tile y")
+        _int_ratio(self.tile[0], self.base_cell[0], ConfigError, "tile/base x")
+        _int_ratio(self.tile[1], self.base_cell[1], ConfigError, "tile/base y")
+        _int_ratio(x1 - x0, self.tile[0], ConfigError, "reservoir/tile x")
+        _int_ratio(y1 - y0, self.tile[1], ConfigError, "reservoir/tile y")
         for k, (hx, hy, dt) in self.table.items():
-            self._check_ratio(self.tile[0], hx, f"tile/h id {k} x")
-            self._check_ratio(self.tile[1], hy, f"tile/h id {k} y")
-            self._check_ratio(hx, self.base_cell[0], f"h/base id {k} x")
-            self._check_ratio(hy, self.base_cell[1], f"h/base id {k} y")
-            self._check_ratio(self.delta_t, dt, f"delta_t/dt id {k}")
-        self._check_ratio(self.horizon, self.window_length,
-                          "horizon/window length")
+            _int_ratio(self.tile[0], hx, ConfigError, f"tile/h id {k} x")
+            _int_ratio(self.tile[1], hy, ConfigError, f"tile/h id {k} y")
+            _int_ratio(hx, self.base_cell[0], ConfigError, f"h/base id {k} x")
+            _int_ratio(hy, self.base_cell[1], ConfigError, f"h/base id {k} y")
+            _int_ratio(self.delta_t, dt, ConfigError, f"delta_t/dt id {k}")
+        _int_ratio(self.horizon, self.window_length, ConfigError,
+                   "horizon/window length")
         ntx = round((x1 - x0) / self.tile[0])
         nty = round((y1 - y0) / self.tile[1])
         for w in self.wells:
@@ -149,12 +150,6 @@ class RunConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
 
-    @staticmethod
-    def _check_ratio(num, den, what):
-        r = num / den
-        if r < 1 - 1e-9 or abs(r - round(r)) > 1e-9 * max(1.0, r):
-            raise ConfigError(f"{what}: {num}/{den} not a positive integer")
-
     # -- derived geometry -------------------------------------------------
 
     @property
@@ -170,18 +165,6 @@ class RunConfig:
         spans the whole tile, so it uses the tile diagonal; this keeps the
         well index positive and independent of the local refinement."""
         return 0.14 * math.hypot(*self.tile)
-
-    @property
-    def base_shape(self):
-        x0, y0, x1, y1 = self.reservoir
-        return (round((x1 - x0) / self.base_cell[0]),
-                round((y1 - y0) / self.base_cell[1]))
-
-    @property
-    def tile_shape(self):
-        x0, y0, x1, y1 = self.reservoir
-        return (round((x1 - x0) / self.tile[0]),
-                round((y1 - y0) / self.tile[1]))
 
     # -- serialization ----------------------------------------------------
 

@@ -174,7 +174,6 @@ class SpaceTimeWindow:
         self.n_st = len(self.st_spatial)
         self.n_faces = len(faces)
         self.n_y = 2 * self.n_st
-        self.n_dofs = self.n_y + 4 * self.n_faces
 
         for a in (self.sub_of_cell, self.cell_cx, self.cell_cy, self.cell_hx,
                   self.cell_hy, self.cell_vol, self.st_spatial, self.st_level,
@@ -185,7 +184,8 @@ class SpaceTimeWindow:
 
     @cached_property
     def bundles(self):
-        """Interface bundles, built on first read (tests and `dump()`)."""
+        """Interface bundles, built on first read; Newton does not use
+        them."""
         out = []
         for first, grp, ksub in self._interfaces:
             gid = np.asarray(grp["gid"]).ravel()
@@ -260,34 +260,6 @@ class SpaceTimeWindow:
             out[sl] = self.st_offset[k] + (steps - 1) * nc + np.arange(nc)
         return out
 
-    # -- debug dump ----------------------------------------------------
-
-    def dump(self):
-        """Plain-text adjacency listing for golden-file comparison."""
-        lines = [
-            f"window {self.window_index} span=({self.t_start:g},{self.t_end:g})"
-            f" reservoir={self.reservoir}",
-        ]
-        for k, sub in enumerate(self.subdomains):
-            lines.append(
-                f"sub {k} region={sub.region} h=({sub.cell_size[0]:g},"
-                f"{sub.cell_size[1]:g}) dt={sub.dt:g} id={sub.identifier}"
-                f" cells={sub.nx}x{sub.ny} levels={sub.n_steps(self.delta_t)}"
-            )
-        f = self.faces
-        for i in range(self.n_faces):
-            lines.append(
-                f"face {i} axis={int(f.axis[i])} L=st{int(f.c_left[i])}"
-                f" R=st{int(f.c_right[i])} area={f.area[i]:g} dt={f.dt[i]:g}"
-            )
-        for i, b in enumerate(self.bundles):
-            side = "L" if b.coarse_is_left else "R"
-            lines.append(
-                f"bundle {i} coarse=st{b.coarse_cell}({side})"
-                f" level={b.coarse_level} faces={list(b.faces)}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # construction helpers
@@ -351,9 +323,10 @@ def shared_edge(a: Subdomain, b: Subdomain):
     return None
 
 
-def enumerate_interface(sub_a, sub_b, edge=None, *, delta_t=None):
+def enumerate_interface(sub_a, sub_b, edge, delta_t):
     """Enumerate the fine space-time faces of one subdomain interface.
 
+    `edge` is `shared_edge(sub_a, sub_b)` and `delta_t` the window length.
     Returns (records, groups).  `records` is a dict of flat arrays, one entry
     per fine face, with the local cell index and time level on each side
     (`left` is the low-coordinate side).  `groups` assigns each face to the
@@ -364,14 +337,8 @@ def enumerate_interface(sub_a, sub_b, edge=None, *, delta_t=None):
     the finer dt in time, so a side that is fine in space but coarse in time
     still resolves the other's fine levels.
     """
-    if edge is None:
-        edge = shared_edge(sub_a, sub_b)
-        if edge is None:
-            raise MisalignedInterface("subdomains do not share an edge")
     axis, a_is_left, lo, hi = edge
     left, right = (sub_a, sub_b) if a_is_left else (sub_b, sub_a)
-    if delta_t is None:
-        delta_t = max(left.dt, right.dt)
 
     # spacing along the edge
     perp = 1 - axis
@@ -533,7 +500,7 @@ def build_window(subdomains, delta_t, reservoir, *, window_index=0,
             if edge is None:
                 continue
             rec, grp = enumerate_interface(subdomains[a], subdomains[b],
-                                           edge, delta_t=delta_t)
+                                           edge, delta_t)
             axis, a_is_left, _, _ = edge
             kl, kr = (a, b) if a_is_left else (b, a)
             subl, subr = subdomains[kl], subdomains[kr]

@@ -1,4 +1,5 @@
-"""Artifact writers and readers: CSV grids, legacy VTK, ledgers, summaries.
+"""Artifact writers (CSV grids, legacy VTK, ledgers, summaries) and the
+readers `compare` needs.
 
 All writers format floats with `%.17g` so serial reruns are byte-identical
 and round trips through the readers are exact.
@@ -35,21 +36,14 @@ def write_grid_csv(path, field2d, origin, cell_size, name="value"):
 
 
 def read_grid_csv(path):
-    """Inverse of write_grid_csv; returns (field2d, origin, cell_size)."""
+    """The (nx, ny) field of a file written by write_grid_csv."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    data = rows[1:]
-    ii = np.array([int(r[0]) for r in data])
-    jj = np.array([int(r[1]) for r in data])
-    xx = np.array([float(r[2]) for r in data])
-    yy = np.array([float(r[3]) for r in data])
-    vv = np.array([float(r[4]) for r in data])
-    nx, ny = ii.max() + 1, jj.max() + 1
-    field = np.empty((nx, ny))
-    field[ii, jj] = vv
-    hx = (xx.max() - xx.min()) / (nx - 1) if nx > 1 else 2 * xx.min()
-    hy = (yy.max() - yy.min()) / (ny - 1) if ny > 1 else 2 * yy.min()
-    return field, (xx.min() - hx / 2.0, yy.min() - hy / 2.0), (hx, hy)
+        rows = list(csv.reader(fh))[1:]
+    ii = np.array([int(r[0]) for r in rows])
+    jj = np.array([int(r[1]) for r in rows])
+    field = np.empty((ii.max() + 1, jj.max() + 1))
+    field[ii, jj] = [float(r[4]) for r in rows]
+    return field
 
 
 def write_vtk_rectilinear(path, fields, origin, cell_size, title="snapshot"):
@@ -79,31 +73,6 @@ def write_vtk_rectilinear(path, fields, origin, cell_size, title="snapshot"):
             row = " ".join(["%.17g"] * field.shape[0]) + "\n"
             fh.write("".join(row % tuple(by_j) for by_j in
                              np.asarray(field, dtype=float).T.tolist()))
-
-
-def read_vtk_cell_scalars(path):
-    """Cell scalar fields of a legacy rectilinear VTK file, by name."""
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    dims = None
-    fields = {}
-    k = 0
-    while k < len(lines):
-        line = lines[k]
-        if line.startswith("DIMENSIONS"):
-            dims = [int(v) for v in line.split()[1:]]
-        elif line.startswith("SCALARS"):
-            name = line.split()[1]
-            nx, ny = dims[0] - 1, dims[1] - 1
-            vals = []
-            k += 2
-            while len(vals) < nx * ny:
-                vals.extend(float(v) for v in lines[k].split())
-                k += 1
-            fields[name] = np.array(vals).reshape(ny, nx).T.copy()
-            continue
-        k += 1
-    return fields
 
 
 def write_ledger_csv(path, ledger):
@@ -143,14 +112,6 @@ def write_summary(path, summary):
 def read_summary(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def read_ledger_csv(path):
-    """Rows of (window, iteration, norm, reduced_dofs, wall_ms)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return [(int(r[0]), int(r[1]), float(r[2]), int(r[3]), float(r[4]))
-            for r in rows[1:]]
 
 
 def mark_failure(outdir, message):

@@ -61,9 +61,6 @@ class FluidModel:
     def viscosity(self, phase):
         return self.mu_o if phase == OIL else self.mu_w
 
-    def rho_ref(self, phase):
-        return self.rho_o_ref if phase == OIL else self.rho_w_ref
-
 
 @dataclass(frozen=True)
 class BrooksCoreyModel:

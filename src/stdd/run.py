@@ -419,11 +419,8 @@ def compare(dir_a, dir_b):
     common = sorted(set(times_a) & set(times_b))
     diffs = []
     for t in common:
-        fa, _, _ = output.read_grid_csv(
-            os.path.join(dir_a, times_a[t]["sw"]))
-        fb, _, _ = output.read_grid_csv(
-            os.path.join(dir_b, times_b[t]["sw"]))
-        d = fa - fb
+        d = (output.read_grid_csv(os.path.join(dir_a, times_a[t]["sw"]))
+             - output.read_grid_csv(os.path.join(dir_b, times_b[t]["sw"])))
         diffs.append({"time": t,
                       "linf": float(np.max(np.abs(d))),
                       "l2": float(np.sqrt(np.mean(d * d)))})

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from mixed_system import assemble, n_dofs, schur_reduce
 from stdd.adaptivity import BaseGrid, Tiling, upscale_permeability
-from stdd.assembly import (CellProperties, ResolvedWells, StateField,
-                           assemble, schur_reduce)
+from stdd.assembly import CellProperties, ResolvedWells, StateField
 from stdd.config import preset
 from stdd.mesh import Subdomain, build_window
-from stdd.output import read_grid_csv, write_curves_csv
+from stdd.output import write_curves_csv
 from stdd.physics import (BrooksCoreyModel, FluidModel, FluidRockModel,
                           property_curves)
 from stdd.run import Problem, compare, run
@@ -185,7 +185,7 @@ class TestJacobianFiniteDifference:
         jac = assemble(w, state, props, wells, model,
                        fluxes=fx).jacobian_full.toarray()
 
-        x0 = np.empty(w.n_dofs)
+        x0 = np.empty(n_dofs(w))
         x0[0:2 * w.n_st:2] = state.p
         x0[1:2 * w.n_st:2] = state.s
         base = 2 * w.n_st
@@ -203,7 +203,7 @@ class TestJacobianFiniteDifference:
                             fluxes=fl).residual_full
 
         fd = np.zeros_like(jac)
-        for j in range(w.n_dofs):
+        for j in range(n_dofs(w)):
             h = 1e-6 * max(1.0, abs(x0[j]))
             xp, xm = x0.copy(), x0.copy()
             xp[j] += h

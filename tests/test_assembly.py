@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from mixed_system import assemble, n_dofs, schur_reduce
 from stdd.assembly import (CellProperties, ResolvedWells, StateField,
-                           assemble, linearize, schur_reduce)
+                           linearize)
 from stdd.errors import MissingPrevTrace, ZeroPermeability
 from stdd.mesh import Subdomain, build_window
 from stdd.physics import (BETA_C, BrooksCoreyModel, FluidModel,
@@ -220,7 +221,7 @@ class TestJacobian:
                             fluxes=fl).residual_full
 
         fd = np.zeros_like(jac)
-        for j in range(w.n_dofs):
+        for j in range(n_dofs(w)):
             h = 1e-6 * max(1.0, abs(x0[j]))
             xp, xm = x0.copy(), x0.copy()
             xp[j] += h
@@ -233,8 +234,8 @@ class TestJacobian:
         w = nonmatching_window()
         sys_ = assemble(w, random_state(w), uniform_props(w.n_spatial),
                         ResolvedWells.none(w.n_spatial), model())
-        assert sys_.jacobian_full.shape == (w.n_dofs, w.n_dofs)
-        assert w.n_dofs == 2 * w.n_st + 2 * 2 * w.n_faces
+        assert sys_.jacobian_full.shape == (n_dofs(w), n_dofs(w))
+        assert n_dofs(w) == 2 * w.n_st + 2 * 2 * w.n_faces
 
     def test_bit_reproducible(self):
         w = nonmatching_window()
@@ -250,7 +251,7 @@ class TestJacobian:
 class TestSchurReduction:
     def test_reduced_matches_dense_unreduced(self):
         w = nonmatching_window()
-        assert w.n_dofs <= 200
+        assert n_dofs(w) <= 200
         state = random_state(w, seed=2)
         wells = ResolvedWells(
             inj_w=np.where(np.arange(w.n_spatial) == 0, 1.0, 0.0),
@@ -473,7 +474,7 @@ class TestDirectJacobian:
 
 
 def _pack(w, state, fluxes):
-    x = np.empty(w.n_dofs)
+    x = np.empty(n_dofs(w))
     x[0:2 * w.n_st:2] = state.p
     x[1:2 * w.n_st:2] = state.s
     base = 2 * w.n_st

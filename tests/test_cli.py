@@ -10,11 +10,11 @@ from dataclasses import replace
 
 import pytest
 
+from artifact_readers import read_ledger_csv
 from stdd.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK,
                       _apply_thread_cap, main)
 from stdd.config import preset
 from stdd.errors import SingularMatrix
-from stdd.output import read_ledger_csv
 from stdd.run import run
 
 run_module = importlib.import_module("stdd.run")

@@ -16,8 +16,6 @@ class TestValidation:
     def test_defaults_are_valid(self):
         cfg = RunConfig()
         assert cfg.mode in MODES
-        assert cfg.base_shape == (220, 60)
-        assert cfg.tile_shape == (44, 12)
 
     def test_non_divisible_tile_rejected(self):
         with pytest.raises(ConfigError):

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from artifact_readers import read_ledger_csv, read_vtk_cell_scalars
 from stdd import output
 from stdd.solver import LedgerEntry, RunLedger
 
@@ -18,10 +19,11 @@ def field():
 class TestGridCsv:
     def test_round_trip_exact(self, tmp_path, field):
         p = tmp_path / "f.csv"
-        output.write_grid_csv(p, field, (0.0, 0.0), (0.5, 0.5), name="sw")
-        got, origin, cell = output.read_grid_csv(p)
-        assert np.array_equal(got, field)
-        assert origin == (0.0, 0.0) and cell == (0.5, 0.5)
+        # the second grid is one cell wide in x, away from the origin
+        for f, origin in ((field, (0.0, 0.0)),
+                          (np.arange(3.0).reshape(1, 3), (10.0, 0.0))):
+            output.write_grid_csv(p, f, origin, (0.5, 0.5), name="sw")
+            assert np.array_equal(output.read_grid_csv(p), f)
 
     def test_header_and_ordering(self, tmp_path, field):
         p = tmp_path / "f.csv"
@@ -54,9 +56,7 @@ class TestGridCsv:
     def test_nonzero_origin_round_trip(self, tmp_path, field):
         p = tmp_path / "f.csv"
         output.write_grid_csv(p, field, (10.0, -5.0), (2.0, 1.0))
-        got, origin, cell = output.read_grid_csv(p)
-        assert np.array_equal(got, field)
-        assert origin == (10.0, -5.0) and cell == (2.0, 1.0)
+        assert np.array_equal(output.read_grid_csv(p), field)
 
 
 def ref_write_grid_csv(path, field2d, origin, cell_size, name="value"):
@@ -124,7 +124,7 @@ class TestVtk:
         other = field * 3.0 + 1.0
         output.write_vtk_rectilinear(p, {"sw": field, "p": other},
                                      (0.0, 0.0), (0.5, 0.5))
-        got = output.read_vtk_cell_scalars(p)
+        got = read_vtk_cell_scalars(p)
         assert set(got) == {"sw", "p"}
         assert np.array_equal(got["sw"], field)
         assert np.array_equal(got["p"], other)
@@ -146,8 +146,8 @@ class TestVtk:
         output.write_grid_csv(pc, field, (0.0, 0.0), (0.5, 0.5), name="sw")
         output.write_vtk_rectilinear(pv, {"sw": field}, (0.0, 0.0),
                                      (0.5, 0.5))
-        from_csv, _, _ = output.read_grid_csv(pc)
-        from_vtk = output.read_vtk_cell_scalars(pv)["sw"]
+        from_csv = output.read_grid_csv(pc)
+        from_vtk = read_vtk_cell_scalars(pv)["sw"]
         assert np.array_equal(from_csv, from_vtk)
 
 
@@ -164,7 +164,7 @@ class TestLedger:
         p = tmp_path / "ledger.csv"
         led = self.ledger()
         output.write_ledger_csv(p, led)
-        rows = output.read_ledger_csv(p)
+        rows = read_ledger_csv(p)
         assert rows == [(0, 0, 1.0, 100, 12.5), (0, 1, 0.1, 100, 12.5),
                         (0, 2, 1e-7, 100, 12.5), (1, 0, 0.5, 100, 8.0),
                         (1, 1, 1e-8, 100, 8.0)]

@@ -10,11 +10,11 @@ import scipy.sparse.linalg as spla
 
 import stdd.solver
 import test_assembly
+from artifact_readers import read_ledger_csv
 from stdd.assembly import CellProperties, ResolvedWells, linearize
 from stdd.config import preset
 from stdd.errors import ConfigError, NonConvergence, SingularMatrix
 from stdd.mesh import Subdomain, build_window
-from stdd.output import read_ledger_csv
 from stdd.physics import BrooksCoreyModel, FluidModel, FluidRockModel
 from stdd.run import run
 from stdd.solver import (MAX_HALVINGS, NewtonConfig, RunLedger,
