@@ -2,9 +2,9 @@
 decomposition, non-matching space-time interfaces, and adaptive local
 refinement driven by residual and delta-change indicators."""
 
-from .adaptivity import (BaseGrid, IdentifierMap, RefinementTable,
-                         Thresholds, Tiling, classify, decompose,
-                         delta_change, residual_indicator, transfer_state,
+from .adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
+                         classify, decompose, delta_change,
+                         residual_indicator, transfer_state,
                          upscale_permeability)
 from .assembly import (CellProperties, CellSystem, ResolvedWells,
                        StateField, linearize)

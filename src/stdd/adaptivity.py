@@ -1,7 +1,9 @@
 """Between-window adaptivity: indicators, classification, rebuild, transfer.
 
-Regions are classified on a fixed coarse tiling of the reservoir.  Each tile
-receives an identifier selecting its space and time resolution:
+Regions are classified on a fixed coarse tiling of the reservoir.  A tile
+is an exact block of base cells, so every per-tile quantity is a block
+reduction of a base-grid field.  Each tile receives an identifier
+selecting its space and time resolution:
 
     1: fine in space and time        2: fine in space, coarse in time
     3: coarse in space, fine in time 4: coarse in space and time
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
+from scipy.ndimage import binary_dilation
 
 from .errors import NonIntegerRatio
 from .mesh import Subdomain, _int_offset, _int_ratio
@@ -43,27 +46,16 @@ class Tiling:
         return (_int_ratio(x1 - x0, self.tile_hx, NonIntegerRatio, "x"),
                 _int_ratio(y1 - y0, self.tile_hy, NonIntegerRatio, "y"))
 
-    def tile_of(self, x, y):
-        """Tile indices (ti, tj) containing points (x, y)."""
-        x0, y0, _, _ = self.reservoir
+    def blocks(self, base_field):
+        """A base-grid field viewed as (ntx, mx, nty, my): tile (i, j) is
+        its block [i, :, j, :] of mx x my base cells."""
         ntx, nty = self.shape
-        ti = np.clip((np.asarray(x) - x0) // self.tile_hx, 0, ntx - 1)
-        tj = np.clip((np.asarray(y) - y0) // self.tile_hy, 0, nty - 1)
-        return ti.astype(int), tj.astype(int)
+        nx, ny = np.shape(base_field)
+        return np.reshape(base_field, (ntx, nx // ntx, nty, ny // nty))
 
-
-@dataclass(frozen=True)
-class RefinementTable:
-    """Identifier -> (hx, hy, dt) map; all ratios must divide the tiling."""
-
-    levels: dict
-
-    def __post_init__(self):
-        if set(self.levels) != {1, 2, 3, 4}:
-            raise ValueError("table must define identifiers 1..4")
-
-    def resolution(self, identifier):
-        return self.levels[identifier]
+    def tile_max(self, base_field):
+        """Per-tile max of a base-grid field."""
+        return self.blocks(base_field).max(axis=(1, 3))
 
 
 @dataclass
@@ -187,50 +179,34 @@ def final_spatial(window, state):
     return p, s
 
 
-def residual_indicator(window, r_norm, tiling: Tiling):
+def residual_indicator(window, r_norm, base: BaseGrid, tiling: Tiling):
     """Per-tile max of |normalized residual| over cells, levels, equations.
 
     `r_norm` is the interleaved normalized conservation residual of one
-    assembly, taken at the warm start of a coarse trial window.
+    assembly of `window`, any decomposition on the base grid.
     """
-    ntx, nty = tiling.shape
-    eta = np.zeros((ntx, nty))
-    cell = window.st_spatial
-    ti, tj = tiling.tile_of(window.cell_cx[cell], window.cell_cy[cell])
     mag = np.maximum(np.abs(r_norm[0::2]), np.abs(r_norm[1::2]))
-    np.maximum.at(eta, (ti, tj), mag)
-    return eta
+    cell_max = np.zeros(window.n_spatial)
+    np.maximum.at(cell_max, window.st_spatial, mag)
+    return tiling.tile_max(base.rasterize(window, cell_max))
 
 
-def delta_change(s_start, s_end, base: BaseGrid, tiling: Tiling):
-    """Per-tile saturation deltas on the base grid.
+def delta_change(s_start, s_end, tiling: Tiling):
+    """Per-tile saturation deltas of base-grid fields.
 
     Returns (delta_s, delta_t): delta_t is the max per-cell change over the
     window; delta_s is the max absolute face difference of the final field,
     counting faces inside the tile and on its boundary.
     """
-    ntx, nty = tiling.shape
-    mx = _int_ratio(tiling.tile_hx, base.hx, NonIntegerRatio, "tile/base x")
-    my = _int_ratio(tiling.tile_hy, base.hy, NonIntegerRatio, "tile/base y")
-
-    def tile_max(field2d):
-        v = field2d.reshape(ntx, mx, nty, my)
-        return v.max(axis=(1, 3))
-
-    d_t = tile_max(np.abs(s_end - s_start))
-
-    d_s = np.zeros((ntx, nty))
     dx = np.abs(np.diff(s_end, axis=0))        # face between (i, j), (i+1, j)
     dy = np.abs(np.diff(s_end, axis=1))
-    ii = np.repeat(np.arange(base.nx - 1), base.ny)
-    jj = np.tile(np.arange(base.ny), base.nx - 1)
-    np.maximum.at(d_s, (ii // mx, jj // my), dx.ravel())
-    np.maximum.at(d_s, ((ii + 1) // mx, jj // my), dx.ravel())
-    ii = np.repeat(np.arange(base.nx), base.ny - 1)
-    jj = np.tile(np.arange(base.ny - 1), base.nx)
-    np.maximum.at(d_s, (ii // mx, jj // my), dy.ravel())
-    np.maximum.at(d_s, (ii // mx, (jj + 1) // my), dy.ravel())
-    return d_s, d_t
+    # each base cell's largest jump across its four faces
+    jump = np.zeros(np.shape(s_end))
+    jump[:-1] = dx
+    jump[1:] = np.maximum(jump[1:], dx)
+    jump[:, :-1] = np.maximum(jump[:, :-1], dy)
+    jump[:, 1:] = np.maximum(jump[:, 1:], dy)
+    return tiling.tile_max(jump), tiling.tile_max(np.abs(s_end - s_start))
 
 
 def classify(eta, delta_s, delta_t, thresholds: Thresholds):
@@ -249,24 +225,17 @@ def classify(eta, delta_s, delta_t, thresholds: Thresholds):
     ids[big_s & big_t] = 1
     ids[eta > thresholds.theta_eta] = 1
 
-    ones = ids == 1
-    near = np.zeros_like(ones)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            src = ones[max(0, -di):ones.shape[0] - max(0, di),
-                       max(0, -dj):ones.shape[1] - max(0, dj)]
-            near[max(0, di):ones.shape[0] - max(0, -di),
-                 max(0, dj):ones.shape[1] - max(0, -dj)] |= src
+    near = binary_dilation(ids == 1, np.ones((3, 3), bool))
     ids[near] = np.minimum(ids[near], 2)
     return IdentifierMap(ids, np.asarray(eta, dtype=float),
                          np.asarray(delta_s, dtype=float),
                          np.asarray(delta_t, dtype=float))
 
 
-def decompose(idmap: IdentifierMap, tiling: Tiling, table: RefinementTable):
+def decompose(idmap: IdentifierMap, tiling: Tiling, table: dict):
     """Tile the reservoir with rectangular subdomains of uniform identifier.
+
+    `table` maps each identifier to its (hx, hy, dt).
 
     Greedy maximal rectangles in row-major tile order: extend right while
     the identifier matches, then extend down while the whole span matches.
@@ -289,7 +258,7 @@ def decompose(idmap: IdentifierMap, tiling: Tiling, table: RefinementTable):
                     and np.all(ids[i:i1, j1] == k):
                 j1 += 1
             taken[i:i1, j:j1] = True
-            hx, hy, dt = table.resolution(int(k))
+            hx, hy, dt = table[int(k)]
             subs.append(Subdomain(
                 region=(x0 + i * tiling.tile_hx, y0 + j * tiling.tile_hy,
                         x0 + i1 * tiling.tile_hx, y0 + j1 * tiling.tile_hy),

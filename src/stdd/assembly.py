@@ -76,10 +76,6 @@ class StateField:
                    s=trace_s[window.st_spatial].copy(),
                    trace_p=trace_p.copy(), trace_s=trace_s.copy())
 
-    def copy(self):
-        return StateField(self.p.copy(), self.s.copy(),
-                          self.trace_p.copy(), self.trace_s.copy())
-
 
 def _face_geometry(window, props):
     f = window.faces

@@ -25,6 +25,8 @@ MODES = ("uniform-fine", "uniform-coarse", "static-dd", "dynamic-dd")
 # the constant identifier of each uniform reference mode
 UNIFORM_IDENTIFIER = {"uniform-fine": 1, "uniform-coarse": 4}
 WELL_KINDS = ("rate-water-injector", "bhp-producer")
+# how many numbers each geometry key holds
+GEOMETRY = {"reservoir": 4, "base_cell": 2, "tile": 2, "static_fine_box": 4}
 
 # A config's `newton` and `thresholds` sections are laid over these.
 NEWTON_DEFAULTS = asdict(NewtonConfig())
@@ -97,15 +99,24 @@ class RunConfig:
     # -- validation -------------------------------------------------------
 
     def validate(self):
+        for key, n in GEOMETRY.items():
+            if len(getattr(self, key)) != n:
+                raise ConfigError(f"{key} must hold {n} numbers")
+        if set(self.table) != {1, 2, 3, 4}:
+            raise ConfigError("table must define identifiers 1..4")
+        if any(len(row) != 3 for row in self.table.values()):
+            raise ConfigError("each table row must be (hx, hy, dt)")
+        if min(*self.base_cell, *self.tile,
+               *(v for row in self.table.values() for v in row)) <= 0:
+            raise ConfigError("cell sizes, tiles and time steps must be "
+                              "positive")
         x0, y0, x1, y1 = self.reservoir
         if not (x1 > x0 and y1 > y0):
             raise ConfigError("reservoir box must have positive extent")
-        if self.horizon <= 0 or self.delta_t <= 0:
-            raise ConfigError("horizon and delta_t must be positive")
+        if self.horizon <= 0 or self.delta_t <= 0 or self.dz <= 0:
+            raise ConfigError("horizon, delta_t and dz must be positive")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if set(self.table) != {1, 2, 3, 4}:
-            raise ConfigError("table must define identifiers 1..4")
         _int_ratio(self.tile[0], self.base_cell[0], ConfigError, "tile/base x")
         _int_ratio(self.tile[1], self.base_cell[1], ConfigError, "tile/base y")
         _int_ratio(x1 - x0, self.tile[0], ConfigError, "reservoir/tile x")
@@ -178,21 +189,22 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        if "table" in d:
-            d["table"] = {int(k): tuple(v) for k, v in d["table"].items()}
-        if "wells" in d:
-            d["wells"] = [WellSpec(tuple(w["tile"]), w["kind"], w["value"],
-                                   w.get("r_w", 0.25)) for w in d["wells"]]
-        for key in ("reservoir", "base_cell", "tile", "static_fine_box"):
-            if key in d:
-                d[key] = tuple(d[key])
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
+            if "table" in d:
+                d["table"] = {int(k): tuple(v)
+                              for k, v in d["table"].items()}
+            if "wells" in d:
+                d["wells"] = [WellSpec(**{**w, "tile": tuple(w["tile"])})
+                              for w in d["wells"]]
+            for key in GEOMETRY:
+                if key in d:
+                    d[key] = tuple(d[key])
             return cls(**d)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _check_permeability(kind="uniform", **params):
@@ -232,32 +244,46 @@ def _parse_bool(s):
     raise ConfigError(f"not a boolean: {s!r}")
 
 
+# INI sections that fill the config's dict-valued keys of the same name
+INI_NESTED = ("fluid", "relcap", "thresholds", "newton", "permeability")
+INI_RUN_FLOATS = ("dz", "horizon", "delta_t", "phi", "initial_pressure",
+                  "initial_saturation")
+
+
 def _from_ini(text, path):
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    try:
+        d = _ini_dict(cp)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return RunConfig.from_dict(d)
+
+
+def _ini_dict(cp):
+    """The from_dict input of a parsed INI file.  Raises ValueError on an
+    unknown section or [run] key and on a value that does not parse."""
     d = {}
+    for section in cp.sections():
+        if (section not in ("run", "table", *INI_NESTED)
+                and not section.startswith("well")):
+            raise ValueError(f"unknown section [{section}]")
     if cp.has_section("run"):
-        run = cp["run"]
-        for key in ("dz", "horizon", "delta_t", "phi", "initial_pressure",
-                    "initial_saturation"):
-            if key in run:
-                d[key] = float(run[key])
-        for key in ("mode", "mobility_model", "upscaling", "label"):
-            if key in run:
-                d[key] = run[key]
-        for key in ("use_capillarity", "emit_fine_levels"):
-            if key in run:
-                d[key] = _parse_bool(run[key])
-        for key in ("reservoir", "base_cell", "tile", "static_fine_box"):
-            if key in run:
-                d[key] = [float(v) for v in run[key].split()]
-    for section, target in (("fluid", "fluid"), ("relcap", "relcap"),
-                            ("thresholds", "thresholds"),
-                            ("newton", "newton"),
-                            ("permeability", "permeability")):
+        for key, v in cp["run"].items():
+            if key in ("mode", "mobility_model", "upscaling", "label"):
+                d[key] = v
+            elif key in ("use_capillarity", "emit_fine_levels"):
+                d[key] = _parse_bool(v)
+            elif key in GEOMETRY:
+                d[key] = [float(x) for x in v.split()]
+            elif key in INI_RUN_FLOATS:
+                d[key] = float(v)
+            else:
+                raise ValueError(f"[run] unknown key {key!r}")
+    for section in INI_NESTED:
         if cp.has_section(section):
             sub = {}
             for k, v in cp[section].items():
@@ -269,24 +295,23 @@ def _from_ini(text, path):
                     sub[k] = _parse_bool(v)
                 else:
                     sub[k] = float(v)
-            d[target] = sub
+            d[section] = sub
     if cp.has_section("table"):
         d["table"] = {k: [float(v) for v in s.split()]
                       for k, s in cp["table"].items()}
     wells = []
     for section in cp.sections():
         if section.startswith("well"):
-            w = cp[section]
-            try:
-                wells.append({"tile": [int(v) for v in w["tile"].split()],
-                              "kind": w["kind"], "value": float(w["value"]),
-                              "r_w": float(w.get("r_w", 0.25))})
-            except KeyError as exc:
-                raise ConfigError(
-                    f"{path}: [{section}] missing {exc}") from exc
+            w = dict(cp[section])
+            if "tile" in w:
+                w["tile"] = [int(v) for v in w["tile"].split()]
+            for key in ("value", "r_w"):
+                if key in w:
+                    w[key] = float(w[key])
+            wells.append(w)
     if wells:
         d["wells"] = wells
-    return RunConfig.from_dict(d)
+    return d
 
 
 # -- presets ---------------------------------------------------------------

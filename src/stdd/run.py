@@ -12,10 +12,9 @@ import os
 import numpy as np
 
 from . import output
-from .adaptivity import (BaseGrid, IdentifierMap, RefinementTable,
-                         Thresholds, Tiling, cell_permeability, classify,
-                         decompose, delta_change, final_spatial,
-                         residual_indicator, transfer_state)
+from .adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
+                         cell_permeability, classify, decompose, delta_change,
+                         final_spatial, residual_indicator, transfer_state)
 from .assembly import CellProperties, ResolvedWells, StateField, linearize
 from .config import UNIFORM_IDENTIFIER, RunConfig
 from .errors import MismatchedProblem, NonConvergence, StddError
@@ -37,7 +36,7 @@ class Problem:
         self.cfg = cfg
         self.base = BaseGrid(cfg.reservoir, cfg.base_cell, cfg.dz)
         self.tiling = Tiling(cfg.reservoir, cfg.tile[0], cfg.tile[1])
-        self.table = RefinementTable(dict(cfg.table))
+        self.table = dict(cfg.table)
         self.thresholds = Thresholds(**cfg.thresholds)
         self.model = FluidRockModel(
             fluid=FluidModel(**cfg.fluid),
@@ -105,23 +104,13 @@ class Problem:
         return wells
 
     def _well_cells(self, window, w):
-        """Cells whose centers fall in the well tile, else the enclosing cell."""
-        x0, y0, _, _ = self.cfg.reservoir
+        """The window's cells covering the well tile, in ascending order.
+
+        Every cell lies inside one tile: cell sizes divide the tile, and
+        subdomains are unions of tiles."""
         i, j = w.tile
-        bx0 = x0 + i * self.cfg.tile[0]
-        bx1 = bx0 + self.cfg.tile[0]
-        by0 = y0 + j * self.cfg.tile[1]
-        by1 = by0 + self.cfg.tile[1]
-        cx, cy = window.cell_cx, window.cell_cy
-        inside = np.nonzero((cx > bx0) & (cx < bx1)
-                            & (cy > by0) & (cy < by1))[0]
-        if len(inside):
-            return inside
-        mx, my = (bx0 + bx1) / 2.0, (by0 + by1) / 2.0
-        host = np.nonzero(
-            (np.abs(cx - mx) <= window.cell_hx / 2.0)
-            & (np.abs(cy - my) <= window.cell_hy / 2.0))[0]
-        return host[:1]
+        owner = self.base.owner(window).cells
+        return np.unique(self.tiling.blocks(owner)[i, :, j, :])
 
     # -- identifier maps --------------------------------------------------
 
@@ -174,7 +163,7 @@ def _predict(pb, ncfg, all_coarse, t_start, prev, final, s_now):
     props, wells = pb.props_for(trial), pb.wells_for(trial)
     r_norm = linearize(trial, StateField.from_trace(trial, tp, ts), props,
                        wells, pb.model).r_norm
-    eta = residual_indicator(trial, r_norm, pb.tiling)
+    eta = residual_indicator(trial, r_norm, pb.base, pb.tiling)
     try:
         sol, entry = newton_solve_window(trial, props, wells, tp, ts,
                                          pb.model, ncfg)
@@ -184,8 +173,8 @@ def _predict(pb, ncfg, all_coarse, t_start, prev, final, s_now):
         return (classify(eta, big, big.copy(), pb.thresholds),
                 fail.iterations * trial.n_y)
     s_pred = pb.base.rasterize(trial, final_spatial(trial, sol)[1])
-    d_s_now, _ = delta_change(s_now, s_now, pb.base, pb.tiling)
-    d_s_pred, d_t = delta_change(s_now, s_pred, pb.base, pb.tiling)
+    d_s_now, _ = delta_change(s_now, s_now, pb.tiling)
+    d_s_pred, d_t = delta_change(s_now, s_pred, pb.tiling)
     return (classify(eta, np.maximum(d_s_now, d_s_pred), d_t, pb.thresholds),
             entry.iterations * trial.n_y)
 

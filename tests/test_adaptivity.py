@@ -9,18 +9,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solveh_banded
 
-from stdd.adaptivity import (BaseGrid, IdentifierMap, RefinementTable,
-                             Thresholds, Tiling, cell_permeability, classify,
-                             decompose, delta_change, final_spatial,
+from stdd.adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
+                             cell_permeability, classify, decompose,
+                             delta_change, final_spatial, residual_indicator,
                              transfer_state, upscale_permeability)
-from stdd.config import preset
+from stdd.config import RunConfig, WellSpec, preset
 from stdd.errors import NonIntegerRatio
 from stdd.mesh import Subdomain, _int_offset, _int_ratio, build_window
 
 run_module = importlib.import_module("stdd.run")
 
-TABLE = RefinementTable({1: (0.5, 0.5, 1.0), 2: (0.5, 0.5, 4.0),
-                         3: (2.5, 2.5, 1.0), 4: (2.5, 2.5, 4.0)})
+TABLE = {1: (0.5, 0.5, 1.0), 2: (0.5, 0.5, 4.0),
+         3: (2.5, 2.5, 1.0), 4: (2.5, 2.5, 4.0)}
 
 
 class TestClassify:
@@ -141,7 +141,7 @@ class TestDeltaChange:
         s0 = np.zeros(base.shape)
         s1 = np.zeros(base.shape)
         s1[1, 1] = 0.4      # inside left tile
-        d_s, d_t = delta_change(s0, s1, base, tiling)
+        d_s, d_t = delta_change(s0, s1, tiling)
         assert d_t[0, 0] == pytest.approx(0.4)
         assert d_t[1, 0] == 0.0
         assert d_s[0, 0] == pytest.approx(0.4)
@@ -151,7 +151,7 @@ class TestDeltaChange:
         tiling = Tiling((0.0, 0.0, 2.0, 1.0), 1.0, 1.0)
         s = np.zeros(base.shape)
         s[2:, :] = 0.5      # jump exactly on the tile boundary
-        d_s, _ = delta_change(s, s, base, tiling)
+        d_s, _ = delta_change(s, s, tiling)
         assert d_s[0, 0] == pytest.approx(0.5)
         assert d_s[1, 0] == pytest.approx(0.5)
 
@@ -159,7 +159,7 @@ class TestDeltaChange:
         base = BaseGrid((0.0, 0.0, 5.0, 5.0), (0.5, 0.5))
         tiling = Tiling((0.0, 0.0, 5.0, 5.0), 2.5, 2.5)
         s = np.full(base.shape, 0.37)
-        d_s, d_t = delta_change(s, s, base, tiling)
+        d_s, d_t = delta_change(s, s, tiling)
         assert np.all(d_s == 0.0) and np.all(d_t == 0.0)
 
 
@@ -392,12 +392,62 @@ def ref_block(base, window, c):
     return slice(i0, i0 + mi), slice(j0, j0 + mj)
 
 
+def ref_tile_of(tiling, x, y):
+    """Tile indices (ti, tj) of points (x, y), by floor division."""
+    x0, y0, _, _ = tiling.reservoir
+    ntx, nty = tiling.shape
+    ti = np.clip((np.asarray(x) - x0) // tiling.tile_hx, 0, ntx - 1)
+    tj = np.clip((np.asarray(y) - y0) // tiling.tile_hy, 0, nty - 1)
+    return ti.astype(int), tj.astype(int)
+
+
+def ref_residual_indicator(window, r_norm, tiling):
+    """Per-tile max of |r_norm|, scattered through cell-centre tiles."""
+    eta = np.zeros(tiling.shape)
+    cell = window.st_spatial
+    ti, tj = ref_tile_of(tiling, window.cell_cx[cell], window.cell_cy[cell])
+    mag = np.maximum(np.abs(r_norm[0::2]), np.abs(r_norm[1::2]))
+    np.maximum.at(eta, (ti, tj), mag)
+    return eta
+
+
+def ref_delta_change(s_start, s_end, base, tiling):
+    """(delta_s, delta_t), each face scattered to the tiles of its cells."""
+    mx = _int_ratio(tiling.tile_hx, base.hx, NonIntegerRatio, "x")
+    my = _int_ratio(tiling.tile_hy, base.hy, NonIntegerRatio, "y")
+    d_t = np.zeros(tiling.shape)
+    ii, jj = np.indices(base.shape)
+    np.maximum.at(d_t, (ii // mx, jj // my), np.abs(s_end - s_start))
+    d_s = np.zeros(tiling.shape)
+    dx = np.abs(np.diff(s_end, axis=0))
+    dy = np.abs(np.diff(s_end, axis=1))
+    ii = np.repeat(np.arange(base.nx - 1), base.ny)
+    jj = np.tile(np.arange(base.ny), base.nx - 1)
+    np.maximum.at(d_s, (ii // mx, jj // my), dx.ravel())
+    np.maximum.at(d_s, ((ii + 1) // mx, jj // my), dx.ravel())
+    ii = np.repeat(np.arange(base.nx), base.ny - 1)
+    jj = np.tile(np.arange(base.ny - 1), base.nx)
+    np.maximum.at(d_s, (ii // mx, jj // my), dy.ravel())
+    np.maximum.at(d_s, (ii // mx, (jj + 1) // my), dy.ravel())
+    return d_s, d_t
+
+
+def ref_well_cells(window, tiling, tile):
+    """Cells whose centres fall strictly inside the tile."""
+    x0, y0, _, _ = tiling.reservoir
+    bx0 = x0 + tile[0] * tiling.tile_hx
+    by0 = y0 + tile[1] * tiling.tile_hy
+    cx, cy = window.cell_cx, window.cell_cy
+    return np.nonzero((cx > bx0) & (cx < bx0 + tiling.tile_hx)
+                      & (cy > by0) & (cy < by0 + tiling.tile_hy))[0]
+
+
 class TestOwnerMap:
     RES = (0.0, 0.0, 15.0, 10.0)
 
     def setup_method(self):
         self.base = BaseGrid(self.RES, (0.5, 0.5))
-        tiling = Tiling(self.RES, 2.5, 2.5)
+        self.tiling = tiling = Tiling(self.RES, 2.5, 2.5)
         ids = np.full(tiling.shape, 4)
         ids[1:3, 1:3] = 1        # a fine box
         ids[4:, :2] = 3          # refined in time only
@@ -437,6 +487,35 @@ class TestOwnerMap:
         for c, (si, sj) in enumerate(self.blocks()):
             assert kx[c] == upscale_permeability(kxb[si, sj], 0.5, 0.5, "x")
             assert ky[c] == upscale_permeability(kyb[si, sj], 0.5, 0.5, "y")
+
+    def test_residual_indicator(self):
+        # several levels per cell where the decomposition refines time
+        assert self.window.n_st > self.window.n_spatial
+        r_norm = self.rng.normal(size=2 * self.window.n_st)
+        eta = residual_indicator(self.window, r_norm, self.base, self.tiling)
+        assert np.array_equal(
+            eta, ref_residual_indicator(self.window, r_norm, self.tiling))
+
+    def test_delta_change(self):
+        s0 = self.rng.random(self.base.shape)
+        s1 = self.rng.random(self.base.shape)
+        got = delta_change(s0, s1, self.tiling)
+        ref = ref_delta_change(s0, s1, self.base, self.tiling)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+
+    def test_well_cells(self):
+        cfg = RunConfig(reservoir=self.RES, horizon=4.0, delta_t=4.0,
+                        table=TABLE,
+                        permeability={"kind": "uniform", "value": 100.0},
+                        wells=[])
+        pb = run_module.Problem(cfg)
+        ntx, nty = self.tiling.shape
+        for tile in np.ndindex(ntx, nty):
+            got = pb._well_cells(self.window,
+                                 WellSpec(tile, "bhp-producer", 1000.0))
+            assert np.array_equal(
+                got, ref_well_cells(self.window, self.tiling, tile)), tile
 
     @pytest.mark.parametrize("subs, what", [
         # a cell size that is not a whole number of base cells

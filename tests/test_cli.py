@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from stdd.errors import SingularMatrix
 from stdd.run import run
 
 run_module = importlib.import_module("stdd.run")
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +102,16 @@ class TestExitCodes:
          {"permeability": {"kind": "gaussian", "bogus": 1}}, EXIT_CONFIG),
         ("horizon not whole windows", {"horizon": 9.0}, EXIT_CONFIG),
         ("unknown mobility model", {"mobility_model": "quadratic"},
+         EXIT_CONFIG),
+        ("three-number reservoir", {"reservoir": [0, 0, 10]}, EXIT_CONFIG),
+        ("well without kind",
+         {"wells": [{"tile": [0, 0], "value": 0.1}]}, EXIT_CONFIG),
+        ("zero base cell", {"base_cell": [0, 0.5]}, EXIT_CONFIG),
+        ("table not a mapping", {"table": [1, 2, 3, 4]}, EXIT_CONFIG),
+        ("zero thickness", {"dz": 0}, EXIT_CONFIG),
+        ("two-number table row",
+         {"table": {"1": [0.5, 0.5], "2": [0.5, 0.5, 2.0],
+                    "3": [2.5, 2.5, 0.5], "4": [2.5, 2.5, 2.0]}},
          EXIT_CONFIG),
         ("well radius too large for its tile",
          {"wells": [{"tile": [0, 0], "kind": "rate-water-injector",
@@ -213,16 +225,24 @@ class TestEnvironment:
 
 
 class TestConsoleScript:
+    """`python -m stdd` in a subprocess, with `src` on its PYTHONPATH."""
+
+    def env(self):
+        env = dict(os.environ, STDD_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return env
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stdd", "curves", "--config",
              "preset:toy"],
-            capture_output=True, text=True,
-            env={**os.environ, "STDD_THREADS": "1"})
+            capture_output=True, text=True, env=self.env())
         assert proc.returncode == 0
         assert proc.stdout.startswith("sw,krw,kro,pc")
 
     def test_usage_error_for_missing_subcommand(self):
         proc = subprocess.run([sys.executable, "-m", "stdd"],
-                              capture_output=True, text=True)
-        assert proc.returncode != 0
+                              capture_output=True, text=True, env=self.env())
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage:")

@@ -206,9 +206,15 @@ value = 1000
 
     def test_malformed_ini_reported(self, tmp_path):
         p = tmp_path / "cfg.ini"
-        p.write_text("run]\nmode oops\n")
-        with pytest.raises(ConfigError):
-            load_config(p)
+        for text in ("run]\nmode oops\n",
+                     "[run]\nhorizon = abc\n",
+                     "[run]\nhorizn = 4\n",
+                     "[newtonn]\nmax_iters = 40\n",
+                     "[well.injector]\ntile = 0 0\n"
+                     "kind = rate-water-injector\nvalue = 0.1\nrw = 0.1\n"):
+            p.write_text(text)
+            with pytest.raises(ConfigError):
+                load_config(p)
 
 
 class TestPresets:
