@@ -17,6 +17,7 @@ pore-volume weighting, which preserves total water pore volume exactly.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,11 @@ class Thresholds:
     theta_ds: float = 0.04
     theta_dt: float = 0.04
     theta_eta: float = 0.5
+
+    def __post_init__(self):
+        for v in (self.theta_ds, self.theta_dt, self.theta_eta):
+            if not (isinstance(v, numbers.Real) and v >= 0):
+                raise ValueError("thresholds must be non-negative numbers")
 
 
 @dataclass(frozen=True)

@@ -239,8 +239,9 @@ class CellSystem:
     _prev: np.ndarray = field(repr=False)
     _faces: _FaceClosure = field(repr=False)
 
-    def jacobian(self):
-        """The reduced Jacobian as CSC, with no stored zeros."""
+    def jacobian(self, pattern=None):
+        """The reduced Jacobian as CSC in `pattern`'s numbering (the
+        window's `jacobian_pattern` by default), with no stored zeros."""
         fc = self._faces
         a = fc.a
         if np.any(a <= 0) or not np.all(np.isfinite(a)):
@@ -271,7 +272,7 @@ class CellSystem:
         for e in range(4):
             own[:, e] += (np.bincount(cl, ll[:, e], n)
                           - np.bincount(cr, lr[:, e], n))
-        pat = w.jacobian_pattern
+        pat = w.jacobian_pattern if pattern is None else pattern
         data = np.empty(pat.nnz)
         groups = np.split(pat.pos, np.cumsum([n, len(self._prev), w.n_faces]))
         for pos, vals in zip(groups, (own, self._prev, lr,
@@ -280,7 +281,8 @@ class CellSystem:
         jac = sp.csc_matrix((data, pat.indices.copy(), pat.indptr.copy()),
                             shape=(w.n_y, w.n_y))
         # entries that are zero at this state (an upwind side, a zero
-        # mobility) would otherwise be stored and slow the factorization
+        # mobility) would otherwise be stored and slow the factorization;
+        # this compacts the index arrays in place, hence their copies
         jac.eliminate_zeros()
         return jac
 

@@ -137,13 +137,15 @@ def _print_report(rep):
         return "n/a" if v is None else format(v, fmt)
 
     print(f"{'':12s}{'cost metric':>16s}{'all-in cost':>16s}"
-          f"{'wall ms':>14s}")
+          f"{'LU cost':>16s}{'wall ms':>14s}")
     for r in (rep["a"], rep["b"]):
         print(f"{r['label']:12s}{r['cost_metric']:>16d}"
-              f"{known(r['all_in_cost']):>16s}{r['wall_ms']:>14.1f}")
+              f"{known(r['all_in_cost']):>16s}{known(r['lu_cost']):>16s}"
+              f"{r['wall_ms']:>14.1f}")
     print(f"cost ratio (a/b): {rep['cost_ratio']:.4f}")
     print(f"all-in cost ratio (a/b): "
           f"{known(rep['all_in_cost_ratio'], '.4f')}")
+    print(f"LU cost ratio (a/b): {known(rep['lu_cost_ratio'], '.4f')}")
     print(f"Newton wall ratio (a/b): {rep['wall_ratio']:.4f}")
     print(f"{'time (d)':>10s}{'L_inf dS':>12s}{'L2 dS':>12s}")
     for d in rep["saturation_differences"]:

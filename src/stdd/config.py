@@ -12,7 +12,10 @@ import configparser
 import inspect
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
+
+import numpy as np
 
 from .adaptivity import Thresholds
 from .errors import ConfigError
@@ -27,6 +30,9 @@ UNIFORM_IDENTIFIER = {"uniform-fine": 1, "uniform-coarse": 4}
 WELL_KINDS = ("rate-water-injector", "bhp-producer")
 # how many numbers each geometry key holds
 GEOMETRY = {"reservoir": 4, "base_cell": 2, "tile": 2, "static_fine_box": 4}
+# the keys that hold one number each
+SCALARS = ("dz", "horizon", "delta_t", "phi", "initial_pressure",
+           "initial_saturation")
 
 # A config's `newton` and `thresholds` sections are laid over these.
 NEWTON_DEFAULTS = asdict(NewtonConfig())
@@ -99,6 +105,10 @@ class RunConfig:
     # -- validation -------------------------------------------------------
 
     def validate(self):
+        for key in SCALARS:
+            v = getattr(self, key)
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise ConfigError(f"{key} must be a finite number")
         for key, n in GEOMETRY.items():
             if len(getattr(self, key)) != n:
                 raise ConfigError(f"{key} must hold {n} numbers")
@@ -208,13 +218,16 @@ class RunConfig:
 
 
 def _check_permeability(kind="uniform", **params):
-    """Raise TypeError or ValueError unless the spec can build a field."""
+    """Raise TypeError or ValueError unless the spec can build a field;
+    a generator's field must be finite and positive on an 8x8 grid."""
     if kind == "file":
         inspect.signature(load_fields).bind(None, **params)
         if params.get("layout", "row-major") not in LAYOUTS:
             raise ValueError(f"unknown layout {params['layout']!r}")
     elif kind in GENERATORS:
-        inspect.signature(GENERATORS[kind]).bind(None, **params)
+        k = GENERATORS[kind]((8, 8), **params)
+        if not np.all(np.isfinite(k) & (k > 0)):
+            raise ValueError("permeability must be finite and positive")
     else:
         raise ValueError(f"unknown field kind {kind!r}")
 

@@ -44,9 +44,10 @@ class SingularMatrix(StddError):
 class NonConvergence(StddError):
     """Newton failed to reach tolerance within the iteration budget."""
 
-    def __init__(self, iterations, final_norm, message=None):
+    def __init__(self, iterations, final_norm, message=None, lu_nnz=0):
         self.iterations = iterations
         self.final_norm = final_norm
+        self.lu_nnz = lu_nnz     # SuperLU's stored entries over its solves
         super().__init__(
             message
             or f"Newton did not converge: {iterations} iterations, "

@@ -9,6 +9,11 @@ granularity in both space and time: one unknown per fine face per fine time
 level, and the coarse cell's divergence sums all of them, which is what makes
 the scheme locally conservative across the interface.
 
+A window keeps its Jacobian's CSC pattern in two cell numberings, built on
+first use from the structure alone: natural (`jacobian_pattern`), which
+`stdd.solver` factors with COLAMD, and minimum degree (`ordered_pattern`),
+which it factors in symmetric mode once the window is swept.
+
 Windows are immutable after construction and safe to share across threads.
 """
 
@@ -18,6 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (
     MeshError,
@@ -149,6 +156,35 @@ class JacobianPattern:
         return len(self.indices)
 
 
+def _block_pattern(n, rows, cols):
+    """CSC pattern of an n-cell Jacobian with a 2x2 block at each
+    (rows[k], cols[k]).
+
+    Column 2j (p) and column 2j + 1 (s) of cell j hold the same rows:
+    2i and 2i + 1 for each cell i coupled to j, in order of i.
+    """
+    pairs, block = np.unique(cols * n + rows, return_inverse=True)
+    if len(pairs) != len(rows):
+        raise MeshError("two faces join the same pair of cells")
+    j, i = np.divmod(pairs, n)
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=n))])
+    m = np.diff(ptr)                  # blocks in each column of cells
+    first = 4 * ptr[j] + 2 * (np.arange(len(pairs)) - ptr[j])
+    entry = (first[:, None] + np.array([0, 0, 1, 1])
+             + 2 * m[j][:, None] * np.array([0, 1, 0, 1]))
+    indices = np.empty(4 * len(pairs), dtype=np.int32)
+    indices[entry] = 2 * i[:, None] + np.array([0, 0, 1, 1])
+    indptr = np.empty(2 * n + 1, dtype=np.int32)
+    indptr[0:-1:2] = 4 * ptr[:-1]
+    indptr[1::2] = 4 * ptr[:-1] + 2 * m
+    indptr[-1] = 4 * ptr[-1]
+    pattern = JacobianPattern(indptr=indptr, indices=indices,
+                              pos=entry[block.ravel()])
+    for a in vars(pattern).values():
+        a.setflags(write=False)
+    return pattern
+
+
 class SpaceTimeWindow:
     """Immutable mesh + DOF numbering for one matching step."""
 
@@ -222,33 +258,40 @@ class SpaceTimeWindow:
 
     @cached_property
     def jacobian_pattern(self):
-        """The Jacobian's CSC pattern, built on first use.
+        """The Jacobian's CSC pattern in the natural cell numbering, built
+        on first use."""
+        return _block_pattern(self.n_st, *self.jacobian_blocks())
 
-        Column 2j (p) and column 2j + 1 (s) of cell j hold the same rows:
-        2i and 2i + 1 for each cell i coupled to j, in order of i.
-        """
+    @cached_property
+    def cell_order(self):
+        """Minimum-degree order of the symmetrized cell graph, whose edges
+        are the blocks of `jacobian_blocks`: position k holds cell
+        `cell_order[k]`.  SciPy exposes minimum degree only through
+        SuperLU, so this factors a diagonally dominant matrix on the graph
+        (-1 per edge, degree + 1 on the diagonal) with diagonal pivots;
+        `perm_c[c]` is cell c's position."""
         n = self.n_st
         rows, cols = self.jacobian_blocks()
-        pairs, block = np.unique(cols * n + rows, return_inverse=True)
-        if len(pairs) != len(rows):
-            raise MeshError("two faces join the same pair of cells")
-        j, i = np.divmod(pairs, n)
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=n))])
-        m = np.diff(ptr)                  # blocks in each column of cells
-        first = 4 * ptr[j] + 2 * (np.arange(len(pairs)) - ptr[j])
-        entry = (first[:, None] + np.array([0, 0, 1, 1])
-                 + 2 * m[j][:, None] * np.array([0, 1, 0, 1]))
-        indices = np.empty(4 * len(pairs), dtype=np.int32)
-        indices[entry] = 2 * i[:, None] + np.array([0, 0, 1, 1])
-        indptr = np.empty(2 * n + 1, dtype=np.int32)
-        indptr[0:-1:2] = 4 * ptr[:-1]
-        indptr[1::2] = 4 * ptr[:-1] + 2 * m
-        indptr[-1] = 4 * ptr[-1]
-        pattern = JacobianPattern(indptr=indptr, indices=indices,
-                                  pos=entry[block.ravel()])
-        for a in vars(pattern).values():
-            a.setflags(write=False)
-        return pattern
+        off = rows != cols
+        i = np.concatenate([rows[off], cols[off]])
+        j = np.concatenate([cols[off], rows[off]])
+        graph = sp.csc_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+        graph.sum_duplicates()
+        graph.data[:] = -1.0
+        degree = np.diff(graph.indptr)
+        spd = (graph + sp.diags(degree + 1.0)).tocsc()
+        lu = spla.splu(spd, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        return np.argsort(lu.perm_c)
+
+    @cached_property
+    def ordered_pattern(self):
+        """`jacobian_pattern` with cell `cell_order[k]` numbered k, built
+        on first use; a cell's p and s unknowns stay adjacent."""
+        rank = np.empty(self.n_st, dtype=np.int64)
+        rank[self.cell_order] = np.arange(self.n_st)
+        rows, cols = self.jacobian_blocks()
+        return _block_pattern(self.n_st, rank[rows], rank[cols])
 
     def final_level_cells(self):
         """Space-time indices of every spatial cell at the window's end time."""

@@ -143,8 +143,8 @@ class Problem:
 
 
 def _predict(pb, ncfg, all_coarse, t_start, prev, final, s_now):
-    """Identifier map of the window starting at `t_start`, and the reduced
-    DOFs of its predictor solves.
+    """Identifier map of the window starting at `t_start`, the reduced
+    DOFs of its predictor solves and their factors' stored entries.
 
     An all-coarse trial window is solved from the final level `final` of
     the window `prev` (or from the initial state, when `prev` is None).
@@ -171,12 +171,12 @@ def _predict(pb, ncfg, all_coarse, t_start, prev, final, s_now):
         # predictor failed: refine everywhere rather than guess
         big = np.full(pb.tiling.shape, pb.thresholds.theta_ds + 1.0)
         return (classify(eta, big, big.copy(), pb.thresholds),
-                fail.iterations * trial.n_y)
+                fail.iterations * trial.n_y, fail.lu_nnz)
     s_pred = pb.base.rasterize(trial, final_spatial(trial, sol)[1])
     d_s_now, _ = delta_change(s_now, s_now, pb.tiling)
     d_s_pred, d_t = delta_change(s_now, s_pred, pb.tiling)
     return (classify(eta, np.maximum(d_s_now, d_s_pred), d_t, pb.thresholds),
-            entry.iterations * trial.n_y)
+            entry.iterations * trial.n_y, entry.lu_nnz)
 
 
 def _escalate(idmap):
@@ -248,6 +248,7 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
         all_coarse = decompose(pb.constant_idmap(4), pb.tiling, pb.table)
     ledger = RunLedger()
     predictor_cost = 0
+    lu_cost = 0             # SuperLU's stored entries over every solve
     snapshots = []
     balance = {"injected": 0.0, "produced_w": 0.0, "produced_o": 0.0,
                "initial_w": None, "final_w": 0.0}
@@ -259,9 +260,10 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
             t = 0.0 if window is None else window.t_end
             new_map = fixed
             if fixed is None:
-                new_map, cost = _predict(pb, ncfg, all_coarse, t, window,
-                                         final, s2d)
+                new_map, cost, lu = _predict(pb, ncfg, all_coarse, t,
+                                             window, final, s2d)
                 predictor_cost += cost
+                lu_cost += lu
             if new_map is not idmap:
                 subs = decompose(new_map, pb.tiling, pb.table)
             idmap = new_map
@@ -285,6 +287,7 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                     break
                 except NonConvergence as fail:
                     ledger.failed_cost += fail.iterations * new.n_y
+                    lu_cost += fail.lu_nnz
                     if attempt == attempts - 1:
                         how = " after escalation" if attempt else ""
                         raise NonConvergence(
@@ -294,6 +297,7 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                     subs = decompose(idmap, pb.tiling, pb.table)
             window = new
             ledger.entries.append(entry)
+            lu_cost += entry.lu_nnz
             final = final_spatial(window, state)
 
             inj, pw, po, w_end, w_start = window_mass(
@@ -355,6 +359,7 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
         "failed_cost": ledger.failed_cost,
         "all_in_cost": (ledger.cost_metric + predictor_cost
                         + ledger.failed_cost),
+        "lu_cost": lu_cost,
         "total_wall_ms": ledger.total_wall_ms,
         "mass_balance": {**balance, "accumulated": accumulated,
                          "relative_error": rel},
@@ -391,9 +396,10 @@ def compare(dir_a, dir_b):
     Both runs must describe the same physical problem (reservoir, base
     grid, horizon, wells, permeability source).  Saturation differences
     are computed at every common snapshot time; L2 is the RMS over base
-    cells.  The all-in cost ratio is None when either run's summary
-    predates its `all_in_cost`.  `wall_ratio` divides the two runs' Newton
-    wall times (`total_wall_ms`), not their end-to-end times.
+    cells.  The all-in and LU cost ratios are None when either run's
+    summary predates its `all_in_cost` or `lu_cost`.  `wall_ratio`
+    divides the two runs' Newton wall times (`total_wall_ms`), not their
+    end-to-end times.
     """
     sa = output.read_summary(os.path.join(dir_a, "run_summary.json"))
     sb = output.read_summary(os.path.join(dir_b, "run_summary.json"))
@@ -413,17 +419,23 @@ def compare(dir_a, dir_b):
         diffs.append({"time": t,
                       "linf": float(np.max(np.abs(d))),
                       "l2": float(np.sqrt(np.mean(d * d)))})
-    all_a, all_b = sa.get("all_in_cost"), sb.get("all_in_cost")
+
+    def side(s):
+        return {"label": s["label"], "mode": s["mode"],
+                "cost_metric": s["cost_metric"],
+                "all_in_cost": s.get("all_in_cost"),
+                "lu_cost": s.get("lu_cost"), "wall_ms": s["total_wall_ms"]}
+
+    def ratio(key):
+        a, b = sa.get(key), sb.get(key)
+        return None if a is None or b is None else a / max(b, 1)
+
     return {
-        "a": {"label": sa["label"], "mode": sa["mode"],
-              "cost_metric": sa["cost_metric"], "all_in_cost": all_a,
-              "wall_ms": sa["total_wall_ms"]},
-        "b": {"label": sb["label"], "mode": sb["mode"],
-              "cost_metric": sb["cost_metric"], "all_in_cost": all_b,
-              "wall_ms": sb["total_wall_ms"]},
+        "a": side(sa),
+        "b": side(sb),
         "cost_ratio": sa["cost_metric"] / max(sb["cost_metric"], 1),
-        "all_in_cost_ratio": (None if all_a is None or all_b is None
-                              else all_a / max(all_b, 1)),
+        "all_in_cost_ratio": ratio("all_in_cost"),
+        "lu_cost_ratio": ratio("lu_cost"),
         "wall_ratio": (sa["total_wall_ms"]
                        / max(sb["total_wall_ms"], 1.0e-9)),
         "saturation_differences": diffs,

@@ -4,6 +4,12 @@ Each matching window is solved monolithically: evaluate the residual of the
 flux-eliminated space-time system and check the max norm of its normalized
 form; above tolerance, fill the reduced Jacobian, solve it directly and
 update.  `stdd.run` marches the windows.
+
+SuperLU factors on one of two paths, chosen per window by its first
+Jacobian.  A swept window, whose first Jacobian stores more than
+`SYMMETRIC_MIN_STORED` of its structural pattern, is factored in the
+window's minimum-degree cell numbering with diagonal pivots (symmetric
+mode); any other in COLAMD's order with partial pivoting.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ class LedgerEntry:
     n_reduced_dofs: int
     wall_ms: float
     converged: bool
+    lu_nnz: int = 0         # SuperLU's stored entries over its solves
 
 
 @dataclass
@@ -80,27 +87,42 @@ class RunLedger:
 # column slows the densest factors and eight the sparser ones.
 SUPERLU_RELAX = 1
 SUPERLU_PANEL_SIZE = 4
+# The stored share of the structural pattern above which a window is swept:
+# water flows through most of it.  Below, COLAMD gains from the
+# zero-mobility entries ahead of the front.
+SYMMETRIC_MIN_STORED = 0.55
 
 
-def linear_solve(jacobian, residual):
+def linear_solve(jacobian, residual, symmetric=False, fill=None):
     """Direct sparse solve of J dy = -r with a relative-residual check.
 
-    SuperLU factors with COLAMD ordering, unrelaxed supernodes and
-    four-column panels (`SUPERLU_RELAX`, `SUPERLU_PANEL_SIZE`).  Relaxed
-    supernodes store padding zeros in these block-structured Jacobians:
-    on the recorded Newton Jacobians of the desk presets, the unrelaxed
-    factors hold 0.74-0.96x the default fill and take 3-28% less time
-    (up to 2% more, within noise, on the densest static-dd factors), and
-    the solutions agree to round-off.  One-column panels are faster
-    still on uniform-fine and dynamic-dd but up to 24% slower than the
-    defaults on those dense static-dd factors.
+    SuperLU factors with unrelaxed supernodes and four-column panels
+    (`SUPERLU_RELAX`, `SUPERLU_PANEL_SIZE`): by default in COLAMD's order
+    with partial pivoting; with `symmetric`, in the given numbering in
+    symmetric mode, pivoting on the diagonal unless it is below 0.01 of
+    its column's largest entry.  The factor's stored entries
+    (`SuperLU.nnz`) are appended to the list `fill`.
+
+    Relaxed supernodes store padding zeros in these block-structured
+    Jacobians: on the recorded Newton Jacobians of the desk presets, the
+    unrelaxed factors hold 0.74-0.96x the default fill and take 3-28%
+    less time (up to 2% more, within noise, on the densest static-dd
+    factors), and the solutions agree to round-off.  One-column panels
+    are faster still on uniform-fine and dynamic-dd but up to 24% slower
+    than the defaults on those dense static-dd factors.
     """
+    path = {}
+    if symmetric:
+        path = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01,
+                    options={"SymmetricMode": True})
     try:
         lu = spla.splu(jacobian.tocsc(), relax=SUPERLU_RELAX,
-                       panel_size=SUPERLU_PANEL_SIZE)
+                       panel_size=SUPERLU_PANEL_SIZE, **path)
         dy = lu.solve(-residual)
     except (RuntimeError, ValueError) as exc:
         raise SingularMatrix(str(exc)) from exc
+    if fill is not None:
+        fill.append(lu.nnz)
     if not np.all(np.isfinite(dy)):
         raise SingularMatrix("linear solve produced non-finite values")
     scale = np.max(np.abs(residual)) if len(residual) else 0.0
@@ -118,44 +140,67 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
 
     The initial guess replicates the entry trace across all time levels.  A
     state that already satisfies the tolerance returns after zero update
-    iterations.
+    iterations.  A swept window solves every Jacobian in
+    `window.ordered_pattern`'s numbering on the symmetric path.
     """
     t0 = time.perf_counter()
     state = StateField.from_trace(window, trace_p, trace_s)
     norms = []
+    fill = []               # SuperLU's stored entries, per solve
+    pattern = unknowns = None   # natural numbering unless the window is swept
 
     def entry(converged, iters):
         return LedgerEntry(
             window_index=window.window_index, t_start=window.t_start,
             t_end=window.t_end, iterations=iters, norms=list(norms),
             n_reduced_dofs=window.n_y,
-            wall_ms=(time.perf_counter() - t0) * 1.0e3, converged=converged)
+            wall_ms=(time.perf_counter() - t0) * 1.0e3, converged=converged,
+            lu_nnz=sum(fill))
 
+    sys_ = linearize(window, state, props, wells, model)
     for k in range(cfg.max_iters + 1):
-        sys_ = linearize(window, state, props, wells, model)
         norm = float(np.max(np.abs(sys_.r_norm))) if window.n_st else 0.0
         norms.append(norm)
         if norm <= cfg.tol:
             return state, entry(True, k)
         if k == cfg.max_iters:
             break
-        dy = linear_solve(sys_.jacobian(), sys_.r_y)
+        jac = sys_.jacobian(pattern)
+        if k == 0 and jac.nnz > (SYMMETRIC_MIN_STORED
+                                 * window.jacobian_pattern.nnz):
+            pattern = window.ordered_pattern
+            unknowns = (2 * window.cell_order[:, None]
+                        + np.arange(2)).ravel()
+            jac = sys_.jacobian(pattern)
+        if pattern is None:
+            dy = linear_solve(jac, sys_.r_y, fill=fill)
+        else:
+            dy = np.empty(window.n_y)
+            dy[unknowns] = linear_solve(jac, sys_.r_y[unknowns],
+                                        symmetric=True, fill=fill)
+        del jac                 # freed before the next linearization
         dp, ds = dy[0::2], dy[1::2]
         # saturation chopping keeps iterates near the physical range; the
         # constant-mobility model is exactly linear and must not be chopped
         if cfg.max_ds > 0 and not model.linear:
             ds = np.clip(ds, -cfg.max_ds, cfg.max_ds)
+        if not cfg.damping:
+            # in place: a fresh state per iteration grows the heap
+            state.p += dp
+            state.s += ds
+            sys_ = linearize(window, state, props, wells, model)
+            continue
+        # halve the step while the norm does not decrease; the accepted
+        # step's linearization serves the next iteration
         step = 1.0
-        if cfg.damping:
-            for _ in range(MAX_HALVINGS + 1):
-                trial = StateField(state.p + step * dp, state.s + step * ds,
-                                   state.trace_p, state.trace_s)
-                tnorm = float(np.max(np.abs(
-                    linearize(window, trial, props, wells, model).r_norm)))
-                if tnorm <= norm or step <= 1.0 / 2**MAX_HALVINGS:
-                    break
-                step *= 0.5
-        state.p += step * dp
-        state.s += step * ds
+        for _ in range(MAX_HALVINGS + 1):
+            trial = StateField(state.p + step * dp, state.s + step * ds,
+                               state.trace_p, state.trace_s)
+            sys_ = linearize(window, trial, props, wells, model)
+            if (step <= 1.0 / 2**MAX_HALVINGS
+                    or np.max(np.abs(sys_.r_norm)) <= norm):
+                break
+            step *= 0.5
+        state = trial
 
-    raise NonConvergence(cfg.max_iters, norms[-1])
+    raise NonConvergence(cfg.max_iters, norms[-1], lu_nnz=sum(fill))

@@ -473,6 +473,45 @@ class TestDirectJacobian:
         assert not np.shares_memory(a.indices, b.indices)
 
 
+class TestOrderedPattern:
+    """The window's minimum-degree numbering of its Jacobian."""
+
+    @pytest.mark.parametrize("make", [uniform_window, fine_box_window])
+    def test_renumbered_jacobian_matches_natural(self, make):
+        """Unknown 2k + e of the renumbered Jacobian is unknown
+        2 cell_order[k] + e of the natural one, entry for entry."""
+        w = make()
+        state, props, wells = TestDirectJacobian.case(w, seed=2)
+        sys_ = linearize(w, state, props, wells, model())
+        order = w.cell_order
+        assert np.array_equal(np.sort(order), np.arange(w.n_st))
+        u = (2 * order[:, None] + np.arange(2)).ravel()
+        want = sys_.jacobian()[u][:, u].tocsc()
+        want.sort_indices()
+        got = sys_.jacobian(w.ordered_pattern)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("which", ["jacobian_pattern", "ordered_pattern"])
+    def test_index_arrays_not_shared(self, which):
+        """Every matrix gets its own index arrays: `eliminate_zeros`
+        compacts them in place, which must not touch the pattern."""
+        w = fine_box_window()
+        state, props, wells = TestDirectJacobian.case(w, seed=1)
+        pattern = getattr(w, which)
+        kept = pattern.indices.copy(), pattern.indptr.copy()
+        jacs = [linearize(w, state, props, wells, model()).jacobian(pattern)
+                for _ in range(2)]
+        for jac in jacs:
+            for a in (jac.indices, jac.indptr):
+                assert not np.shares_memory(a, pattern.indices)
+                assert not np.shares_memory(a, pattern.indptr)
+        assert not np.shares_memory(jacs[0].indices, jacs[1].indices)
+        assert np.array_equal(pattern.indices, kept[0])
+        assert np.array_equal(pattern.indptr, kept[1])
+
+
 def _pack(w, state, fluxes):
     x = np.empty(n_dofs(w))
     x[0:2 * w.n_st:2] = state.p

@@ -121,6 +121,14 @@ class TestExitCodes:
         ("newton budget too small",
          {"mode": "uniform-coarse", "newton": {"max_iters": 1}},
          EXIT_NONCONVERGENCE),
+        ("non-number permeability",
+         {"permeability": {"kind": "uniform", "value": "x"}}, EXIT_CONFIG),
+        ("negative permeability",
+         {"permeability": {"kind": "uniform", "value": -1}}, EXIT_CONFIG),
+        ("non-number initial pressure", {"initial_pressure": "x"},
+         EXIT_CONFIG),
+        ("non-number threshold", {"thresholds": {"theta_ds": "x"}},
+         EXIT_CONFIG),
         ("missing permeability file",
          {"permeability": {"kind": "file", "kx_path": "missing.txt"}},
          EXIT_IO),
@@ -165,6 +173,7 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "cost ratio (a/b): 1.0000" in out
         assert "all-in cost ratio (a/b): 1.0000" in out
+        assert "LU cost ratio (a/b): 1.0000" in out
         assert "Newton wall ratio (a/b): 1.0000" in out
         assert "0.00000" in out
 
@@ -177,6 +186,18 @@ class TestCompare:
         assert main(["compare", "--a", str(toy_run),
                      "--b", str(old)]) == EXIT_OK
         assert "all-in cost ratio (a/b): n/a" in capsys.readouterr().out
+
+    def test_summary_without_lu_cost(self, toy_run, tmp_path, capsys):
+        old = tmp_path / "old"
+        shutil.copytree(toy_run, old)
+        summary = json.loads((old / "run_summary.json").read_text())
+        del summary["lu_cost"]
+        (old / "run_summary.json").write_text(json.dumps(summary))
+        assert main(["compare", "--a", str(old),
+                     "--b", str(toy_run)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "LU cost ratio (a/b): n/a" in out
+        assert "all-in cost ratio (a/b): 1.0000" in out
 
     def test_missing_directory_is_io_error(self, toy_run, tmp_path, capsys):
         rc = main(["compare", "--a", str(toy_run),

@@ -11,7 +11,8 @@ import scipy.sparse.linalg as spla
 import stdd.solver
 import test_assembly
 from artifact_readers import read_ledger_csv
-from stdd.assembly import CellProperties, ResolvedWells, linearize
+from stdd.assembly import (CellProperties, ResolvedWells, StateField,
+                           linearize)
 from stdd.config import preset
 from stdd.errors import ConfigError, NonConvergence, SingularMatrix
 from stdd.mesh import Subdomain, build_window
@@ -209,42 +210,118 @@ class TestNewtonWindow:
         assert entry.converged
         assert np.all(st.s >= 0.2 - 1e-9)
 
-    def test_damping_accepts_descent_or_shortest_step(self, monkeypatch):
-        """With `damping`, Newton converges on a front entering a strip at
-        irreducible saturation, and every step it takes either lowers the
-        norm or is the shortest one (MAX_HALVINGS halvings)."""
+    @staticmethod
+    def front_with_recorded_residuals(monkeypatch, damping):
+        """Newton on a front entering a strip at irreducible saturation;
+        returns its ledger entry and, for every residual it evaluated, the
+        state's (p, s) as one vector and the norm."""
         w = strip_window()
         n = w.n_spatial
-        evaluated = []           # (state, norm) of every residual
+        evaluated = []
         real = stdd.solver.linearize
 
         def recording(window, state, *args):
             sys_ = real(window, state, *args)
-            evaluated.append((state, float(np.max(np.abs(sys_.r_norm)))))
+            evaluated.append((np.concatenate([state.p, state.s]),
+                              float(np.max(np.abs(sys_.r_norm)))))
             return sys_
 
         monkeypatch.setattr(stdd.solver, "linearize", recording)
         _, entry = newton_solve_window(
             w, props(n), corner_wells(n, rate=0.05), np.full(n, 1000.0),
-            np.full(n, 0.2), nonlinear_model(), NewtonConfig(damping=True))
+            np.full(n, 0.2), nonlinear_model(), NewtonConfig(damping=damping))
         assert entry.converged
-        # Newton's own iterate is one object, updated in place; every
-        # other residual is a trial step of the iterate before it
-        iterate = evaluated[0][0]
-        steps = []
-        for state, norm in evaluated:
-            if state is iterate:
-                steps.append((norm, []))
-            else:
-                steps[-1][1].append(norm)
-        assert [norm for norm, _ in steps] == entry.norms
-        for (norm, trials), (next_norm, _) in zip(steps, steps[1:]):
+        return entry, evaluated
+
+    def test_damping_accepts_descent_or_shortest_step(self, monkeypatch):
+        """With `damping`, Newton converges on the front, and every step it
+        takes either lowers the norm or is the shortest one (MAX_HALVINGS
+        halvings)."""
+        entry, evaluated = self.front_with_recorded_residuals(monkeypatch,
+                                                              True)
+        # after the first, every residual is a trial x + 2**-j * d of the
+        # iterate x; a trial off the current step's line starts the next
+        # step from the last trial, which that step accepted
+        x, norm = evaluated[0]
+        steps = []               # per step: iterate norm, trial norms
+        full = last = None
+        for v, tnorm in evaluated[1:]:
+            if full is not None and np.allclose(
+                    v - x, (full - x) * 0.5 ** len(steps[-1][1]),
+                    rtol=1e-9, atol=1e-9):
+                steps[-1][1].append(tnorm)
+                last = v
+                continue
+            if full is not None:
+                x, norm = last, steps[-1][1][-1]
+            full = last = v
+            steps.append((norm, [tnorm]))
+        assert [n for n, _ in steps] + [steps[-1][1][-1]] == entry.norms
+        # one linearization per trial, none for an accepted iterate
+        assert len(evaluated) == 1 + sum(len(t) for _, t in steps)
+        for norm, trials in steps:
             assert 1 <= len(trials) <= MAX_HALVINGS + 1
-            assert trials[-1] == next_norm
-            assert next_norm <= norm or len(trials) == MAX_HALVINGS + 1
+            assert all(t > norm for t in trials[:-1])
+            assert trials[-1] <= norm or len(trials) == MAX_HALVINGS + 1
         # the case exercises both halving and the shortest step
         assert any(len(t) > 1 for _, t in steps)
         assert any(len(t) == MAX_HALVINGS + 1 for _, t in steps)
+
+    @pytest.mark.parametrize("damping", [False, True])
+    def test_each_state_linearized_once(self, monkeypatch, damping):
+        """An accepted line-search trial's linearization serves the next
+        iteration, so no state is linearized twice."""
+        entry, evaluated = self.front_with_recorded_residuals(monkeypatch,
+                                                              damping)
+        keys = [v.tobytes() for v, _ in evaluated]
+        assert len(set(keys)) == len(keys)
+        if not damping:
+            assert len(evaluated) == entry.iterations + 1
+
+
+class TestFactorPath:
+    """The symmetric path on swept windows, COLAMD on the others."""
+
+    @pytest.mark.parametrize("make", [test_assembly.uniform_window,
+                                      test_assembly.fine_box_window])
+    def test_symmetric_solve_matches_colamd(self, make):
+        w = make()
+        state, props_, wells = test_assembly.TestDirectJacobian.case(w, 2)
+        sys_ = linearize(w, state, props_, wells, nonlinear_model())
+        ref = linear_solve(sys_.jacobian(), sys_.r_y)
+        u = (2 * w.cell_order[:, None] + np.arange(2)).ravel()
+        dy = np.empty_like(ref)
+        dy[u] = linear_solve(sys_.jacobian(w.ordered_pattern), sys_.r_y[u],
+                             symmetric=True)
+        assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("s0, swept", [(0.2, False), (0.5, True)])
+    def test_first_jacobian_picks_every_solve_path(self, monkeypatch, s0,
+                                                   swept):
+        """A front entering a strip at irreducible saturation stores under
+        half the pattern: COLAMD, and no cell order is built.  The strip
+        at s = 0.5 stores all of it: every solve is symmetric."""
+        w = strip_window()
+        n = w.n_spatial
+        trace = np.full(n, 1000.0), np.full(n, s0)
+        args = props(n), corner_wells(n, rate=0.05)
+        first = linearize(w, StateField.from_trace(w, *trace), *args,
+                          nonlinear_model()).jacobian()
+        assert (first.nnz > stdd.solver.SYMMETRIC_MIN_STORED
+                * w.jacobian_pattern.nnz) == swept
+        paths = []
+        real = stdd.solver.linear_solve
+
+        def recorded(jacobian, residual, symmetric=False, **kwargs):
+            paths.append(symmetric)
+            return real(jacobian, residual, symmetric=symmetric, **kwargs)
+
+        monkeypatch.setattr(stdd.solver, "linear_solve", recorded)
+        _, entry = newton_solve_window(w, *args, *trace, nonlinear_model(),
+                                       NewtonConfig())
+        assert entry.converged and entry.iterations > 1
+        assert paths == [swept] * entry.iterations
+        assert ("cell_order" in vars(w)) == swept
 
 
 run_module = importlib.import_module("stdd.run")
@@ -360,9 +437,9 @@ def solved_dofs(monkeypatch):
     dofs = []
     real = stdd.solver.linear_solve
 
-    def counted(jacobian, residual, *args):
+    def counted(jacobian, residual, *args, **kwargs):
         dofs.append(len(residual))
-        return real(jacobian, residual, *args)
+        return real(jacobian, residual, *args, **kwargs)
 
     monkeypatch.setattr(stdd.solver, "linear_solve", counted)
     return dofs
@@ -371,6 +448,18 @@ def solved_dofs(monkeypatch):
 class TestAllInCost:
     def test_counts_every_linear_solve(self, tmp_path, monkeypatch):
         dofs = solved_dofs(monkeypatch)
+        fill = []
+
+        class Spla:
+            def __getattr__(self, name):
+                return getattr(spla, name)
+
+            def splu(self, *args, **kwargs):
+                lu = spla.splu(*args, **kwargs)
+                fill.append(lu.nnz)
+                return lu
+
+        monkeypatch.setattr(stdd.solver, "spla", Spla())
         summary = run(preset("toy"), tmp_path, emit_vtk=False)
         assert summary["mode"] == "dynamic-dd"
         assert summary["all_in_cost"] == sum(dofs)
@@ -378,6 +467,9 @@ class TestAllInCost:
                                           + summary["predictor_cost"]
                                           + summary["failed_cost"])
         assert summary["predictor_cost"] > 0
+        # the factors' stored entries over the same solves
+        assert len(fill) == len(dofs)
+        assert summary["lu_cost"] == sum(fill) > 0
 
 
 class TestNewtonConfigValidation:
