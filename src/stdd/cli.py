@@ -136,17 +136,27 @@ def _print_report(rep):
     def known(v, fmt=""):
         return "n/a" if v is None else format(v, fmt)
 
+    from .run import COST_RATIO_BUDGET
+
+    def flag(key):
+        return (f"  (above {COST_RATIO_BUDGET})"
+                if key in rep["over_budget"] else "")
+
     print(f"{'':12s}{'cost metric':>16s}{'all-in cost':>16s}"
-          f"{'LU cost':>16s}{'wall ms':>14s}")
+          f"{'LU cost':>16s}{'Newton ms':>14s}{'run ms':>14s}")
     for r in (rep["a"], rep["b"]):
         print(f"{r['label']:12s}{r['cost_metric']:>16d}"
               f"{known(r['all_in_cost']):>16s}{known(r['lu_cost']):>16s}"
-              f"{r['wall_ms']:>14.1f}")
+              f"{r['wall_ms']:>14.1f}{known(r['run_wall_ms'], '.1f'):>14s}")
     print(f"cost ratio (a/b): {rep['cost_ratio']:.4f}")
     print(f"all-in cost ratio (a/b): "
-          f"{known(rep['all_in_cost_ratio'], '.4f')}")
-    print(f"LU cost ratio (a/b): {known(rep['lu_cost_ratio'], '.4f')}")
+          f"{known(rep['all_in_cost_ratio'], '.4f')}"
+          f"{flag('all_in_cost_ratio')}")
+    print(f"LU cost ratio (a/b): {known(rep['lu_cost_ratio'], '.4f')}"
+          f"{flag('lu_cost_ratio')}")
     print(f"Newton wall ratio (a/b): {rep['wall_ratio']:.4f}")
+    print(f"end-to-end wall ratio (a/b): "
+          f"{known(rep['run_wall_ratio'], '.4f')}")
     print(f"{'time (d)':>10s}{'L_inf dS':>12s}{'L2 dS':>12s}")
     for d in rep["saturation_differences"]:
         print(f"{d['time']:>10.3f}{d['linf']:>12.5f}{d['l2']:>12.5f}")

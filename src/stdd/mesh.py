@@ -12,7 +12,8 @@ the scheme locally conservative across the interface.
 A window keeps its Jacobian's CSC pattern in two cell numberings, built on
 first use from the structure alone: natural (`jacobian_pattern`), which
 `stdd.solver` factors with COLAMD, and minimum degree (`ordered_pattern`),
-which it factors in symmetric mode once the window is swept.
+which it factors in symmetric mode once the window is swept.  Windows of
+equal decomposition and length share both patterns and the order.
 
 Windows are immutable after construction and safe to share across threads.
 """
@@ -185,11 +186,61 @@ def _block_pattern(n, rows, cols):
     return pattern
 
 
+# Window structures that `build_window` keeps in a caller's dict: the
+# windows of a uniform run share one, the predictor's all-coarse windows
+# another.
+STRUCTURE_CACHE_SIZE = 4
+
+
+class _Structure:
+    """The Jacobian patterns and cell order of the windows of one
+    decomposition and length, each built on first use."""
+
+    def __init__(self, n_st, blocks):
+        self.n_st = n_st
+        self.blocks = blocks        # `SpaceTimeWindow.jacobian_blocks`
+
+    @cached_property
+    def jacobian_pattern(self):
+        return _block_pattern(self.n_st, *self.blocks)
+
+    @cached_property
+    def cell_order(self):
+        """Minimum-degree order of the symmetrized cell graph, whose edges
+        are the blocks: position k holds cell `cell_order[k]`.  SciPy
+        exposes minimum degree only through SuperLU, so this factors a
+        diagonally dominant matrix on the graph (-1 per edge, degree + 1
+        on the diagonal) with diagonal pivots; `perm_c[c]` is cell c's
+        position."""
+        n = self.n_st
+        rows, cols = self.blocks
+        off = rows != cols
+        i = np.concatenate([rows[off], cols[off]])
+        j = np.concatenate([cols[off], rows[off]])
+        graph = sp.csc_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+        graph.sum_duplicates()
+        graph.data[:] = -1.0
+        degree = np.diff(graph.indptr)
+        spd = (graph + sp.diags(degree + 1.0)).tocsc()
+        lu = spla.splu(spd, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        return np.argsort(lu.perm_c)
+
+    @cached_property
+    def ordered_pattern(self):
+        """`jacobian_pattern` with cell `cell_order[k]` numbered k; a
+        cell's p and s unknowns stay adjacent."""
+        rank = np.empty(self.n_st, dtype=np.int64)
+        rank[self.cell_order] = np.arange(self.n_st)
+        rows, cols = self.blocks
+        return _block_pattern(self.n_st, rank[rows], rank[cols])
+
+
 class SpaceTimeWindow:
     """Immutable mesh + DOF numbering for one matching step."""
 
     def __init__(self, subdomains, delta_t, reservoir, window_index, t_start,
-                 dz, cells, st, faces, interfaces):
+                 dz, cells, st, faces, interfaces, structure=None):
         self.subdomains = tuple(subdomains)
         self.delta_t = float(delta_t)
         self.reservoir = tuple(reservoir)
@@ -217,6 +268,9 @@ class SpaceTimeWindow:
             a.setflags(write=False)
         for a in vars(self.faces).values():
             a.setflags(write=False)
+        # shared with the windows of equal decomposition and length
+        self._structure = structure or _Structure(self.n_st,
+                                                  self.jacobian_blocks())
 
     @cached_property
     def bundles(self):
@@ -258,40 +312,18 @@ class SpaceTimeWindow:
 
     @cached_property
     def jacobian_pattern(self):
-        """The Jacobian's CSC pattern in the natural cell numbering, built
-        on first use."""
-        return _block_pattern(self.n_st, *self.jacobian_blocks())
+        """The Jacobian's CSC pattern in the natural cell numbering."""
+        return self._structure.jacobian_pattern
 
     @cached_property
     def cell_order(self):
-        """Minimum-degree order of the symmetrized cell graph, whose edges
-        are the blocks of `jacobian_blocks`: position k holds cell
-        `cell_order[k]`.  SciPy exposes minimum degree only through
-        SuperLU, so this factors a diagonally dominant matrix on the graph
-        (-1 per edge, degree + 1 on the diagonal) with diagonal pivots;
-        `perm_c[c]` is cell c's position."""
-        n = self.n_st
-        rows, cols = self.jacobian_blocks()
-        off = rows != cols
-        i = np.concatenate([rows[off], cols[off]])
-        j = np.concatenate([cols[off], rows[off]])
-        graph = sp.csc_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
-        graph.sum_duplicates()
-        graph.data[:] = -1.0
-        degree = np.diff(graph.indptr)
-        spd = (graph + sp.diags(degree + 1.0)).tocsc()
-        lu = spla.splu(spd, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-        return np.argsort(lu.perm_c)
+        """`_Structure.cell_order`: position k holds cell `cell_order[k]`."""
+        return self._structure.cell_order
 
     @cached_property
     def ordered_pattern(self):
-        """`jacobian_pattern` with cell `cell_order[k]` numbered k, built
-        on first use; a cell's p and s unknowns stay adjacent."""
-        rank = np.empty(self.n_st, dtype=np.int64)
-        rank[self.cell_order] = np.arange(self.n_st)
-        rows, cols = self.jacobian_blocks()
-        return _block_pattern(self.n_st, rank[rows], rank[cols])
+        """`jacobian_pattern` with cell `cell_order[k]` numbered k."""
+        return self._structure.ordered_pattern
 
     def final_level_cells(self):
         """Space-time indices of every spatial cell at the window's end time."""
@@ -450,8 +482,13 @@ def enumerate_interface(sub_a, sub_b, edge, delta_t):
 
 
 def build_window(subdomains, delta_t, reservoir, *, window_index=0,
-                 t_start=0.0, dz=1.0):
-    """Assemble a validated SpaceTimeWindow from a box decomposition."""
+                 t_start=0.0, dz=1.0, structures=None):
+    """Assemble a validated SpaceTimeWindow from a box decomposition.
+
+    Windows built with the same dict `structures` share their Jacobian
+    patterns and cell order when their decomposition and length are
+    equal; the dict keeps the last `STRUCTURE_CACHE_SIZE` of them.
+    """
     if delta_t <= 0:
         raise ValueError("window length must be positive")
     subdomains = tuple(subdomains)
@@ -578,10 +615,17 @@ def build_window(subdomains, delta_t, reservoir, *, window_index=0,
                         s_left=zi, s_right=zi, c_left=zi, c_right=zi,
                         h_left=z, h_right=z)
 
-    return SpaceTimeWindow(
+    key = (subdomains, float(delta_t))
+    shared = None if structures is None else structures.pop(key, None)
+    window = SpaceTimeWindow(
         subdomains, delta_t, reservoir, window_index, t_start, dz,
         cells=(sub_of_cell, cell_cx, cell_cy, cell_hx, cell_hy, cell_vol,
                spatial_offset),
         st=(st_spatial, st_level, st_dt, st_t_end, st_prev, st_offset),
-        faces=faces, interfaces=interfaces,
+        faces=faces, interfaces=interfaces, structure=shared,
     )
+    if structures is not None:
+        if shared is None and len(structures) >= STRUCTURE_CACHE_SIZE:
+            del structures[next(iter(structures))]
+        structures[key] = window._structure     # most recently used last
+    return window

@@ -16,7 +16,7 @@ from stdd.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK,
                       _apply_thread_cap, main)
 from stdd.config import preset
 from stdd.errors import SingularMatrix
-from stdd.run import run
+from stdd.run import compare, run
 
 run_module = importlib.import_module("stdd.run")
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -175,7 +175,51 @@ class TestCompare:
         assert "all-in cost ratio (a/b): 1.0000" in out
         assert "LU cost ratio (a/b): 1.0000" in out
         assert "Newton wall ratio (a/b): 1.0000" in out
+        assert "end-to-end wall ratio (a/b): 1.0000" in out
+        assert "LU cost ratio (a/b): 1.0000  (above 0.2)" in out
         assert "0.00000" in out
+
+    def test_end_to_end_wall_is_its_own_ratio(self, toy_run, tmp_path,
+                                              capsys):
+        """The summary's `run()` wall covers the Newton wall; `compare`
+        divides each by its counterpart, and prints n/a for a summary
+        without the run wall."""
+        summary = json.loads((toy_run / "run_summary.json").read_text())
+        assert summary["run_wall_ms"] >= summary["total_wall_ms"] > 0
+        old = tmp_path / "old"
+        shutil.copytree(toy_run, old)
+        summary["total_wall_ms"] *= 2.0
+        summary["run_wall_ms"] *= 4.0
+        (old / "run_summary.json").write_text(json.dumps(summary))
+        rep = compare(old, toy_run)
+        assert rep["wall_ratio"] == pytest.approx(2.0)
+        assert rep["run_wall_ratio"] == pytest.approx(4.0)
+        del summary["run_wall_ms"]
+        (old / "run_summary.json").write_text(json.dumps(summary))
+        assert main(["compare", "--a", str(old),
+                     "--b", str(toy_run)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "end-to-end wall ratio (a/b): n/a" in out
+        assert "Newton wall ratio (a/b): 2.0000" in out
+
+    def test_cost_ratios_above_budget_flagged(self, toy_run, tmp_path,
+                                              capsys):
+        """An all-in or LU cost ratio above 0.2 is flagged, the paper's
+        proxy is not."""
+        cheap = tmp_path / "cheap"
+        shutil.copytree(toy_run, cheap)
+        summary = json.loads((toy_run / "run_summary.json").read_text())
+        summary["cost_metric"] //= 10
+        summary["all_in_cost"] //= 10
+        summary["lu_cost"] //= 3
+        (cheap / "run_summary.json").write_text(json.dumps(summary))
+        assert main(["compare", "--a", str(cheap),
+                     "--b", str(toy_run)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert compare(cheap, toy_run)["over_budget"] == ["lu_cost_ratio"]
+        lu = [line for line in out.splitlines() if line.startswith("LU")]
+        assert lu[0].endswith("(above 0.2)")
+        assert "above" not in out.replace(lu[0], "")
 
     def test_summary_without_all_in_cost(self, toy_run, tmp_path, capsys):
         old = tmp_path / "old"

@@ -116,6 +116,26 @@ class TestSchema:
         assert set(self.SCHEMA["properties"][section]["properties"]) == \
             set(defaults)
 
+    def test_bounds_match_the_validator(self):
+        """The schema's bounds are the ones `RunConfig` enforces: a
+        threshold may be zero but not negative, a uniform permeability
+        must be positive."""
+        props = self.SCHEMA["properties"]
+        for name in THRESHOLD_DEFAULTS:
+            bound = props["thresholds"]["properties"][name]
+            assert bound["minimum"] == 0 and "exclusiveMinimum" not in bound
+            RunConfig(thresholds={name: 0.0}).validate()
+            with pytest.raises(ConfigError):
+                RunConfig(thresholds={name: -1.0e-9}).validate()
+        assert props["permeability"]["properties"]["value"] == {
+            "description": "Uniform field's permeability, md",
+            "type": "number", "exclusiveMinimum": 0}
+        for value in (0.0, -1.0):
+            with pytest.raises(ConfigError):
+                RunConfig(permeability={"kind": "uniform",
+                                        "value": value}).validate()
+        RunConfig(permeability={"kind": "uniform", "value": 1.0e-9}).validate()
+
 
 class TestSerialization:
     def test_dict_round_trip(self):

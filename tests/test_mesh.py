@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from stdd.errors import NonIntegerRatio, TilingGap, TilingOverlap
-from stdd.mesh import Subdomain, build_window, shared_edge
+from stdd.mesh import (STRUCTURE_CACHE_SIZE, Subdomain, build_window,
+                       shared_edge)
 
 
 def two_subdomain_window(dt_f=1.0, dt_c=5.0, delta_t=5.0):
@@ -51,6 +52,46 @@ class TestBuildWindow:
     def test_window_span(self):
         w = two_subdomain_window()
         assert (w.t_start, w.t_end) == (0.0, 5.0)
+
+
+class TestSharedStructure:
+    """Windows of one decomposition and length share their patterns and
+    cell order through the dict they are built with."""
+
+    def test_equal_windows_share(self):
+        box = (0.0, 0.0, 4.0, 2.0)
+        subs = [Subdomain(box, (1.0, 1.0), 0.5)]
+        structures = {}
+        a = build_window(subs, 1.0, box, structures=structures)
+        b = build_window(list(subs), 1.0, box, window_index=3, t_start=1.0,
+                         structures=structures)
+        assert a.cell_order is b.cell_order
+        assert a.ordered_pattern is b.ordered_pattern
+        assert a.jacobian_pattern is b.jacobian_pattern
+        longer = build_window(subs, 2.0, box, structures=structures)
+        alone = build_window(subs, 1.0, box)
+        for other in (longer, alone):
+            assert other.jacobian_pattern is not a.jacobian_pattern
+        assert np.array_equal(alone.cell_order, a.cell_order)
+        assert len(structures) == 2
+
+    def test_cache_keeps_the_most_recent(self):
+        structures = {}
+        windows = []
+        for k in range(STRUCTURE_CACHE_SIZE + 1):
+            box = (0.0, 0.0, 2.0 + k, 2.0)
+            subs = [Subdomain(box, (1.0, 1.0), 1.0)]
+            windows.append(build_window(subs, 1.0, box,
+                                        structures=structures))
+        assert len(structures) == STRUCTURE_CACHE_SIZE
+        first = windows[0]
+        again = build_window(first.subdomains, 1.0, first.reservoir,
+                             structures=structures)
+        last = windows[-1]
+        assert again.jacobian_pattern is not first.jacobian_pattern
+        assert build_window(last.subdomains, 1.0, last.reservoir,
+                            structures=structures).jacobian_pattern \
+            is last.jacobian_pattern
 
 
 class TestDofNumbering:

@@ -101,6 +101,90 @@ class TestLinearSolve:
         assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+class TestLocalElimination:
+    """Saturations whose row and column stay in their cell's block are
+    eliminated exactly before the factorization."""
+
+    @staticmethod
+    def strip_system(wet=()):
+        """The first Jacobian of a strip at irreducible saturation, with
+        the cells `wet` at s = 0.6."""
+        w = strip_window()
+        n = w.n_spatial
+        s = np.full(n, 0.2)
+        s[list(wet)] = 0.6
+        state = StateField.from_trace(w, np.full(n, 1000.0), s)
+        return w, linearize(w, state, props(n), corner_wells(n),
+                            nonlinear_model())
+
+    @staticmethod
+    def assembly_system(make):
+        w = make()
+        state, props_, wells = test_assembly.TestDirectJacobian.case(w, 2)
+        return w, linearize(w, state, props_, wells, nonlinear_model())
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("case, local", [
+        ("uniform", 0), ("fine-box", 0), ("strip", 16), ("strip-front", 9)])
+    def test_matches_uneliminated_solve(self, case, local, symmetric):
+        """In either numbering, the update agrees with a plain SuperLU
+        solve of the whole system, and the factor is no larger."""
+        w, sys_ = {
+            "uniform": lambda: self.assembly_system(
+                test_assembly.uniform_window),
+            "fine-box": lambda: self.assembly_system(
+                test_assembly.fine_box_window),
+            "strip": self.strip_system,
+            "strip-front": lambda: self.strip_system(wet=[0, 5]),
+        }[case]()
+        u = np.arange(w.n_y)
+        pattern = None
+        if symmetric:
+            pattern = w.ordered_pattern
+            u = (2 * w.cell_order[:, None] + np.arange(2)).ravel()
+        jac = sys_.jacobian(pattern)
+        r = sys_.r_y[u]
+        assert len(stdd.solver._local_saturations(jac)[0]) == local
+        fill = []
+        dy = linear_solve(jac, r, symmetric=symmetric, fill=fill)
+        ref = spla.splu(jac).solve(-r)
+        assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert fill[0] <= spla.splu(jac, relax=1, panel_size=4).nnz
+
+    def test_linked_cells_are_kept(self):
+        """A cell with another time level in the window, and a cell on a
+        face that carries water, keep their saturation."""
+        w = strip_window(dt=0.5)
+        n = w.n_spatial
+        state = StateField.from_trace(w, np.full(n, 1000.0),
+                                      np.full(n, 0.2))
+        jac = linearize(w, state, props(n), corner_wells(n),
+                        nonlinear_model()).jacobian()
+        assert len(stdd.solver._local_saturations(jac)[0]) == 0
+        # cell 0 is wet: water leaves it across its faces to cells 1 and 8
+        w, sys_ = self.strip_system(wet=[0])
+        s = stdd.solver._local_saturations(sys_.jacobian())[0]
+        assert np.array_equal(s // 2, np.setdiff1d(np.arange(16), [0, 1, 8]))
+        assert np.array_equal(s % 2, np.ones(len(s)))
+
+    def test_plain_matrix(self):
+        """Unknowns 1 and 3 touch only their own blocks; unknown 5's row
+        reaches column 0.  The (s, p) entry of unknown 1 is at data
+        position 1, its (p, s) entry at 4 and its diagonal at 5."""
+        r = np.array([3.0, -1.0, 2.0, 5.0, 1.0, -2.0])
+        a = sp.csc_matrix(np.array([[2.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                                    [4.0, 8.0, 0.0, 0.0, 0.0, 0.0],
+                                    [1.0, 0.0, 3.0, 0.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0, 4.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0, 0.0, 5.0, 1.0],
+                                    [1.0, 0.0, 0.0, 0.0, 0.0, 6.0]]))
+        s = stdd.solver._local_saturations(a)
+        assert [x.tolist() for x in s] == [[1, 3], [5, 7], [4, -1], [1, -1]]
+        dy = linear_solve(a, r)
+        assert np.allclose(dy, np.linalg.solve(a.toarray(), -r),
+                           rtol=1e-14, atol=0)
+
+
 class TestNewtonWindow:
     def test_constant_mobility_converges_in_one_iteration(self):
         """With unit mobilities and no capillarity the system is linear in
@@ -295,20 +379,27 @@ class TestFactorPath:
                              symmetric=True)
         assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("s0, swept", [(0.2, False), (0.5, True)])
-    def test_first_jacobian_picks_every_solve_path(self, monkeypatch, s0,
-                                                   swept):
-        """A front entering a strip at irreducible saturation stores under
-        half the pattern: COLAMD, and no cell order is built.  The strip
-        at s = 0.5 stores all of it: every solve is symmetric."""
-        w = strip_window()
+    @pytest.mark.parametrize("make, s0, swept", [
+        pytest.param(test_assembly.fine_box_window, 0.2, False,
+                     id="0.2-False"),
+        pytest.param(strip_window, 0.5, True, id="0.5-True"),
+        pytest.param(strip_window, 0.2, True, id="strip-0.2-True")])
+    def test_first_jacobian_picks_every_solve_path(self, monkeypatch, make,
+                                                   s0, swept):
+        """A front entering a multi-level window at irreducible saturation
+        stores under half the pattern and has no local saturation:
+        COLAMD, and no cell order is built.  Ahead of the front in a
+        one-level strip every saturation is local, and what remains
+        stores all of its pattern; the strip at s = 0.5 stores all of it
+        unreduced.  There every solve is symmetric."""
+        w = make()
         n = w.n_spatial
         trace = np.full(n, 1000.0), np.full(n, s0)
         args = props(n), corner_wells(n, rate=0.05)
         first = linearize(w, StateField.from_trace(w, *trace), *args,
                           nonlinear_model()).jacobian()
-        assert (first.nnz > stdd.solver.SYMMETRIC_MIN_STORED
-                * w.jacobian_pattern.nnz) == swept
+        share = stdd.solver._stored_share(w, first)
+        assert (share > stdd.solver.SYMMETRIC_MIN_STORED) == swept
         paths = []
         real = stdd.solver.linear_solve
 
@@ -480,3 +571,18 @@ class TestNewtonConfigValidation:
     def test_bad_iteration_budget(self):
         with pytest.raises(ValueError):
             NewtonConfig(max_iters=0)
+
+
+class TestNewtonCounts:
+    """Counts that a change to the linear solves must not move."""
+
+    def test_uniform_fine_first_day(self, tmp_path):
+        """The desk `uniform-fine` run's first window (13,200 cells,
+        channelized field 7): the benchmark's `uniform-fine` workload
+        starts with it."""
+        cfg = replace(preset("uniform-fine"), horizon=1.0)
+        assert cfg.permeability == {"kind": "channelized", "seed": 7}
+        summary = run(cfg, tmp_path, emit_vtk=False)
+        assert summary["windows"] == 1
+        assert summary["iterations"] == 20
+        assert summary["cost_metric"] == 528_000
