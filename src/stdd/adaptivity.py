@@ -288,53 +288,65 @@ def transfer_state(old_window, final_p, final_s, new_window, base: BaseGrid,
 
 
 def upscale_permeability(k_block, hx, hy, direction, method="flow"):
-    """Effective directional permeability of one block of fine cells.
-
-    `k_block` is the (mx, my) fine permeability for the flow direction.
-    "flow": impose a unit pressure drop across the block in `direction`
-    with no-flow lateral boundaries, solve the single-phase two-point flux
-    problem, and return the flux-equivalent permeability.  "layered":
-    harmonic mean along the direction, arithmetic across it.
-    """
+    """Effective directional permeability of one block of fine cells:
+    `upscale_blocks` of a stack of one."""
     k = np.asarray(k_block, dtype=float)
+    return float(upscale_blocks(k[None], hx, hy, direction, method)[0])
+
+
+def upscale_blocks(k_blocks, hx, hy, direction, method="flow"):
+    """Effective directional permeability of each of a stack of blocks.
+
+    `k_blocks` is (blocks, mx, my): each block's fine permeability for
+    the flow direction.  "flow": impose a unit pressure drop across the
+    block in `direction` with no-flow lateral boundaries, solve the
+    single-phase two-point flux problem, and return the flux-equivalent
+    permeability; the blocks' problems are stacked uncoupled into one
+    banded system and solved in one call.  "layered": harmonic mean along
+    the direction, arithmetic across it.
+    """
+    k = np.asarray(k_blocks, dtype=float)
     if direction == "y":
-        return upscale_permeability(k.T, hy, hx, "x", method)
-    mx, my = k.shape
+        return upscale_blocks(k.transpose(0, 2, 1), hy, hx, "x", method)
+    nb, mx, my = k.shape
     if method == "layered":
-        return float(np.mean(mx / np.sum(1.0 / k, axis=0)))
+        return np.mean(mx / np.sum(1.0 / k, axis=1), axis=1)
     if method != "flow":
         raise ValueError(f"unknown upscaling method {method!r}")
     if mx == 1:
-        return float(np.mean(k))
+        return np.mean(k, axis=(1, 2))
 
     # Two-point flux problem: p = 1 on the left edge, 0 on the right,
     # no-flow top/bottom.  Unit conversion constants cancel in K_eff.
-    tx = (hy / hx) * 2.0 * k[:-1, :] * k[1:, :] / (k[:-1, :] + k[1:, :])
-    ty = (hx / hy) * 2.0 * k[:, :-1] * k[:, 1:] / (k[:, :-1] + k[:, 1:])
+    kl, kr = k[:, :-1, :], k[:, 1:, :]
+    tx = (hy / hx) * 2.0 * kl * kr / (kl + kr)
+    kl, kr = k[:, :, :-1], k[:, :, 1:]
+    ty = (hx / hy) * 2.0 * kl * kr / (kl + kr)
     # half-cell transmissibilities tie the edge columns to the boundary
-    tb_l = (hy / hx) * 2.0 * k[0, :]
-    tb_r = (hy / hx) * 2.0 * k[-1, :]
+    tb_l = (hy / hx) * 2.0 * k[:, 0, :]
+    tb_r = (hy / hx) * 2.0 * k[:, -1, :]
     # each diagonal sums its faces low-x, high-x, low-y, high-y, boundary
-    diag = np.zeros((mx, my))
-    diag[1:, :] += tx
-    diag[:-1, :] += tx
-    diag[:, 1:] += ty
-    diag[:, :-1] += ty
-    diag[0, :] += tb_l
-    diag[-1, :] += tb_r
+    diag = np.zeros((nb, mx, my))
+    diag[:, 1:, :] += tx
+    diag[:, :-1, :] += tx
+    diag[:, :, 1:] += ty
+    diag[:, :, :-1] += ty
+    diag[:, 0, :] += tb_l
+    diag[:, -1, :] += tb_r
     # the matrix is symmetric positive definite and banded: with cell
-    # (i, j) as unknown i * my + j, y-neighbours sit 1 apart and
-    # x-neighbours my apart.  Upper band storage: row my - d of `band`
-    # holds diagonal d, entry (k, k + d) in column k + d.
-    band = np.zeros((my + 1, mx, my))
+    # (i, j) of block b as unknown (b * mx + i) * my + j, y-neighbours sit
+    # 1 apart and x-neighbours my apart, and no entry couples two blocks.
+    # Upper band storage: row my - d of `band` holds diagonal d, entry
+    # (k, k + d) in column k + d.
+    band = np.zeros((my + 1, nb, mx, my))
     band[my] = diag
-    band[my - 1, :, 1:] = -ty
-    band[0, 1:, :] = -tx
-    rhs = np.zeros((mx, my))
-    rhs[0, :] = tb_l
-    p = solveh_banded(band.reshape(my + 1, mx * my), rhs.ravel()).reshape(
-        mx, my)
-    q_in = float(np.sum(tb_l * (1.0 - p[0, :])))
+    band[my - 1, :, :, 1:] = -ty
+    band[0, :, 1:, :] = -tx
+    rhs = np.zeros((nb, mx, my))
+    rhs[:, 0, :] = tb_l
+    p = solveh_banded(band.reshape(my + 1, nb * mx * my),
+                      rhs.ravel()).reshape(nb, mx, my)
+    q_in = np.sum(tb_l * (1.0 - p[:, 0, :]), axis=1)
     # q = K_eff * (my * hy) * (dp=1) / (mx * hx), same face scaling
     return q_in * (mx * hx) / (my * hy)
 
@@ -345,12 +357,15 @@ def cell_permeability(window, base: BaseGrid, kx_base, ky_base,
 
     Base-resolution subdomains take the base values as they are.  `cache`
     maps block index bounds to computed values so repeated decompositions
-    reuse earlier solves.
+    reuse earlier solves; the blocks not in it are upscaled in one
+    `upscale_blocks` call per block shape and direction.
     """
     kx = np.empty(window.n_spatial)
     ky = np.empty(window.n_spatial)
     if cache is None:
         cache = {}
+    coarse = []             # (cell, block bounds) of each upscaled cell
+    todo = {}               # block shape -> bounds of the uncached blocks
     for k, (sub, (i0, j0, mi, mj)) in enumerate(
             zip(window.subdomains, base.owner(window).blocks)):
         nx, ny = sub.nx, sub.ny
@@ -365,12 +380,16 @@ def cell_permeability(window, base: BaseGrid, kx_base, ky_base,
             bi = i0 + (c % nx) * mi
             bj = j0 + (c // nx) * mj
             key = (bi, bi + mi, bj, bj + mj)
+            coarse.append((first + c, key))
             if key not in cache:
-                si, sj = slice(bi, bi + mi), slice(bj, bj + mj)
-                cache[key] = (
-                    upscale_permeability(kx_base[si, sj], base.hx, base.hy,
-                                         "x", method),
-                    upscale_permeability(ky_base[si, sj], base.hx, base.hy,
-                                         "y", method))
-            kx[first + c], ky[first + c] = cache[key]
+                todo.setdefault((mi, mj), {})[key] = None
+    for keys in todo.values():
+        blocks = [(slice(a, b), slice(c, d)) for a, b, c, d in keys]
+        vx = upscale_blocks(np.stack([kx_base[b] for b in blocks]),
+                            base.hx, base.hy, "x", method)
+        vy = upscale_blocks(np.stack([ky_base[b] for b in blocks]),
+                            base.hx, base.hy, "y", method)
+        cache.update(zip(keys, zip(vx.tolist(), vy.tolist())))
+    for c, key in coarse:
+        kx[c], ky[c] = cache[key]
     return kx, ky

@@ -10,14 +10,21 @@ relations are linear in the fluxes with an invertible 4x4 block per face,
 so they are eliminated exactly: each auxiliary flux takes its closure
 value `drive / a` and each Darcy flux `lambda* * aux`.  `linearize`
 evaluates the residual that remains on cell unknowns, and
-`CellSystem.jacobian` fills the Schur complement A - B D^-1 C face by face
-in closed form.  The expanded system is not built; the tests keep it as
-their oracle.
+`CellSystem.blocks` holds the Schur complement A - B D^-1 C as 2x2 blocks,
+filled face by face in closed form.  The expanded system is not built; the
+tests keep it as their oracle.
+
+`CellSystem.jacobian` turns the blocks into the sparse matrix that is
+factored.  A cell's saturation is local when its row and its column stay
+in the cell's own block, as ahead of the front, where water is immobile;
+the fill finds these on the block values and eliminates each exactly
+through its 1x1 pivot before the matrix is built (`ReducedJacobian`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -221,15 +228,66 @@ def _rows(window, props, fluid, r_t, r_w):
     return r_y, r_norm
 
 
+@dataclass(frozen=True)
+class ReducedJacobian:
+    """A window's Jacobian with its local saturations eliminated.
+
+    `matrix` is what remains, in the numbering of the pattern it was
+    filled into: its row and column k is unknown `unknowns[k]` of the
+    natural numbering.  Cell `local[i]`'s saturation was eliminated with
+    its pivot `a_ss[i]`, its (p, s) entry over the pivot `a_ps[i]` and its
+    (s, p) entry `a_sp[i]`.  `unreduced` is the whole Jacobian in the
+    pattern's numbering, whose row and column k is unknown `numbering[k]`.
+    """
+
+    matrix: sp.csc_matrix
+    unknowns: np.ndarray
+    local: np.ndarray
+    a_ss: np.ndarray
+    a_ps: np.ndarray
+    a_sp: np.ndarray
+    unreduced: sp.csc_matrix = field(repr=False)
+    numbering: np.ndarray = field(repr=False)
+
+    @property
+    def nnz(self):
+        """The stored entries of the matrix that is factored."""
+        return self.matrix.nnz
+
+    def reduce(self, r):
+        """The residual `r` of J dy = -r folded onto the remaining
+        unknowns: each eliminated saturation's a_ps r_s / a_ss leaves its
+        cell's pressure row."""
+        p = 2 * self.local
+        r = r.copy()
+        r[p] -= self.a_ps * r[p + 1]
+        return r.take(self.unknowns)
+
+    def expand(self, x, r):
+        """The natural-numbered update whose remaining unknowns are `x`;
+        each eliminated saturation is recovered from its own row."""
+        dy = np.empty(len(r))
+        dy[self.unknowns] = x
+        p = 2 * self.local
+        dy[p + 1] = (-r[p + 1] - self.a_sp * dy[p]) / self.a_ss
+        return dy
+
+    def dot(self, dy):
+        """The unreduced Jacobian times the natural-numbered `dy`."""
+        out = np.empty(len(dy))
+        out[self.numbering] = self.unreduced @ dy.take(self.numbering)
+        return out
+
+
 @dataclass
 class CellSystem:
     """One Newton linearization on cell unknowns only.
 
     The residual is evaluated on construction; the Jacobian A - B D^-1 C
-    of the flux-eliminated system is filled on demand into the window's
-    fixed pattern, so a residual-only check never pays for it.  With the
-    flux unknowns at their closure values the flux residuals vanish, so
-    the reduced residual is the conservation residual itself.
+    of the flux-eliminated system is filled on demand, so a residual-only
+    check never pays for it.  With the flux unknowns at their closure
+    values the flux residuals vanish, so the reduced residual is the
+    conservation residual itself.
     """
 
     window: SpaceTimeWindow
@@ -239,52 +297,107 @@ class CellSystem:
     _prev: np.ndarray = field(repr=False)
     _faces: _FaceClosure = field(repr=False)
 
-    def jacobian(self, pattern=None):
-        """The reduced Jacobian as CSC in `pattern`'s numbering (the
-        window's `jacobian_pattern` by default), with no stored zeros."""
+    @cached_property
+    def blocks(self):
+        """The Jacobian's 2x2 blocks: column k holds block k of
+        `SpaceTimeWindow.jacobian_blocks`, row e its entry e."""
         fc = self._faces
         a = fc.a
         if np.any(a <= 0) or not np.all(np.isfinite(a)):
             raise SingularFluxBlock("auxiliary-flux diagonal is not positive")
         lam_o, dlo_ds, dlo_dpl, dlo_dpr, up_o = fc.oil
         lam_w, dlw_ds, dlw_dpl, dlw_dpr, up_w = fc.water
+        w = self.window
+        n, nf, n_prev = w.n_st, w.n_faces, len(self._prev)
+        vals = np.empty((4, n + n_prev + 2 * nf))
+        own = vals[:, :n]
+        vals[:, n:n + n_prev] = self._prev.T
+        lr = vals[:, n + n_prev:n + n_prev + nf]
+        ll = vals[:, n + n_prev + nf:]
         # ll, lr: the left cell's rows against the left and the right
         # cell's (p, s), from u = lambda* * drive / a; the upwind mobility's
         # saturation derivative lands on its upwind cell.  The right cell's
         # rows are their negatives.
         go, gw = lam_o / a, lam_w / a
         so, sw = fc.ut_o * dlo_ds, fc.ut_w * dlw_ds
-        w = self.window
-        ll = np.empty((w.n_faces, 4))
-        lr = np.empty((w.n_faces, 4))
-        ll[:, 2] = gw + fc.ut_w * dlw_dpl
-        ll[:, 3] = np.where(up_w, sw, 0.0) - gw * fc.dpc_l
-        lr[:, 2] = -gw + fc.ut_w * dlw_dpr
-        lr[:, 3] = np.where(up_w, 0.0, sw) + gw * fc.dpc_r
-        ll[:, 0] = go + fc.ut_o * dlo_dpl + ll[:, 2]
-        ll[:, 1] = np.where(up_o, so, 0.0) + ll[:, 3]
-        lr[:, 0] = -go + fc.ut_o * dlo_dpr + lr[:, 2]
-        lr[:, 1] = np.where(up_o, 0.0, so) + lr[:, 3]
+        ll[2] = gw + fc.ut_w * dlw_dpl
+        ll[3] = np.where(up_w, sw, 0.0) - gw * fc.dpc_l
+        lr[2] = -gw + fc.ut_w * dlw_dpr
+        lr[3] = np.where(up_w, 0.0, sw) + gw * fc.dpc_r
+        ll[0] = go + fc.ut_o * dlo_dpl + ll[2]
+        ll[1] = np.where(up_o, so, 0.0) + ll[3]
+        lr[0] = -go + fc.ut_o * dlo_dpr + lr[2]
+        lr[1] = np.where(up_o, 0.0, so) + lr[3]
         # diagonal blocks: accumulation and wells, every face's (left, left)
         # on its left cell and (right, right) = -lr on its right cell
-        own = self._own.copy()
-        cl, cr, n = w.faces.c_left, w.faces.c_right, w.n_st
+        own[:] = self._own.T
+        cl, cr = w.faces.c_left, w.faces.c_right
         for e in range(4):
-            own[:, e] += (np.bincount(cl, ll[:, e], n)
-                          - np.bincount(cr, lr[:, e], n))
+            own[e] += np.bincount(cl, ll[e], n) - np.bincount(cr, lr[e], n)
+        np.negative(ll, out=ll)
+        return vals
+
+    @cached_property
+    def local(self):
+        """The cells whose saturation is local: its row and its column
+        hold nonzeros only in the cell's own block, with a nonzero
+        diagonal.  Such a cell has no other time level, whose mass terms
+        would link it, and no face whose water flux moves with it, as
+        ahead of the front, where water is immobile."""
+        w, vals = self.window, self.blocks
+        n, nf = w.n_st, w.n_faces
+        local = vals[3, :n] != 0
+        local[w.st_prev >= 0] = False
+        local[w.st_prev[w.st_prev >= 0]] = False
+        # a face links its left cell's water row to the right cell's
+        # unknowns (lr) and its saturation column to the right cell's rows
+        # (-ll), and the right cell's likewise
+        nz = vals[:, n + len(self._prev):] != 0
+        lr, ll = nz[:, :nf], nz[:, nf:]
+        local[w.faces.c_left[lr[2] | lr[3] | ll[1] | ll[3]]] = False
+        local[w.faces.c_right[ll[2] | ll[3] | lr[1] | lr[3]]] = False
+        return np.flatnonzero(local)
+
+    def jacobian(self, pattern=None):
+        """The `ReducedJacobian` in `pattern`'s numbering (the window's
+        `jacobian_pattern` by default).
+
+        Each local saturation is eliminated exactly in the fill: its 1x1
+        pivot a_ss folds a_ps a_sp / a_ss into its cell's pressure
+        diagonal, which adds no fill, and its three entries are zeroed.
+        The zeros (those, an upwind side, a zero mobility) are then
+        dropped, as they would otherwise be stored and slow the
+        factorization, and the remaining rows renumbered.
+        """
+        w = self.window
         pat = w.jacobian_pattern if pattern is None else pattern
-        data = np.empty(pat.nnz)
-        groups = np.split(pat.pos, np.cumsum([n, len(self._prev), w.n_faces]))
-        for pos, vals in zip(groups, (own, self._prev, lr,
-                                      np.negative(ll, out=ll))):
-            data[pos] = vals
-        jac = sp.csc_matrix((data, pat.indices.copy(), pat.indptr.copy()),
-                            shape=(w.n_y, w.n_y))
-        # entries that are zero at this state (an upwind side, a zero
-        # mobility) would otherwise be stored and slow the factorization;
+        shape = (w.n_y, w.n_y)
+        full = self.blocks.ravel().take(pat.entry)
+        unreduced = sp.csc_matrix((full, pat.indices, pat.indptr),
+                                  shape=shape)
+        local = self.local
+        at = pat.own.take(local, axis=1)
+        a_pp, a_ps, a_sp, a_ss = full.take(at)
+        a_ps = a_ps / a_ss
+        data = full.copy()
+        data[at[0]] = a_pp - a_ps * a_sp
+        data[at[1:]] = 0.0
         # this compacts the index arrays in place, hence their copies
+        jac = sp.csc_matrix((data, pat.indices.copy(), pat.indptr.copy()),
+                            shape=shape)
         jac.eliminate_zeros()
-        return jac
+        # the local saturations' rows and columns are empty now
+        dropped = np.zeros(w.n_y, dtype=bool)
+        dropped[2 * local + 1] = True
+        kept = ~dropped.take(pat.unknowns)
+        number = np.cumsum(kept, dtype=np.int32) - 1
+        keep = np.flatnonzero(kept)
+        matrix = sp.csc_matrix(
+            (jac.data, number.take(jac.indices),
+             jac.indptr.take(np.append(keep, w.n_y))),
+            shape=(len(keep), len(keep)))
+        return ReducedJacobian(matrix, pat.unknowns.take(keep), local,
+                               a_ss, a_ps, a_sp, unreduced, pat.unknowns)
 
 
 def linearize(window, state, props, wells, model):

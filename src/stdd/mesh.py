@@ -144,22 +144,29 @@ class FaceSet:
 class JacobianPattern:
     """CSC sparsity of a window's flux-eliminated Jacobian.
 
-    `pos[k]` holds the CSC data positions of the four entries of block k
-    of `SpaceTimeWindow.jacobian_blocks`; no two blocks share a position.
+    The entry at CSC data position k is element `entry[k]` of the
+    flattened (4, blocks) values of the blocks of
+    `SpaceTimeWindow.jacobian_blocks`, whose row e holds each block's
+    entry e; no two blocks share a position.  The first blocks are the
+    cells' own, and `own[e, c]` is the position of entry e of cell c's.
+    Row and column k is unknown `unknowns[k]` of the natural numbering.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    pos: np.ndarray          # (blocks, 4)
+    entry: np.ndarray
+    own: np.ndarray          # (4, cells)
+    unknowns: np.ndarray
 
     @property
     def nnz(self):
         return len(self.indices)
 
 
-def _block_pattern(n, rows, cols):
+def _block_pattern(n, rows, cols, cells):
     """CSC pattern of an n-cell Jacobian with a 2x2 block at each
-    (rows[k], cols[k]).
+    (rows[k], cols[k]), the first n of them the diagonal blocks of cells
+    0 to n - 1 in order, where cell k is natural cell `cells[k]`.
 
     Column 2j (p) and column 2j + 1 (s) of cell j hold the same rows:
     2i and 2i + 1 for each cell i coupled to j, in order of i.
@@ -171,16 +178,21 @@ def _block_pattern(n, rows, cols):
     ptr = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=n))])
     m = np.diff(ptr)                  # blocks in each column of cells
     first = 4 * ptr[j] + 2 * (np.arange(len(pairs)) - ptr[j])
-    entry = (first[:, None] + np.array([0, 0, 1, 1])
-             + 2 * m[j][:, None] * np.array([0, 1, 0, 1]))
+    at = (first[:, None] + np.array([0, 0, 1, 1])
+          + 2 * m[j][:, None] * np.array([0, 1, 0, 1]))
     indices = np.empty(4 * len(pairs), dtype=np.int32)
-    indices[entry] = 2 * i[:, None] + np.array([0, 0, 1, 1])
+    indices[at] = 2 * i[:, None] + np.array([0, 0, 1, 1])
     indptr = np.empty(2 * n + 1, dtype=np.int32)
     indptr[0:-1:2] = 4 * ptr[:-1]
     indptr[1::2] = 4 * ptr[:-1] + 2 * m
     indptr[-1] = 4 * ptr[-1]
-    pattern = JacobianPattern(indptr=indptr, indices=indices,
-                              pos=entry[block.ravel()])
+    pos = at[block.ravel()]
+    entry = np.empty(len(indices), dtype=np.intp)
+    entry[pos.T.ravel()] = np.arange(pos.size)
+    pattern = JacobianPattern(
+        indptr=indptr, indices=indices, entry=entry,
+        own=np.ascontiguousarray(pos[:n].T),
+        unknowns=(2 * cells[:, None] + np.arange(2)).ravel())
     for a in vars(pattern).values():
         a.setflags(write=False)
     return pattern
@@ -202,7 +214,7 @@ class _Structure:
 
     @cached_property
     def jacobian_pattern(self):
-        return _block_pattern(self.n_st, *self.blocks)
+        return _block_pattern(self.n_st, *self.blocks, np.arange(self.n_st))
 
     @cached_property
     def cell_order(self):
@@ -233,7 +245,8 @@ class _Structure:
         rank = np.empty(self.n_st, dtype=np.int64)
         rank[self.cell_order] = np.arange(self.n_st)
         rows, cols = self.blocks
-        return _block_pattern(self.n_st, rank[rows], rank[cols])
+        return _block_pattern(self.n_st, rank[rows], rank[cols],
+                              self.cell_order)
 
 
 class SpaceTimeWindow:
@@ -316,13 +329,8 @@ class SpaceTimeWindow:
         return self._structure.jacobian_pattern
 
     @cached_property
-    def cell_order(self):
-        """`_Structure.cell_order`: position k holds cell `cell_order[k]`."""
-        return self._structure.cell_order
-
-    @cached_property
     def ordered_pattern(self):
-        """`jacobian_pattern` with cell `cell_order[k]` numbered k."""
+        """`jacobian_pattern` in `_Structure.cell_order`'s numbering."""
         return self._structure.ordered_pattern
 
     def final_level_cells(self):

@@ -2,12 +2,15 @@
 readers `compare` needs.
 
 All writers format floats with `%.17g` so serial reruns are byte-identical
-and round trips through the readers are exact.
+and round trips through the readers are exact.  A window's snapshot goes
+through `write_snapshot`, which formats each value once for its CSV and
+its VTK file.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 
@@ -18,45 +21,63 @@ def _fmt(v):
     return "%.17g" % float(v)
 
 
-def write_grid_csv(path, field2d, origin, cell_size, name="value"):
-    """Cell-centered scalar field as long-format CSV (i fastest)."""
-    nx, ny = field2d.shape
+@functools.lru_cache(maxsize=4)
+def _row_heads(shape, origin, cell_size):
+    """The `i,j,x,y,` head of every row of a grid CSV, i fastest, each
+    but the first after the line end of the row before it."""
+    nx, ny = shape
     x0, y0 = origin
     hx, hy = cell_size
     xs = (x0 + (np.arange(nx) + 0.5) * hx).tolist()
     ys = (y0 + (np.arange(ny) + 0.5) * hy).tolist()
-    by_j = np.asarray(field2d, dtype=float).T.tolist()
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["i", "j", "x", "y", name])
-        # the rows csv.writer would write: no field needs quoting
-        fh.write("".join(
-            "%d,%d,%.17g,%.17g,%.17g\r\n" % (i, j, x, y, v)
-            for j, (y, row) in enumerate(zip(ys, by_j))
-            for i, (x, v) in enumerate(zip(xs, row))))
+    heads = ["\r\n%d,%d,%.17g,%.17g," % (i, j, x, y)
+             for j, y in enumerate(ys) for i, x in enumerate(xs)]
+    if heads:
+        heads[0] = heads[0][2:]
+    return heads
 
 
-def read_grid_csv(path):
-    """The (nx, ny) field of a file written by write_grid_csv."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    ii = np.array([int(r[0]) for r in rows])
-    jj = np.array([int(r[1]) for r in rows])
-    field = np.empty((ii.max() + 1, jj.max() + 1))
-    field[ii, jj] = [float(r[4]) for r in rows]
-    return field
+def _format(field):
+    """`%.17g` of each value of an (nx, ny) field, x fastest.  Each
+    distinct value is formatted once: a coarse cell covers many base
+    cells.  Values are told apart by their bits, so -0.0 is not 0.0."""
+    bits, inverse = np.unique(
+        np.asarray(field, dtype=float).T.ravel().view(np.int64),
+        return_inverse=True)
+    values = bits.view(float).tolist()
+    text = ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+    return [text[k] for k in inverse.tolist()]
 
 
-def write_vtk_rectilinear(path, fields, origin, cell_size, title="snapshot"):
-    """Legacy-format VTK rectilinear grid with cell data.
+def write_snapshot(fields, origin, cell_size, csv_paths=(), vtk_path=None,
+                   title="snapshot"):
+    """Cell-centered scalar fields of one grid, as CSV and legacy VTK.
 
-    `fields` maps names to (nx, ny) arrays; the grid is extruded one cell
-    in z so standard viewers accept it.
+    `fields` maps names to (nx, ny) arrays.  Each name in `csv_paths` is
+    written to its path as a long-format CSV (i fastest); with `vtk_path`,
+    every field goes into one VTK rectilinear grid, extruded one cell in
+    z so standard viewers accept it.  A value is formatted once for all
+    the files it goes to, and the CSV row heads once per grid geometry.
     """
     first = next(iter(fields.values()))
-    nx, ny = first.shape
+    nx, ny = np.shape(first)
+    # both formats list the cells x fastest, then y
+    text = {name: _format(field) for name, field in fields.items()}
+    if csv_paths:
+        heads = _row_heads((nx, ny), tuple(origin), tuple(cell_size))
+        rows = [None] * (2 * len(heads))
+        rows[0::2] = heads
+    for name, path in dict(csv_paths).items():
+        rows[1::2] = text[name]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerow(["i", "j", "x", "y", name])
+            # the rows csv.writer would write: no field needs quoting
+            fh.write("".join(rows) + "\r\n")
+    if vtk_path is None:
+        return
     x0, y0 = origin
     hx, hy = cell_size
-    with open(path, "w") as fh:
+    with open(vtk_path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"{title}\n")
         fh.write("ASCII\nDATASET RECTILINEAR_GRID\n")
@@ -67,12 +88,21 @@ def write_vtk_rectilinear(path, fields, origin, cell_size, title="snapshot"):
         fh.write(" ".join(_fmt(y0 + j * hy) for j in range(ny + 1)) + "\n")
         fh.write("Z_COORDINATES 2 double\n0 1\n")
         fh.write(f"CELL_DATA {nx * ny}\n")
-        for name, field in fields.items():
+        for name, values in text.items():
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            # VTK cell order: x fastest, then y
-            row = " ".join(["%.17g"] * field.shape[0]) + "\n"
-            fh.write("".join(row % tuple(by_j) for by_j in
-                             np.asarray(field, dtype=float).T.tolist()))
+            fh.write("".join(" ".join(values[j * nx:(j + 1) * nx]) + "\n"
+                             for j in range(ny)))
+
+
+def read_grid_csv(path):
+    """The (nx, ny) field of a file written by write_snapshot."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    ii = np.array([int(r[0]) for r in rows])
+    jj = np.array([int(r[1]) for r in rows])
+    field = np.empty((ii.max() + 1, jj.max() + 1))
+    field[ii, jj] = [float(r[4]) for r in rows]
+    return field
 
 
 def write_ledger_csv(path, ledger):

@@ -156,8 +156,9 @@ def _predict(pb, ncfg, all_coarse, t_start, prev, final, s_now):
     the window `prev` (or from the initial state, when `prev` is None).
     The predicted saturation deltas say where the front will move *during*
     the window, so refinement leads the front instead of trailing it.  The
-    trial's warm-start residual provides the residual indicator.  `s_now`
-    is the saturation raster at `t_start`.
+    trial's warm-start residual provides the residual indicator, and its
+    linearization is Newton's first.  `s_now` is the saturation raster at
+    `t_start`.
     """
     cfg = pb.cfg
     trial = build_window(all_coarse, cfg.window_length, cfg.reservoir,
@@ -168,12 +169,12 @@ def _predict(pb, ncfg, all_coarse, t_start, prev, final, s_now):
     else:
         tp, ts = transfer_state(prev, *final, trial, pb.base, pb.phi_base)
     props, wells = pb.props_for(trial), pb.wells_for(trial)
-    r_norm = linearize(trial, StateField.from_trace(trial, tp, ts), props,
-                       wells, pb.model).r_norm
-    eta = residual_indicator(trial, r_norm, pb.base, pb.tiling)
+    start = linearize(trial, StateField.from_trace(trial, tp, ts), props,
+                      wells, pb.model)
+    eta = residual_indicator(trial, start.r_norm, pb.base, pb.tiling)
     try:
         sol, entry = newton_solve_window(trial, props, wells, tp, ts,
-                                         pb.model, ncfg)
+                                         pb.model, ncfg, start=start)
     except NonConvergence as fail:
         # predictor failed: refine everywhere rather than guess
         big = np.full(pb.tiling.shape, pb.thresholds.theta_ds + 1.0)
@@ -247,8 +248,9 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     output.write_summary(os.path.join(outdir, "config.json"), cfg.to_dict())
     output.write_curves_csv(os.path.join(outdir, "curves.csv"),
                             property_curves(pb.model))
-    output.write_grid_csv(os.path.join(outdir, "perm_kx.csv"), pb.kx_base,
-                          origin, cfg.base_cell, name="kx")
+    output.write_snapshot(
+        {"kx": pb.kx_base}, origin, cfg.base_cell,
+        csv_paths={"kx": os.path.join(outdir, "perm_kx.csv")})
 
     ncfg = NewtonConfig(**cfg.newton)
     fixed = pb.fixed_idmap()
@@ -323,15 +325,13 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
             p2d = base.rasterize(window, final[0])
             sw_name = f"snap_sw_{widx:03d}.csv"
             p_name = f"snap_p_{widx:03d}.csv"
-            output.write_grid_csv(os.path.join(outdir, sw_name), s2d,
-                                  origin, cfg.base_cell, name="sw")
-            output.write_grid_csv(os.path.join(outdir, p_name), p2d,
-                                  origin, cfg.base_cell, name="p")
-            if emit_vtk:
-                output.write_vtk_rectilinear(
-                    os.path.join(outdir, f"snap_{widx:03d}.vtk"),
-                    {"sw": s2d, "p": p2d}, origin, cfg.base_cell,
-                    title=f"t={window.t_end:g} days")
+            output.write_snapshot(
+                {"sw": s2d, "p": p2d}, origin, cfg.base_cell,
+                csv_paths={"sw": os.path.join(outdir, sw_name),
+                           "p": os.path.join(outdir, p_name)},
+                vtk_path=(os.path.join(outdir, f"snap_{widx:03d}.vtk")
+                          if emit_vtk else None),
+                title=f"t={window.t_end:g} days")
             if cfg.emit_fine_levels:
                 _emit_fine_levels(outdir, window, state, base, origin, cfg)
             snapshots.append({"index": widx, "time": window.t_end,
@@ -395,8 +395,8 @@ def _emit_fine_levels(outdir, window, state, base, origin, cfg):
         vals[window.st_spatial[first]] = state.s[first]
         s2d = base.rasterize(window, vals)
         name = f"fine_sw_w{window.window_index:03d}_t{t:09.3f}.csv"
-        output.write_grid_csv(os.path.join(outdir, name), s2d, origin,
-                              cfg.base_cell, name="sw")
+        output.write_snapshot({"sw": s2d}, origin, cfg.base_cell,
+                              csv_paths={"sw": os.path.join(outdir, name)})
 
 
 # -- comparison ------------------------------------------------------------

@@ -12,7 +12,8 @@ from scipy.linalg import solveh_banded
 from stdd.adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
                              cell_permeability, classify, decompose,
                              delta_change, final_spatial, residual_indicator,
-                             transfer_state, upscale_permeability)
+                             transfer_state, upscale_blocks,
+                             upscale_permeability)
 from stdd.config import RunConfig, WellSpec, preset
 from stdd.errors import NonIntegerRatio
 from stdd.mesh import Subdomain, _int_offset, _int_ratio, build_window
@@ -300,6 +301,28 @@ class TestUpscaling:
         assert upscale_permeability(k, 0.5, 0.7, "y") == pytest.approx(
             ref_upscale_flow(k.T, 0.7, 0.5, solve="sparse"), rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(5, 5), (2, 3), (1, 4), (4, 1)])
+    @pytest.mark.parametrize("direction", ["x", "y"])
+    def test_batch_equals_per_block_reference(self, shape, direction):
+        """A stack of uncoupled blocks solved in one banded call gives
+        each block's own value, bit for bit."""
+        rng = np.random.default_rng(sum(shape))
+        ks = np.exp(rng.normal(3.0, 1.5, (40,) + shape))
+        got = upscale_blocks(ks, 0.5, 0.7, direction)
+        assert got.shape == (40,)
+        assert got.tolist() == [ref_upscale(k, 0.5, 0.7, direction)
+                                for k in ks]
+        assert [upscale_permeability(k, 0.5, 0.7, direction)
+                for k in ks] == got.tolist()
+
+    @pytest.mark.parametrize("direction", ["x", "y"])
+    def test_layered_batch_equals_single_blocks(self, direction):
+        ks = np.random.default_rng(6).uniform(1.0, 10.0, (7, 3, 4))
+        got = upscale_blocks(ks, 0.5, 0.5, direction, method="layered")
+        assert got.tolist() == [
+            upscale_permeability(k, 0.5, 0.5, direction, method="layered")
+            for k in ks]
+
     def test_cell_permeability_passthrough_on_base_cells(self):
         res = (0.0, 0.0, 4.0, 2.0)
         base = BaseGrid(res, (0.5, 0.5))
@@ -375,6 +398,16 @@ def ref_upscale_flow(k, hx, hy, solve="banded"):
         p = solveh_banded(band, rhs)
     q_in = float(np.sum(tb_l * (1.0 - p[:my])))
     return q_in * (mx * hx) / (my * hy)
+
+
+def ref_upscale(k, hx, hy, direction):
+    """One block's flow upscaling on its own: the mean of a block one
+    cell long in the flow direction, `ref_upscale_flow` of any other."""
+    if direction == "y":
+        k, hx, hy = k.T, hy, hx
+    if k.shape[0] == 1:
+        return float(np.mean(k))
+    return ref_upscale_flow(k, hx, hy)
 
 
 # -- the base-grid owner map against per-cell slices ------------------------

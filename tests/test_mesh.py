@@ -65,14 +65,15 @@ class TestSharedStructure:
         a = build_window(subs, 1.0, box, structures=structures)
         b = build_window(list(subs), 1.0, box, window_index=3, t_start=1.0,
                          structures=structures)
-        assert a.cell_order is b.cell_order
+        assert a.ordered_pattern.unknowns is b.ordered_pattern.unknowns
         assert a.ordered_pattern is b.ordered_pattern
         assert a.jacobian_pattern is b.jacobian_pattern
         longer = build_window(subs, 2.0, box, structures=structures)
         alone = build_window(subs, 1.0, box)
         for other in (longer, alone):
             assert other.jacobian_pattern is not a.jacobian_pattern
-        assert np.array_equal(alone.cell_order, a.cell_order)
+        assert np.array_equal(alone.ordered_pattern.unknowns,
+                              a.ordered_pattern.unknowns)
         assert len(structures) == 2
 
     def test_cache_keeps_the_most_recent(self):

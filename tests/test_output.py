@@ -1,12 +1,14 @@
 """Artifact writers/readers: exact round trips and cross-format agreement."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from artifact_readers import read_ledger_csv, read_vtk_cell_scalars
-from stdd import output
+from stdd import output, preset
+from stdd.run import run
 from stdd.solver import LedgerEntry, RunLedger
 
 
@@ -22,12 +24,12 @@ class TestGridCsv:
         # the second grid is one cell wide in x, away from the origin
         for f, origin in ((field, (0.0, 0.0)),
                           (np.arange(3.0).reshape(1, 3), (10.0, 0.0))):
-            output.write_grid_csv(p, f, origin, (0.5, 0.5), name="sw")
+            write_csv(p, f, origin, (0.5, 0.5), name="sw")
             assert np.array_equal(output.read_grid_csv(p), f)
 
     def test_header_and_ordering(self, tmp_path, field):
         p = tmp_path / "f.csv"
-        output.write_grid_csv(p, field, (1.0, 2.0), (0.5, 0.25), name="p")
+        write_csv(p, field, (1.0, 2.0), (0.5, 0.25), name="p")
         lines = p.read_text().splitlines()
         assert lines[0] == "i,j,x,y,p"
         # i varies fastest within each j
@@ -38,8 +40,8 @@ class TestGridCsv:
 
     def test_write_is_deterministic(self, tmp_path, field):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        output.write_grid_csv(a, field, (0.0, 0.0), (0.5, 0.5))
-        output.write_grid_csv(b, field, (0.0, 0.0), (0.5, 0.5))
+        write_csv(a, field, (0.0, 0.0), (0.5, 0.5))
+        write_csv(b, field, (0.0, 0.0), (0.5, 0.5))
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("origin, cell", [
@@ -49,14 +51,20 @@ class TestGridCsv:
         field = field.copy()
         field[0, :] = [0.0, -0.0, 1.0e-300, 1.0e17]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        output.write_grid_csv(a, field, origin, cell, name="s,w")
+        write_csv(a, field, origin, cell, name="s,w")
         ref_write_grid_csv(b, field, origin, cell, name="s,w")
         assert a.read_bytes() == b.read_bytes()
 
     def test_nonzero_origin_round_trip(self, tmp_path, field):
         p = tmp_path / "f.csv"
-        output.write_grid_csv(p, field, (10.0, -5.0), (2.0, 1.0))
+        write_csv(p, field, (10.0, -5.0), (2.0, 1.0))
         assert np.array_equal(output.read_grid_csv(p), field)
+
+
+def write_csv(path, field, origin, cell_size, name="value"):
+    """One field written as a snapshot CSV."""
+    output.write_snapshot({name: field}, origin, cell_size,
+                          csv_paths={name: path})
 
 
 def ref_write_grid_csv(path, field2d, origin, cell_size, name="value"):
@@ -115,15 +123,15 @@ class TestVtk:
         fields = {"sw": field, "p": np.arange(field.size).reshape(
             field.shape)}
         a, b = tmp_path / "a.vtk", tmp_path / "b.vtk"
-        output.write_vtk_rectilinear(a, fields, origin, cell, title="t=1")
+        output.write_snapshot(fields, origin, cell, vtk_path=a, title="t=1")
         ref_write_vtk_rectilinear(b, fields, origin, cell, title="t=1")
         assert a.read_bytes() == b.read_bytes()
 
     def test_cell_scalars_round_trip(self, tmp_path, field):
         p = tmp_path / "snap.vtk"
         other = field * 3.0 + 1.0
-        output.write_vtk_rectilinear(p, {"sw": field, "p": other},
-                                     (0.0, 0.0), (0.5, 0.5))
+        output.write_snapshot({"sw": field, "p": other}, (0.0, 0.0),
+                              (0.5, 0.5), vtk_path=p)
         got = read_vtk_cell_scalars(p)
         assert set(got) == {"sw", "p"}
         assert np.array_equal(got["sw"], field)
@@ -131,8 +139,8 @@ class TestVtk:
 
     def test_structure(self, tmp_path, field):
         p = tmp_path / "snap.vtk"
-        output.write_vtk_rectilinear(p, {"sw": field}, (0.0, 0.0),
-                                     (0.5, 0.5), title="t=4 days")
+        output.write_snapshot({"sw": field}, (0.0, 0.0), (0.5, 0.5),
+                              vtk_path=p, title="t=4 days")
         text = p.read_text()
         assert text.startswith("# vtk DataFile Version 3.0\nt=4 days\n")
         assert "DATASET RECTILINEAR_GRID" in text
@@ -143,12 +151,99 @@ class TestVtk:
         """The same snapshot written both ways must agree cell for cell."""
         pc = tmp_path / "f.csv"
         pv = tmp_path / "f.vtk"
-        output.write_grid_csv(pc, field, (0.0, 0.0), (0.5, 0.5), name="sw")
-        output.write_vtk_rectilinear(pv, {"sw": field}, (0.0, 0.0),
-                                     (0.5, 0.5))
+        write_csv(pc, field, (0.0, 0.0), (0.5, 0.5), name="sw")
+        output.write_snapshot({"sw": field}, (0.0, 0.0), (0.5, 0.5),
+                              vtk_path=pv)
         from_csv = output.read_grid_csv(pc)
         from_vtk = read_vtk_cell_scalars(pv)["sw"]
         assert np.array_equal(from_csv, from_vtk)
+
+
+class TestSnapshot:
+    """`write_snapshot` against the per-value reference writers."""
+
+    @staticmethod
+    def fields(shape, seed):
+        rng = np.random.default_rng(seed)
+        sw = rng.uniform(0.0, 1.0, shape)
+        sw.flat[:4] = [0.0, -0.0, 1.0e-300, 1.0e17]
+        return {"sw": sw, "p": rng.uniform(900.0, 1100.0, shape)}
+
+    def check(self, tmp_path, fields, origin, cell, vtk=True):
+        csvs = {name: tmp_path / f"{name}.csv" for name in fields}
+        vtk_path = tmp_path / "snap.vtk" if vtk else None
+        output.write_snapshot(fields, origin, cell, csv_paths=csvs,
+                              vtk_path=vtk_path, title="t=2 days")
+        ref = tmp_path / "ref"
+        for name, field in fields.items():
+            ref_write_grid_csv(ref, field, origin, cell, name=name)
+            assert csvs[name].read_bytes() == ref.read_bytes()
+        if vtk:
+            ref_write_vtk_rectilinear(ref, fields, origin, cell,
+                                      title="t=2 days")
+            assert vtk_path.read_bytes() == ref.read_bytes()
+
+    def test_bytes_match_reference_writers(self, tmp_path):
+        self.check(tmp_path, self.fields((6, 4), 0), (1.0, 2.0), (0.5, 0.25))
+
+    def test_repeated_values(self, tmp_path):
+        """A value repeated over the cells of a coarse block is formatted
+        once; distinct bits keep their own strings, so -0.0 is not 0.0."""
+        base = np.array([[0.0, -0.0, np.nan], [0.25, 0.25, -0.0]])
+        field = np.repeat(np.repeat(base, 3, axis=0), 2, axis=1)
+        self.check(tmp_path, {"sw": field, "p": -field}, (0.0, 0.0),
+                   (0.5, 0.5))
+
+    def test_row_heads_follow_the_grid(self, tmp_path):
+        """Grids that differ in shape, origin or cell size alone, written
+        in turn in one process, each get their own row heads."""
+        grids = [((6, 4), (0.0, 0.0), (0.5, 0.5)),
+                 ((4, 6), (0.0, 0.0), (0.5, 0.5)),
+                 ((6, 4), (10.0, -5.0), (0.5, 0.5)),
+                 ((6, 4), (0.0, 0.0), (2.0, 1.0))]
+        for seed, (shape, origin, cell) in enumerate(grids + grids):
+            self.check(tmp_path, self.fields(shape, seed), origin, cell,
+                       vtk=seed % 2 == 0)
+
+    def test_only_the_named_csvs(self, tmp_path):
+        fields = self.fields((3, 5), 1)
+        output.write_snapshot(fields, (0.0, 0.0), (1.0, 1.0),
+                              csv_paths={"p": tmp_path / "p.csv"})
+        assert [f.name for f in tmp_path.iterdir()] == ["p.csv"]
+        assert np.array_equal(output.read_grid_csv(tmp_path / "p.csv"),
+                              fields["p"])
+
+
+class TestRunSnapshots:
+    """A run's snapshots, written in the cached row-head path, against
+    the reference writers on the values read back."""
+
+    def test_fine_levels_and_vtk(self, tmp_path):
+        cfg = replace(preset("toy"), horizon=4.0, emit_fine_levels=True)
+        a, b = tmp_path / "a", tmp_path / "b"
+        run(cfg, a, emit_vtk=False)
+        run(replace(cfg, emit_fine_levels=False), b)
+        assert not list(a.glob("*.vtk"))
+        fine = sorted(a.glob("fine_sw_*.csv"))
+        assert len(fine) > 2
+        origin, cell = cfg.reservoir[:2], cfg.base_cell
+        ref = tmp_path / "ref"
+        for path in fine + sorted(a.glob("snap_*.csv")):
+            name = path.read_text().split("\n", 1)[0].split(",")[-1].strip()
+            ref_write_grid_csv(ref, output.read_grid_csv(path), origin,
+                               cell, name=name)
+            assert path.read_bytes() == ref.read_bytes()
+            other = b / path.name
+            if path.name.startswith("snap_"):
+                assert path.read_bytes() == other.read_bytes()
+            else:
+                assert not other.exists()
+        for k in range(2):
+            fields = {f: output.read_grid_csv(b / f"snap_{f}_{k:03d}.csv")
+                      for f in ("sw", "p")}
+            ref_write_vtk_rectilinear(ref, fields, origin, cell,
+                                      title=f"t={2 * k + 2:g} days")
+            assert (b / f"snap_{k:03d}.vtk").read_bytes() == ref.read_bytes()
 
 
 class TestLedger:

@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 import stdd.solver
 import test_assembly
 from artifact_readers import read_ledger_csv
+from jacobian_oracle import PlainJacobian, full_jacobian, local_saturations
 from stdd.assembly import (CellProperties, ResolvedWells, StateField,
                            linearize)
 from stdd.config import preset
@@ -59,18 +60,18 @@ class TestLinearSolve:
         n = 100
         a = np.eye(n) + 0.1 * rng.standard_normal((n, n))
         b = rng.standard_normal(n)
-        dy = linear_solve(sp.csr_matrix(a), b)
+        dy = linear_solve(PlainJacobian(a), b)
         ref = np.linalg.solve(a, -b)
         assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_singular_rejected(self):
         a = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(SingularMatrix):
-            linear_solve(a, np.array([1.0, 0.0]))
+            linear_solve(PlainJacobian(a), np.array([1.0, 0.0]))
 
     def test_identity(self):
         r = np.array([3.0, -1.0, 2.0])
-        dy = linear_solve(sp.identity(3, format="csr"), r)
+        dy = linear_solve(PlainJacobian(sp.identity(3)), r)
         assert np.array_equal(dy, -r)
 
     @pytest.mark.parametrize("make", [test_assembly.uniform_window,
@@ -82,6 +83,7 @@ class TestLinearSolve:
         state, props_, wells = test_assembly.TestDirectJacobian.case(w, 2)
         sys_ = linearize(w, state, props_, wells, nonlinear_model())
         jac = sys_.jacobian()
+        assert len(jac.local) == 0
         lus = []
 
         class Spla:
@@ -94,7 +96,7 @@ class TestLinearSolve:
 
         monkeypatch.setattr(stdd.solver, "spla", Spla())
         dy = linear_solve(jac, sys_.r_y)
-        default = spla.splu(jac)
+        default = spla.splu(full_jacobian(sys_))
         ref = default.solve(-sys_.r_y)
         assert len(lus) == 1
         assert lus[0].nnz <= 0.9 * default.nnz
@@ -103,13 +105,13 @@ class TestLinearSolve:
 
 class TestLocalElimination:
     """Saturations whose row and column stay in their cell's block are
-    eliminated exactly before the factorization."""
+    eliminated exactly in the Jacobian fill."""
 
     @staticmethod
-    def strip_system(wet=()):
-        """The first Jacobian of a strip at irreducible saturation, with
-        the cells `wet` at s = 0.6."""
-        w = strip_window()
+    def strip_system(wet=(), dt=1.0):
+        """The first linearization of a strip at irreducible saturation,
+        with the cells `wet` at s = 0.6."""
+        w = strip_window(dt=dt)
         n = w.n_spatial
         s = np.full(n, 0.2)
         s[list(wet)] = 0.6
@@ -118,54 +120,107 @@ class TestLocalElimination:
                             nonlinear_model())
 
     @staticmethod
-    def assembly_system(make):
+    def assembly_system(make, s0=None):
+        """A linearization of one of `test_assembly`'s windows at a
+        random state, or on a trace at the uniform saturation `s0`."""
         w = make()
         state, props_, wells = test_assembly.TestDirectJacobian.case(w, 2)
+        if s0 is not None:
+            n = w.n_spatial
+            state = StateField.from_trace(w, np.full(n, 1000.0),
+                                          np.full(n, s0))
         return w, linearize(w, state, props_, wells, nonlinear_model())
 
+    CASES = {
+        "uniform": lambda: TestLocalElimination.assembly_system(
+            test_assembly.uniform_window),
+        "fine-box": lambda: TestLocalElimination.assembly_system(
+            test_assembly.fine_box_window),
+        "strip": lambda: TestLocalElimination.strip_system(),
+        "strip-front": lambda: TestLocalElimination.strip_system(
+            wet=[0, 5]),
+        "two-level": lambda: TestLocalElimination.strip_system(
+            wet=[5], dt=0.5),
+        "time-refined": lambda: TestLocalElimination.assembly_system(
+            test_assembly.time_refined_window, s0=0.2),
+    }
+
+    # each case and its count of local saturations
+    LOCAL = [("uniform", 0), ("fine-box", 0), ("strip", 16),
+             ("strip-front", 9), ("two-level", 0), ("time-refined", 6)]
+
+    @pytest.mark.parametrize("case, local", LOCAL)
+    def test_block_set_matches_csc_oracle(self, case, local):
+        """The local set found on the block values is the one the CSC
+        structural test finds on the unreduced matrix."""
+        w, sys_ = self.CASES[case]()
+        s = local_saturations(full_jacobian(sys_))[0]
+        assert np.array_equal(s % 2, np.ones(len(s)))
+        assert np.array_equal(sys_.local, s // 2)
+        assert len(sys_.local) == local
+
+    def test_zero_pivot_is_kept(self):
+        """A saturation whose diagonal vanishes is not local, as the
+        structural test needs a stored pivot."""
+        _, sys_ = self.strip_system()
+        vals = sys_.blocks.copy()
+        vals[3, 4] = 0.0            # cell 4's own (water, s) entry
+        vars(sys_)["blocks"] = vals
+        s = local_saturations(full_jacobian(sys_))[0]
+        assert np.array_equal(sys_.local, s // 2)
+        assert len(s) == 15 and 4 not in sys_.local
+
     @pytest.mark.parametrize("symmetric", [False, True])
-    @pytest.mark.parametrize("case, local", [
-        ("uniform", 0), ("fine-box", 0), ("strip", 16), ("strip-front", 9)])
+    @pytest.mark.parametrize("case, local", LOCAL)
     def test_matches_uneliminated_solve(self, case, local, symmetric):
         """In either numbering, the update agrees with a plain SuperLU
-        solve of the whole system, and the factor is no larger."""
-        w, sys_ = {
-            "uniform": lambda: self.assembly_system(
-                test_assembly.uniform_window),
-            "fine-box": lambda: self.assembly_system(
-                test_assembly.fine_box_window),
-            "strip": self.strip_system,
-            "strip-front": lambda: self.strip_system(wet=[0, 5]),
-        }[case]()
-        u = np.arange(w.n_y)
-        pattern = None
-        if symmetric:
-            pattern = w.ordered_pattern
-            u = (2 * w.cell_order[:, None] + np.arange(2)).ravel()
+        solve of the whole system, and the factor is no larger than the
+        unreduced system's on the same path."""
+        w, sys_ = self.CASES[case]()
+        pattern = w.ordered_pattern if symmetric else None
         jac = sys_.jacobian(pattern)
-        r = sys_.r_y[u]
-        assert len(stdd.solver._local_saturations(jac)[0]) == local
+        full = full_jacobian(sys_, pattern)
+        assert len(sys_.local) == local
+        assert jac.matrix.shape[0] == w.n_y - local
         fill = []
-        dy = linear_solve(jac, r, symmetric=symmetric, fill=fill)
-        ref = spla.splu(jac).solve(-r)
+        dy = linear_solve(jac, sys_.r_y, symmetric=symmetric, fill=fill)
+        ref = spla.splu(full_jacobian(sys_)).solve(-sys_.r_y)
         assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
-        assert fill[0] <= spla.splu(jac, relax=1, panel_size=4).nnz
+        path = {}
+        if symmetric:
+            path = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01,
+                        options={"SymmetricMode": True})
+        assert fill[0] <= spla.splu(full, relax=1, panel_size=4, **path).nnz
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reduced_matrix_is_the_oracle_elimination(self, case):
+        """The filled matrix is the unreduced one with each local
+        saturation's row and column removed and a_ps a_sp / a_ss taken
+        off its cell's pressure diagonal, entry for entry; the product
+        is with the unreduced matrix."""
+        w, sys_ = self.CASES[case]()
+        full = full_jacobian(sys_).toarray()
+        s = local_saturations(sp.csc_matrix(full))[0]
+        a_ss, a_ps, a_sp = full[s, s], full[s - 1, s], full[s, s - 1]
+        full[s - 1, s - 1] -= a_ps / a_ss * a_sp
+        kept = np.setdiff1d(np.arange(w.n_y), s)
+        jac = sys_.jacobian()
+        assert np.array_equal(jac.unknowns, kept)
+        assert np.array_equal(jac.matrix.toarray(), full[kept][:, kept])
+        dy = np.random.default_rng(0).standard_normal(w.n_y)
+        want = full_jacobian(sys_) @ dy
+        assert np.allclose(jac.dot(dy), want, rtol=0,
+                           atol=1e-13 * np.max(np.abs(want)))
 
     def test_linked_cells_are_kept(self):
         """A cell with another time level in the window, and a cell on a
         face that carries water, keep their saturation."""
-        w = strip_window(dt=0.5)
-        n = w.n_spatial
-        state = StateField.from_trace(w, np.full(n, 1000.0),
-                                      np.full(n, 0.2))
-        jac = linearize(w, state, props(n), corner_wells(n),
-                        nonlinear_model()).jacobian()
-        assert len(stdd.solver._local_saturations(jac)[0]) == 0
+        _, sys_ = self.strip_system(dt=0.5)
+        assert len(sys_.local) == 0
         # cell 0 is wet: water leaves it across its faces to cells 1 and 8
-        w, sys_ = self.strip_system(wet=[0])
-        s = stdd.solver._local_saturations(sys_.jacobian())[0]
-        assert np.array_equal(s // 2, np.setdiff1d(np.arange(16), [0, 1, 8]))
-        assert np.array_equal(s % 2, np.ones(len(s)))
+        _, sys_ = self.strip_system(wet=[0])
+        assert np.array_equal(sys_.local,
+                              np.setdiff1d(np.arange(16), [0, 1, 8]))
 
     def test_plain_matrix(self):
         """Unknowns 1 and 3 touch only their own blocks; unknown 5's row
@@ -178,9 +233,9 @@ class TestLocalElimination:
                                     [0.0, 0.0, 0.0, 4.0, 0.0, 0.0],
                                     [0.0, 0.0, 0.0, 0.0, 5.0, 1.0],
                                     [1.0, 0.0, 0.0, 0.0, 0.0, 6.0]]))
-        s = stdd.solver._local_saturations(a)
+        s = local_saturations(a)
         assert [x.tolist() for x in s] == [[1, 3], [5, 7], [4, -1], [1, -1]]
-        dy = linear_solve(a, r)
+        dy = linear_solve(PlainJacobian(a), r)
         assert np.allclose(dy, np.linalg.solve(a.toarray(), -r),
                            rtol=1e-14, atol=0)
 
@@ -373,10 +428,8 @@ class TestFactorPath:
         state, props_, wells = test_assembly.TestDirectJacobian.case(w, 2)
         sys_ = linearize(w, state, props_, wells, nonlinear_model())
         ref = linear_solve(sys_.jacobian(), sys_.r_y)
-        u = (2 * w.cell_order[:, None] + np.arange(2)).ravel()
-        dy = np.empty_like(ref)
-        dy[u] = linear_solve(sys_.jacobian(w.ordered_pattern), sys_.r_y[u],
-                             symmetric=True)
+        dy = linear_solve(sys_.jacobian(w.ordered_pattern), sys_.r_y,
+                          symmetric=True)
         assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("make, s0, swept", [
@@ -397,8 +450,8 @@ class TestFactorPath:
         trace = np.full(n, 1000.0), np.full(n, s0)
         args = props(n), corner_wells(n, rate=0.05)
         first = linearize(w, StateField.from_trace(w, *trace), *args,
-                          nonlinear_model()).jacobian()
-        share = stdd.solver._stored_share(w, first)
+                          nonlinear_model())
+        share = stdd.solver._stored_share(first)
         assert (share > stdd.solver.SYMMETRIC_MIN_STORED) == swept
         paths = []
         real = stdd.solver.linear_solve
@@ -412,7 +465,7 @@ class TestFactorPath:
                                        NewtonConfig())
         assert entry.converged and entry.iterations > 1
         assert paths == [swept] * entry.iterations
-        assert ("cell_order" in vars(w)) == swept
+        assert ("cell_order" in vars(w._structure)) == swept
 
 
 run_module = importlib.import_module("stdd.run")
@@ -432,10 +485,10 @@ def newton_calls(monkeypatch):
     calls = []
     real = run_module.newton_solve_window
 
-    def recorded(window, *args):
+    def recorded(window, *args, **kwargs):
         start = len(dofs)
         try:
-            return real(window, *args)
+            return real(window, *args, **kwargs)
         finally:
             calls.append((window, dofs[start:]))
 
@@ -521,6 +574,22 @@ class TestMarch:
         assert len(rows) == summary["iterations"] + summary["windows"]
         assert all(len(r) == 5 for r in rows)
 
+    def test_no_state_linearized_twice(self, tmp_path, monkeypatch):
+        """The predictor's warm start is linearized once: its residual
+        is the indicator and Newton's first."""
+        seen = []           # the windows are kept, so their ids stay apart
+        real = stdd.solver.linearize
+
+        def recorded(window, state, *args):
+            seen.append((window, state.p.tobytes(), state.s.tobytes()))
+            return real(window, state, *args)
+
+        monkeypatch.setattr(stdd.solver, "linearize", recorded)
+        monkeypatch.setattr(run_module, "linearize", recorded)
+        run(replace(preset("toy"), horizon=4.0), tmp_path, emit_vtk=False)
+        keys = [(id(w), p, s) for w, p, s in seen]
+        assert len(set(keys)) == len(keys) > 0
+
 
 
 def solved_dofs(monkeypatch):
@@ -538,16 +607,28 @@ def solved_dofs(monkeypatch):
 
 class TestAllInCost:
     def test_counts_every_linear_solve(self, tmp_path, monkeypatch):
+        """Each factorization is one `linear_solve` call, through the
+        module global, with the full-length residual; its first
+        argument's `nnz` is the factored matrix's."""
         dofs = solved_dofs(monkeypatch)
-        fill = []
+        real = stdd.solver.linear_solve
+        given = []          # (jacobian nnz, residual length) per call
+
+        def recorded(jacobian, residual, *args, **kwargs):
+            given.append((jacobian.nnz, len(residual)))
+            return real(jacobian, residual, *args, **kwargs)
+
+        monkeypatch.setattr(stdd.solver, "linear_solve", recorded)
+        fill, factored = [], []
 
         class Spla:
             def __getattr__(self, name):
                 return getattr(spla, name)
 
-            def splu(self, *args, **kwargs):
-                lu = spla.splu(*args, **kwargs)
+            def splu(self, a, *args, **kwargs):
+                lu = spla.splu(a, *args, **kwargs)
                 fill.append(lu.nnz)
+                factored.append((a.nnz, a.shape[0]))
                 return lu
 
         monkeypatch.setattr(stdd.solver, "spla", Spla())
@@ -561,6 +642,10 @@ class TestAllInCost:
         # the factors' stored entries over the same solves
         assert len(fill) == len(dofs)
         assert summary["lu_cost"] == sum(fill) > 0
+        assert [nnz for nnz, _ in given] == [nnz for nnz, _ in factored]
+        assert [n for _, n in given] == dofs
+        # some local saturations were eliminated, and only those
+        assert any(m < n for (_, m), n in zip(factored, dofs))
 
 
 class TestNewtonConfigValidation:
