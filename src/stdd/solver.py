@@ -193,8 +193,11 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
             break
         if k == 0 and _stored_share(sys_) > SYMMETRIC_MIN_STORED:
             pattern = window.ordered_pattern
-        dy = linear_solve(sys_.jacobian(pattern), sys_.r_y,
-                          symmetric=pattern is not None, fill=fill)
+        jac, r_y = sys_.jacobian(pattern), sys_.r_y
+        del sys_                # its blocks are freed before the factor
+        dy = linear_solve(jac, r_y, symmetric=pattern is not None,
+                          fill=fill)
+        del jac                 # freed before the next linearization
         dp, ds = dy[0::2], dy[1::2]
         # saturation chopping keeps iterates near the physical range; the
         # constant-mobility model is exactly linear and must not be chopped
