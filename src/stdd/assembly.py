@@ -254,7 +254,7 @@ class ReducedJacobian:
         """The stored entries of the matrix that is factored."""
         return self.matrix.nnz
 
-    def reduce(self, r):
+    def _reduce(self, r):
         """The residual `r` of J dy = -r folded onto the remaining
         unknowns: each eliminated saturation's a_ps r_s / a_ss leaves its
         cell's pressure row."""
@@ -263,7 +263,7 @@ class ReducedJacobian:
         r[p] -= self.a_ps * r[p + 1]
         return r.take(self.unknowns)
 
-    def expand(self, x, r):
+    def _expand(self, x, r):
         """The natural-numbered update whose remaining unknowns are `x`;
         each eliminated saturation is recovered from its own row."""
         dy = np.empty(len(r))
@@ -272,7 +272,7 @@ class ReducedJacobian:
         dy[p + 1] = (-r[p + 1] - self.a_sp * dy[p]) / self.a_ss
         return dy
 
-    def dot(self, dy):
+    def _dot(self, dy):
         """The unreduced Jacobian times the natural-numbered `dy`."""
         out = np.empty(len(dy))
         out[self.numbering] = self.unreduced @ dy.take(self.numbering)
@@ -358,6 +358,20 @@ class CellSystem:
         local[w.faces.c_right[ll[2] | ll[3] | lr[1] | lr[3]]] = False
         return np.flatnonzero(local)
 
+    @property
+    def stored_share(self):
+        """The stored share of the window's structural pattern in the
+        matrix that `jacobian` fills, over the unknowns that remain: each
+        local saturation takes its diagonal and its (p, s) and (s, p)
+        entries out, and its cell's pressure diagonal stays stored."""
+        w, vals, local = self.window, self.blocks, self.local
+        stored = (np.count_nonzero(vals) - len(local)
+                  - np.count_nonzero(vals[1:3].take(local, axis=1)))
+        unknowns = np.full(w.n_st, 2)
+        unknowns[local] = 1
+        rows, cols = w.jacobian_blocks()
+        return stored / np.dot(unknowns[rows], unknowns[cols])
+
     def jacobian(self, pattern=None):
         """The `ReducedJacobian` in `pattern`'s numbering (the window's
         `jacobian_pattern` by default).
@@ -367,7 +381,9 @@ class CellSystem:
         diagonal, which adds no fill, and its three entries are zeroed.
         The zeros (those, an upwind side, a zero mobility) are then
         dropped, as they would otherwise be stored and slow the
-        factorization, and the remaining rows renumbered.
+        factorization, and the remaining rows renumbered.  The cached
+        blocks are dropped once filled; `blocks` recomputes them if read
+        again.
         """
         w = self.window
         pat = w.jacobian_pattern if pattern is None else pattern
@@ -376,6 +392,7 @@ class CellSystem:
         unreduced = sp.csc_matrix((full, pat.indices, pat.indptr),
                                   shape=shape)
         local = self.local
+        self.__dict__.pop("blocks")
         at = pat.own.take(local, axis=1)
         a_pp, a_ps, a_sp, a_ss = full.take(at)
         a_ps = a_ps / a_ss

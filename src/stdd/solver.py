@@ -11,9 +11,9 @@ do ahead of the front, where water is immobile.  SuperLU factors what
 remains on one of two paths, chosen per window by its first linearization.
 A swept window, whose remaining system stores more than
 `SYMMETRIC_MIN_STORED` of its structural pattern over the remaining
-unknowns, is factored in the window's minimum-degree cell numbering with
-diagonal pivots (symmetric mode); any other in COLAMD's order with partial
-pivoting.  `linear_solve` recovers the eliminated updates and checks the
+unknowns (`CellSystem.stored_share`), is factored in the window's
+minimum-degree cell numbering with diagonal pivots (symmetric mode); any
+other in COLAMD's order with partial pivoting.  `linear_solve` recovers the eliminated updates and checks the
 whole update against the unreduced Jacobian.
 """
 
@@ -127,35 +127,21 @@ def linear_solve(jac, residual, symmetric=False, fill=None):
     try:
         lu = spla.splu(jac.matrix, relax=SUPERLU_RELAX,
                        panel_size=SUPERLU_PANEL_SIZE, **path)
-        x = lu.solve(-jac.reduce(residual))
+        x = lu.solve(-jac._reduce(residual))
     except (RuntimeError, ValueError) as exc:
         raise SingularMatrix(str(exc)) from exc
-    dy = jac.expand(x, residual)
+    dy = jac._expand(x, residual)
     if fill is not None:
         fill.append(lu.nnz)
     if not np.all(np.isfinite(dy)):
         raise SingularMatrix("linear solve produced non-finite values")
     scale = np.max(np.abs(residual)) if len(residual) else 0.0
     if scale > 0:
-        lin_res = np.max(np.abs(jac.dot(dy) + residual))
+        lin_res = np.max(np.abs(jac._dot(dy) + residual))
         if lin_res > LINEAR_TOL * scale * 1.0e4:
             raise SingularMatrix(
                 f"linear residual {lin_res:.3e} vs scale {scale:.3e}")
     return dy
-
-
-def _stored_share(sys_):
-    """The stored share of the window's structural pattern once the local
-    saturations of the linearization `sys_` are eliminated, over the
-    unknowns that remain: each takes its diagonal and its (p, s) and
-    (s, p) entries out, and its cell's pressure diagonal stays stored."""
-    w, vals, local = sys_.window, sys_.blocks, sys_.local
-    stored = (np.count_nonzero(vals) - len(local)
-              - np.count_nonzero(vals[1:3].take(local, axis=1)))
-    unknowns = np.full(w.n_st, 2)
-    unknowns[local] = 1
-    rows, cols = w.jacobian_blocks()
-    return stored / np.dot(unknowns[rows], unknowns[cols])
 
 
 def newton_solve_window(window, props, wells, trace_p, trace_s, model,
@@ -191,10 +177,10 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
             return state, entry(True, k)
         if k == cfg.max_iters:
             break
-        if k == 0 and _stored_share(sys_) > SYMMETRIC_MIN_STORED:
+        if k == 0 and sys_.stored_share > SYMMETRIC_MIN_STORED:
             pattern = window.ordered_pattern
         jac, r_y = sys_.jacobian(pattern), sys_.r_y
-        del sys_                # its blocks are freed before the factor
+        del sys_                # freed before the factor
         dy = linear_solve(jac, r_y, symmetric=pattern is not None,
                           fill=fill)
         del jac                 # freed before the next linearization

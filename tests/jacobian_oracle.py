@@ -32,13 +32,13 @@ class PlainJacobian:
         self.matrix = sp.csc_matrix(a)
         self.nnz = self.matrix.nnz
 
-    def reduce(self, r):
+    def _reduce(self, r):
         return r
 
-    def expand(self, x, r):
+    def _expand(self, x, r):
         return x
 
-    def dot(self, dy):
+    def _dot(self, dy):
         return self.matrix @ dy
 
 

@@ -149,6 +149,11 @@ class TestLocalElimination:
     LOCAL = [("uniform", 0), ("fine-box", 0), ("strip", 16),
              ("strip-front", 9), ("two-level", 0), ("time-refined", 6)]
 
+    # the small windows on which the minimum-degree cell order fills more
+    # than COLAMD's order of the whole system (660 against 506 entries on
+    # the two-level strip, 489 against 399 on the time-refined window)
+    SYMMETRIC_FILLS_MORE = ("two-level", "time-refined")
+
     @pytest.mark.parametrize("case, local", LOCAL)
     def test_block_set_matches_csc_oracle(self, case, local):
         """The local set found on the block values is the one the CSC
@@ -174,8 +179,10 @@ class TestLocalElimination:
     @pytest.mark.parametrize("case, local", LOCAL)
     def test_matches_uneliminated_solve(self, case, local, symmetric):
         """In either numbering, the update agrees with a plain SuperLU
-        solve of the whole system, and the factor is no larger than the
-        unreduced system's on the same path."""
+        solve of the whole system.  The factor is no larger than COLAMD's
+        of the whole system, except in the cell order on the windows of
+        `SYMMETRIC_FILLS_MORE`, and, where saturations are eliminated, no
+        larger than the whole system's on the same path."""
         w, sys_ = self.CASES[case]()
         pattern = w.ordered_pattern if symmetric else None
         jac = sys_.jacobian(pattern)
@@ -186,11 +193,13 @@ class TestLocalElimination:
         dy = linear_solve(jac, sys_.r_y, symmetric=symmetric, fill=fill)
         ref = spla.splu(full_jacobian(sys_)).solve(-sys_.r_y)
         assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
-        path = {}
-        if symmetric:
+        if not (symmetric and case in self.SYMMETRIC_FILLS_MORE):
+            assert fill[0] <= spla.splu(full, relax=1, panel_size=4).nnz
+        if symmetric and local:
             path = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01,
                         options={"SymmetricMode": True})
-        assert fill[0] <= spla.splu(full, relax=1, panel_size=4, **path).nnz
+            assert fill[0] <= spla.splu(full, relax=1, panel_size=4,
+                                        **path).nnz
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_reduced_matrix_is_the_oracle_elimination(self, case):
@@ -209,8 +218,18 @@ class TestLocalElimination:
         assert np.array_equal(jac.matrix.toarray(), full[kept][:, kept])
         dy = np.random.default_rng(0).standard_normal(w.n_y)
         want = full_jacobian(sys_) @ dy
-        assert np.allclose(jac.dot(dy), want, rtol=0,
+        assert np.allclose(jac._dot(dy), want, rtol=0,
                            atol=1e-13 * np.max(np.abs(want)))
+
+    def test_fill_drops_the_blocks(self):
+        """The fill drops the cached blocks, so a caller that keeps the
+        linearization keeps only its residual; a second fill rebuilds
+        them into the same matrix."""
+        _, sys_ = self.strip_system(wet=[0, 5])
+        first = sys_.jacobian()
+        assert "blocks" not in vars(sys_)
+        again = sys_.jacobian()
+        assert np.array_equal(first.matrix.toarray(), again.matrix.toarray())
 
     def test_linked_cells_are_kept(self):
         """A cell with another time level in the window, and a cell on a
@@ -451,7 +470,7 @@ class TestFactorPath:
         args = props(n), corner_wells(n, rate=0.05)
         first = linearize(w, StateField.from_trace(w, *trace), *args,
                           nonlinear_model())
-        share = stdd.solver._stored_share(first)
+        share = first.stored_share
         assert (share > stdd.solver.SYMMETRIC_MIN_STORED) == swept
         paths = []
         real = stdd.solver.linear_solve
