@@ -13,8 +13,9 @@ A swept window, whose remaining system stores more than
 `SYMMETRIC_MIN_STORED` of its structural pattern over the remaining
 unknowns (`CellSystem.stored_share`), is factored in the window's
 minimum-degree cell numbering with diagonal pivots (symmetric mode); any
-other in COLAMD's order with partial pivoting.  `linear_solve` recovers the eliminated updates and checks the
-whole update against the unreduced Jacobian.
+other in COLAMD's order with partial pivoting.  `linear_solve` recovers
+the eliminated updates and checks the whole update against the unreduced
+Jacobian.
 """
 
 from __future__ import annotations
