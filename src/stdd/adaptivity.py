@@ -25,7 +25,7 @@ from scipy.linalg import solveh_banded
 from scipy.ndimage import binary_dilation
 
 from .errors import NonIntegerRatio
-from .mesh import Subdomain, _int_offset, _int_ratio
+from .mesh import Subdomain, _int_ratio
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,10 @@ class BaseGrid:
         offset = 0
         for sub in subdomains:
             hx, hy = sub.cell_size
-            i0 = _int_offset(sub.region[0] - x0, self.hx, NonIntegerRatio,
-                             "cell/base alignment in x")
-            j0 = _int_offset(sub.region[1] - y0, self.hy, NonIntegerRatio,
-                             "cell/base alignment in y")
+            i0 = _int_ratio(sub.region[0] - x0, self.hx, NonIntegerRatio,
+                            "cell/base alignment in x", least=0)
+            j0 = _int_ratio(sub.region[1] - y0, self.hy, NonIntegerRatio,
+                            "cell/base alignment in y", least=0)
             mi = _int_ratio(hx, self.hx, NonIntegerRatio,
                             "cell/base ratio in x")
             mj = _int_ratio(hy, self.hy, NonIntegerRatio,

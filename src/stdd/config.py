@@ -259,8 +259,6 @@ def _parse_bool(s):
 
 # INI sections that fill the config's dict-valued keys of the same name
 INI_NESTED = ("fluid", "relcap", "thresholds", "newton", "permeability")
-INI_RUN_FLOATS = ("dz", "horizon", "delta_t", "phi", "initial_pressure",
-                  "initial_saturation")
 
 
 def _from_ini(text, path):
@@ -292,7 +290,7 @@ def _ini_dict(cp):
                 d[key] = _parse_bool(v)
             elif key in GEOMETRY:
                 d[key] = [float(x) for x in v.split()]
-            elif key in INI_RUN_FLOATS:
+            elif key in SCALARS:
                 d[key] = float(v)
             else:
                 raise ValueError(f"[run] unknown key {key!r}")

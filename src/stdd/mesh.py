@@ -9,11 +9,16 @@ granularity in both space and time: one unknown per fine face per fine time
 level, and the coarse cell's divergence sums all of them, which is what makes
 the scheme locally conservative across the interface.
 
+A face is its axis and its two space-time cells; its spatial cells, cell
+extents, cross-section and time slab all follow from the window's cell
+arrays, and so do the interface bundles.
+
 A window keeps its Jacobian's CSC pattern in two cell numberings, built on
 first use from the structure alone: natural (`jacobian_pattern`), which
 `stdd.solver` factors with COLAMD, and minimum degree (`ordered_pattern`),
-which it factors in symmetric mode once the window is swept.  Windows of
-equal decomposition and length share both patterns and the order.
+which it factors in symmetric mode once the window is swept.  A window
+built `like` one of equal decomposition and length shares both patterns
+and the order with it.
 
 Windows are immutable after construction and safe to share across threads.
 """
@@ -38,21 +43,14 @@ from .errors import (
 _TOL = 1.0e-9
 
 
-def _int_ratio(num, den, exc, what):
-    """num/den as an exact positive integer, or raise exc."""
+def _int_ratio(num, den, exc, what, least=1):
+    """num/den as an exact integer of at least `least` (1 or 0), or raise
+    exc."""
     r = num / den
     n = int(round(r))
-    if n < 1 or abs(r - n) > _TOL * max(1.0, abs(r)):
-        raise exc(f"{what}: {num} / {den} is not a positive integer")
-    return n
-
-
-def _int_offset(num, den, exc, what):
-    """num/den as an exact non-negative integer, or raise exc."""
-    r = num / den
-    n = int(round(r))
-    if n < 0 or abs(r - n) > _TOL * max(1.0, abs(r)):
-        raise exc(f"{what}: {num} / {den} is not a non-negative integer")
+    if n < least or abs(r - n) > _TOL * max(1.0, abs(r)):
+        kind = "positive" if least else "non-negative"
+        raise exc(f"{what}: {num} / {den} is not a {kind} integer")
     return n
 
 
@@ -124,11 +122,12 @@ class FaceSet:
     A face connects the left cell at `c_left` (its own time level) to the
     right cell at `c_right`.  At a non-matching interface the coarse side's
     index points at the coarse level whose time slab contains the face slab.
+    The face's edge and time slab are the finer of its two cells'.
     """
 
     axis: np.ndarray       # 0 = x-face, 1 = y-face
-    area: np.ndarray       # cross-section, ft^2 (edge length * dz)
-    dt: np.ndarray         # face time-slab length, days
+    area: np.ndarray       # cross-section, ft^2 (shorter cell edge * dz)
+    dt: np.ndarray         # face time-slab length, the shorter cell dt
     s_left: np.ndarray     # spatial cell indices
     s_right: np.ndarray
     c_left: np.ndarray     # space-time cell indices
@@ -198,12 +197,6 @@ def _block_pattern(n, rows, cols, cells):
     return pattern
 
 
-# Window structures that `build_window` keeps in a caller's dict: the
-# windows of a uniform run share one, the predictor's all-coarse windows
-# another.
-STRUCTURE_CACHE_SIZE = 4
-
-
 class _Structure:
     """The Jacobian patterns and cell order of the windows of one
     decomposition and length, each built on first use."""
@@ -267,7 +260,7 @@ class SpaceTimeWindow:
         (self.st_spatial, self.st_level, self.st_dt, self.st_t_end,
          self.st_prev, self.st_offset) = st
         self.faces = faces
-        # per interface: (first face, bundle groups, coarse-side subdomain)
+        # per interface: (first face, end face, coarse_is_left)
         self._interfaces = tuple(interfaces)
 
         self.n_spatial = len(self.sub_of_cell)
@@ -281,30 +274,32 @@ class SpaceTimeWindow:
             a.setflags(write=False)
         for a in vars(self.faces).values():
             a.setflags(write=False)
-        # shared with the windows of equal decomposition and length
+        # shared with the window this one is built like
         self._structure = structure or _Structure(self.n_st,
                                                   self.jacobian_blocks())
 
     @cached_property
     def bundles(self):
-        """Interface bundles, built on first read; Newton does not use
-        them."""
+        """Interface bundles, by coarse cell and then level, grouped from
+        the faces on first read; Newton does not use them."""
+        f = self.faces
+        h_edge = np.stack([self.cell_hy, self.cell_hx])    # by face axis
         out = []
-        for first, grp, ksub in self._interfaces:
-            gid = np.asarray(grp["gid"]).ravel()
-            faces = first + np.argsort(gid, kind="stable")
-            ends = np.cumsum(np.bincount(gid, minlength=len(grp["keys"])))
-            nc = self.spatial_offset[ksub + 1] - self.spatial_offset[ksub]
-            for (local, level), idx in zip(grp["keys"],
-                                           np.split(faces, ends[:-1])):
+        for first, end, coarse_is_left in self._interfaces:
+            cells = (f.c_left if coarse_is_left else f.c_right)[first:end]
+            order = np.lexsort((self.st_level[cells], self.st_spatial[cells]))
+            cuts = 1 + np.flatnonzero(np.diff(cells[order]))
+            for group in np.split(order, cuts):
+                c = int(cells[group[0]])
+                s = self.st_spatial[c]
                 out.append(InterfaceBundle(
-                    coarse_sub=int(ksub),
-                    coarse_cell=int(self.st_offset[ksub]
-                                    + (level - 1) * nc + local),
-                    coarse_level=int(level),
-                    coarse_is_left=bool(grp["coarse_is_left"]),
-                    coarse_extent=float(grp["coarse_extent"] * self.dz),
-                    faces=tuple(idx.tolist()),
+                    coarse_sub=int(self.sub_of_cell[s]),
+                    coarse_cell=c,
+                    coarse_level=int(self.st_level[c]),
+                    coarse_is_left=bool(coarse_is_left),
+                    coarse_extent=float(h_edge[f.axis[first], s]
+                                        * self.st_dt[c] * self.dz),
+                    faces=tuple((first + group).tolist()),
                 ))
         return tuple(out)
 
@@ -334,14 +329,11 @@ class SpaceTimeWindow:
         return self._structure.ordered_pattern
 
     def final_level_cells(self):
-        """Space-time indices of every spatial cell at the window's end time."""
-        out = np.empty(self.n_spatial, dtype=np.int64)
-        for k, sub in enumerate(self.subdomains):
-            nc = sub.nx * sub.ny
-            steps = sub.n_steps(self.delta_t)
-            sl = slice(self.spatial_offset[k], self.spatial_offset[k] + nc)
-            out[sl] = self.st_offset[k] + (steps - 1) * nc + np.arange(nc)
-        return out
+        """Space-time indices of every spatial cell at the window's end
+        time: the levels that are no other level's previous one."""
+        last = np.ones(self.n_st, dtype=bool)
+        last[self.st_prev[self.st_prev >= 0]] = False
+        return np.flatnonzero(last)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +402,10 @@ def enumerate_interface(sub_a, sub_b, edge, delta_t):
     """Enumerate the fine space-time faces of one subdomain interface.
 
     `edge` is `shared_edge(sub_a, sub_b)` and `delta_t` the window length.
-    Returns (records, groups).  `records` is a dict of flat arrays, one entry
-    per fine face, with the local cell index and time level on each side
-    (`left` is the low-coordinate side).  `groups` assigns each face to the
-    bundle of the space-time-coarser side: an array of group keys
-    (coarse local cell, coarse level) and per-face group ids.
+    Returns ((local cells, levels) of the left side, the same of the right
+    side, coarse_is_left), one entry per fine face in each array; `left`
+    is the low-coordinate side.  `coarse_is_left` says which side is
+    space-time coarser, the bundles' side; ties go to the left.
 
     The face granularity is the finer spacing of the two sides in space and
     the finer dt in time, so a side that is fine in space but coarse in time
@@ -461,41 +452,17 @@ def enumerate_interface(sub_a, sub_b, edge, delta_t):
         level = np.ceil(m * dtf / sub.dt - _TOL).astype(np.int64)
         return local, level
 
-    local_l, level_l = side_cells(left, at_high_end=True)
-    local_r, level_r = side_cells(right, at_high_end=False)
-
-    records = {
-        "axis": np.full(n_seg * n_t, axis, dtype=np.int8),
-        "dt": np.full(n_seg * n_t, dtf),
-        "hf_edge": hf,
-        "local_left": local_l, "level_left": level_l,
-        "local_right": local_r, "level_right": level_r,
-        "t_end": np.asarray(m * dtf, dtype=float),
-    }
-
-    # bundle on the space-time-coarser side; ties go to the left side
-    coarse_is_left = (h_l * left.dt) >= (h_r * right.dt)
-    cl, lv = (local_l, level_l) if coarse_is_left else (local_r, level_r)
-    keys = np.stack([cl, lv], axis=1)
-    uniq, gid = np.unique(keys, axis=0, return_inverse=True)
-    h_c = h_l if coarse_is_left else h_r
-    dt_c = left.dt if coarse_is_left else right.dt
-    groups = {
-        "coarse_is_left": coarse_is_left,
-        "keys": uniq,                 # (n_groups, 2): local cell, level
-        "gid": gid,
-        "coarse_extent": h_c * dt_c,  # per unit depth
-    }
-    return records, groups
+    return (side_cells(left, at_high_end=True),
+            side_cells(right, at_high_end=False),
+            (h_l * left.dt) >= (h_r * right.dt))
 
 
 def build_window(subdomains, delta_t, reservoir, *, window_index=0,
-                 t_start=0.0, dz=1.0, structures=None):
+                 t_start=0.0, dz=1.0, like=None):
     """Assemble a validated SpaceTimeWindow from a box decomposition.
 
-    Windows built with the same dict `structures` share their Jacobian
-    patterns and cell order when their decomposition and length are
-    equal; the dict keeps the last `STRUCTURE_CACHE_SIZE` of them.
+    A window built `like` a window of equal decomposition and length shares
+    its Jacobian patterns and cell order.
     """
     if delta_t <= 0:
         raise ValueError("window length must be positive")
@@ -515,8 +482,8 @@ def build_window(subdomains, delta_t, reservoir, *, window_index=0,
         j = np.repeat(np.arange(ny), nx)
         cx_l.append(s.region[0] + (i + 0.5) * s.cell_size[0])
         cy_l.append(s.region[1] + (j + 0.5) * s.cell_size[1])
-        hx_l.append(np.full(nx * ny, s.cell_size[0]))
-        hy_l.append(np.full(nx * ny, s.cell_size[1]))
+        hx_l.append(np.full(nx * ny, s.cell_size[0], dtype=float))
+        hy_l.append(np.full(nx * ny, s.cell_size[1], dtype=float))
         sub_l.append(np.full(nx * ny, k, dtype=np.int64))
     cell_cx = np.concatenate(cx_l)
     cell_cy = np.concatenate(cy_l)
@@ -545,95 +512,60 @@ def build_window(subdomains, delta_t, reservoir, *, window_index=0,
             st_prev[sl] = -1 if l == 1 else np.arange(sl.start - nc, sl.stop - nc)
     st_t_end = t_start + st_level * st_dt
 
-    # faces: interior per subdomain, then interfaces
-    fa, far, fdt, fsl, fsr, fcl, fcr, fhl, fhr = ([] for _ in range(9))
-
-    def push(axis, area, dt, sl_, sr_, cl_, cr_, hl_, hr_):
-        n = len(sl_)
-        fa.append(np.full(n, axis, dtype=np.int8))
-        far.append(np.broadcast_to(np.asarray(area, dtype=float), (n,)).copy())
-        fdt.append(np.broadcast_to(np.asarray(dt, dtype=float), (n,)).copy())
-        fsl.append(np.asarray(sl_, dtype=np.int64))
-        fsr.append(np.asarray(sr_, dtype=np.int64))
-        fcl.append(np.asarray(cl_, dtype=np.int64))
-        fcr.append(np.asarray(cr_, dtype=np.int64))
-        fhl.append(np.broadcast_to(np.asarray(hl_, dtype=float), (n,)).copy())
-        fhr.append(np.broadcast_to(np.asarray(hr_, dtype=float), (n,)).copy())
-
-    n_faces = 0
+    # each face's axis and its two space-time cells: interior faces per
+    # subdomain, level by level, x-faces then y-faces; then interfaces
+    axis, c_left, c_right = [], [], []
     for k, s in enumerate(subdomains):
         nx, ny = s.nx, s.ny
-        hx, hy = s.cell_size
-        base = np.arange(spatial_offset[k], spatial_offset[k + 1]).reshape(ny, nx)
-        for l in range(1, steps[k] + 1):
-            stbase = (st_offset[k] + (l - 1) * nx * ny
-                      + np.arange(nx * ny).reshape(ny, nx))
-            if nx > 1:
-                sl_ = base[:, :-1].ravel()
-                sr_ = base[:, 1:].ravel()
-                push(0, hy * dz, s.dt, sl_, sr_,
-                     stbase[:, :-1].ravel(), stbase[:, 1:].ravel(), hx, hx)
-                n_faces += (nx - 1) * ny
-            if ny > 1:
-                sl_ = base[:-1, :].ravel()
-                sr_ = base[1:, :].ravel()
-                push(1, hx * dz, s.dt, sl_, sr_,
-                     stbase[:-1, :].ravel(), stbase[1:, :].ravel(), hy, hy)
-                n_faces += (ny - 1) * nx
+        c = np.arange(st_offset[k], st_offset[k + 1]).reshape(steps[k], ny, nx)
+        axis.append(np.tile(np.repeat(np.arange(2, dtype=np.int8),
+                                      [(nx - 1) * ny, nx * (ny - 1)]),
+                            steps[k]))
+        for out, x, y in ((c_left, c[:, :, :-1], c[:, :-1, :]),
+                          (c_right, c[:, :, 1:], c[:, 1:, :])):
+            out.append(np.concatenate([x.reshape(steps[k], -1),
+                                       y.reshape(steps[k], -1)], axis=1)
+                       .ravel())
 
     interfaces = []
+    n_faces = sum(map(len, axis))
     for a in range(n_sub):
         for b in range(a + 1, n_sub):
             edge = shared_edge(subdomains[a], subdomains[b])
             if edge is None:
                 continue
-            rec, grp = enumerate_interface(subdomains[a], subdomains[b],
-                                           edge, delta_t)
-            axis, a_is_left, _, _ = edge
-            kl, kr = (a, b) if a_is_left else (b, a)
-            subl, subr = subdomains[kl], subdomains[kr]
-            ncl, ncr = subl.nx * subl.ny, subr.nx * subr.ny
-            sl_ = spatial_offset[kl] + rec["local_left"]
-            sr_ = spatial_offset[kr] + rec["local_right"]
-            cl_ = (st_offset[kl] + (rec["level_left"] - 1) * ncl
-                   + rec["local_left"])
-            cr_ = (st_offset[kr] + (rec["level_right"] - 1) * ncr
-                   + rec["local_right"])
-            hl_ = subl.cell_size[axis]
-            hr_ = subr.cell_size[axis]
-            first = n_faces
-            push(axis, rec["hf_edge"] * dz, rec["dt"], sl_, sr_, cl_, cr_,
-                 hl_, hr_)
-            n_faces += len(sl_)
-            interfaces.append((first, grp,
-                               kl if grp["coarse_is_left"] else kr))
+            left, right, coarse_is_left = enumerate_interface(
+                subdomains[a], subdomains[b], edge, delta_t)
+            kl, kr = (a, b) if edge[1] else (b, a)
+            for out, k, (local, level) in ((c_left, kl, left),
+                                           (c_right, kr, right)):
+                nc = spatial_offset[k + 1] - spatial_offset[k]
+                out.append(st_offset[k] + (level - 1) * nc + local)
+            n = len(left[0])
+            axis.append(np.full(n, edge[0], dtype=np.int8))
+            interfaces.append((n_faces, n_faces + n, coarse_is_left))
+            n_faces += n
 
-    if n_faces:
-        faces = FaceSet(
-            axis=np.concatenate(fa), area=np.concatenate(far),
-            dt=np.concatenate(fdt), s_left=np.concatenate(fsl),
-            s_right=np.concatenate(fsr), c_left=np.concatenate(fcl),
-            c_right=np.concatenate(fcr), h_left=np.concatenate(fhl),
-            h_right=np.concatenate(fhr),
-        )
-    else:
-        z = np.zeros(0)
-        zi = np.zeros(0, dtype=np.int64)
-        faces = FaceSet(axis=np.zeros(0, dtype=np.int8), area=z, dt=z,
-                        s_left=zi, s_right=zi, c_left=zi, c_right=zi,
-                        h_left=z, h_right=z)
+    axis = np.concatenate(axis)
+    c_left = np.concatenate(c_left)
+    c_right = np.concatenate(c_right)
+    s_left, s_right = st_spatial[c_left], st_spatial[c_right]
+    cell_h = np.stack([cell_hx, cell_hy])
+    faces = FaceSet(
+        axis=axis,
+        area=np.minimum(cell_h[1 - axis, s_left],
+                        cell_h[1 - axis, s_right]) * dz,
+        dt=np.minimum(st_dt[c_left], st_dt[c_right]),
+        s_left=s_left, s_right=s_right, c_left=c_left, c_right=c_right,
+        h_left=cell_h[axis, s_left], h_right=cell_h[axis, s_right])
 
-    key = (subdomains, float(delta_t))
-    shared = None if structures is None else structures.pop(key, None)
-    window = SpaceTimeWindow(
+    shared = (like._structure if like is not None
+              and like.subdomains == subdomains
+              and like.delta_t == float(delta_t) else None)
+    return SpaceTimeWindow(
         subdomains, delta_t, reservoir, window_index, t_start, dz,
         cells=(sub_of_cell, cell_cx, cell_cy, cell_hx, cell_hy, cell_vol,
                spatial_offset),
         st=(st_spatial, st_level, st_dt, st_t_end, st_prev, st_offset),
         faces=faces, interfaces=interfaces, structure=shared,
     )
-    if structures is not None:
-        if shared is None and len(structures) >= STRUCTURE_CACHE_SIZE:
-            del structures[next(iter(structures))]
-        structures[key] = window._structure     # most recently used last
-    return window

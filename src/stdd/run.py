@@ -52,7 +52,6 @@ class Problem:
         self.kx_base, self.ky_base = self._fields(cfg)
         self._perm_cache = {}
         self._map_cache = {}
-        self.structures = {}    # `build_window`'s shared window structures
 
     def _fields(self, cfg):
         p = dict(cfg.permeability)
@@ -148,24 +147,20 @@ class Problem:
         return None
 
 
-def _predict(pb, ncfg, all_coarse, t_start, prev, final, s_now):
-    """Identifier map of the window starting at `t_start`, the reduced
-    DOFs of its predictor solves and their factors' stored entries.
+def _predict(pb, ncfg, trial, prev, final, s_now):
+    """Identifier map of the window that `trial` spans, the reduced DOFs
+    of its predictor solves and their factors' stored entries.
 
-    An all-coarse trial window is solved from the final level `final` of
+    The all-coarse trial window is solved from the final level `final` of
     the window `prev` (or from the initial state, when `prev` is None).
     The predicted saturation deltas say where the front will move *during*
     the window, so refinement leads the front instead of trailing it.  The
     trial's warm-start residual provides the residual indicator, and its
     linearization is Newton's first.  `s_now` is the saturation raster at
-    `t_start`.
+    the trial's start.
     """
-    cfg = pb.cfg
-    trial = build_window(all_coarse, cfg.window_length, cfg.reservoir,
-                         t_start=t_start, dz=cfg.dz,
-                         structures=pb.structures)
     if prev is None:
-        tp, ts = _initial_trace(cfg, trial)
+        tp, ts = _initial_trace(pb.cfg, trial)
     else:
         tp, ts = transfer_state(prev, *final, trial, pb.base, pb.phi_base)
     props, wells = pb.props_for(trial), pb.wells_for(trial)
@@ -262,7 +257,7 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     snapshots = []
     balance = {"injected": 0.0, "produced_w": 0.0, "produced_o": 0.0,
                "initial_w": None, "final_w": 0.0}
-    window = final = idmap = None
+    window = final = idmap = trial = None
     s2d = np.full(base.shape, cfg.initial_saturation)
 
     try:
@@ -270,8 +265,11 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
             t = 0.0 if window is None else window.t_end
             new_map = fixed
             if fixed is None:
-                new_map, cost, lu = _predict(pb, ncfg, all_coarse, t,
-                                             window, final, s2d)
+                trial = build_window(all_coarse, cfg.window_length,
+                                     cfg.reservoir, t_start=t, dz=cfg.dz,
+                                     like=trial)
+                new_map, cost, lu = _predict(pb, ncfg, trial, window, final,
+                                             s2d)
                 predictor_cost += cost
                 lu_cost += lu
             if new_map is not idmap:
@@ -283,7 +281,7 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
             for attempt in range(attempts):
                 new = build_window(subs, cfg.window_length, cfg.reservoir,
                                    window_index=widx, t_start=t, dz=cfg.dz,
-                                   structures=pb.structures)
+                                   like=window)
                 if window is None:
                     trace = _initial_trace(cfg, new)
                 elif new.subdomains == window.subdomains:

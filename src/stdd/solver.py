@@ -52,8 +52,6 @@ class NewtonConfig:
 @dataclass
 class LedgerEntry:
     window_index: int
-    t_start: float
-    t_end: float
     iterations: int
     norms: list
     n_reduced_dofs: int
@@ -163,9 +161,8 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
 
     def entry(converged, iters):
         return LedgerEntry(
-            window_index=window.window_index, t_start=window.t_start,
-            t_end=window.t_end, iterations=iters, norms=list(norms),
-            n_reduced_dofs=window.n_y,
+            window_index=window.window_index, iterations=iters,
+            norms=list(norms), n_reduced_dofs=window.n_y,
             wall_ms=(time.perf_counter() - t0) * 1.0e3, converged=converged,
             lu_nnz=sum(fill))
 

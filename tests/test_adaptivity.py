@@ -16,7 +16,7 @@ from stdd.adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
                              upscale_permeability)
 from stdd.config import RunConfig, WellSpec, preset
 from stdd.errors import NonIntegerRatio
-from stdd.mesh import Subdomain, _int_offset, _int_ratio, build_window
+from stdd.mesh import Subdomain, _int_ratio, build_window
 
 run_module = importlib.import_module("stdd.run")
 
@@ -416,10 +416,10 @@ def ref_block(base, window, c):
     """Base-cell slices of spatial cell `c`, checked cell by cell."""
     x0, y0, _, _ = base.reservoir
     hx, hy = window.cell_hx[c], window.cell_hy[c]
-    i0 = _int_offset(window.cell_cx[c] - hx / 2.0 - x0, base.hx,
-                     NonIntegerRatio, "x alignment")
-    j0 = _int_offset(window.cell_cy[c] - hy / 2.0 - y0, base.hy,
-                     NonIntegerRatio, "y alignment")
+    i0 = _int_ratio(window.cell_cx[c] - hx / 2.0 - x0, base.hx,
+                    NonIntegerRatio, "x alignment", least=0)
+    j0 = _int_ratio(window.cell_cy[c] - hy / 2.0 - y0, base.hy,
+                    NonIntegerRatio, "y alignment", least=0)
     mi = _int_ratio(hx, base.hx, NonIntegerRatio, "x ratio")
     mj = _int_ratio(hy, base.hy, NonIntegerRatio, "y ratio")
     return slice(i0, i0 + mi), slice(j0, j0 + mj)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from stdd.errors import NonIntegerRatio, TilingGap, TilingOverlap
-from stdd.mesh import (STRUCTURE_CACHE_SIZE, Subdomain, build_window,
-                       shared_edge)
+from stdd.mesh import Subdomain, build_window, shared_edge
 
 
 def two_subdomain_window(dt_f=1.0, dt_c=5.0, delta_t=5.0):
@@ -55,44 +54,36 @@ class TestBuildWindow:
 
 
 class TestSharedStructure:
-    """Windows of one decomposition and length share their patterns and
-    cell order through the dict they are built with."""
+    """A window built like one of equal decomposition and length shares
+    its patterns and cell order; any other gets its own."""
+
+    BOX = (0.0, 0.0, 4.0, 2.0)
+    SUBS = (Subdomain(BOX, (1.0, 1.0), 0.5),)
 
     def test_equal_windows_share(self):
-        box = (0.0, 0.0, 4.0, 2.0)
-        subs = [Subdomain(box, (1.0, 1.0), 0.5)]
-        structures = {}
-        a = build_window(subs, 1.0, box, structures=structures)
-        b = build_window(list(subs), 1.0, box, window_index=3, t_start=1.0,
-                         structures=structures)
+        a = build_window(self.SUBS, 1.0, self.BOX)
+        b = build_window(list(self.SUBS), 1.0, self.BOX, window_index=3,
+                         t_start=1.0, like=a)
         assert a.ordered_pattern.unknowns is b.ordered_pattern.unknowns
         assert a.ordered_pattern is b.ordered_pattern
         assert a.jacobian_pattern is b.jacobian_pattern
-        longer = build_window(subs, 2.0, box, structures=structures)
-        alone = build_window(subs, 1.0, box)
-        for other in (longer, alone):
-            assert other.jacobian_pattern is not a.jacobian_pattern
-        assert np.array_equal(alone.ordered_pattern.unknowns,
-                              a.ordered_pattern.unknowns)
-        assert len(structures) == 2
 
-    def test_cache_keeps_the_most_recent(self):
-        structures = {}
-        windows = []
-        for k in range(STRUCTURE_CACHE_SIZE + 1):
-            box = (0.0, 0.0, 2.0 + k, 2.0)
-            subs = [Subdomain(box, (1.0, 1.0), 1.0)]
-            windows.append(build_window(subs, 1.0, box,
-                                        structures=structures))
-        assert len(structures) == STRUCTURE_CACHE_SIZE
-        first = windows[0]
-        again = build_window(first.subdomains, 1.0, first.reservoir,
-                             structures=structures)
-        last = windows[-1]
-        assert again.jacobian_pattern is not first.jacobian_pattern
-        assert build_window(last.subdomains, 1.0, last.reservoir,
-                            structures=structures).jacobian_pattern \
-            is last.jacobian_pattern
+    @pytest.mark.parametrize("other", ["decomposition", "length", "no like"])
+    def test_others_get_their_own(self, other):
+        a = build_window(self.SUBS, 1.0, self.BOX)
+        halves = [Subdomain((0.0, 0.0, 2.0, 2.0), (1.0, 1.0), 0.5),
+                  Subdomain((2.0, 0.0, 4.0, 2.0), (1.0, 1.0), 0.5)]
+        subs, length, like = {"decomposition": (halves, 1.0, a),
+                              "length": (self.SUBS, 2.0, a),
+                              "no like": (self.SUBS, 1.0, None)}[other]
+        w = build_window(subs, length, self.BOX, like=like)
+        alone = build_window(subs, length, self.BOX)
+        for name in ("jacobian_pattern", "ordered_pattern"):
+            mine, ref = getattr(w, name), getattr(alone, name)
+            assert mine is not getattr(a, name)
+            for field in ("indptr", "indices", "entry", "own", "unknowns"):
+                assert np.array_equal(getattr(mine, field),
+                                      getattr(ref, field))
 
 
 class TestDofNumbering:
@@ -106,10 +97,90 @@ class TestDofNumbering:
         assert sorted(w.st_spatial[fin]) == list(range(w.n_spatial))
         assert np.all(np.abs(w.st_t_end[fin] - w.t_end) < 1e-12)
 
+    def test_final_level_with_mixed_dt(self):
+        # three subdomains of 6, 3 and 1 levels: each spatial cell's
+        # final level ends at the window's end, in spatial order
+        subs = [Subdomain((0.0, 0.0, 2.0, 2.0), (1.0, 1.0), 1.0),
+                Subdomain((2.0, 0.0, 4.0, 2.0), (2.0, 2.0), 2.0),
+                Subdomain((4.0, 0.0, 6.0, 2.0), (0.5, 0.5), 6.0)]
+        w = build_window(subs, 6.0, (0.0, 0.0, 6.0, 2.0), t_start=6.0)
+        fin = w.final_level_cells()
+        assert fin.dtype == np.int64
+        assert np.array_equal(w.st_spatial[fin], np.arange(w.n_spatial))
+        assert np.all(w.st_t_end[fin] == w.t_end)
+        steps = np.array([s.n_steps(6.0) for s in subs])
+        assert np.array_equal(w.st_level[fin], steps[w.sub_of_cell])
+
     def test_window_arrays_immutable(self):
         w = two_subdomain_window()
         with pytest.raises(ValueError):
             w.st_spatial[0] = 3
+
+
+def ratio_window(r):
+    """A box beside one r times coarser in space and in time, with
+    faces across y (r = 2, coarse above) or across x (r = 3, coarse on
+    the left)."""
+    fine = (1.0, 1.0, 1.0)
+    coarse = (float(r), float(r), float(r))
+    if r == 2:
+        regions = [(0.0, 0.0, 6.0, 6.0), (0.0, 6.0, 6.0, 12.0)]
+        reservoir = (0.0, 0.0, 6.0, 12.0)
+    else:
+        regions = [(6.0, 0.0, 12.0, 6.0), (0.0, 0.0, 6.0, 6.0)]
+        reservoir = (0.0, 0.0, 12.0, 6.0)
+    subs = [Subdomain(reg, h[:2], h[2]) for reg, h in
+            zip(regions, (fine, coarse))]
+    return build_window(subs, 6.0, reservoir, t_start=2.0, dz=2.5)
+
+
+class TestFaceGeometry:
+    """Every face's geometry follows from its two space-time cells."""
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_faces_follow_their_cells(self, r):
+        w = ratio_window(r)
+        f = w.faces
+        assert np.any(w.sub_of_cell[f.s_left] != w.sub_of_cell[f.s_right])
+        h = {0: w.cell_hx, 1: w.cell_hy}
+        centre = {0: w.cell_cx, 1: w.cell_cy}
+        for i in range(w.n_faces):
+            a, cl, cr = int(f.axis[i]), f.c_left[i], f.c_right[i]
+            sl, sr = w.st_spatial[cl], w.st_spatial[cr]
+            assert (f.s_left[i], f.s_right[i]) == (sl, sr)
+            assert (f.h_left[i], f.h_right[i]) == (h[a][sl], h[a][sr])
+            assert f.area[i] == min(h[1 - a][sl], h[1 - a][sr]) * w.dz
+            assert f.dt[i] == min(w.st_dt[cl], w.st_dt[cr])
+            # the cells touch across the face, which is their shared
+            # edge times the depth, over their shared time slab
+            assert centre[a][sr] - centre[a][sl] == pytest.approx(
+                (f.h_left[i] + f.h_right[i]) / 2.0)
+            lo = [centre[1 - a][s] - h[1 - a][s] / 2.0 for s in (sl, sr)]
+            hi = [centre[1 - a][s] + h[1 - a][s] / 2.0 for s in (sl, sr)]
+            assert (min(hi) - max(lo)) * w.dz == pytest.approx(f.area[i])
+            t1 = [w.st_t_end[c] for c in (cl, cr)]
+            t0 = [w.st_t_end[c] - w.st_dt[c] for c in (cl, cr)]
+            assert min(t1) - max(t0) == pytest.approx(f.dt[i])
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_bundles_follow_their_coarse_cell(self, r):
+        w = ratio_window(r)
+        f = w.faces
+        assert len(w.bundles) == (6 // r) ** 2     # edge cells x levels
+        for b in w.bundles:
+            c = b.coarse_cell
+            s = w.st_spatial[c]
+            assert b.coarse_is_left == (r == 3)
+            assert b.coarse_sub == w.sub_of_cell[s] == 1
+            assert b.coarse_level == w.st_level[c]
+            edge = w.cell_hy[s] if f.axis[b.faces[0]] == 0 else w.cell_hx[s]
+            assert b.coarse_extent == edge * w.st_dt[c] * w.dz
+            assert len(b.faces) == r * r
+            assert sum(f.area[k] * f.dt[k] for k in b.faces) == \
+                pytest.approx(b.coarse_extent, rel=1e-12)
+        keys = [(w.st_spatial[b.coarse_cell], b.coarse_level)
+                for b in w.bundles]
+        assert keys == sorted(keys)
 
 
 class TestInterfaceBundles:
