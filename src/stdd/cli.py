@@ -101,11 +101,9 @@ def main(argv=None):
             import io
 
             from .physics import property_curves
-            from .run import Problem
             cfg = _load_config(args.config, "desk")
-            pb = Problem(cfg)
             buf = io.StringIO()
-            _write_curves_to(buf, property_curves(pb.model))
+            _write_curves_to(buf, property_curves(cfg.fluid_rock_model()))
             sys.stdout.write(buf.getvalue())
             return EXIT_OK
     except (ConfigError, MismatchedProblem) as exc:

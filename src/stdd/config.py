@@ -21,7 +21,8 @@ from .adaptivity import Thresholds
 from .errors import ConfigError
 from .mesh import _int_ratio
 from .permfields import GENERATORS, LAYOUTS, load_fields
-from .physics import MOBILITY_MODELS, BrooksCoreyModel, FluidModel
+from .physics import (MOBILITY_MODELS, BrooksCoreyModel, FluidModel,
+                      FluidRockModel)
 from .solver import NewtonConfig
 
 MODES = ("uniform-fine", "uniform-coarse", "static-dd", "dynamic-dd")
@@ -170,6 +171,15 @@ class RunConfig:
                 build(**getattr(self, name))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
+
+    def fluid_rock_model(self):
+        """The configured fluids, rock curves and mobility model; reads
+        no permeability."""
+        return FluidRockModel(
+            fluid=FluidModel(**self.fluid),
+            relcap=BrooksCoreyModel(**self.relcap),
+            mobility_model=self.mobility_model,
+            use_capillarity=self.use_capillarity)
 
     # -- derived geometry -------------------------------------------------
 

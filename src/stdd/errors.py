@@ -44,10 +44,12 @@ class SingularMatrix(StddError):
 class NonConvergence(StddError):
     """Newton failed to reach tolerance within the iteration budget."""
 
-    def __init__(self, iterations, final_norm, message=None, lu_nnz=0):
+    def __init__(self, iterations, final_norm, message=None, lu_nnz=0,
+                 wall_ms=0.0):
         self.iterations = iterations
         self.final_norm = final_norm
         self.lu_nnz = lu_nnz     # SuperLU's stored entries over its solves
+        self.wall_ms = wall_ms   # the attempt's Newton wall time
         super().__init__(
             message
             or f"Newton did not converge: {iterations} iterations, "

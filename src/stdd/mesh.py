@@ -1,13 +1,15 @@
 """Space-time windows: subdomain grids, non-matching interfaces, DOF numbering.
 
-A window spans one matching step (t_start, t_end].  Each subdomain carries its
-own cell size and time-step size; the only constraints are that subdomain
-footprints tile the reservoir, every dt divides the window length, and cell
-sizes of touching subdomains are integer multiples of each other along the
-shared edge.  Flux unknowns on a non-matching interface live at the fine
-granularity in both space and time: one unknown per fine face per fine time
-level, and the coarse cell's divergence sums all of them, which is what makes
-the scheme locally conservative across the interface.
+A window is one matching step of length `delta_t`, and nothing but its
+decomposition: each subdomain carries its own cell size and time-step size;
+the only constraints are that subdomain footprints tile the reservoir, every
+dt divides the window length, and cell sizes of touching subdomains are
+integer multiples of each other along the shared edge.  Times within a
+window count from its start: level l of a subdomain ends at l * dt.  Flux
+unknowns on a non-matching interface live at the fine granularity in both
+space and time: one unknown per fine face per fine time level, and the
+coarse cell's divergence sums all of them, which is what makes the scheme
+locally conservative across the interface.
 
 A face is its axis and its two space-time cells; its spatial cells, cell
 extents, cross-section and time slab all follow from the window's cell
@@ -16,9 +18,9 @@ arrays, and so do the interface bundles.
 A window keeps its Jacobian's CSC pattern in two cell numberings, built on
 first use from the structure alone: natural (`jacobian_pattern`), which
 `stdd.solver` factors with COLAMD, and minimum degree (`ordered_pattern`),
-which it factors in symmetric mode once the window is swept.  A window
-built `like` one of equal decomposition and length shares both patterns
-and the order with it.
+which it factors in symmetric mode once the window is swept.  Windows of
+one decomposition and length are equal, so a run solves consecutive
+windows of one decomposition on the same window object, patterns included.
 
 Windows are immutable after construction and safe to share across threads.
 """
@@ -197,68 +199,20 @@ def _block_pattern(n, rows, cols, cells):
     return pattern
 
 
-class _Structure:
-    """The Jacobian patterns and cell order of the windows of one
-    decomposition and length, each built on first use."""
-
-    def __init__(self, n_st, blocks):
-        self.n_st = n_st
-        self.blocks = blocks        # `SpaceTimeWindow.jacobian_blocks`
-
-    @cached_property
-    def jacobian_pattern(self):
-        return _block_pattern(self.n_st, *self.blocks, np.arange(self.n_st))
-
-    @cached_property
-    def cell_order(self):
-        """Minimum-degree order of the symmetrized cell graph, whose edges
-        are the blocks: position k holds cell `cell_order[k]`.  SciPy
-        exposes minimum degree only through SuperLU, so this factors a
-        diagonally dominant matrix on the graph (-1 per edge, degree + 1
-        on the diagonal) with diagonal pivots; `perm_c[c]` is cell c's
-        position."""
-        n = self.n_st
-        rows, cols = self.blocks
-        off = rows != cols
-        i = np.concatenate([rows[off], cols[off]])
-        j = np.concatenate([cols[off], rows[off]])
-        graph = sp.csc_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
-        graph.sum_duplicates()
-        graph.data[:] = -1.0
-        degree = np.diff(graph.indptr)
-        spd = (graph + sp.diags(degree + 1.0)).tocsc()
-        lu = spla.splu(spd, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-        return np.argsort(lu.perm_c)
-
-    @cached_property
-    def ordered_pattern(self):
-        """`jacobian_pattern` with cell `cell_order[k]` numbered k; a
-        cell's p and s unknowns stay adjacent."""
-        rank = np.empty(self.n_st, dtype=np.int64)
-        rank[self.cell_order] = np.arange(self.n_st)
-        rows, cols = self.blocks
-        return _block_pattern(self.n_st, rank[rows], rank[cols],
-                              self.cell_order)
-
-
 class SpaceTimeWindow:
     """Immutable mesh + DOF numbering for one matching step."""
 
-    def __init__(self, subdomains, delta_t, reservoir, window_index, t_start,
-                 dz, cells, st, faces, interfaces, structure=None):
+    def __init__(self, subdomains, delta_t, reservoir, dz, cells, st, faces,
+                 interfaces):
         self.subdomains = tuple(subdomains)
         self.delta_t = float(delta_t)
         self.reservoir = tuple(reservoir)
-        self.window_index = int(window_index)
-        self.t_start = float(t_start)
-        self.t_end = float(t_start) + float(delta_t)
         self.dz = float(dz)
 
         (self.sub_of_cell, self.cell_cx, self.cell_cy, self.cell_hx,
          self.cell_hy, self.cell_vol, self.spatial_offset) = cells
-        (self.st_spatial, self.st_level, self.st_dt, self.st_t_end,
-         self.st_prev, self.st_offset) = st
+        (self.st_spatial, self.st_level, self.st_dt, self.st_prev,
+         self.st_offset) = st
         self.faces = faces
         # per interface: (first face, end face, coarse_is_left)
         self._interfaces = tuple(interfaces)
@@ -270,13 +224,10 @@ class SpaceTimeWindow:
 
         for a in (self.sub_of_cell, self.cell_cx, self.cell_cy, self.cell_hx,
                   self.cell_hy, self.cell_vol, self.st_spatial, self.st_level,
-                  self.st_dt, self.st_t_end, self.st_prev):
+                  self.st_dt, self.st_prev):
             a.setflags(write=False)
         for a in vars(self.faces).values():
             a.setflags(write=False)
-        # shared with the window this one is built like
-        self._structure = structure or _Structure(self.n_st,
-                                                  self.jacobian_blocks())
 
     @cached_property
     def bundles(self):
@@ -321,12 +272,40 @@ class SpaceTimeWindow:
     @cached_property
     def jacobian_pattern(self):
         """The Jacobian's CSC pattern in the natural cell numbering."""
-        return self._structure.jacobian_pattern
+        return _block_pattern(self.n_st, *self.jacobian_blocks(),
+                              np.arange(self.n_st))
+
+    @cached_property
+    def cell_order(self):
+        """Minimum-degree order of the symmetrized cell graph, whose edges
+        are the blocks: position k holds cell `cell_order[k]`.  SciPy
+        exposes minimum degree only through SuperLU, so this factors a
+        diagonally dominant matrix on the graph (-1 per edge, degree + 1
+        on the diagonal) with diagonal pivots; `perm_c[c]` is cell c's
+        position."""
+        n = self.n_st
+        rows, cols = self.jacobian_blocks()
+        off = rows != cols
+        i = np.concatenate([rows[off], cols[off]])
+        j = np.concatenate([cols[off], rows[off]])
+        graph = sp.csc_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+        graph.sum_duplicates()
+        graph.data[:] = -1.0
+        degree = np.diff(graph.indptr)
+        spd = (graph + sp.diags(degree + 1.0)).tocsc()
+        lu = spla.splu(spd, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        return np.argsort(lu.perm_c)
 
     @cached_property
     def ordered_pattern(self):
-        """`jacobian_pattern` in `_Structure.cell_order`'s numbering."""
-        return self._structure.ordered_pattern
+        """`jacobian_pattern` with cell `cell_order[k]` numbered k; a
+        cell's p and s unknowns stay adjacent."""
+        rank = np.empty(self.n_st, dtype=np.int64)
+        rank[self.cell_order] = np.arange(self.n_st)
+        rows, cols = self.jacobian_blocks()
+        return _block_pattern(self.n_st, rank[rows], rank[cols],
+                              self.cell_order)
 
     def final_level_cells(self):
         """Space-time indices of every spatial cell at the window's end
@@ -457,13 +436,8 @@ def enumerate_interface(sub_a, sub_b, edge, delta_t):
             (h_l * left.dt) >= (h_r * right.dt))
 
 
-def build_window(subdomains, delta_t, reservoir, *, window_index=0,
-                 t_start=0.0, dz=1.0, like=None):
-    """Assemble a validated SpaceTimeWindow from a box decomposition.
-
-    A window built `like` a window of equal decomposition and length shares
-    its Jacobian patterns and cell order.
-    """
+def build_window(subdomains, delta_t, reservoir, *, dz=1.0):
+    """Assemble a validated SpaceTimeWindow from a box decomposition."""
     if delta_t <= 0:
         raise ValueError("window length must be positive")
     subdomains = tuple(subdomains)
@@ -510,7 +484,6 @@ def build_window(subdomains, delta_t, reservoir, *, window_index=0,
             st_level[sl] = l
             st_dt[sl] = s.dt
             st_prev[sl] = -1 if l == 1 else np.arange(sl.start - nc, sl.stop - nc)
-    st_t_end = t_start + st_level * st_dt
 
     # each face's axis and its two space-time cells: interior faces per
     # subdomain, level by level, x-faces then y-faces; then interfaces
@@ -559,13 +532,10 @@ def build_window(subdomains, delta_t, reservoir, *, window_index=0,
         s_left=s_left, s_right=s_right, c_left=c_left, c_right=c_right,
         h_left=cell_h[axis, s_left], h_right=cell_h[axis, s_right])
 
-    shared = (like._structure if like is not None
-              and like.subdomains == subdomains
-              and like.delta_t == float(delta_t) else None)
     return SpaceTimeWindow(
-        subdomains, delta_t, reservoir, window_index, t_start, dz,
+        subdomains, delta_t, reservoir, dz,
         cells=(sub_of_cell, cell_cx, cell_cy, cell_hx, cell_hy, cell_vol,
                spatial_offset),
-        st=(st_spatial, st_level, st_dt, st_t_end, st_prev, st_offset),
-        faces=faces, interfaces=interfaces, structure=shared,
+        st=(st_spatial, st_level, st_dt, st_prev, st_offset),
+        faces=faces, interfaces=interfaces,
     )

@@ -20,18 +20,13 @@ from .assembly import CellProperties, ResolvedWells, StateField, linearize
 from .config import UNIFORM_IDENTIFIER, RunConfig
 from .errors import MismatchedProblem, NonConvergence, StddError
 from .mesh import build_window
-from .physics import (BETA_C, OIL, STB_TO_FT3, WATER, BrooksCoreyModel,
-                      FluidModel, FluidRockModel, property_curves)
+from .physics import BETA_C, OIL, STB_TO_FT3, WATER, property_curves
 from .permfields import load_fields, make_field
 from .solver import NewtonConfig, RunLedger, newton_solve_window
 
 # The paper's cost target for the adaptive run against the uniformly fine
 # one; `compare` flags the all-in and LU cost ratios above it.
 COST_RATIO_BUDGET = 0.2
-
-# Decompositions whose cell properties and wells `Problem` keeps: the
-# current window's, the predictor's all-coarse trial and an escalation.
-MAP_CACHE_SIZE = 4
 
 
 class Problem:
@@ -43,15 +38,10 @@ class Problem:
         self.tiling = Tiling(cfg.reservoir, cfg.tile[0], cfg.tile[1])
         self.table = dict(cfg.table)
         self.thresholds = Thresholds(**cfg.thresholds)
-        self.model = FluidRockModel(
-            fluid=FluidModel(**cfg.fluid),
-            relcap=BrooksCoreyModel(**cfg.relcap),
-            mobility_model=cfg.mobility_model,
-            use_capillarity=cfg.use_capillarity)
+        self.model = cfg.fluid_rock_model()
         self.phi_base = np.full(self.base.shape, cfg.phi)
         self.kx_base, self.ky_base = self._fields(cfg)
         self._perm_cache = {}
-        self._map_cache = {}
 
     def _fields(self, cfg):
         p = dict(cfg.permeability)
@@ -63,30 +53,19 @@ class Problem:
 
     # -- per-window closures ----------------------------------------------
 
-    def props_for(self, window):
-        return self._maps(window)[0]
-
-    def wells_for(self, window):
-        return self._maps(window)[1]
-
-    def _maps(self, window):
-        """(props, wells) of the window's decomposition, built once and
-        kept for the last few decompositions."""
-        key = window.subdomains
-        maps = self._map_cache.pop(key, None)
-        if maps is None:
-            phi = self.base.average_to(window, self.phi_base)
-            kx, ky = cell_permeability(window, self.base, self.kx_base,
-                                       self.ky_base, self.cfg.upscaling,
-                                       self._perm_cache)
-            props = CellProperties(phi=phi, kx=kx, ky=ky)
-            maps = (props, self._wells(window, props))
-            for arr in (*vars(maps[0]).values(), *vars(maps[1]).values()):
-                arr.setflags(write=False)
-            if len(self._map_cache) >= MAP_CACHE_SIZE:
-                del self._map_cache[next(iter(self._map_cache))]
-        self._map_cache[key] = maps        # most recently used last
-        return maps
+    def maps(self, window):
+        """(props, wells) of the window: its cells' porosity and
+        permeability, and the wells resolved onto its cells.  `run()`
+        calls this once per window it builds."""
+        phi = self.base.average_to(window, self.phi_base)
+        kx, ky = cell_permeability(window, self.base, self.kx_base,
+                                   self.ky_base, self.cfg.upscaling,
+                                   self._perm_cache)
+        props = CellProperties(phi=phi, kx=kx, ky=ky)
+        wells = self._wells(window, props)
+        for arr in (*vars(props).values(), *vars(wells).values()):
+            arr.setflags(write=False)
+        return props, wells
 
     def _wells(self, window, props):
         cfg = self.cfg
@@ -147,23 +126,24 @@ class Problem:
         return None
 
 
-def _predict(pb, ncfg, trial, prev, final, s_now):
-    """Identifier map of the window that `trial` spans, the reduced DOFs
-    of its predictor solves and their factors' stored entries.
+def _predict(pb, ncfg, trial, maps, prev, final, s_now):
+    """Identifier map of the next window, and the predictor solve's
+    `LedgerEntry` or, if it failed, its `NonConvergence`.
 
-    The all-coarse trial window is solved from the final level `final` of
-    the window `prev` (or from the initial state, when `prev` is None).
+    The all-coarse trial window, whose (props, wells) are `maps`, is
+    solved from the final level `final` of the window `prev` (or from the
+    initial state, when `prev` is None).
     The predicted saturation deltas say where the front will move *during*
     the window, so refinement leads the front instead of trailing it.  The
     trial's warm-start residual provides the residual indicator, and its
     linearization is Newton's first.  `s_now` is the saturation raster at
-    the trial's start.
+    the next window's start.
     """
     if prev is None:
         tp, ts = _initial_trace(pb.cfg, trial)
     else:
         tp, ts = transfer_state(prev, *final, trial, pb.base, pb.phi_base)
-    props, wells = pb.props_for(trial), pb.wells_for(trial)
+    props, wells = maps
     start = linearize(trial, StateField.from_trace(trial, tp, ts), props,
                       wells, pb.model)
     eta = residual_indicator(trial, start.r_norm, pb.base, pb.tiling)
@@ -173,13 +153,12 @@ def _predict(pb, ncfg, trial, prev, final, s_now):
     except NonConvergence as fail:
         # predictor failed: refine everywhere rather than guess
         big = np.full(pb.tiling.shape, pb.thresholds.theta_ds + 1.0)
-        return (classify(eta, big, big.copy(), pb.thresholds),
-                fail.iterations * trial.n_y, fail.lu_nnz)
+        return classify(eta, big, big.copy(), pb.thresholds), fail
     s_pred = pb.base.rasterize(trial, final_spatial(trial, sol)[1])
     d_s_now, _ = delta_change(s_now, s_now, pb.tiling)
     d_s_pred, d_t = delta_change(s_now, s_pred, pb.tiling)
     return (classify(eta, np.maximum(d_s_now, d_s_pred), d_t, pb.thresholds),
-            entry.iterations * trial.n_y, entry.lu_nnz)
+            entry)
 
 
 def _escalate(idmap):
@@ -223,10 +202,13 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
 
     Each window's identifier map is the mode's fixed map (constant 1 or 4
     for the uniform references, the configured box for static-dd) or is
-    predicted before the window (dynamic-dd).  The map is decomposed, the
-    window is built on the previous window's final level and solved by
-    Newton.  A predicted map that fails to converge is promoted once and
-    the window solved again; a fixed map is never promoted.
+    predicted before the window (dynamic-dd) by a solve on the all-coarse
+    trial window, which is built and mapped once.  The map is decomposed,
+    and the window is solved by Newton from the previous window's final
+    level.  A window is built and mapped only when its decomposition
+    differs from the current window's; otherwise the current one is
+    solved again.  A predicted map that fails to converge is promoted
+    once and the window solved again; a fixed map is never promoted.
 
     Artifacts: resolved config, property curves, permeability field,
     per-window saturation/pressure snapshots (CSV and VTK), identifier
@@ -248,40 +230,45 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
         csv_paths={"kx": os.path.join(outdir, "perm_kx.csv")})
 
     ncfg = NewtonConfig(**cfg.newton)
+    length = cfg.window_length
     fixed = pb.fixed_idmap()
     if fixed is None:
-        all_coarse = decompose(pb.constant_idmap(4), pb.tiling, pb.table)
+        trial = build_window(decompose(pb.constant_idmap(4), pb.tiling,
+                                       pb.table),
+                             length, cfg.reservoir, dz=cfg.dz)
+        trial_maps = pb.maps(trial)
     ledger = RunLedger()
     predictor_cost = 0
     lu_cost = 0             # SuperLU's stored entries over every solve
+    newton_wall_ms = 0.0    # over every solve
     snapshots = []
     balance = {"injected": 0.0, "produced_w": 0.0, "produced_o": 0.0,
                "initial_w": None, "final_w": 0.0}
-    window = final = idmap = trial = None
+    window = maps = final = idmap = None
+    t = 0.0                 # the window's start, days
     s2d = np.full(base.shape, cfg.initial_saturation)
 
     try:
-        for widx in range(round(cfg.horizon / cfg.window_length)):
-            t = 0.0 if window is None else window.t_end
+        for widx in range(round(cfg.horizon / length)):
             new_map = fixed
             if fixed is None:
-                trial = build_window(all_coarse, cfg.window_length,
-                                     cfg.reservoir, t_start=t, dz=cfg.dz,
-                                     like=trial)
-                new_map, cost, lu = _predict(pb, ncfg, trial, window, final,
-                                             s2d)
-                predictor_cost += cost
-                lu_cost += lu
+                new_map, solve = _predict(pb, ncfg, trial, trial_maps,
+                                          window, final, s2d)
+                predictor_cost += solve.iterations * trial.n_y
+                lu_cost += solve.lu_nnz
+                newton_wall_ms += solve.wall_ms
             if new_map is not idmap:
                 subs = decompose(new_map, pb.tiling, pb.table)
             idmap = new_map
 
             # a predicted map gets one escalated retry, a fixed map none
             attempts = 1 if fixed is not None else 2
+            new, new_maps = window, maps
             for attempt in range(attempts):
-                new = build_window(subs, cfg.window_length, cfg.reservoir,
-                                   window_index=widx, t_start=t, dz=cfg.dz,
-                                   like=window)
+                if new is None or tuple(subs) != new.subdomains:
+                    new = build_window(subs, length, cfg.reservoir,
+                                       dz=cfg.dz)
+                    new_maps = pb.maps(new)
                 if window is None:
                     trace = _initial_trace(cfg, new)
                 elif new.subdomains == window.subdomains:
@@ -291,12 +278,12 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                                            pb.phi_base)
                 try:
                     state, entry = newton_solve_window(
-                        new, pb.props_for(new), pb.wells_for(new), *trace,
-                        pb.model, ncfg)
+                        new, *new_maps, *trace, pb.model, ncfg)
                     break
                 except NonConvergence as fail:
                     ledger.failed_cost += fail.iterations * new.n_y
                     lu_cost += fail.lu_nnz
+                    newton_wall_ms += fail.wall_ms
                     if attempt == attempts - 1:
                         how = " after escalation" if attempt else ""
                         raise NonConvergence(
@@ -304,14 +291,15 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                             f"window {widx} failed to converge{how}")
                     idmap = _escalate(idmap)
                     subs = decompose(idmap, pb.tiling, pb.table)
-            window = new
+            window, maps = new, new_maps
             ledger.entries.append(entry)
             lu_cost += entry.lu_nnz
+            newton_wall_ms += entry.wall_ms
             final = final_spatial(window, state)
+            t_end = t + window.delta_t
 
             inj, pw, po, w_end, w_start = window_mass(
-                window, state, final, pb.props_for(window),
-                pb.wells_for(window), pb.model)
+                window, state, final, *maps, pb.model)
             balance["injected"] += inj
             balance["produced_w"] += pw
             balance["produced_o"] += po
@@ -329,13 +317,15 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                            "p": os.path.join(outdir, p_name)},
                 vtk_path=(os.path.join(outdir, f"snap_{widx:03d}.vtk")
                           if emit_vtk else None),
-                title=f"t={window.t_end:g} days")
+                title=f"t={t_end:g} days")
             if cfg.emit_fine_levels:
-                _emit_fine_levels(outdir, window, state, base, origin, cfg)
-            snapshots.append({"index": widx, "time": window.t_end,
+                _emit_fine_levels(outdir, widx, t, window, state, base,
+                                  origin, cfg)
+            snapshots.append({"index": widx, "time": t_end,
                               "sw": sw_name, "p": p_name})
             output.write_idmap_csv(
                 os.path.join(outdir, f"idmap_{widx:03d}.csv"), idmap)
+            t = t_end
     except StddError as exc:
         exc.ledger = ledger
         output.write_ledger_csv(os.path.join(outdir, "ledger.csv"), ledger)
@@ -367,7 +357,7 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
         "all_in_cost": (ledger.cost_metric + predictor_cost
                         + ledger.failed_cost),
         "lu_cost": lu_cost,
-        "total_wall_ms": ledger.total_wall_ms,
+        "total_wall_ms": newton_wall_ms,
         "mass_balance": {**balance, "accumulated": accumulated,
                          "relative_error": rel},
     }
@@ -377,22 +367,24 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     return summary
 
 
-def _emit_fine_levels(outdir, window, state, base, origin, cfg):
-    """One saturation raster per distinct interior time of the window.
+def _emit_fine_levels(outdir, widx, start, window, state, base, origin,
+                      cfg):
+    """One saturation raster per distinct interior time of window `widx`,
+    which starts at `start`.
 
     Each spatial cell shows its first level ending at or after the time.
     Levels of a cell are consecutive in time, so that level is the one
     reaching the time whose previous level does not.
     """
-    times = np.unique(np.round(window.st_t_end, 9))
+    ends = start + window.st_level * window.st_dt
     prev = window.st_prev
-    for t in times:
-        reached = window.st_t_end >= t - 1.0e-9
+    for t in np.unique(np.round(ends, 9)):
+        reached = ends >= t - 1.0e-9
         first = reached & ((prev < 0) | ~reached[np.maximum(prev, 0)])
         vals = np.empty(window.n_spatial)
         vals[window.st_spatial[first]] = state.s[first]
         s2d = base.rasterize(window, vals)
-        name = f"fine_sw_w{window.window_index:03d}_t{t:09.3f}.csv"
+        name = f"fine_sw_w{widx:03d}_t{t:09.3f}.csv"
         output.write_snapshot({"sw": s2d}, origin, cfg.base_cell,
                               csv_paths={"sw": os.path.join(outdir, name)})
 

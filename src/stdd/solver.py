@@ -51,7 +51,6 @@ class NewtonConfig:
 
 @dataclass
 class LedgerEntry:
-    window_index: int
     iterations: int
     norms: list
     n_reduced_dofs: int
@@ -62,7 +61,10 @@ class LedgerEntry:
 
 @dataclass
 class RunLedger:
-    """Per-window solver statistics and the cumulative cost metric."""
+    """Per-window solver statistics and the cumulative cost metric.
+
+    `entries` holds the accepted windows' entries in order, so an entry's
+    position is its window's index."""
 
     entries: list = field(default_factory=list)
     failed_cost: int = 0    # reduced DOFs of the solves of failed attempts
@@ -72,17 +74,12 @@ class RunLedger:
         """Sum of (Newton iterations x reduced DOFs) over accepted windows."""
         return sum(e.iterations * e.n_reduced_dofs for e in self.entries)
 
-    @property
-    def total_wall_ms(self):
-        return sum(e.wall_ms for e in self.entries)
-
     def iteration_rows(self):
         """Flat (window, iteration, norm, dofs, wall_ms) rows for CSV export."""
         rows = []
-        for e in self.entries:
+        for w, e in enumerate(self.entries):
             for k, nrm in enumerate(e.norms):
-                rows.append((e.window_index, k, nrm, e.n_reduced_dofs,
-                             e.wall_ms))
+                rows.append((w, k, nrm, e.n_reduced_dofs, e.wall_ms))
         return rows
 
 
@@ -159,12 +156,8 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
     fill = []               # SuperLU's stored entries, per solve
     pattern = None          # natural numbering unless the window is swept
 
-    def entry(converged, iters):
-        return LedgerEntry(
-            window_index=window.window_index, iterations=iters,
-            norms=list(norms), n_reduced_dofs=window.n_y,
-            wall_ms=(time.perf_counter() - t0) * 1.0e3, converged=converged,
-            lu_nnz=sum(fill))
+    def wall_ms():
+        return (time.perf_counter() - t0) * 1.0e3
 
     sys_ = (linearize(window, state, props, wells, model) if start is None
             else start)
@@ -172,7 +165,9 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
         norm = float(np.max(np.abs(sys_.r_norm))) if window.n_st else 0.0
         norms.append(norm)
         if norm <= cfg.tol:
-            return state, entry(True, k)
+            return state, LedgerEntry(
+                iterations=k, norms=list(norms), n_reduced_dofs=window.n_y,
+                wall_ms=wall_ms(), converged=True, lu_nnz=sum(fill))
         if k == cfg.max_iters:
             break
         if k == 0 and sys_.stored_share > SYMMETRIC_MIN_STORED:
@@ -206,4 +201,5 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
             step *= 0.5
         state = trial
 
-    raise NonConvergence(cfg.max_iters, norms[-1], lu_nnz=sum(fill))
+    raise NonConvergence(cfg.max_iters, norms[-1], lu_nnz=sum(fill),
+                         wall_ms=wall_ms())

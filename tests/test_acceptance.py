@@ -60,12 +60,11 @@ def static_solution():
     window = build_window(subs, cfg.delta_t, cfg.reservoir, dz=cfg.dz)
     n = window.n_spatial
     ncfg = NewtonConfig(max_iters=60, max_ds=0.2)
+    props, wells = pb.maps(window)
     state, entry = newton_solve_window(
-        window, pb.props_for(window), pb.wells_for(window),
-        np.full(n, cfg.initial_pressure),
+        window, props, wells, np.full(n, cfg.initial_pressure),
         np.full(n, cfg.initial_saturation), pb.model, ncfg)
-    sys_ = assemble(window, state, pb.props_for(window),
-                    pb.wells_for(window), pb.model)
+    sys_ = assemble(window, state, props, wells, pb.model)
     return window, state, entry, sys_
 
 
@@ -117,12 +116,11 @@ class TestWindowEqualsSequential:
         p_mono, s_mono = st4.p[fin], st4.s[fin]
 
         tp, ts = np.full(n, 1000.0), np.full(n, 0.3)
-        for lev in range(4):
-            w1 = build_window([Subdomain(box, (1.0, 1.0), 1.0)], 1.0, box,
-                              t_start=float(lev))
+        w1 = build_window([Subdomain(box, (1.0, 1.0), 1.0)], 1.0, box)
+        f1 = w1.final_level_cells()
+        for _ in range(4):
             st1, _ = newton_solve_window(w1, props, wells, tp, ts, model,
                                          cfg)
-            f1 = w1.final_level_cells()
             tp, ts = st1.p[f1].copy(), st1.s[f1].copy()
 
         assert np.max(np.abs(p_mono - tp)) <= 1e-8
@@ -229,8 +227,7 @@ class TestStaticDecomposition:
         assert window.bundles
         cfg = preset("static-dd")
         pb = Problem(cfg)
-        props = pb.props_for(window)
-        wells = pb.wells_for(window)
+        props, wells = pb.maps(window)
         fx = sys_.fluxes
         r0 = sys_.r_y
         for b in window.bundles[:20]:

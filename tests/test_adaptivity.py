@@ -1,7 +1,6 @@
 """Region classification, decomposition, transfer, and upscaling."""
 
 import importlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from stdd.adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
                              delta_change, final_spatial, residual_indicator,
                              transfer_state, upscale_blocks,
                              upscale_permeability)
-from stdd.config import RunConfig, WellSpec, preset
+from stdd.config import RunConfig, WellSpec
 from stdd.errors import NonIntegerRatio
 from stdd.mesh import Subdomain, _int_ratio, build_window
 
@@ -565,25 +564,3 @@ class TestOwnerMap:
         with pytest.raises(NonIntegerRatio, match=what):
             BaseGrid(res, (1.0, 1.0)).rasterize(window,
                                                 np.zeros(window.n_spatial))
-
-    def test_props_built_once_per_decomposition(self, tmp_path, monkeypatch):
-        built, seen = [], set()
-        real_perm = run_module.cell_permeability
-        real_props = run_module.Problem.props_for
-
-        def counted(window, *args):
-            built.append(window.subdomains)
-            return real_perm(window, *args)
-
-        def props_for(self, window):
-            seen.add(window.subdomains)
-            return real_props(self, window)
-
-        monkeypatch.setattr(run_module, "cell_permeability", counted)
-        monkeypatch.setattr(run_module.Problem, "props_for", props_for)
-        summary = run_module.run(replace(preset("toy"), horizon=4.0),
-                                 tmp_path, emit_vtk=False)
-        assert summary["windows"] == 2
-        # the predictor's all-coarse trial and at least one window
-        assert len(seen) >= 2
-        assert len(built) == len(seen) and set(built) == seen

@@ -150,11 +150,13 @@ class TestExitCodes:
     def test_any_solver_error_leaves_ledger_and_marker(self, tmp_path,
                                                        monkeypatch):
         real = run_module.newton_solve_window
+        calls = []
 
-        def fail_window_1(window, *args):
-            if window.window_index == 1:
+        def fail_window_1(*args):
+            calls.append(None)
+            if len(calls) == 2:     # uniform-coarse: one solve a window
                 raise SingularMatrix("injected")
-            return real(window, *args)
+            return real(*args)
 
         monkeypatch.setattr(run_module, "newton_solve_window",
                             fail_window_1)
@@ -178,6 +180,16 @@ class TestCompare:
         assert "end-to-end wall ratio (a/b): 1.0000" in out
         assert "LU cost ratio (a/b): 1.0000  (above 0.2)" in out
         assert "0.00000" in out
+
+    def test_newton_wall_counts_every_solve(self, toy_run):
+        """`total_wall_ms` adds the predictor's solves (and any failed
+        attempt's) to the accepted windows' Newton walls in the ledger."""
+        summary = json.loads((toy_run / "run_summary.json").read_text())
+        assert summary["mode"] == "dynamic-dd"
+        walls = {row[0]: row[4]
+                 for row in read_ledger_csv(toy_run / "ledger.csv")}
+        assert len(walls) == summary["windows"]
+        assert summary["total_wall_ms"] > sum(walls.values()) > 0
 
     def test_end_to_end_wall_is_its_own_ratio(self, toy_run, tmp_path,
                                               capsys):
@@ -268,6 +280,17 @@ class TestCurves:
 
     def test_matches_simulate_artifact(self, toy_run, capsys):
         main(["curves", "--config", "preset:toy"])
+        printed = capsys.readouterr().out
+        assert printed == (toy_run / "curves.csv").read_text()
+
+    def test_reads_no_permeability(self, tmp_path, toy_run, capsys):
+        """Curves need the fluid-rock model only, so a permeability file
+        that does not exist is never opened."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            **preset("toy").to_dict(),
+            "permeability": {"kind": "file", "kx_path": "missing.txt"}}))
+        assert main(["curves", "--config", str(path)]) == EXIT_OK
         printed = capsys.readouterr().out
         assert printed == (toy_run / "curves.csv").read_text()
 

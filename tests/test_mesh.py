@@ -48,43 +48,6 @@ class TestBuildWindow:
         with pytest.raises(TilingGap):
             build_window([], 1.0, (0.0, 0.0, 1.0, 1.0))
 
-    def test_window_span(self):
-        w = two_subdomain_window()
-        assert (w.t_start, w.t_end) == (0.0, 5.0)
-
-
-class TestSharedStructure:
-    """A window built like one of equal decomposition and length shares
-    its patterns and cell order; any other gets its own."""
-
-    BOX = (0.0, 0.0, 4.0, 2.0)
-    SUBS = (Subdomain(BOX, (1.0, 1.0), 0.5),)
-
-    def test_equal_windows_share(self):
-        a = build_window(self.SUBS, 1.0, self.BOX)
-        b = build_window(list(self.SUBS), 1.0, self.BOX, window_index=3,
-                         t_start=1.0, like=a)
-        assert a.ordered_pattern.unknowns is b.ordered_pattern.unknowns
-        assert a.ordered_pattern is b.ordered_pattern
-        assert a.jacobian_pattern is b.jacobian_pattern
-
-    @pytest.mark.parametrize("other", ["decomposition", "length", "no like"])
-    def test_others_get_their_own(self, other):
-        a = build_window(self.SUBS, 1.0, self.BOX)
-        halves = [Subdomain((0.0, 0.0, 2.0, 2.0), (1.0, 1.0), 0.5),
-                  Subdomain((2.0, 0.0, 4.0, 2.0), (1.0, 1.0), 0.5)]
-        subs, length, like = {"decomposition": (halves, 1.0, a),
-                              "length": (self.SUBS, 2.0, a),
-                              "no like": (self.SUBS, 1.0, None)}[other]
-        w = build_window(subs, length, self.BOX, like=like)
-        alone = build_window(subs, length, self.BOX)
-        for name in ("jacobian_pattern", "ordered_pattern"):
-            mine, ref = getattr(w, name), getattr(alone, name)
-            assert mine is not getattr(a, name)
-            for field in ("indptr", "indices", "entry", "own", "unknowns"):
-                assert np.array_equal(getattr(mine, field),
-                                      getattr(ref, field))
-
 
 class TestDofNumbering:
     def test_counts_are_consistent(self):
@@ -95,7 +58,8 @@ class TestDofNumbering:
         w = two_subdomain_window()
         fin = w.final_level_cells()
         assert sorted(w.st_spatial[fin]) == list(range(w.n_spatial))
-        assert np.all(np.abs(w.st_t_end[fin] - w.t_end) < 1e-12)
+        ends = w.st_level[fin] * w.st_dt[fin]
+        assert np.all(np.abs(ends - w.delta_t) < 1e-12)
 
     def test_final_level_with_mixed_dt(self):
         # three subdomains of 6, 3 and 1 levels: each spatial cell's
@@ -103,11 +67,11 @@ class TestDofNumbering:
         subs = [Subdomain((0.0, 0.0, 2.0, 2.0), (1.0, 1.0), 1.0),
                 Subdomain((2.0, 0.0, 4.0, 2.0), (2.0, 2.0), 2.0),
                 Subdomain((4.0, 0.0, 6.0, 2.0), (0.5, 0.5), 6.0)]
-        w = build_window(subs, 6.0, (0.0, 0.0, 6.0, 2.0), t_start=6.0)
+        w = build_window(subs, 6.0, (0.0, 0.0, 6.0, 2.0))
         fin = w.final_level_cells()
         assert fin.dtype == np.int64
         assert np.array_equal(w.st_spatial[fin], np.arange(w.n_spatial))
-        assert np.all(w.st_t_end[fin] == w.t_end)
+        assert np.all(w.st_level[fin] * w.st_dt[fin] == w.delta_t)
         steps = np.array([s.n_steps(6.0) for s in subs])
         assert np.array_equal(w.st_level[fin], steps[w.sub_of_cell])
 
@@ -131,7 +95,7 @@ def ratio_window(r):
         reservoir = (0.0, 0.0, 12.0, 6.0)
     subs = [Subdomain(reg, h[:2], h[2]) for reg, h in
             zip(regions, (fine, coarse))]
-    return build_window(subs, 6.0, reservoir, t_start=2.0, dz=2.5)
+    return build_window(subs, 6.0, reservoir, dz=2.5)
 
 
 class TestFaceGeometry:
@@ -158,8 +122,8 @@ class TestFaceGeometry:
             lo = [centre[1 - a][s] - h[1 - a][s] / 2.0 for s in (sl, sr)]
             hi = [centre[1 - a][s] + h[1 - a][s] / 2.0 for s in (sl, sr)]
             assert (min(hi) - max(lo)) * w.dz == pytest.approx(f.area[i])
-            t1 = [w.st_t_end[c] for c in (cl, cr)]
-            t0 = [w.st_t_end[c] - w.st_dt[c] for c in (cl, cr)]
+            t1 = [w.st_level[c] * w.st_dt[c] for c in (cl, cr)]
+            t0 = [t - w.st_dt[c] for t, c in zip(t1, (cl, cr))]
             assert min(t1) - max(t0) == pytest.approx(f.dt[i])
 
     @pytest.mark.parametrize("r", [2, 3])
@@ -259,8 +223,7 @@ class TestSharedEdge:
 def window_dump(w):
     """Plain-text adjacency listing of a window, for golden comparison."""
     lines = [
-        f"window {w.window_index} span=({w.t_start:g},{w.t_end:g})"
-        f" reservoir={w.reservoir}",
+        f"window length={w.delta_t:g} reservoir={w.reservoir}",
     ]
     for k, sub in enumerate(w.subdomains):
         lines.append(

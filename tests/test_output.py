@@ -249,9 +249,9 @@ class TestRunSnapshots:
 class TestLedger:
     def ledger(self):
         led = RunLedger()
-        led.entries.append(LedgerEntry(0, 2, [1.0, 0.1, 1e-7], 100, 12.5,
-                                       True))
-        led.entries.append(LedgerEntry(1, 1, [0.5, 1e-8], 100, 8.0, True))
+        # an entry's window is its position
+        led.entries.append(LedgerEntry(2, [1.0, 0.1, 1e-7], 100, 12.5, True))
+        led.entries.append(LedgerEntry(1, [0.5, 1e-8], 100, 8.0, True))
         return led
 
     def test_round_trip(self, tmp_path):

@@ -48,10 +48,9 @@ def corner_wells(n, rate=0.05, wi=0.5, bhp=1000.0):
                          prod_bhp=np.full(n, bhp))
 
 
-def strip_window(nx=8, ny=2, h=1.0, dt=1.0, delta_t=1.0, t_start=0.0):
+def strip_window(nx=8, ny=2, h=1.0, dt=1.0, delta_t=1.0):
     box = (0.0, 0.0, nx * h, ny * h)
-    return build_window([Subdomain(box, (h, h), dt)], delta_t, box,
-                        t_start=t_start)
+    return build_window([Subdomain(box, (h, h), dt)], delta_t, box)
 
 
 class TestLinearSolve:
@@ -339,11 +338,10 @@ class TestNewtonWindow:
         p4, s4 = st4.p[fin], st4.s[fin]
 
         tp, ts = np.full(n, 1000.0), np.full(n, 0.3)
-        for lev in range(4):
-            w1 = build_window([Subdomain(box, (1.0, 1.0), dt)], dt, box,
-                              t_start=lev * dt)
+        w1 = build_window([Subdomain(box, (1.0, 1.0), dt)], dt, box)
+        f1 = w1.final_level_cells()
+        for _ in range(4):
             st1, _ = newton_solve_window(w1, pr, wells, tp, ts, m, cfg)
-            f1 = w1.final_level_cells()
             tp, ts = st1.p[f1].copy(), st1.s[f1].copy()
 
         order = np.lexsort((w4.cell_cx[:n], w4.cell_cy[:n]))
@@ -484,7 +482,7 @@ class TestFactorPath:
                                        NewtonConfig())
         assert entry.converged and entry.iterations > 1
         assert paths == [swept] * entry.iterations
-        assert ("cell_order" in vars(w._structure)) == swept
+        assert ("cell_order" in vars(w)) == swept
 
 
 run_module = importlib.import_module("stdd.run")
@@ -566,16 +564,56 @@ class TestMarch:
         cfg = replace(preset("toy"), newton={"max_iters": 2})
         with pytest.raises(NonConvergence, match="after escalation") as exc:
             run(cfg, tmp_path, emit_vtk=False)
-        # the predictor's trial solve, then the window's two attempts
+        # the predictor's trial solve, then the window's two attempts; the
+        # failed prediction refines every tile, so the escalation leaves
+        # the decomposition and the window as they are
         assert len(calls) == 3
         attempts = calls[1:]
-        assert all(w.window_index == 0 and w.t_start == 0.0
-                   for w, _ in attempts)
+        trial, first, second = (w for w, _ in calls)
+        assert {s.identifier for s in first.subdomains} == {1}
+        assert trial is not first and second is first
         assert all(len(d) == 2 for _, d in attempts)
         assert isinstance(exc.value.ledger, RunLedger)
         assert exc.value.ledger.failed_cost == sum(
             sum(d) for _, d in attempts) > 0
         assert (tmp_path / "FAILED").exists()
+
+    @pytest.mark.parametrize("mode", ["dynamic-dd", "uniform-fine",
+                                      "static-dd"])
+    def test_each_decomposition_built_once(self, tmp_path, monkeypatch,
+                                           mode):
+        """A window is built only when its decomposition differs from the
+        current window's, the predictor's all-coarse trial once, and each
+        built window is mapped once."""
+        calls = newton_calls(monkeypatch)
+        built, mapped = [], []
+        real_build, real_maps = run_module.build_window, run_module.Problem.maps
+
+        def build(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
+
+        def maps(self, window):
+            mapped.append(window)
+            return real_maps(self, window)
+
+        monkeypatch.setattr(run_module, "build_window", build)
+        monkeypatch.setattr(run_module.Problem, "maps", maps)
+        summary = run(replace(preset("toy"), mode=mode), tmp_path,
+                      emit_vtk=False)
+        assert [id(w) for w in mapped] == [id(w) for w in built]
+        assert len({w.subdomains for w in built}) == len(built)
+        solved = [w for w, _ in calls]
+        assert all(any(w is b for b in built) for w in solved)
+        if mode == "dynamic-dd":
+            trial = built[0]
+            assert solved[0::2] == [trial] * summary["windows"]
+            solved = solved[1::2]
+        assert len(solved) == summary["windows"]
+        changes = sum(a is not b for a, b in zip(solved, solved[1:]))
+        assert len(built) == (mode == "dynamic-dd") + 1 + changes
+        if mode != "dynamic-dd":
+            assert len(built) == 1
 
     def test_fixed_map_never_escalates(self, tmp_path, monkeypatch):
         calls = newton_calls(monkeypatch)
