@@ -25,7 +25,7 @@ from scipy.linalg import solveh_banded
 from scipy.ndimage import binary_dilation
 
 from .errors import NonIntegerRatio
-from .mesh import Subdomain, _int_ratio
+from .mesh import Subdomain, _int_ratio, _raster
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ class Thresholds:
 
     def __post_init__(self):
         for v in (self.theta_ds, self.theta_dt, self.theta_eta):
-            if not (isinstance(v, numbers.Real) and v >= 0):
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and v >= 0):
                 raise ValueError("thresholds must be non-negative numbers")
 
 
@@ -139,9 +140,7 @@ class BaseGrid:
 
     def _build_owner(self, subdomains):
         x0, y0, _, _ = self.reservoir
-        cells = np.empty(self.shape, dtype=np.int64)
-        blocks = []
-        offset = 0
+        blocks, corners = [], []
         for sub in subdomains:
             hx, hy = sub.cell_size
             i0 = _int_ratio(sub.region[0] - x0, self.hx, NonIntegerRatio,
@@ -152,12 +151,10 @@ class BaseGrid:
                             "cell/base ratio in x")
             mj = _int_ratio(hy, self.hy, NonIntegerRatio,
                             "cell/base ratio in y")
-            nx, ny = sub.nx, sub.ny
-            ii = np.arange(nx * mi)[:, None] // mi
-            jj = np.arange(ny * mj)[None, :] // mj
-            cells[i0:i0 + nx * mi, j0:j0 + ny * mj] = offset + ii + jj * nx
             blocks.append((i0, j0, mi, mj))
-            offset += nx * ny
+            corners.append((i0, j0, i0 + sub.nx * mi, j0 + sub.ny * mj))
+        # intp, so that each map through it indexes without a cast
+        cells = _raster(subdomains, corners, self.shape)[1].astype(np.intp)
         cells.setflags(write=False)
         return OwnerMap(cells, tuple(blocks))
 

@@ -108,8 +108,12 @@ class RunConfig:
     def validate(self):
         for key in SCALARS:
             v = getattr(self, key)
-            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v)):
                 raise ConfigError(f"{key} must be a finite number")
+        for key in ("use_capillarity", "emit_fine_levels"):
+            if not isinstance(getattr(self, key), bool):
+                raise ConfigError(f"{key} must be true or false")
         for key, n in GEOMETRY.items():
             if len(getattr(self, key)) != n:
                 raise ConfigError(f"{key} must hold {n} numbers")

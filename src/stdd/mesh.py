@@ -1,15 +1,22 @@
 """Space-time windows: subdomain grids, non-matching interfaces, DOF numbering.
 
 A window is one matching step of length `delta_t`, and nothing but its
-decomposition: each subdomain carries its own cell size and time-step size;
-the only constraints are that subdomain footprints tile the reservoir, every
-dt divides the window length, and cell sizes of touching subdomains are
-integer multiples of each other along the shared edge.  Times within a
-window count from its start: level l of a subdomain ends at l * dt.  Flux
-unknowns on a non-matching interface live at the fine granularity in both
-space and time: one unknown per fine face per fine time level, and the
-coarse cell's divergence sums all of them, which is what makes the scheme
-locally conservative across the interface.
+decomposition: each subdomain carries its own cell size and time-step size,
+the subdomain footprints tile the reservoir, and every dt divides the window
+length.  Times within a window count from its start: level l of a subdomain
+ends at l * dt.
+
+Interfaces are found on the decomposition's lattice, whose spacing divides
+every coordinate and cell size, in the same pass that checks the tiling:
+each pair of 4-neighbour lattice cells in two subdomains lies on a face
+between their two spatial cells, and that face repeats at every level of
+the finer dt of the two.  Each such face is checked for three things: the
+two cells' edge lengths along the interface are integer multiples, each
+cell edge borders one subdomain, and the two dt are integer multiples.  So
+flux unknowns on a non-matching interface live at the fine granularity in
+both space and time: one unknown per fine face per fine time level, and
+the coarse cell's divergence sums all of them, which is what makes the
+scheme locally conservative across the interface.
 
 A face is its axis and its two space-time cells; its spatial cells, cell
 extents, cross-section and time slab all follow from the window's cell
@@ -320,8 +327,32 @@ class SpaceTimeWindow:
 # ---------------------------------------------------------------------------
 
 
-def _check_tiling(subdomains, reservoir):
-    """Footprints must partition the reservoir box exactly."""
+def _raster(subdomains, corners, shape):
+    """The window's cell numbering on a lattice of `shape`.
+
+    Subdomain k covers lattice cells [i0, i1) x [j0, j1) of `corners[k]`,
+    an exact block of lattice cells per spatial cell, and numbers its
+    cells x fastest after those of the subdomains before it.  Returns
+    the subdomain and the spatial cell of every lattice cell (int32, -1
+    where none covers it; a later subdomain overwrites an earlier one).
+    """
+    sub = np.full(shape, -1, dtype=np.int32)
+    cell = np.full(shape, -1, dtype=np.int32)
+    offset = 0
+    for k, (s, (i0, j0, i1, j1)) in enumerate(zip(subdomains, corners)):
+        nx, ny = s.nx, s.ny
+        ii = np.arange(i1 - i0, dtype=np.int32)[:, None] // ((i1 - i0) // nx)
+        jj = np.arange(j1 - j0, dtype=np.int32)[None, :] // ((j1 - j0) // ny)
+        sub[i0:i1, j0:j1] = k
+        cell[i0:i1, j0:j1] = offset + ii + jj * nx
+        offset += nx * ny
+    return sub, cell
+
+
+def _lattice(subdomains, reservoir):
+    """Lay the footprints on the lattice whose spacing divides every
+    coordinate and cell size, and check that they partition the
+    reservoir box.  Returns the rasters of `_raster`."""
     if not subdomains:
         raise TilingGap("empty decomposition")
     X0, Y0, X1, Y1 = reservoir
@@ -335,105 +366,60 @@ def _check_tiling(subdomains, reservoir):
     ny = (ys[1] - ys[0]) // ay
     if nx * ny > 50_000_000:
         raise MisalignedInterface("tiling check lattice too fine")
-    occ = np.zeros((nx, ny), dtype=np.int8)
+    corners = []
     for s in subdomains:
         q = _quantize(s.region)
         i0, i1 = (q[0] - xs[0]) // ax, (q[2] - xs[0]) // ax
         j0, j1 = (q[1] - ys[0]) // ay, (q[3] - ys[0]) // ay
         if i0 < 0 or j0 < 0 or i1 > nx or j1 > ny:
             raise TilingOverlap(f"subdomain {s.region} extends outside {reservoir}")
-        occ[i0:i1, j0:j1] += 1
-    if np.any(occ > 1):
+        corners.append((int(i0), int(j0), int(i1), int(j1)))
+    sub, cell = _raster(subdomains, corners, (int(nx), int(ny)))
+    covered = np.count_nonzero(sub >= 0)
+    if sum((i1 - i0) * (j1 - j0) for i0, j0, i1, j1 in corners) > covered:
         raise TilingOverlap("subdomain footprints overlap")
-    if np.any(occ == 0):
+    if covered < nx * ny:
         raise TilingGap("subdomain footprints leave gaps")
+    return sub, cell
 
 
-def shared_edge(a: Subdomain, b: Subdomain):
-    """Shared edge between two boxes: (axis, a_is_left, lo, hi) or None.
+def _interface_faces(sub, cell):
+    """The fine faces in space between two subdomains, from the rasters
+    of `_lattice`.
 
-    axis 0 means faces normal to x (the edge runs along y), axis 1 the
-    converse.  `a_is_left` is True when `a` sits on the low-coordinate side.
+    Each pair of 4-neighbour lattice cells in two subdomains lies on one
+    fine face, between their two spatial cells.  Returns the faces'
+    (axis, left cell, right cell, left subdomain, right subdomain), left
+    the low-coordinate side, ordered by subdomain pair (lower index
+    first) and then by position along the shared edge.  Raises unless
+    each cell edge borders one subdomain.
     """
-    ax0, ay0, ax1, ay1 = a.region
-    bx0, by0, bx1, by1 = b.region
-    tol = 1.0e-6
-    if abs(ax1 - bx0) < tol:
-        lo, hi = max(ay0, by0), min(ay1, by1)
-        if hi - lo > tol:
-            return (0, True, lo, hi)
-    if abs(bx1 - ax0) < tol:
-        lo, hi = max(ay0, by0), min(ay1, by1)
-        if hi - lo > tol:
-            return (0, False, lo, hi)
-    if abs(ay1 - by0) < tol:
-        lo, hi = max(ax0, bx0), min(ax1, bx1)
-        if hi - lo > tol:
-            return (1, True, lo, hi)
-    if abs(by1 - ay0) < tol:
-        lo, hi = max(ax0, bx0), min(ax1, bx1)
-        if hi - lo > tol:
-            return (1, False, lo, hi)
-    return None
+    parts = []      # y-faces are the x-faces of the transposed rasters
+    for axis, (s, c) in enumerate(((sub, cell), (sub.T, cell.T))):
+        across, along = np.nonzero(s[:-1] != s[1:])
+        parts.append((np.full(len(along), axis, dtype=np.int8), along,
+                      c[across, along], c[across + 1, along],
+                      s[across, along], s[across + 1, along]))
+    axis, along, cl, cr, sl, sr = map(np.concatenate, zip(*parts))
+    order = np.lexsort((along, np.maximum(sl, sr), np.minimum(sl, sr)))
+    axis, cl, cr, sl, sr = (a[order] for a in (axis, cl, cr, sl, sr))
+    # the lattice pairs of one face are consecutive
+    first = (np.diff(cl, prepend=-1) != 0) | (np.diff(cr, prepend=-1) != 0)
+    axis, cl, cr, sl, sr = (a[first] for a in (axis, cl, cr, sl, sr))
+    edges = 2 * (cell.max() + 1)      # a slot per cell and axis
+    for edge, other in ((2 * cl + axis, sr), (2 * cr + axis, sl)):
+        neighbour = np.empty(edges, dtype=np.int32)
+        neighbour[edge] = other
+        if np.any(neighbour[edge] != other):
+            raise MisalignedInterface("a cell edge borders two subdomains")
+    return axis, cl, cr, sl, sr
 
 
-def enumerate_interface(sub_a, sub_b, edge, delta_t):
-    """Enumerate the fine space-time faces of one subdomain interface.
-
-    `edge` is `shared_edge(sub_a, sub_b)` and `delta_t` the window length.
-    Returns ((local cells, levels) of the left side, the same of the right
-    side, coarse_is_left), one entry per fine face in each array; `left`
-    is the low-coordinate side.  `coarse_is_left` says which side is
-    space-time coarser, the bundles' side; ties go to the left.
-
-    The face granularity is the finer spacing of the two sides in space and
-    the finer dt in time, so a side that is fine in space but coarse in time
-    still resolves the other's fine levels.
-    """
-    axis, a_is_left, lo, hi = edge
-    left, right = (sub_a, sub_b) if a_is_left else (sub_b, sub_a)
-
-    # spacing along the edge
-    perp = 1 - axis
-    h_l = left.cell_size[perp]
-    h_r = right.cell_size[perp]
-    hf = min(h_l, h_r)
-    for h, name in ((h_l, "left"), (h_r, "right")):
-        _int_ratio(h, hf, MisalignedInterface, f"{name} edge spacing ratio")
-    org_l = left.region[perp]
-    org_r = right.region[perp]
-    for org, h, name in ((org_l, h_l, "left"), (org_r, h_r, "right")):
-        for p in (lo, hi):
-            r = (p - org) / h
-            if abs(r - round(r)) > _TOL * max(1.0, abs(r)):
-                raise MisalignedInterface(
-                    f"edge segment does not align with the {name} grid")
-    dtf = min(left.dt, right.dt)
-    _int_ratio(left.dt, dtf, NonIntegerRatio, "left dt ratio")
-    _int_ratio(right.dt, dtf, NonIntegerRatio, "right dt ratio")
-
-    n_seg = _int_ratio(hi - lo, hf, MisalignedInterface, "segment length / spacing")
-    n_t = _int_ratio(delta_t, dtf, NonIntegerRatio, "window length / fine dt")
-
-    k = np.repeat(np.arange(n_seg), n_t)          # position along edge
-    m = np.tile(np.arange(1, n_t + 1), n_seg)     # fine time level
-    pos = lo + (k + 0.5) * hf
-
-    def side_cells(sub, at_high_end):
-        nx, ny = sub.nx, sub.ny
-        along = ((pos - sub.region[perp]) / sub.cell_size[perp]).astype(np.int64)
-        if axis == 0:
-            i = np.full_like(along, nx - 1 if at_high_end else 0)
-            local = along * nx + i
-        else:
-            j = np.full_like(along, ny - 1 if at_high_end else 0)
-            local = j * nx + along
-        level = np.ceil(m * dtf / sub.dt - _TOL).astype(np.int64)
-        return local, level
-
-    return (side_cells(left, at_high_end=True),
-            side_cells(right, at_high_end=False),
-            (h_l * left.dt) >= (h_r * right.dt))
+def _check_multiples(a, b, exc, what):
+    """Raise exc unless a and b are elementwise integer multiples."""
+    r = np.maximum(a, b) / np.minimum(a, b)
+    if np.any(np.abs(r - np.round(r)) > _TOL * r):
+        raise exc(f"{what} are not integer multiples")
 
 
 def build_window(subdomains, delta_t, reservoir, *, dz=1.0):
@@ -441,49 +427,35 @@ def build_window(subdomains, delta_t, reservoir, *, dz=1.0):
     if delta_t <= 0:
         raise ValueError("window length must be positive")
     subdomains = tuple(subdomains)
-    _check_tiling(subdomains, reservoir)
+    sub, cell = _lattice(subdomains, reservoir)
 
     n_sub = len(subdomains)
-    steps = [s.n_steps(delta_t) for s in subdomains]
+    steps = np.array([s.n_steps(delta_t) for s in subdomains])
+    dts = np.array([s.dt for s in subdomains], dtype=float)
+    size = np.array([s.cell_size for s in subdomains], dtype=float)
 
-    # spatial cells
-    spatial_offset = np.zeros(n_sub + 1, dtype=np.int64)
-    cx_l, cy_l, hx_l, hy_l, sub_l = [], [], [], [], []
-    for k, s in enumerate(subdomains):
-        nx, ny = s.nx, s.ny
-        spatial_offset[k + 1] = spatial_offset[k] + nx * ny
-        i = np.tile(np.arange(nx), ny)
-        j = np.repeat(np.arange(ny), nx)
-        cx_l.append(s.region[0] + (i + 0.5) * s.cell_size[0])
-        cy_l.append(s.region[1] + (j + 0.5) * s.cell_size[1])
-        hx_l.append(np.full(nx * ny, s.cell_size[0], dtype=float))
-        hy_l.append(np.full(nx * ny, s.cell_size[1], dtype=float))
-        sub_l.append(np.full(nx * ny, k, dtype=np.int64))
-    cell_cx = np.concatenate(cx_l)
-    cell_cy = np.concatenate(cy_l)
-    cell_hx = np.concatenate(hx_l)
-    cell_hy = np.concatenate(hy_l)
-    sub_of_cell = np.concatenate(sub_l)
+    # spatial cells, x fastest within each subdomain
+    shape = np.array([(s.nx, s.ny) for s in subdomains])
+    n_cells = shape.prod(axis=1)
+    spatial_offset = np.concatenate([[0], np.cumsum(n_cells)])
+    sub_of_cell = np.repeat(np.arange(n_sub), n_cells)
+    local = np.arange(spatial_offset[-1]) - spatial_offset[sub_of_cell]
+    origin = np.array([s.region[:2] for s in subdomains], dtype=float)
+    cell_hx, cell_hy = size[sub_of_cell, 0], size[sub_of_cell, 1]
+    j, i = np.divmod(local, shape[sub_of_cell, 0])
+    cell_cx = origin[sub_of_cell, 0] + (i + 0.5) * cell_hx
+    cell_cy = origin[sub_of_cell, 1] + (j + 0.5) * cell_hy
     cell_vol = cell_hx * cell_hy * dz
 
     # space-time cells, level-major within each subdomain
-    st_offset = np.zeros(n_sub + 1, dtype=np.int64)
-    for k in range(n_sub):
-        nc = spatial_offset[k + 1] - spatial_offset[k]
-        st_offset[k + 1] = st_offset[k] + nc * steps[k]
-    n_st = int(st_offset[-1])
-    st_spatial = np.empty(n_st, dtype=np.int64)
-    st_level = np.empty(n_st, dtype=np.int64)
-    st_dt = np.empty(n_st)
-    st_prev = np.empty(n_st, dtype=np.int64)
-    for k, s in enumerate(subdomains):
-        nc = int(spatial_offset[k + 1] - spatial_offset[k])
-        for l in range(1, steps[k] + 1):
-            sl = slice(st_offset[k] + (l - 1) * nc, st_offset[k] + l * nc)
-            st_spatial[sl] = np.arange(spatial_offset[k], spatial_offset[k + 1])
-            st_level[sl] = l
-            st_dt[sl] = s.dt
-            st_prev[sl] = -1 if l == 1 else np.arange(sl.start - nc, sl.stop - nc)
+    st_offset = np.concatenate([[0], np.cumsum(n_cells * steps)])
+    st_sub = np.repeat(np.arange(n_sub), n_cells * steps)
+    nc = n_cells[st_sub]
+    st_level, local = np.divmod(np.arange(st_offset[-1]) - st_offset[st_sub], nc)
+    st_level += 1
+    st_spatial = spatial_offset[st_sub] + local
+    st_dt = dts[st_sub]
+    st_prev = np.where(st_level > 1, np.arange(len(st_sub)) - nc, -1)
 
     # each face's axis and its two space-time cells: interior faces per
     # subdomain, level by level, x-faces then y-faces; then interfaces
@@ -500,24 +472,32 @@ def build_window(subdomains, delta_t, reservoir, *, dz=1.0):
                                        y.reshape(steps[k], -1)], axis=1)
                        .ravel())
 
-    interfaces = []
-    n_faces = sum(map(len, axis))
-    for a in range(n_sub):
-        for b in range(a + 1, n_sub):
-            edge = shared_edge(subdomains[a], subdomains[b])
-            if edge is None:
-                continue
-            left, right, coarse_is_left = enumerate_interface(
-                subdomains[a], subdomains[b], edge, delta_t)
-            kl, kr = (a, b) if edge[1] else (b, a)
-            for out, k, (local, level) in ((c_left, kl, left),
-                                           (c_right, kr, right)):
-                nc = spatial_offset[k + 1] - spatial_offset[k]
-                out.append(st_offset[k] + (level - 1) * nc + local)
-            n = len(left[0])
-            axis.append(np.full(n, edge[0], dtype=np.int8))
-            interfaces.append((n_faces, n_faces + n, coarse_is_left))
-            n_faces += n
+    # interface faces: each fine face in space at every level of the
+    # finer dt of its two cells, levels counted on that dt
+    f_axis, f_cl, f_cr, f_sl, f_sr = _interface_faces(sub, cell)
+    _check_multiples(size[f_sl, 1 - f_axis], size[f_sr, 1 - f_axis],
+                     MisalignedInterface, "interface edge lengths")
+    _check_multiples(dts[f_sl], dts[f_sr], NonIntegerRatio,
+                     "interface time steps")
+    dtf = np.minimum(dts[f_sl], dts[f_sr])
+    n_t = np.maximum(steps[f_sl], steps[f_sr])
+    f = np.repeat(np.arange(len(n_t)), n_t)
+    starts = np.concatenate([[0], np.cumsum(n_t)])
+    m = np.arange(len(f)) - starts[f] + 1
+    for out, s, k in ((c_left, f_cl[f], f_sl[f]), (c_right, f_cr[f], f_sr[f])):
+        level = np.ceil(m * dtf[f] / dts[k] - _TOL).astype(np.int64)
+        out.append(st_offset[k] + (level - 1) * n_cells[k] + s
+                   - spatial_offset[k])
+
+    # one interface per subdomain pair: (first face, end face,
+    # coarse_is_left), the coarse side the larger edge length x dt
+    first = np.flatnonzero(np.diff(f_sl * n_sub + f_sr, prepend=-1))
+    sl, sr, perp = f_sl[first], f_sr[first], 1 - f_axis[first]
+    coarse_is_left = size[sl, perp] * dts[sl] >= size[sr, perp] * dts[sr]
+    bounds = sum(map(len, axis)) + starts[[*first, len(n_t)]]
+    interfaces = list(zip(bounds[:-1].tolist(), bounds[1:].tolist(),
+                          coarse_is_left.tolist()))
+    axis.append(f_axis[f])
 
     axis = np.concatenate(axis)
     c_left = np.concatenate(c_left)

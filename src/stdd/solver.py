@@ -20,6 +20,7 @@ Jacobian.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -45,8 +46,20 @@ class NewtonConfig:
     max_ds: float = 0.2        # per-cell saturation step cap (0 disables)
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("tol must be positive and max_iters >= 1")
+        if not (_number(self.tol) and self.tol > 0):
+            raise ValueError("tol must be a positive number")
+        if not (isinstance(self.max_iters, numbers.Integral)
+                and _number(self.max_iters) and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer >= 1")
+        if not isinstance(self.damping, bool):
+            raise ValueError("damping must be true or false")
+        if not (_number(self.max_ds) and self.max_ds >= 0):
+            raise ValueError("max_ds must be a non-negative number")
+
+
+def _number(v):
+    """A real number, and not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass

@@ -118,6 +118,8 @@ class TestExitCodes:
                      "value": 0.1},
                     {"tile": [7, 1], "kind": "bhp-producer",
                      "value": 1000.0, "r_w": 1.0}]}, EXIT_CONFIG),
+        ("fractional newton budget", {"newton": {"max_iters": 2.5}},
+         EXIT_CONFIG),
         ("newton budget too small",
          {"mode": "uniform-coarse", "newton": {"max_iters": 1}},
          EXIT_NONCONVERGENCE),

@@ -116,10 +116,29 @@ class TestSchema:
         assert set(self.SCHEMA["properties"][section]["properties"]) == \
             set(defaults)
 
+    @staticmethod
+    def admitted_and_ruled_out(bound):
+        """Values of a schema bound's type and bound, and values it rules
+        out: the wrong type (a bool is not a number) or past the bound."""
+        if bound["type"] == "boolean":
+            return [True, False], ["no", "false", 0, 1]
+        step = 1 if bound["type"] == "integer" else 0.5
+        good, bad = [], [True, "1"]
+        if "minimum" in bound:
+            good.append(bound["minimum"])
+            bad.append(bound["minimum"] - step)
+        if "exclusiveMinimum" in bound:
+            good.append(bound["exclusiveMinimum"] + 1.0e-9)
+            bad.append(bound["exclusiveMinimum"])
+        if bound["type"] == "integer":
+            bad.append(good[0] + 1.5)
+        return good, bad
+
     def test_bounds_match_the_validator(self):
         """The schema's bounds are the ones `RunConfig` enforces: a
         threshold may be zero but not negative, a uniform permeability
-        must be positive."""
+        must be positive, and every value of a `newton` key or a flag
+        that the schema rules out is a ConfigError."""
         props = self.SCHEMA["properties"]
         for name in THRESHOLD_DEFAULTS:
             bound = props["thresholds"]["properties"][name]
@@ -135,6 +154,17 @@ class TestSchema:
                 RunConfig(permeability={"kind": "uniform",
                                         "value": value}).validate()
         RunConfig(permeability={"kind": "uniform", "value": 1.0e-9}).validate()
+        checks = [(props["newton"]["properties"][k], lambda v, k=k:
+                   RunConfig(newton={k: v})) for k in NEWTON_DEFAULTS]
+        checks += [(props[k], lambda v, k=k: RunConfig(**{k: v}))
+                   for k in ("use_capillarity", "emit_fine_levels")]
+        for bound, config in checks:
+            good, bad = self.admitted_and_ruled_out(bound)
+            for v in good:
+                config(v).validate()
+            for v in bad:
+                with pytest.raises(ConfigError):
+                    config(v)
 
 
 class TestSerialization:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from stdd.errors import NonIntegerRatio, TilingGap, TilingOverlap
-from stdd.mesh import Subdomain, build_window, shared_edge
+from stdd.adaptivity import IdentifierMap, Tiling, decompose
+from stdd.config import preset
+from stdd.errors import (MisalignedInterface, NonIntegerRatio, TilingGap,
+                         TilingOverlap)
+from stdd.mesh import Subdomain, build_window
 
 
 def two_subdomain_window(dt_f=1.0, dt_c=5.0, delta_t=5.0):
@@ -207,17 +210,98 @@ class TestInterfaceBundles:
         assert [len(bd.faces) for bd in w.bundles] == [3]
 
 
-class TestSharedEdge:
-    def test_vertical_neighbors(self):
-        a = Subdomain((0.0, 0.0, 5.0, 5.0), (1.0, 1.0), 1.0)
-        b = Subdomain((5.0, 0.0, 10.0, 5.0), (1.0, 1.0), 1.0)
-        edge = shared_edge(a, b)
-        assert edge is not None
+class TestInterfaceValidation:
+    """Each window breaks one rule of the faces between two subdomains."""
 
-    def test_disjoint_subdomains(self):
-        a = Subdomain((0.0, 0.0, 2.0, 2.0), (1.0, 1.0), 1.0)
-        b = Subdomain((4.0, 0.0, 6.0, 2.0), (1.0, 1.0), 1.0)
-        assert shared_edge(a, b) is None
+    @pytest.mark.parametrize("subs, reservoir, delta_t, exc", [
+        # edge spacings 1.0 and 1.5 are not integer multiples
+        ([((0.0, 0.0, 3.0, 3.0), (1.0, 1.0), 1.0),
+          ((3.0, 0.0, 6.0, 3.0), (1.5, 1.5), 1.0)],
+         (0.0, 0.0, 6.0, 3.0), 1.0, MisalignedInterface),
+        # the coarse cell (0, 0)-(2, 2) borders two subdomains
+        ([((0.0, 0.0, 2.0, 4.0), (2.0, 2.0), 1.0),
+          ((2.0, 0.0, 4.0, 1.0), (1.0, 1.0), 1.0),
+          ((2.0, 1.0, 4.0, 4.0), (1.0, 1.0), 1.0)],
+         (0.0, 0.0, 4.0, 4.0), 1.0, MisalignedInterface),
+        # the middle right grid is offset half a cell along the edge
+        ([((0.0, 0.0, 2.0, 4.0), (1.0, 1.0), 1.0),
+          ((2.0, 0.0, 4.0, 0.5), (0.5, 0.5), 1.0),
+          ((2.0, 0.5, 4.0, 3.5), (1.0, 1.0), 1.0),
+          ((2.0, 3.5, 4.0, 4.0), (0.5, 0.5), 1.0)],
+         (0.0, 0.0, 4.0, 4.0), 1.0, MisalignedInterface),
+        # dt 2 beside dt 3: both divide the window, neither the other
+        ([((0.0, 0.0, 2.0, 2.0), (1.0, 1.0), 2.0),
+          ((2.0, 0.0, 4.0, 2.0), (1.0, 1.0), 3.0)],
+         (0.0, 0.0, 4.0, 2.0), 6.0, NonIntegerRatio),
+    ], ids=["spacing", "straddle", "offset", "dt"])
+    def test_single_fault_rejected(self, subs, reservoir, delta_t, exc):
+        with pytest.raises(exc):
+            build_window([Subdomain(*s) for s in subs], delta_t, reservoir)
+
+
+def random_window(name, seed):
+    """A window of a random tile map, with every identifier, over the
+    toy table or one with space and time ratio 3."""
+    if name == "toy":
+        cfg = preset("toy")
+        reservoir, tile, table = cfg.reservoir, cfg.tile, cfg.table
+        delta_t = cfg.delta_t
+    else:
+        reservoir, tile, delta_t = (0.0, 0.0, 18.0, 9.0), (3.0, 3.0), 3.0
+        table = {1: (1.0, 1.0, 1.0), 2: (1.0, 1.0, 3.0),
+                 3: (3.0, 3.0, 1.0), 4: (3.0, 3.0, 3.0)}
+    tiling = Tiling(reservoir, *tile)
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(1, 5, size=tiling.shape)
+    ids.flat[rng.choice(ids.size, 4, replace=False)] = [1, 2, 3, 4]
+    z = np.zeros(tiling.shape)
+    subs = decompose(IdentifierMap(ids, z, z, z), tiling, table)
+    return build_window(subs, delta_t, reservoir)
+
+
+class TestFaceCompleteness:
+    """The interface faces are exactly those a brute-force search over
+    every pair of spatial cells finds."""
+
+    @staticmethod
+    def expected_faces(w):
+        """(axis, left st cell, right st cell) of every face between two
+        cells of different subdomains whose edges overlap."""
+        lo = np.stack([w.cell_cx - w.cell_hx / 2, w.cell_cy - w.cell_hy / 2])
+        hi = np.stack([w.cell_cx + w.cell_hx / 2, w.cell_cy + w.cell_hy / 2])
+        st = {(int(s), int(l)): c for c, (s, l) in
+              enumerate(zip(w.st_spatial, w.st_level))}
+        dt = np.array([s.dt for s in w.subdomains])[w.sub_of_cell]
+        out = []
+        for axis in (0, 1):
+            # left cell i touches right cell j across axis, overlapping along it
+            touch = np.abs(hi[axis][:, None] - lo[axis][None, :]) < 1e-9
+            overlap = (np.minimum(hi[1 - axis][:, None], hi[1 - axis][None, :])
+                       - np.maximum(lo[1 - axis][:, None],
+                                    lo[1 - axis][None, :]))
+            other = w.sub_of_cell[:, None] != w.sub_of_cell[None, :]
+            for i, j in zip(*np.nonzero(touch & (overlap > 1e-9) & other)):
+                dt_fine = min(dt[i], dt[j])
+                for m in range(1, round(w.delta_t / dt_fine) + 1):
+                    li, lj = (int(np.ceil(m * dt_fine / d - 1e-9))
+                              for d in (dt[i], dt[j]))
+                    out.append((axis, st[i, li], st[j, lj]))
+        return sorted(out)
+
+    @pytest.mark.parametrize("name", ["toy", "ratio3"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interface_faces_are_complete(self, name, seed):
+        w = random_window(name, seed)
+        assert {s.identifier for s in w.subdomains} == {1, 2, 3, 4}
+        f = w.faces
+        between = np.flatnonzero(w.sub_of_cell[f.s_left]
+                                 != w.sub_of_cell[f.s_right])
+        got = sorted(zip(f.axis[between].tolist(), f.c_left[between].tolist(),
+                         f.c_right[between].tolist()))
+        assert got == self.expected_faces(w)
+        # the interface ranges hold exactly these faces
+        ranges = [i for a, b, _ in w._interfaces for i in range(a, b)]
+        assert ranges == between.tolist()
 
 
 def window_dump(w):
