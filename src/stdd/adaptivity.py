@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
-from scipy.ndimage import binary_dilation
 
 from .errors import NonIntegerRatio
 from .mesh import Subdomain, _int_ratio, _raster
@@ -67,17 +66,6 @@ class IdentifierMap:
     eta: np.ndarray
     delta_s: np.ndarray
     delta_t: np.ndarray
-
-    def rows(self):
-        """Flat (tile_i, tile_j, identifier, eta, delta_s, delta_t) rows."""
-        ntx, nty = self.identifiers.shape
-        out = []
-        for i in range(ntx):
-            for j in range(nty):
-                out.append((i, j, int(self.identifiers[i, j]),
-                            float(self.eta[i, j]), float(self.delta_s[i, j]),
-                            float(self.delta_t[i, j])))
-        return out
 
 
 @dataclass(frozen=True)
@@ -228,7 +216,12 @@ def classify(eta, delta_s, delta_t, thresholds: Thresholds):
     ids[big_s & big_t] = 1
     ids[eta > thresholds.theta_eta] = 1
 
-    near = binary_dilation(ids == 1, np.ones((3, 3), bool))
+    # the 3x3 OR of the identifier-1 mask, with no tiles past the edge:
+    # over the rows of the padded mask, then over its columns
+    pad = np.zeros(np.add(ids.shape, 2), bool)
+    pad[1:-1, 1:-1] = ids == 1
+    rows = pad[:-2] | pad[1:-1] | pad[2:]
+    near = rows[:, :-2] | rows[:, 1:-1] | rows[:, 2:]
     ids[near] = np.minimum(ids[near], 2)
     return IdentifierMap(ids, np.asarray(eta, dtype=float),
                          np.asarray(delta_s, dtype=float),

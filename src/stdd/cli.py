@@ -1,32 +1,19 @@
 """Command-line entry point.
 
 Subcommands: simulate, compare, curves.  Exit codes: 0 success, 2 config
-error, 3 convergence failure, 4 I/O error.
-
-The environment variable STDD_THREADS caps the thread count of the BLAS
-libraries backing the sparse solves; it must be read before numpy loads,
-so the heavy modules are imported lazily inside main().
+error, 3 convergence failure, 4 I/O error.  STDD_THREADS is applied when
+the package loads (see `stdd`).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_IO = 4
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("STDD_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def build_parser():
@@ -68,7 +55,6 @@ def _load_config(spec, scale):
 
 
 def main(argv=None):
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
 
     from dataclasses import replace

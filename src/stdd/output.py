@@ -37,12 +37,12 @@ def _row_heads(shape, origin, cell_size):
     return heads
 
 
-def _format(field):
-    """`%.17g` of each value of an (nx, ny) field, x fastest.  Each
-    distinct value is formatted once: a coarse cell covers many base
-    cells.  Values are told apart by their bits, so -0.0 is not 0.0."""
+def _format(array):
+    """`%.17g` of each value of an array, in C order.  Each distinct
+    value is formatted once: a coarse cell covers many base cells.
+    Values are told apart by their bits, so -0.0 is not 0.0."""
     bits, inverse = np.unique(
-        np.asarray(field, dtype=float).T.ravel().view(np.int64),
+        np.asarray(array, dtype=float).ravel().view(np.int64),
         return_inverse=True)
     values = bits.view(float).tolist()
     text = ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
@@ -62,7 +62,8 @@ def write_snapshot(fields, origin, cell_size, csv_paths=(), vtk_path=None,
     first = next(iter(fields.values()))
     nx, ny = np.shape(first)
     # both formats list the cells x fastest, then y
-    text = {name: _format(field) for name, field in fields.items()}
+    text = {name: _format(np.transpose(field))
+            for name, field in fields.items()}
     if csv_paths:
         heads = _row_heads((nx, ny), tuple(origin), tuple(cell_size))
         rows = [None] * (2 * len(heads))
@@ -116,12 +117,18 @@ def write_ledger_csv(path, ledger):
 
 
 def write_idmap_csv(path, idmap):
+    """One row per tile (tile_j fastest): its indices, identifier and
+    indicators.  Each column is formatted in one pass."""
+    ids = idmap.identifiers
+    columns = [[str(v) for v in a.ravel().tolist()]
+               for a in (*np.indices(ids.shape), ids)]
+    columns += [_format(f) for f in (idmap.eta, idmap.delta_s,
+                                     idmap.delta_t)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tile_i", "tile_j", "identifier", "eta", "delta_s",
-                    "delta_t"])
-        for i, j, k, eta, ds, dt in idmap.rows():
-            w.writerow([i, j, k, _fmt(eta), _fmt(ds), _fmt(dt)])
+        csv.writer(fh).writerow(["tile_i", "tile_j", "identifier", "eta",
+                                 "delta_s", "delta_t"])
+        # the rows csv.writer would write: no field needs quoting
+        fh.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
 
 
 def write_curves_csv(path, curves):

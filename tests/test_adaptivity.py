@@ -83,6 +83,59 @@ class TestClassify:
         assert np.all((tight == 1) | (tight <= loose) | (loose == 3))
 
 
+class TestBufferRing:
+    """The identifier-1 buffer against scipy.ndimage.binary_dilation with a
+    full 3x3 structure (border tiles count as not identifier 1)."""
+
+    TH = Thresholds(0.05, 0.05, 0.5)
+
+    def unbuffered(self, eta, ds, dt):
+        big_s, big_t = ds > self.TH.theta_ds, dt > self.TH.theta_dt
+        return np.select([(eta > self.TH.theta_eta) | (big_s & big_t),
+                          big_s, big_t], [1, 2, 3], 4)
+
+    def check(self, eta, ds, dt):
+        from scipy.ndimage import binary_dilation
+
+        ids = self.unbuffered(eta, ds, dt)
+        near = binary_dilation(ids == 1, np.ones((3, 3), bool))
+        expected = np.where(near, np.minimum(ids, 2), ids)
+        got = classify(eta, ds, dt, self.TH).identifiers
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    def check_ones(self, ones):
+        z = np.zeros(ones.shape)
+        self.check(np.where(ones, 1.0, 0.0), z, z)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2),
+                                       (5, 3), (22, 6), (44, 12)])
+    def test_random_maps(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        ds, dt = rng.uniform(0, 0.1, (2, *shape))
+        eta = rng.uniform(0, 0.7, shape)
+        self.check(eta, ds, dt)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (4, 5)])
+    def test_edges_and_corners(self, shape):
+        nx, ny = shape
+        tiles = {(i, j) for i in (0, nx // 2, nx - 1)
+                 for j in (0, ny // 2, ny - 1)}
+        for tile in tiles:
+            ones = np.zeros(shape, bool)
+            ones[tile] = True
+            self.check_ones(ones)
+        edge = np.zeros(shape, bool)
+        edge[0, :] = edge[:, -1] = True
+        self.check_ones(edge)
+
+    @pytest.mark.parametrize("fill", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (3, 4)])
+    def test_uniform_maps(self, shape, fill):
+        self.check_ones(np.full(shape, fill))
+
+
 class TestDecompose:
     def tiling(self, ntx, nty):
         return Tiling((0.0, 0.0, ntx * 2.5, nty * 2.5), 2.5, 2.5)

@@ -12,8 +12,8 @@ from dataclasses import replace
 import pytest
 
 from artifact_readers import read_ledger_csv
-from stdd.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK,
-                      _apply_thread_cap, main)
+from stdd import _apply_thread_cap
+from stdd.cli import EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK, main
 from stdd.config import preset
 from stdd.errors import SingularMatrix
 from stdd.run import compare, run
@@ -314,14 +314,81 @@ class TestEnvironment:
         assert os.environ["OMP_NUM_THREADS"] == "8"
 
 
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+
+# Records the BLAS variables at the moment numpy is first imported.
+NUMPY_IMPORT_PROBE = """
+import json, os, sys
+
+VARS = %r
+seen = {}
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({v: os.environ.get(v) for v in VARS})
+        return None
+
+sys.meta_path.insert(0, Probe())
+import stdd.cli
+print(json.dumps(seen))
+""" % (BLAS_VARS,)
+
+# Which of scipy.ndimage and scipy.special are loaded after each step.
+NDIMAGE_PROBE = """
+import json, sys, tempfile
+
+def loaded():
+    return [m for m in ("scipy.ndimage", "scipy.special")
+            if m in sys.modules]
+
+steps = {}
+import stdd
+steps["import"] = loaded()
+stdd.Problem(stdd.preset("dynamic-dd"))
+steps["channelized Problem"] = loaded()
+with tempfile.TemporaryDirectory() as out:
+    stdd.run(stdd.preset("toy"), out)  # the toy preset is dynamic-dd
+steps["toy dynamic-dd run"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def src_env(**env):
+    """The environment with `src` on PYTHONPATH, updated by `env`."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def probe(script, env):
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestFreshInterpreter:
+    def test_thread_cap_precedes_numpy(self):
+        env = src_env(STDD_THREADS="1")
+        for var in BLAS_VARS:
+            env.pop(var, None)
+        assert probe(NUMPY_IMPORT_PROBE, env) == dict.fromkeys(BLAS_VARS,
+                                                               "1")
+
+    def test_ndimage_not_loaded(self):
+        assert probe(NDIMAGE_PROBE, src_env()) == {
+            "import": [], "channelized Problem": [],
+            "toy dynamic-dd run": []}
+
+
 class TestConsoleScript:
     """`python -m stdd` in a subprocess, with `src` on its PYTHONPATH."""
 
     def env(self):
-        env = dict(os.environ, STDD_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        return env
+        return src_env(STDD_THREADS="1")
 
     def test_module_invocation(self):
         proc = subprocess.run(

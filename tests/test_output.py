@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from artifact_readers import read_ledger_csv, read_vtk_cell_scalars
-from stdd import output, preset
+from stdd import IdentifierMap, Thresholds, classify, output, preset
 from stdd.run import run
 from stdd.solver import LedgerEntry, RunLedger
 
@@ -244,6 +244,48 @@ class TestRunSnapshots:
             ref_write_vtk_rectilinear(ref, fields, origin, cell,
                                       title=f"t={2 * k + 2:g} days")
             assert (b / f"snap_{k:03d}.vtk").read_bytes() == ref.read_bytes()
+
+
+def ref_write_idmap_csv(path, idmap):
+    """The identifier map written row by row through csv.writer."""
+    def fmt(v):
+        return "%.17g" % float(v)
+
+    ntx, nty = idmap.identifiers.shape
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["tile_i", "tile_j", "identifier", "eta", "delta_s",
+                    "delta_t"])
+        for i in range(ntx):
+            for j in range(nty):
+                w.writerow([i, j, int(idmap.identifiers[i, j]),
+                            fmt(idmap.eta[i, j]), fmt(idmap.delta_s[i, j]),
+                            fmt(idmap.delta_t[i, j])])
+
+
+class TestIdmapCsv:
+    @staticmethod
+    def check(tmp_path, idmap):
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        output.write_idmap_csv(got, idmap)
+        ref_write_idmap_csv(ref, idmap)
+        assert got.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (44, 12)])
+    def test_bytes_match_row_writer(self, tmp_path, shape):
+        rng = np.random.default_rng(sum(shape))
+        ids = rng.integers(1, 5, shape)
+        # repeated, signed-zero, tiny and huge indicator values
+        pool = np.array([0.0, -0.0, 1e-300, 0.1, 1 / 3, 2.5e7, -1.0])
+        eta, ds, dt = (np.where(rng.random(shape) < 0.5,
+                                rng.choice(pool, shape),
+                                rng.uniform(-1, 1, shape)) for _ in range(3))
+        self.check(tmp_path, IdentifierMap(ids, eta, ds, dt))
+
+    def test_classified_map(self, tmp_path):
+        rng = np.random.default_rng(4)
+        eta, ds, dt = rng.uniform(0, 0.7, (3, 22, 6))
+        self.check(tmp_path, classify(eta, ds, dt, Thresholds()))
 
 
 class TestLedger:

@@ -59,6 +59,18 @@ class TestGenerators:
         assert abs(logk.std() - 1.0) < 0.05
         assert np.all(k > 0)
 
+    @pytest.mark.parametrize("shape", [SHAPE, (8, 8)])
+    def test_gaussian_matches_direct_filter(self, shape):
+        from scipy.ndimage import gaussian_filter
+
+        noise = np.random.default_rng(7).standard_normal(shape)
+        smooth = gaussian_filter(noise, sigma=4.0, mode="reflect")
+        smooth = (smooth - smooth.mean()) / smooth.std()
+        expected = np.exp(3.0 + 1.0 * smooth)
+        got = gaussian_field(shape, 7)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
     def test_gaussian_is_correlated(self):
         k = np.log(gaussian_field(self.SHAPE, 5, corr_len=4.0))
         # neighboring cells must be much more alike than distant ones
