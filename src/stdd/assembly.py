@@ -15,10 +15,12 @@ filled face by face in closed form.  The expanded system is not built; the
 tests keep it as their oracle.
 
 `CellSystem.jacobian` turns the blocks into the sparse matrix that is
-factored.  A cell's saturation is local when its row and its column stay
-in the cell's own block, as ahead of the front, where water is immobile;
-the fill finds these on the block values and eliminates each exactly
-through its 1x1 pivot before the matrix is built (`ReducedJacobian`).
+factored, in the numbering of the window's one pattern
+(`SpaceTimeWindow.jacobian_pattern`).  A cell's saturation is local when
+its row and its column stay in the cell's own block, as ahead of the
+front, where water is immobile; the fill finds these on the block values
+and eliminates each exactly through its 1x1 pivot before the matrix is
+built (`ReducedJacobian`).
 """
 
 from __future__ import annotations
@@ -232,12 +234,12 @@ def _rows(window, props, fluid, r_t, r_w):
 class ReducedJacobian:
     """A window's Jacobian with its local saturations eliminated.
 
-    `matrix` is what remains, in the numbering of the pattern it was
-    filled into: its row and column k is unknown `unknowns[k]` of the
-    natural numbering.  Cell `local[i]`'s saturation was eliminated with
-    its pivot `a_ss[i]`, its (p, s) entry over the pivot `a_ps[i]` and its
-    (s, p) entry `a_sp[i]`.  `unreduced` is the whole Jacobian in the
-    pattern's numbering, whose row and column k is unknown `numbering[k]`.
+    `matrix` is what remains, in the window's numbering: its row and
+    column k is unknown `unknowns[k]` of the natural numbering.  Cell
+    `local[i]`'s saturation was eliminated with its pivot `a_ss[i]`, its
+    (p, s) entry over the pivot `a_ps[i]` and its (s, p) entry `a_sp[i]`.
+    `unreduced` is the whole Jacobian in the window's numbering, whose row
+    and column k is unknown `numbering[k]`.
     """
 
     matrix: sp.csc_matrix
@@ -372,9 +374,9 @@ class CellSystem:
         rows, cols = w.jacobian_blocks()
         return stored / np.dot(unknowns[rows], unknowns[cols])
 
-    def jacobian(self, pattern=None):
-        """The `ReducedJacobian` in `pattern`'s numbering (the window's
-        `jacobian_pattern` by default).
+    def jacobian(self):
+        """The `ReducedJacobian`, filled into the window's
+        `jacobian_pattern`.
 
         Each local saturation is eliminated exactly in the fill: its 1x1
         pivot a_ss folds a_ps a_sp / a_ss into its cell's pressure
@@ -386,7 +388,7 @@ class CellSystem:
         again.
         """
         w = self.window
-        pat = w.jacobian_pattern if pattern is None else pattern
+        pat = w.jacobian_pattern
         shape = (w.n_y, w.n_y)
         full = self.blocks.ravel().take(pat.entry)
         unreduced = sp.csc_matrix((full, pat.indices, pat.indptr),

@@ -22,12 +22,11 @@ A face is its axis and its two space-time cells; its spatial cells, cell
 extents, cross-section and time slab all follow from the window's cell
 arrays, and so do the interface bundles.
 
-A window keeps its Jacobian's CSC pattern in two cell numberings, built on
-first use from the structure alone: natural (`jacobian_pattern`), which
-`stdd.solver` factors with COLAMD, and minimum degree (`ordered_pattern`),
-which it factors in symmetric mode once the window is swept.  Windows of
-one decomposition and length are equal, so a run solves consecutive
-windows of one decomposition on the same window object, patterns included.
+A window keeps one CSC pattern of its Jacobian (`jacobian_pattern`),
+built on first use from the structure alone, with the cells numbered in
+the minimum-degree order of their graph (`minimum_degree_order`).  Windows
+of one decomposition and length are equal, so a run solves consecutive
+windows of one decomposition on the same window object, pattern included.
 
 Windows are immutable after construction and safe to share across threads.
 """
@@ -171,14 +170,40 @@ class JacobianPattern:
         return len(self.indices)
 
 
-def _block_pattern(n, rows, cols, cells):
-    """CSC pattern of an n-cell Jacobian with a 2x2 block at each
-    (rows[k], cols[k]), the first n of them the diagonal blocks of cells
-    0 to n - 1 in order, where cell k is natural cell `cells[k]`.
+def minimum_degree_order(n, rows, cols):
+    """Minimum-degree order of the symmetrized graph of n cells whose
+    edges join rows[k] and cols[k]: position k holds cell `order[k]`.
 
-    Column 2j (p) and column 2j + 1 (s) of cell j hold the same rows:
-    2i and 2i + 1 for each cell i coupled to j, in order of i.
+    SciPy exposes minimum degree only through SuperLU, so this factors a
+    diagonally dominant matrix on the graph (-1 per edge, degree + 1 on
+    the diagonal) with diagonal pivots; `perm_c[c]` is cell c's position.
     """
+    off = rows != cols
+    i = np.concatenate([rows[off], cols[off]])
+    j = np.concatenate([cols[off], rows[off]])
+    graph = sp.csc_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    graph.sum_duplicates()
+    graph.data[:] = -1.0
+    degree = np.diff(graph.indptr)
+    spd = (graph + sp.diags(degree + 1.0)).tocsc()
+    lu = spla.splu(spd, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    return np.argsort(lu.perm_c)
+
+
+def _block_pattern(rows, cols, order):
+    """CSC pattern of a Jacobian with a 2x2 block at each cell pair
+    (rows[k], cols[k]), the first of them the diagonal blocks of cells 0,
+    1, ... in turn, with cell `order[k]` numbered k.
+
+    Column 2k (p) and column 2k + 1 (s) of the cell numbered k hold the
+    same rows: 2i and 2i + 1 for each cell numbered i coupled to it, in
+    order of i.
+    """
+    n = len(order)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    rows, cols = rank[rows], rank[cols]
     pairs, block = np.unique(cols * n + rows, return_inverse=True)
     if len(pairs) != len(rows):
         raise MeshError("two faces join the same pair of cells")
@@ -200,7 +225,7 @@ def _block_pattern(n, rows, cols, cells):
     pattern = JacobianPattern(
         indptr=indptr, indices=indices, entry=entry,
         own=np.ascontiguousarray(pos[:n].T),
-        unknowns=(2 * cells[:, None] + np.arange(2)).ravel())
+        unknowns=(2 * order[:, None] + np.arange(2)).ravel())
     for a in vars(pattern).values():
         a.setflags(write=False)
     return pattern
@@ -278,41 +303,12 @@ class SpaceTimeWindow:
 
     @cached_property
     def jacobian_pattern(self):
-        """The Jacobian's CSC pattern in the natural cell numbering."""
-        return _block_pattern(self.n_st, *self.jacobian_blocks(),
-                              np.arange(self.n_st))
-
-    @cached_property
-    def cell_order(self):
-        """Minimum-degree order of the symmetrized cell graph, whose edges
-        are the blocks: position k holds cell `cell_order[k]`.  SciPy
-        exposes minimum degree only through SuperLU, so this factors a
-        diagonally dominant matrix on the graph (-1 per edge, degree + 1
-        on the diagonal) with diagonal pivots; `perm_c[c]` is cell c's
-        position."""
-        n = self.n_st
-        rows, cols = self.jacobian_blocks()
-        off = rows != cols
-        i = np.concatenate([rows[off], cols[off]])
-        j = np.concatenate([cols[off], rows[off]])
-        graph = sp.csc_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
-        graph.sum_duplicates()
-        graph.data[:] = -1.0
-        degree = np.diff(graph.indptr)
-        spd = (graph + sp.diags(degree + 1.0)).tocsc()
-        lu = spla.splu(spd, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-        return np.argsort(lu.perm_c)
-
-    @cached_property
-    def ordered_pattern(self):
-        """`jacobian_pattern` with cell `cell_order[k]` numbered k; a
+        """The Jacobian's CSC pattern, its cells numbered in the
+        minimum-degree order of the graph whose edges are the blocks; a
         cell's p and s unknowns stay adjacent."""
-        rank = np.empty(self.n_st, dtype=np.int64)
-        rank[self.cell_order] = np.arange(self.n_st)
         rows, cols = self.jacobian_blocks()
-        return _block_pattern(self.n_st, rank[rows], rank[cols],
-                              self.cell_order)
+        return _block_pattern(rows, cols,
+                              minimum_degree_order(self.n_st, rows, cols))
 
     def final_level_cells(self):
         """Space-time indices of every spatial cell at the window's end

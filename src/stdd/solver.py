@@ -7,15 +7,15 @@ update.  `stdd.run` marches the windows.
 
 The Jacobian fill (`CellSystem.jacobian`) eliminates the local saturations
 exactly: those whose row and column stay in their cell's 2x2 block, as they
-do ahead of the front, where water is immobile.  SuperLU factors what
-remains on one of two paths, chosen per window by its first linearization.
-A swept window, whose remaining system stores more than
-`SYMMETRIC_MIN_STORED` of its structural pattern over the remaining
-unknowns (`CellSystem.stored_share`), is factored in the window's
-minimum-degree cell numbering with diagonal pivots (symmetric mode); any
-other in COLAMD's order with partial pivoting.  `linear_solve` recovers
-the eliminated updates and checks the whole update against the unreduced
-Jacobian.
+do ahead of the front, where water is immobile.  Every Jacobian is filled
+in the window's one cell numbering, minimum degree, and SuperLU factors
+what remains with one of two sets of options, chosen per Newton solve by
+its first linearization.  A swept Jacobian, whose remaining system stores
+more than `SYMMETRIC_MIN_STORED` of its structural pattern over the
+remaining unknowns (`CellSystem.stored_share`), is factored in that
+numbering in symmetric mode with diagonal pivots; any other in COLAMD's
+order with partial pivoting.  `linear_solve` recovers the eliminated
+updates and checks the whole update against the unreduced Jacobian.
 """
 
 from __future__ import annotations
@@ -107,8 +107,9 @@ SUPERLU_PANEL_SIZE = 4
 SYMMETRIC_MIN_STORED = 0.55
 
 
-def linear_solve(jac, residual, symmetric=False, fill=None):
-    """Direct sparse solve of J dy = -r with a relative-residual check.
+def linear_solve(jac, residual, symmetric=False):
+    """Direct sparse solve of J dy = -r with a relative-residual check;
+    returns the update and the factor's stored entries (`SuperLU.nnz`).
 
     `jac` is a `ReducedJacobian`: SuperLU factors its matrix, whose local
     saturations are already eliminated, and the update of each is
@@ -118,8 +119,7 @@ def linear_solve(jac, residual, symmetric=False, fill=None):
     panels (`SUPERLU_RELAX`, `SUPERLU_PANEL_SIZE`): by default in COLAMD's
     order with partial pivoting; with `symmetric`, in the matrix's own
     numbering in symmetric mode, pivoting on the diagonal unless it is
-    below 0.01 of its column's largest entry.  The factor's stored
-    entries (`SuperLU.nnz`) are appended to the list `fill`.
+    below 0.01 of its column's largest entry.
 
     Relaxed supernodes store padding zeros in these block-structured
     Jacobians: on the recorded Newton Jacobians of the desk presets, the
@@ -140,8 +140,6 @@ def linear_solve(jac, residual, symmetric=False, fill=None):
     except (RuntimeError, ValueError) as exc:
         raise SingularMatrix(str(exc)) from exc
     dy = jac._expand(x, residual)
-    if fill is not None:
-        fill.append(lu.nnz)
     if not np.all(np.isfinite(dy)):
         raise SingularMatrix("linear solve produced non-finite values")
     scale = np.max(np.abs(residual)) if len(residual) else 0.0
@@ -150,7 +148,7 @@ def linear_solve(jac, residual, symmetric=False, fill=None):
         if lin_res > LINEAR_TOL * scale * 1.0e4:
             raise SingularMatrix(
                 f"linear residual {lin_res:.3e} vs scale {scale:.3e}")
-    return dy
+    return dy, lu.nnz
 
 
 def newton_solve_window(window, props, wells, trace_p, trace_s, model,
@@ -160,14 +158,13 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
     The initial guess replicates the entry trace across all time levels;
     `start` is its `linearize`, if the caller already has it.  A state
     that already satisfies the tolerance returns after zero update
-    iterations.  A swept window solves every Jacobian in
-    `window.ordered_pattern`'s numbering on the symmetric path.
+    iterations.  If the first linearization is swept, every Jacobian of
+    the solve is factored on the symmetric path.
     """
     t0 = time.perf_counter()
     state = StateField.from_trace(window, trace_p, trace_s)
     norms = []
-    fill = []               # SuperLU's stored entries, per solve
-    pattern = None          # natural numbering unless the window is swept
+    lu_nnz = 0              # SuperLU's stored entries over the solves
 
     def wall_ms():
         return (time.perf_counter() - t0) * 1.0e3
@@ -180,15 +177,15 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
         if norm <= cfg.tol:
             return state, LedgerEntry(
                 iterations=k, norms=list(norms), n_reduced_dofs=window.n_y,
-                wall_ms=wall_ms(), converged=True, lu_nnz=sum(fill))
+                wall_ms=wall_ms(), converged=True, lu_nnz=lu_nnz)
         if k == cfg.max_iters:
             break
-        if k == 0 and sys_.stored_share > SYMMETRIC_MIN_STORED:
-            pattern = window.ordered_pattern
-        jac, r_y = sys_.jacobian(pattern), sys_.r_y
+        if k == 0:          # the factor path of every solve
+            symmetric = bool(sys_.stored_share > SYMMETRIC_MIN_STORED)
+        jac, r_y = sys_.jacobian(), sys_.r_y
         del sys_                # freed before the factor
-        dy = linear_solve(jac, r_y, symmetric=pattern is not None,
-                          fill=fill)
+        dy, nnz = linear_solve(jac, r_y, symmetric=symmetric)
+        lu_nnz += nnz
         del jac                 # freed before the next linearization
         dp, ds = dy[0::2], dy[1::2]
         # saturation chopping keeps iterates near the physical range; the
@@ -214,5 +211,5 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
             step *= 0.5
         state = trial
 
-    raise NonConvergence(cfg.max_iters, norms[-1], lu_nnz=sum(fill),
+    raise NonConvergence(cfg.max_iters, norms[-1], lu_nnz=lu_nnz,
                          wall_ms=wall_ms())

@@ -12,16 +12,28 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def full_jacobian(sys_, pattern=None):
-    """The unreduced Jacobian of the linearization `sys_` as CSC in
-    `pattern`'s numbering (the window's natural one by default), with no
-    stored zeros."""
+def full_jacobian(sys_):
+    """The unreduced Jacobian of the linearization `sys_` as CSC in the
+    natural numbering, with no stored zeros, assembled entry by entry
+    from its blocks: entry e of the block at (row cell i, column cell j)
+    sits at row 2i + e // 2 and column 2j + e % 2."""
     w = sys_.window
-    pat = w.jacobian_pattern if pattern is None else pattern
-    data = sys_.blocks.ravel()[pat.entry]
-    jac = sp.csc_matrix((data, pat.indices.copy(), pat.indptr.copy()),
-                        shape=(w.n_y, w.n_y))
+    rows, cols = w.jacobian_blocks()
+    e = np.arange(4)[:, None]
+    jac = sp.coo_matrix(
+        (sys_.blocks.ravel(),
+         ((2 * rows + e // 2).ravel(), (2 * cols + e % 2).ravel())),
+        shape=(w.n_y, w.n_y)).tocsc()
     jac.eliminate_zeros()
+    return jac
+
+
+def window_jacobian(sys_):
+    """`full_jacobian(sys_)` in the window's numbering: its row and
+    column k is natural unknown `jacobian_pattern.unknowns[k]`."""
+    u = sys_.window.jacobian_pattern.unknowns
+    jac = full_jacobian(sys_)[u][:, u].tocsc()
+    jac.sort_indices()
     return jac
 
 

@@ -11,7 +11,8 @@ import scipy.sparse.linalg as spla
 import stdd.solver
 import test_assembly
 from artifact_readers import read_ledger_csv
-from jacobian_oracle import PlainJacobian, full_jacobian, local_saturations
+from jacobian_oracle import (PlainJacobian, full_jacobian, local_saturations,
+                             window_jacobian)
 from stdd.assembly import (CellProperties, ResolvedWells, StateField,
                            linearize)
 from stdd.config import preset
@@ -59,7 +60,7 @@ class TestLinearSolve:
         n = 100
         a = np.eye(n) + 0.1 * rng.standard_normal((n, n))
         b = rng.standard_normal(n)
-        dy = linear_solve(PlainJacobian(a), b)
+        dy, _ = linear_solve(PlainJacobian(a), b)
         ref = np.linalg.solve(a, -b)
         assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -70,19 +71,20 @@ class TestLinearSolve:
 
     def test_identity(self):
         r = np.array([3.0, -1.0, 2.0])
-        dy = linear_solve(PlainJacobian(sp.identity(3)), r)
+        dy, _ = linear_solve(PlainJacobian(sp.identity(3)), r)
         assert np.array_equal(dy, -r)
 
     @pytest.mark.parametrize("make", [test_assembly.uniform_window,
                                       test_assembly.fine_box_window])
     def test_unrelaxed_supernodes_cut_fill(self, make, monkeypatch):
-        """The LU of a window's Newton Jacobian stores less fill than
-        SuperLU's default supernodes and solves to the same update."""
+        """The COLAMD LU of a window's natural-numbered Jacobian stores
+        less fill than SuperLU's default supernodes and solves to the same
+        update."""
         w = make()
         state, props_, wells = test_assembly.TestDirectJacobian.case(w, 2)
         sys_ = linearize(w, state, props_, wells, nonlinear_model())
-        jac = sys_.jacobian()
-        assert len(jac.local) == 0
+        assert len(sys_.local) == 0
+        jac = PlainJacobian(full_jacobian(sys_))
         lus = []
 
         class Spla:
@@ -94,8 +96,8 @@ class TestLinearSolve:
                 return lus[-1]
 
         monkeypatch.setattr(stdd.solver, "spla", Spla())
-        dy = linear_solve(jac, sys_.r_y)
-        default = spla.splu(full_jacobian(sys_))
+        dy, _ = linear_solve(jac, sys_.r_y)
+        default = spla.splu(jac.matrix)
         ref = default.solve(-sys_.r_y)
         assert len(lus) == 1
         assert lus[0].nnz <= 0.9 * default.nnz
@@ -177,43 +179,42 @@ class TestLocalElimination:
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("case, local", LOCAL)
     def test_matches_uneliminated_solve(self, case, local, symmetric):
-        """In either numbering, the update agrees with a plain SuperLU
-        solve of the whole system.  The factor is no larger than COLAMD's
-        of the whole system, except in the cell order on the windows of
-        `SYMMETRIC_FILLS_MORE`, and, where saturations are eliminated, no
-        larger than the whole system's on the same path."""
+        """On either path, the update agrees with a plain SuperLU solve
+        of the whole natural-numbered system.  The factor is no larger than
+        COLAMD's of the whole system in the window's numbering, except on
+        the symmetric path on the windows of `SYMMETRIC_FILLS_MORE`, and,
+        where saturations are eliminated, no larger than the whole
+        system's on the same path."""
         w, sys_ = self.CASES[case]()
-        pattern = w.ordered_pattern if symmetric else None
-        jac = sys_.jacobian(pattern)
-        full = full_jacobian(sys_, pattern)
+        jac = sys_.jacobian()
+        full = window_jacobian(sys_)
         assert len(sys_.local) == local
         assert jac.matrix.shape[0] == w.n_y - local
-        fill = []
-        dy = linear_solve(jac, sys_.r_y, symmetric=symmetric, fill=fill)
+        dy, fill = linear_solve(jac, sys_.r_y, symmetric=symmetric)
         ref = spla.splu(full_jacobian(sys_)).solve(-sys_.r_y)
         assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
         if not (symmetric and case in self.SYMMETRIC_FILLS_MORE):
-            assert fill[0] <= spla.splu(full, relax=1, panel_size=4).nnz
+            assert fill <= spla.splu(full, relax=1, panel_size=4).nnz
         if symmetric and local:
             path = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01,
                         options={"SymmetricMode": True})
-            assert fill[0] <= spla.splu(full, relax=1, panel_size=4,
-                                        **path).nnz
+            assert fill <= spla.splu(full, relax=1, panel_size=4,
+                                     **path).nnz
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_reduced_matrix_is_the_oracle_elimination(self, case):
         """The filled matrix is the unreduced one with each local
         saturation's row and column removed and a_ps a_sp / a_ss taken
-        off its cell's pressure diagonal, entry for entry; the product
-        is with the unreduced matrix."""
+        off its cell's pressure diagonal, entry for entry, in the window's
+        numbering; the product is with the unreduced matrix."""
         w, sys_ = self.CASES[case]()
-        full = full_jacobian(sys_).toarray()
+        full = window_jacobian(sys_).toarray()
         s = local_saturations(sp.csc_matrix(full))[0]
         a_ss, a_ps, a_sp = full[s, s], full[s - 1, s], full[s, s - 1]
         full[s - 1, s - 1] -= a_ps / a_ss * a_sp
         kept = np.setdiff1d(np.arange(w.n_y), s)
         jac = sys_.jacobian()
-        assert np.array_equal(jac.unknowns, kept)
+        assert np.array_equal(jac.unknowns, w.jacobian_pattern.unknowns[kept])
         assert np.array_equal(jac.matrix.toarray(), full[kept][:, kept])
         dy = np.random.default_rng(0).standard_normal(w.n_y)
         want = full_jacobian(sys_) @ dy
@@ -253,7 +254,7 @@ class TestLocalElimination:
                                     [1.0, 0.0, 0.0, 0.0, 0.0, 6.0]]))
         s = local_saturations(a)
         assert [x.tolist() for x in s] == [[1, 3], [5, 7], [4, -1], [1, -1]]
-        dy = linear_solve(PlainJacobian(a), r)
+        dy, _ = linear_solve(PlainJacobian(a), r)
         assert np.allclose(dy, np.linalg.solve(a.toarray(), -r),
                            rtol=1e-14, atol=0)
 
@@ -444,9 +445,9 @@ class TestFactorPath:
         w = make()
         state, props_, wells = test_assembly.TestDirectJacobian.case(w, 2)
         sys_ = linearize(w, state, props_, wells, nonlinear_model())
-        ref = linear_solve(sys_.jacobian(), sys_.r_y)
-        dy = linear_solve(sys_.jacobian(w.ordered_pattern), sys_.r_y,
-                          symmetric=True)
+        jac = sys_.jacobian()
+        ref, _ = linear_solve(jac, sys_.r_y)
+        dy, _ = linear_solve(jac, sys_.r_y, symmetric=True)
         assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("make, s0, swept", [
@@ -458,10 +459,10 @@ class TestFactorPath:
                                                    s0, swept):
         """A front entering a multi-level window at irreducible saturation
         stores under half the pattern and has no local saturation:
-        COLAMD, and no cell order is built.  Ahead of the front in a
-        one-level strip every saturation is local, and what remains
-        stores all of its pattern; the strip at s = 0.5 stores all of it
-        unreduced.  There every solve is symmetric."""
+        COLAMD.  Ahead of the front in a one-level strip every saturation
+        is local, and what remains stores all of its pattern; the strip
+        at s = 0.5 stores all of it unreduced.  There every solve is
+        symmetric."""
         w = make()
         n = w.n_spatial
         trace = np.full(n, 1000.0), np.full(n, s0)
@@ -473,16 +474,50 @@ class TestFactorPath:
         paths = []
         real = stdd.solver.linear_solve
 
-        def recorded(jacobian, residual, symmetric=False, **kwargs):
+        def recorded(jacobian, residual, symmetric=False):
             paths.append(symmetric)
-            return real(jacobian, residual, symmetric=symmetric, **kwargs)
+            return real(jacobian, residual, symmetric=symmetric)
 
         monkeypatch.setattr(stdd.solver, "linear_solve", recorded)
         _, entry = newton_solve_window(w, *args, *trace, nonlinear_model(),
                                        NewtonConfig())
         assert entry.converged and entry.iterations > 1
         assert paths == [swept] * entry.iterations
-        assert ("cell_order" in vars(w)) == swept
+
+    def test_colamd_solves_match_the_natural_oracle(self, monkeypatch):
+        """Each COLAMD-path update of a Newton solve, factored in the
+        window's minimum-degree numbering, is the update of the natural
+        numbered unreduced Jacobian to 1e-10 relative: a front entering
+        the fine box at irreducible saturation."""
+        w = test_assembly.fine_box_window()
+        assert not np.array_equal(w.jacobian_pattern.unknowns,
+                                  np.arange(w.n_y))
+        n = w.n_spatial
+        trace = np.full(n, 1000.0), np.full(n, 0.2)
+        args = props(n), corner_wells(n, rate=0.05)
+        systems, errors = [], []
+        real_linearize = stdd.solver.linearize
+        real_solve = stdd.solver.linear_solve
+
+        def linearized(*a):
+            systems.append(real_linearize(*a))
+            return systems[-1]
+
+        def solved(jacobian, residual, symmetric=False):
+            assert not symmetric
+            dy, fill = real_solve(jacobian, residual, symmetric=symmetric)
+            # the blocks that the fill dropped are rebuilt on this read
+            ref = spla.splu(full_jacobian(systems[-1])).solve(-residual)
+            errors.append(np.max(np.abs(dy - ref)) / np.max(np.abs(ref)))
+            return dy, fill
+
+        monkeypatch.setattr(stdd.solver, "linearize", linearized)
+        monkeypatch.setattr(stdd.solver, "linear_solve", solved)
+        _, entry = newton_solve_window(w, *args, *trace, nonlinear_model(),
+                                       NewtonConfig())
+        assert entry.converged
+        assert len(errors) == entry.iterations > 1
+        assert max(errors) <= 1e-10
 
 
 run_module = importlib.import_module("stdd.run")

@@ -47,3 +47,6 @@ def test_toy_run_counters(tmp_path):
     assert m["mesh.faces"] == sum(w.n_faces for w in built)
     assert m["mesh.bundles"] == sum(len(w.bundles) for w in built) > 0
     assert m["solver.lu_fill"] == summary["lu_cost"] > 0
+    # a window orders its cells on its first Jacobian fill, as a span of
+    # its own
+    assert 0 < m["mesh.minimum_degree_order.calls"] <= len(built)
