@@ -42,19 +42,13 @@ class SingularMatrix(StddError):
 
 
 class NonConvergence(StddError):
-    """Newton failed to reach tolerance within the iteration budget."""
+    """Newton missed its tolerance; `entry` is the solve's `LedgerEntry`."""
 
-    def __init__(self, iterations, final_norm, message=None, lu_nnz=0,
-                 wall_ms=0.0):
-        self.iterations = iterations
-        self.final_norm = final_norm
-        self.lu_nnz = lu_nnz     # SuperLU's stored entries over its solves
-        self.wall_ms = wall_ms   # the attempt's Newton wall time
-        super().__init__(
-            message
-            or f"Newton did not converge: {iterations} iterations, "
-            f"final norm {final_norm:.3e}"
-        )
+    def __init__(self, entry, message=None):
+        self.entry = entry
+        super().__init__(message or "Newton did not converge: "
+                         f"{entry.iterations} iterations, final norm "
+                         f"{entry.norms[-1]:.3e}")
 
 
 class ConfigError(StddError):
@@ -70,4 +64,4 @@ class NonPositivePermeability(ConfigError):
 
 
 class MismatchedProblem(StddError):
-    """Two run directories do not describe the same physical problem."""
+    """Two runs' problems differ, or a run summary is incomplete."""

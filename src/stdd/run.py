@@ -128,7 +128,7 @@ class Problem:
 
 def _predict(pb, ncfg, trial, maps, prev, final, s_now):
     """Identifier map of the next window, and the predictor solve's
-    `LedgerEntry` or, if it failed, its `NonConvergence`.
+    `LedgerEntry`, converged or not.
 
     The all-coarse trial window, whose (props, wells) are `maps`, is
     solved from the final level `final` of the window `prev` (or from the
@@ -153,7 +153,7 @@ def _predict(pb, ncfg, trial, maps, prev, final, s_now):
     except NonConvergence as fail:
         # predictor failed: refine everywhere rather than guess
         big = np.full(pb.tiling.shape, pb.thresholds.theta_ds + 1.0)
-        return classify(eta, big, big.copy(), pb.thresholds), fail
+        return classify(eta, big, big.copy(), pb.thresholds), fail.entry
     s_pred = pb.base.rasterize(trial, final_spatial(trial, sol)[1])
     d_s_now, _ = delta_change(s_now, s_now, pb.tiling)
     d_s_pred, d_t = delta_change(s_now, s_pred, pb.tiling)
@@ -209,12 +209,15 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     differs from the current window's; otherwise the current one is
     solved again.  A predicted map that fails to converge is promoted
     once and the window solved again; a fixed map is never promoted.
+    Every Newton solve, the predictor's and the failed ones included, goes
+    into one `RunLedger`, and the summary's costs are its sums.
 
     Artifacts: resolved config, property curves, permeability field,
     per-window saturation/pressure snapshots (CSV and VTK), identifier
     maps, solver ledger, and run_summary.json.  On a simulator error,
     everything produced so far is flushed alongside a FAILED marker
-    before the exception propagates, with the ledger attached to it.
+    before the exception propagates, with the ledger attached to it; a
+    window that fails to converge raises with its last attempt's entry.
     """
     t0 = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
@@ -238,9 +241,6 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                              length, cfg.reservoir, dz=cfg.dz)
         trial_maps = pb.maps(trial)
     ledger = RunLedger()
-    predictor_cost = 0
-    lu_cost = 0             # SuperLU's stored entries over every solve
-    newton_wall_ms = 0.0    # over every solve
     snapshots = []
     balance = {"injected": 0.0, "produced_w": 0.0, "produced_o": 0.0,
                "initial_w": None, "final_w": 0.0}
@@ -254,9 +254,7 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
             if fixed is None:
                 new_map, solve = _predict(pb, ncfg, trial, trial_maps,
                                           window, final, s2d)
-                predictor_cost += solve.iterations * trial.n_y
-                lu_cost += solve.lu_nnz
-                newton_wall_ms += solve.wall_ms
+                ledger.predictor.append(solve)
             if new_map is not idmap:
                 subs = decompose(new_map, pb.tiling, pb.table)
             idmap = new_map
@@ -281,20 +279,16 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                         new, *new_maps, *trace, pb.model, ncfg)
                     break
                 except NonConvergence as fail:
-                    ledger.failed_cost += fail.iterations * new.n_y
-                    lu_cost += fail.lu_nnz
-                    newton_wall_ms += fail.wall_ms
+                    ledger.failed.append(fail.entry)
                     if attempt == attempts - 1:
                         how = " after escalation" if attempt else ""
                         raise NonConvergence(
-                            0, float("nan"),
-                            f"window {widx} failed to converge{how}")
+                            fail.entry,
+                            f"window {widx} failed to converge{how}: {fail}")
                     idmap = _escalate(idmap)
                     subs = decompose(idmap, pb.tiling, pb.table)
             window, maps = new, new_maps
             ledger.entries.append(entry)
-            lu_cost += entry.lu_nnz
-            newton_wall_ms += entry.wall_ms
             final = final_spatial(window, state)
             t_end = t + window.delta_t
 
@@ -328,11 +322,10 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
             t = t_end
     except StddError as exc:
         exc.ledger = ledger
-        output.write_ledger_csv(os.path.join(outdir, "ledger.csv"), ledger)
         output.mark_failure(outdir, str(exc))
         raise
-
-    output.write_ledger_csv(os.path.join(outdir, "ledger.csv"), ledger)
+    finally:
+        output.write_ledger_csv(os.path.join(outdir, "ledger.csv"), ledger)
     accumulated = balance["final_w"] - balance["initial_w"]
     net = balance["injected"] - balance["produced_w"] - accumulated
     rel = abs(net) / max(abs(balance["injected"]), 1.0e-30)
@@ -349,15 +342,7 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                   for w in cfg.wells],
         "snapshots": snapshots,
         "windows": len(ledger.entries),
-        "iterations": sum(e.iterations for e in ledger.entries),
-        "cost_metric": ledger.cost_metric,
-        # every linear solve: accepted windows, predictor, failed attempts
-        "predictor_cost": predictor_cost,
-        "failed_cost": ledger.failed_cost,
-        "all_in_cost": (ledger.cost_metric + predictor_cost
-                        + ledger.failed_cost),
-        "lu_cost": lu_cost,
-        "total_wall_ms": newton_wall_ms,
+        **ledger.costs(),
         "mass_balance": {**balance, "accumulated": accumulated,
                          "relative_error": rel},
     }
@@ -391,22 +376,41 @@ def _emit_fine_levels(outdir, widx, start, window, state, base, origin,
 
 # -- comparison ------------------------------------------------------------
 
+# The keys of `run_summary.json` that two comparable runs share, and all
+# that `compare` reads.
+PROBLEM_KEYS = ("reservoir", "base_shape", "horizon", "wells", "permeability")
+SUMMARY_KEYS = PROBLEM_KEYS + ("label", "mode", "snapshots", "cost_metric",
+                               "all_in_cost", "lu_cost", "total_wall_ms",
+                               "run_wall_ms")
+
+
+def _read_summary(run_dir):
+    """The run summary in `run_dir`; `MismatchedProblem` if it is not JSON
+    or lacks a key of `SUMMARY_KEYS`."""
+    path = os.path.join(run_dir, "run_summary.json")
+    try:
+        summary = output.read_summary(path)
+        missing = [key for key in SUMMARY_KEYS if key not in summary]
+    except (ValueError, TypeError) as exc:
+        raise MismatchedProblem(f"{path} is no run summary: {exc}") from exc
+    if missing:
+        raise MismatchedProblem(f"{path} lacks {missing[0]!r}")
+    return summary
+
+
 def compare(dir_a, dir_b):
     """Cost and accuracy comparison of two finished runs.
 
-    Both runs must describe the same physical problem (reservoir, base
-    grid, horizon, wells, permeability source).  Saturation differences
-    are computed at every common snapshot time; L2 is the RMS over base
-    cells.  The all-in and LU cost ratios are None when either run's
-    summary predates its `all_in_cost` or `lu_cost`; `over_budget` names
-    those above `COST_RATIO_BUDGET`.  `wall_ratio` divides the two runs'
-    Newton wall times (`total_wall_ms`), `run_wall_ratio` their end-to-end
-    `run()` times (None for a summary that predates `run_wall_ms`).
+    Both runs must describe the same physical problem (`PROBLEM_KEYS`),
+    and `a` and `b` are their summaries.  Saturation differences are
+    computed at every common snapshot time; L2 is the RMS over base
+    cells.  `over_budget` names the all-in and LU cost ratios above
+    `COST_RATIO_BUDGET`.  `wall_ratio` divides the two runs' Newton wall
+    times (`total_wall_ms`), `run_wall_ratio` their end-to-end `run()`
+    times.
     """
-    sa = output.read_summary(os.path.join(dir_a, "run_summary.json"))
-    sb = output.read_summary(os.path.join(dir_b, "run_summary.json"))
-    for key in ("reservoir", "base_shape", "horizon", "wells",
-                "permeability"):
+    sa, sb = _read_summary(dir_a), _read_summary(dir_b)
+    for key in PROBLEM_KEYS:
         if sa[key] != sb[key]:
             raise MismatchedProblem(
                 f"{key} differs: {sa[key]!r} vs {sb[key]!r}")
@@ -422,26 +426,17 @@ def compare(dir_a, dir_b):
                       "linf": float(np.max(np.abs(d))),
                       "l2": float(np.sqrt(np.mean(d * d)))})
 
-    def side(s):
-        return {"label": s["label"], "mode": s["mode"],
-                "cost_metric": s["cost_metric"],
-                "all_in_cost": s.get("all_in_cost"),
-                "lu_cost": s.get("lu_cost"), "wall_ms": s["total_wall_ms"],
-                "run_wall_ms": s.get("run_wall_ms")}
-
     def ratio(key, least=1):
-        a, b = sa.get(key), sb.get(key)
-        return None if a is None or b is None else a / max(b, least)
+        return sa[key] / max(sb[key], least)
 
     costs = {"all_in_cost_ratio": ratio("all_in_cost"),
              "lu_cost_ratio": ratio("lu_cost")}
     return {
-        "a": side(sa),
-        "b": side(sb),
-        "cost_ratio": sa["cost_metric"] / max(sb["cost_metric"], 1),
+        "a": sa, "b": sb,
+        "cost_ratio": ratio("cost_metric"),
         **costs,
         "over_budget": [k for k, v in costs.items()
-                        if v is not None and v > COST_RATIO_BUDGET],
+                        if v > COST_RATIO_BUDGET],
         "wall_ratio": ratio("total_wall_ms", 1.0e-9),
         "run_wall_ratio": ratio("run_wall_ms", 1.0e-9),
         "saturation_differences": diffs,

@@ -3,7 +3,8 @@
 Each matching window is solved monolithically: evaluate the residual of the
 flux-eliminated space-time system and check the max norm of its normalized
 form; above tolerance, fill the reduced Jacobian, solve it directly and
-update.  `stdd.run` marches the windows.
+update.  `stdd.run` marches the windows.  Each solve, converged or not,
+is one `LedgerEntry`, and `RunLedger` sums the run's costs over them all.
 
 The Jacobian fill (`CellSystem.jacobian`) eliminates the local saturations
 exactly: those whose row and column stay in their cell's 2x2 block, as they
@@ -68,24 +69,42 @@ class LedgerEntry:
     norms: list
     n_reduced_dofs: int
     wall_ms: float
-    converged: bool
     lu_nnz: int = 0         # SuperLU's stored entries over its solves
+
+
+def _cost(solves):
+    """The paper's cost of `solves`: Newton iterations x reduced DOFs."""
+    return sum(e.iterations * e.n_reduced_dofs for e in solves)
 
 
 @dataclass
 class RunLedger:
-    """Per-window solver statistics and the cumulative cost metric.
+    """Every Newton solve of a run, and the costs summed over them.
 
-    `entries` holds the accepted windows' entries in order, so an entry's
-    position is its window's index."""
+    `entries` holds the accepted windows' solves in order, so an entry's
+    position is its window's index; `predictor` the dynamic predictor's
+    solves, converged or not; `failed` the failed attempts of windows."""
 
     entries: list = field(default_factory=list)
-    failed_cost: int = 0    # reduced DOFs of the solves of failed attempts
+    predictor: list = field(default_factory=list)
+    failed: list = field(default_factory=list)
 
     @property
-    def cost_metric(self):
-        """Sum of (Newton iterations x reduced DOFs) over accepted windows."""
-        return sum(e.iterations * e.n_reduced_dofs for e in self.entries)
+    def failed_cost(self):
+        return _cost(self.failed)
+
+    def costs(self):
+        """The summary's counts: `iterations` and `cost_metric` over the
+        accepted windows, `predictor_cost` and `failed_cost` over their
+        lists, and `all_in_cost`, `lu_cost` and `total_wall_ms` over all."""
+        every = self.entries + self.predictor + self.failed
+        return {"iterations": sum(e.iterations for e in self.entries),
+                "cost_metric": _cost(self.entries),
+                "predictor_cost": _cost(self.predictor),
+                "failed_cost": self.failed_cost,
+                "all_in_cost": _cost(every),
+                "lu_cost": sum(e.lu_nnz for e in every),
+                "total_wall_ms": sum(e.wall_ms for e in every)}
 
     def iteration_rows(self):
         """Flat (window, iteration, norm, dofs, wall_ms) rows for CSV export."""
@@ -153,7 +172,8 @@ def linear_solve(jac, residual, symmetric=False):
 
 def newton_solve_window(window, props, wells, trace_p, trace_s, model,
                         cfg: NewtonConfig, start=None):
-    """Solve one window to tolerance; returns (StateField, LedgerEntry).
+    """Solve one window to tolerance; returns (StateField, LedgerEntry),
+    or raises `NonConvergence` with the failed solve's entry.
 
     The initial guess replicates the entry trace across all time levels;
     `start` is its `linearize`, if the caller already has it.  A state
@@ -166,8 +186,9 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
     norms = []
     lu_nnz = 0              # SuperLU's stored entries over the solves
 
-    def wall_ms():
-        return (time.perf_counter() - t0) * 1.0e3
+    def entry(iterations):
+        return LedgerEntry(iterations, norms, window.n_y,
+                           (time.perf_counter() - t0) * 1.0e3, lu_nnz)
 
     sys_ = (linearize(window, state, props, wells, model) if start is None
             else start)
@@ -175,9 +196,7 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
         norm = float(np.max(np.abs(sys_.r_norm))) if window.n_st else 0.0
         norms.append(norm)
         if norm <= cfg.tol:
-            return state, LedgerEntry(
-                iterations=k, norms=list(norms), n_reduced_dofs=window.n_y,
-                wall_ms=wall_ms(), converged=True, lu_nnz=lu_nnz)
+            return state, entry(k)
         if k == cfg.max_iters:
             break
         if k == 0:          # the factor path of every solve
@@ -211,5 +230,4 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
             step *= 0.5
         state = trial
 
-    raise NonConvergence(cfg.max_iters, norms[-1], lu_nnz=lu_nnz,
-                         wall_ms=wall_ms())
+    raise NonConvergence(entry(cfg.max_iters))

@@ -216,7 +216,7 @@ class TestJacobianFiniteDifference:
 class TestStaticDecomposition:
     def test_local_residual_tolerance(self, static_solution):
         window, state, entry, sys_ = static_solution
-        assert entry.converged
+        assert entry.norms[-1] <= 1e-6
         assert np.max(np.abs(sys_.r_norm)) <= 1e-6
 
     def test_bundle_flux_cancellation(self, static_solution):

@@ -196,8 +196,8 @@ class TestCompare:
     def test_end_to_end_wall_is_its_own_ratio(self, toy_run, tmp_path,
                                               capsys):
         """The summary's `run()` wall covers the Newton wall; `compare`
-        divides each by its counterpart, and prints n/a for a summary
-        without the run wall."""
+        divides each by its counterpart, and rejects a summary without
+        the run wall."""
         summary = json.loads((toy_run / "run_summary.json").read_text())
         assert summary["run_wall_ms"] >= summary["total_wall_ms"] > 0
         old = tmp_path / "old"
@@ -211,10 +211,8 @@ class TestCompare:
         del summary["run_wall_ms"]
         (old / "run_summary.json").write_text(json.dumps(summary))
         assert main(["compare", "--a", str(old),
-                     "--b", str(toy_run)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "end-to-end wall ratio (a/b): n/a" in out
-        assert "Newton wall ratio (a/b): 2.0000" in out
+                     "--b", str(toy_run)]) == EXIT_CONFIG
+        assert "'run_wall_ms'" in capsys.readouterr().err
 
     def test_cost_ratios_above_budget_flagged(self, toy_run, tmp_path,
                                               capsys):
@@ -235,27 +233,30 @@ class TestCompare:
         assert lu[0].endswith("(above 0.2)")
         assert "above" not in out.replace(lu[0], "")
 
-    def test_summary_without_all_in_cost(self, toy_run, tmp_path, capsys):
+    @pytest.mark.parametrize("key", run_module.SUMMARY_KEYS)
+    def test_summary_without_a_key_is_config_error(self, toy_run, tmp_path,
+                                                   capsys, key):
+        """A summary that lacks a key `compare` reads exits with code 2,
+        naming the file and the key."""
         old = tmp_path / "old"
         shutil.copytree(toy_run, old)
         summary = json.loads((old / "run_summary.json").read_text())
-        del summary["all_in_cost"]
+        del summary[key]
         (old / "run_summary.json").write_text(json.dumps(summary))
         assert main(["compare", "--a", str(toy_run),
-                     "--b", str(old)]) == EXIT_OK
-        assert "all-in cost ratio (a/b): n/a" in capsys.readouterr().out
+                     "--b", str(old)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(old / "run_summary.json") in err and repr(key) in err
 
-    def test_summary_without_lu_cost(self, toy_run, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["{", "[1, 2]", "7"])
+    def test_summary_not_an_object_is_config_error(self, toy_run, tmp_path,
+                                                   capsys, text):
         old = tmp_path / "old"
-        shutil.copytree(toy_run, old)
-        summary = json.loads((old / "run_summary.json").read_text())
-        del summary["lu_cost"]
-        (old / "run_summary.json").write_text(json.dumps(summary))
+        old.mkdir()
+        (old / "run_summary.json").write_text(text)
         assert main(["compare", "--a", str(old),
-                     "--b", str(toy_run)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "LU cost ratio (a/b): n/a" in out
-        assert "all-in cost ratio (a/b): 1.0000" in out
+                     "--b", str(toy_run)]) == EXIT_CONFIG
+        assert str(old / "run_summary.json") in capsys.readouterr().err
 
     def test_missing_directory_is_io_error(self, toy_run, tmp_path, capsys):
         rc = main(["compare", "--a", str(toy_run),

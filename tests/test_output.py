@@ -292,8 +292,8 @@ class TestLedger:
     def ledger(self):
         led = RunLedger()
         # an entry's window is its position
-        led.entries.append(LedgerEntry(2, [1.0, 0.1, 1e-7], 100, 12.5, True))
-        led.entries.append(LedgerEntry(1, [0.5, 1e-8], 100, 8.0, True))
+        led.entries.append(LedgerEntry(2, [1.0, 0.1, 1e-7], 100, 12.5))
+        led.entries.append(LedgerEntry(1, [0.5, 1e-8], 100, 8.0))
         return led
 
     def test_round_trip(self, tmp_path):
@@ -306,7 +306,19 @@ class TestLedger:
                         (1, 1, 1e-8, 100, 8.0)]
 
     def test_cost_metric(self):
-        assert self.ledger().cost_metric == 2 * 100 + 1 * 100
+        """Iterations x reduced DOFs over the accepted windows; the all-in
+        cost, the fill and the wall add the predictor's and failed solves."""
+        led = self.ledger()
+        led.predictor.append(LedgerEntry(3, [1.0] * 4, 10, 1.0, 7))
+        led.failed.append(LedgerEntry(5, [1.0] * 6, 20, 2.0, 11))
+        costs = led.costs()
+        assert costs["cost_metric"] == 2 * 100 + 1 * 100
+        assert costs["iterations"] == 3
+        assert (costs["predictor_cost"], costs["failed_cost"]) == (30, 100)
+        assert led.failed_cost == 100
+        assert costs["all_in_cost"] == 300 + 30 + 100
+        assert costs["lu_cost"] == 7 + 11
+        assert costs["total_wall_ms"] == 12.5 + 8.0 + 1.0 + 2.0
 
 
 class TestSummaries:

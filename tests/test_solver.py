@@ -268,7 +268,7 @@ class TestNewtonWindow:
         state, entry = newton_solve_window(
             w, props(n), corner_wells(n), np.full(n, 1000.0),
             np.full(n, 0.3), linear_model(), NewtonConfig())
-        assert entry.converged
+        assert entry.norms[-1] <= 1e-6
         assert entry.iterations == 1
 
     def test_warm_start_takes_zero_iterations(self):
@@ -316,8 +316,8 @@ class TestNewtonWindow:
                 w, props(n), corner_wells(n, rate=1.0), np.full(n, 1000.0),
                 np.full(n, 0.25), nonlinear_model(),
                 NewtonConfig(max_iters=1))
-        assert exc.value.iterations == 1
-        assert exc.value.final_norm > 1e-6
+        assert exc.value.entry.iterations == 1
+        assert exc.value.entry.norms[-1] > 1e-6
 
     def test_multilevel_window_matches_sequential_steps(self):
         """A 4-level window solved monolithically equals four single-step
@@ -364,7 +364,7 @@ class TestNewtonWindow:
             np.full(n, 0.2), m, cfg)
         # converged despite the aggressive front; more iterations than the
         # uncapped run, each saturation move bounded
-        assert entry.converged
+        assert entry.norms[-1] <= 1e-6
         assert np.all(st.s >= 0.2 - 1e-9)
 
     @staticmethod
@@ -387,7 +387,7 @@ class TestNewtonWindow:
         _, entry = newton_solve_window(
             w, props(n), corner_wells(n, rate=0.05), np.full(n, 1000.0),
             np.full(n, 0.2), nonlinear_model(), NewtonConfig(damping=damping))
-        assert entry.converged
+        assert entry.norms[-1] <= 1e-6
         return entry, evaluated
 
     def test_damping_accepts_descent_or_shortest_step(self, monkeypatch):
@@ -481,7 +481,7 @@ class TestFactorPath:
         monkeypatch.setattr(stdd.solver, "linear_solve", recorded)
         _, entry = newton_solve_window(w, *args, *trace, nonlinear_model(),
                                        NewtonConfig())
-        assert entry.converged and entry.iterations > 1
+        assert entry.norms[-1] <= 1e-6 and entry.iterations > 1
         assert paths == [swept] * entry.iterations
 
     def test_colamd_solves_match_the_natural_oracle(self, monkeypatch):
@@ -515,7 +515,7 @@ class TestFactorPath:
         monkeypatch.setattr(stdd.solver, "linear_solve", solved)
         _, entry = newton_solve_window(w, *args, *trace, nonlinear_model(),
                                        NewtonConfig())
-        assert entry.converged
+        assert entry.norms[-1] <= 1e-6
         assert len(errors) == entry.iterations > 1
         assert max(errors) <= 1e-10
 
@@ -613,6 +613,21 @@ class TestMarch:
             sum(d) for _, d in attempts) > 0
         assert (tmp_path / "FAILED").exists()
 
+    def test_failure_after_escalation_keeps_its_cause(self, tmp_path):
+        """The error and the `FAILED` marker name the last attempt's
+        iterations and norm, and carry its ledger entry."""
+        cfg = replace(preset("toy"), newton={"max_iters": 2})
+        with pytest.raises(NonConvergence) as exc:
+            run(cfg, tmp_path, emit_vtk=False)
+        entry = exc.value.entry
+        assert entry is exc.value.ledger.failed[-1]
+        assert entry.iterations == 2 and entry.norms[-1] > 1e-6
+        marker = (tmp_path / "FAILED").read_text()
+        assert marker == f"{exc.value}\n"
+        assert marker.startswith(
+            "window 0 failed to converge after escalation: ")
+        assert f"final norm {entry.norms[-1]:.3e}" in marker
+
     @pytest.mark.parametrize("mode", ["dynamic-dd", "uniform-fine",
                                       "static-dd"])
     def test_each_decomposition_built_once(self, tmp_path, monkeypatch,
@@ -697,6 +712,25 @@ def solved_dofs(monkeypatch):
     return dofs
 
 
+def factor_fills(monkeypatch):
+    """SuperLU's stored entries, and the factored matrix's (nnz, order),
+    of every factor made from now on."""
+    fill, factored = [], []
+
+    class Spla:
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+        def splu(self, a, *args, **kwargs):
+            lu = spla.splu(a, *args, **kwargs)
+            fill.append(lu.nnz)
+            factored.append((a.nnz, a.shape[0]))
+            return lu
+
+    monkeypatch.setattr(stdd.solver, "spla", Spla())
+    return fill, factored
+
+
 class TestAllInCost:
     def test_counts_every_linear_solve(self, tmp_path, monkeypatch):
         """Each factorization is one `linear_solve` call, through the
@@ -711,19 +745,7 @@ class TestAllInCost:
             return real(jacobian, residual, *args, **kwargs)
 
         monkeypatch.setattr(stdd.solver, "linear_solve", recorded)
-        fill, factored = [], []
-
-        class Spla:
-            def __getattr__(self, name):
-                return getattr(spla, name)
-
-            def splu(self, a, *args, **kwargs):
-                lu = spla.splu(a, *args, **kwargs)
-                fill.append(lu.nnz)
-                factored.append((a.nnz, a.shape[0]))
-                return lu
-
-        monkeypatch.setattr(stdd.solver, "spla", Spla())
+        fill, factored = factor_fills(monkeypatch)
         summary = run(preset("toy"), tmp_path, emit_vtk=False)
         assert summary["mode"] == "dynamic-dd"
         assert summary["all_in_cost"] == sum(dofs)
@@ -738,6 +760,41 @@ class TestAllInCost:
         assert [n for _, n in given] == dofs
         # some local saturations were eliminated, and only those
         assert any(m < n for (_, m), n in zip(factored, dofs))
+
+    def test_completed_run_with_a_failed_attempt(self, tmp_path,
+                                                 monkeypatch):
+        """Window 0's first main attempt gets one iteration and fails;
+        its escalation converges.  Every cost, fill and wall of the
+        summary is its sum over all the run's solves."""
+        dofs = solved_dofs(monkeypatch)
+        fill, _ = factor_fills(monkeypatch)
+        real = run_module.newton_solve_window
+        entries = []        # of every solve, converged or not
+
+        def flaky(*args, **kwargs):
+            if len(entries) == 1:       # after the predictor's solve
+                *args, cfg = args
+                args = (*args, replace(cfg, max_iters=1))
+            try:
+                result = real(*args, **kwargs)
+            except NonConvergence as exc:
+                entries.append(exc.entry)
+                raise
+            entries.append(result[1])
+            return result
+
+        monkeypatch.setattr(run_module, "newton_solve_window", flaky)
+        summary = run(preset("toy"), tmp_path, emit_vtk=False)
+        assert summary["mode"] == "dynamic-dd"
+        # the failed attempt's one solve follows the predictor's solves
+        assert entries[1].iterations == 1 and entries[1].norms[-1] > 1e-6
+        assert summary["failed_cost"] == dofs[entries[0].iterations] > 0
+        assert summary["all_in_cost"] == sum(dofs) == (
+            summary["cost_metric"] + summary["predictor_cost"]
+            + summary["failed_cost"])
+        assert summary["lu_cost"] == sum(fill)
+        assert summary["total_wall_ms"] == pytest.approx(
+            sum(e.wall_ms for e in entries), rel=1e-12)
 
 
 class TestNewtonConfigValidation:
