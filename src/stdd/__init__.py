@@ -26,7 +26,8 @@ from .adaptivity import (BaseGrid, IdentifierMap, Thresholds,  # noqa: E402
                          residual_indicator, transfer_state,
                          upscale_permeability)
 from .assembly import (CellProperties, CellSystem,  # noqa: E402
-                       ResolvedWells, StateField, linearize)
+                       ResolvedWells, StateField, WindowTerms, linearize,
+                       window_terms)
 from .config import RunConfig, WellSpec, load_config, preset  # noqa: E402
 from .errors import (ConfigError, MeshError,  # noqa: E402
                      MismatchedProblem, NonConvergence, SingularMatrix,

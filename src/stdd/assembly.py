@@ -14,6 +14,11 @@ evaluates the residual that remains on cell unknowns, and
 filled face by face in closed form.  The expanded system is not built; the
 tests keep it as their oracle.
 
+What no state changes is computed once per window (`WindowTerms`): the
+auxiliary-flux diagonal, pore volumes, row normalizers and well terms.
+Capillary pressure and relative permeability are evaluated once per cell
+per linearization and gathered to the faces.
+
 `CellSystem.jacobian` turns the blocks into the sparse matrix that is
 factored, in the numbering of the window's one pattern
 (`SpaceTimeWindow.jacobian_pattern`).  A cell's saturation is local when
@@ -33,7 +38,7 @@ import scipy.sparse as sp
 
 from .errors import MissingPrevTrace, SingularFluxBlock, ZeroPermeability
 from .mesh import SpaceTimeWindow
-from .physics import BETA_C, OIL, WATER
+from .physics import BETA_C, OIL, WATER, FluidRockModel
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,37 @@ class StateField:
                    trace_p=trace_p.copy(), trace_s=trace_s.copy())
 
 
-def _face_geometry(window, props):
+@dataclass(frozen=True)
+class WindowTerms:
+    """A window with its cells' properties, its wells and the closures,
+    and the terms of its system that no state changes, computed once per
+    window by `window_terms`.
+
+    `a` is each face's auxiliary-flux diagonal, `pv` each space-time
+    cell's pore volume and `scale` its two rows' normalizers phi * rho_ref
+    * |E| (total, water).  `inj_dt` is the water mass each cell takes in
+    from an injector over its time step; `prod` holds the cells with a
+    producer, and `prod_wi`, `prod_bhp` and `prod_dt` their well index,
+    bottom-hole pressure and time step.
+    """
+
+    window: SpaceTimeWindow
+    props: CellProperties
+    wells: ResolvedWells
+    model: FluidRockModel
+    a: np.ndarray = field(repr=False)
+    pv: np.ndarray = field(repr=False)
+    scale: tuple = field(repr=False)
+    inj_dt: np.ndarray = field(repr=False)
+    prod: np.ndarray = field(repr=False)
+    prod_wi: np.ndarray = field(repr=False)
+    prod_bhp: np.ndarray = field(repr=False)
+    prod_dt: np.ndarray = field(repr=False)
+
+
+def window_terms(window, props, wells, model):
+    """The `WindowTerms` of `window` with `props`, `wells` and `model`;
+    raises if a flux face has no permeability or a singular flux block."""
     f = window.faces
     kl = np.where(f.axis == 0, props.kx[f.s_left], props.ky[f.s_left])
     kr = np.where(f.axis == 0, props.kx[f.s_right], props.ky[f.s_right])
@@ -94,14 +129,26 @@ def _face_geometry(window, props):
         raise ZeroPermeability("non-positive permeability on a flux face")
     e = f.area * f.dt                       # face space-time measure
     a = (f.h_left / kl + f.h_right / kr) / (2.0 * BETA_C * e)
-    return a
+    if np.any(a <= 0) or not np.all(np.isfinite(a)):
+        raise SingularFluxBlock("auxiliary-flux diagonal is not positive")
+    sp_idx = window.st_spatial
+    phi = props.phi[sp_idx]
+    vol = window.cell_vol[sp_idx]
+    fluid = model.fluid
+    wi = wells.prod_wi[sp_idx]
+    prod = np.nonzero(wi > 0)[0]
+    return WindowTerms(
+        window, props, wells, model, a=a, pv=phi * vol,
+        scale=(phi * fluid.rho_o_ref * vol, phi * fluid.rho_w_ref * vol),
+        inj_dt=wells.inj_w[sp_idx] * window.st_dt, prod=prod,
+        prod_wi=wi[prod], prod_bhp=wells.prod_bhp[sp_idx][prod],
+        prod_dt=window.st_dt[prod])
 
 
 @dataclass
 class _FaceClosure:
     """Closure values on every face of a window at one state."""
 
-    a: np.ndarray            # auxiliary-flux diagonal
     drive_o: np.ndarray      # phase-pressure drops, left minus right
     drive_w: np.ndarray
     dpc_l: np.ndarray        # capillary slopes of the two cells
@@ -117,28 +164,26 @@ def _densities(fluid, p):
     return {OIL: fluid.density(OIL, p), WATER: fluid.density(WATER, p)}
 
 
-def _face_closure(window, state, props, model, rho):
+def _face_closure(terms, state, rho):
     """Auxiliary fluxes from their closure and the upwind mobilities they
-    select.  `rho` is `_densities` at `state.p`."""
-    f = window.faces
-    a = _face_geometry(window, props)
-    pl, pr = state.p[f.c_left], state.p[f.c_right]
-    sl, sr = state.s[f.c_left], state.s[f.c_right]
-    pc_l, dpc_l = model.pc(sl)
-    pc_r, dpc_r = model.pc(sr)
+    select.  `rho` is `_densities` at `state.p`.  Capillary pressure and
+    relative permeability are evaluated once per cell and gathered to
+    the faces."""
+    model = terms.model
+    f = terms.window.faces
+    cl, cr = f.c_left, f.c_right
+    pc, dpc = model.pc(state.s)
+    pl, pr = state.p.take(cl), state.p.take(cr)
     drive_o = pl - pr
-    drive_w = (pl - pc_l) - (pr - pc_r)
-    ut_o = drive_o / a
-    ut_w = drive_w / a
+    drive_w = (pl - pc.take(cl)) - (pr - pc.take(cr))
+    ut_o = drive_o / terms.a
+    ut_w = drive_w / terms.a
 
     def upwind(phase, ut):
-        r, dr = rho[phase]
-        return model.upwind_mobility(phase, ut, sl, sr,
-                                     (r[f.c_left], dr[f.c_left]),
-                                     (r[f.c_right], dr[f.c_right]))
+        return model.upwind_mobility(phase, ut, cl, cr, state.s, rho[phase])
 
-    return _FaceClosure(a, drive_o, drive_w, dpc_l, dpc_r, ut_o, ut_w,
-                        upwind(OIL, ut_o), upwind(WATER, ut_w))
+    return _FaceClosure(drive_o, drive_w, dpc.take(cl), dpc.take(cr), ut_o,
+                        ut_w, upwind(OIL, ut_o), upwind(WATER, ut_w))
 
 
 def _mass_block(pv, rho_w, drho_w, rho_o, drho_o, s):
@@ -150,7 +195,7 @@ def _mass_block(pv, rho_w, drho_w, rho_o, drho_o, s):
     return np.column_stack([w_p + o_p, w_s + o_s, w_p, w_s])
 
 
-def _cell_terms(window, state, props, wells, model, rho):
+def _cell_terms(terms, state, rho):
     """Accumulation and well terms of every cell, without the divergence.
 
     Returns (r_t, r_w, own, prev): the total and water residuals, and
@@ -158,12 +203,12 @@ def _cell_terms(window, state, props, wells, model, rho):
     cell with a previous level, against that level's, in the block order
     of `SpaceTimeWindow.jacobian_blocks`.
     """
+    window, model = terms.window, terms.model
     if len(state.trace_p) != window.n_spatial:
         raise MissingPrevTrace("trace does not cover the window's spatial cells")
     sp_idx = window.st_spatial
     fluid = model.fluid
-    pv = props.phi[sp_idx] * window.cell_vol[sp_idx]
-    dt_c = window.st_dt
+    pv = terms.pv
     p, s = state.p, state.s
 
     prev = window.st_prev
@@ -183,16 +228,14 @@ def _cell_terms(window, state, props, wells, model, rho):
     prev_block = -_mass_block(pv[hp], rho_wp[hp], drho_wp[hp], rho_op[hp],
                               drho_op[hp], sp_[hp])
 
-    inj = wells.inj_w[sp_idx]
-    r_w -= inj * dt_c
-    r_t -= inj * dt_c
+    r_w -= terms.inj_dt
+    r_t -= terms.inj_dt
 
-    wi = wells.prod_wi[sp_idx]
-    prod = np.nonzero(wi > 0)[0]
+    prod = terms.prod
     if len(prod):
-        wi_p = wi[prod]
-        dd = p[prod] - wells.prod_bhp[sp_idx][prod]     # drawdown, psi
-        dtp = dt_c[prod]
+        wi_p = terms.prod_wi
+        dd = p[prod] - terms.prod_bhp     # drawdown, psi
+        dtp = terms.prod_dt
         lw, dlw_ds, dlw_dp = model.mobility(WATER, s[prod], p[prod])
         lo, dlo_ds, dlo_dp = model.mobility(OIL, s[prod], p[prod])
         rate_w = wi_p * lw * dd
@@ -216,17 +259,15 @@ def _add_divergence(window, u_o, u_w, r_t, r_w):
     r_w += np.bincount(f.c_left, u_w, n) - np.bincount(f.c_right, u_w, n)
 
 
-def _rows(window, props, fluid, r_t, r_w):
+def _rows(terms, r_t, r_w):
     """Interleaved residual (rows 2c total, 2c + 1 water) and its
     normalization by phi * rho_ref * |E| per row."""
-    sp_idx = window.st_spatial
-    phi = props.phi[sp_idx]
-    vol = window.cell_vol[sp_idx]
-    r_y = np.empty(window.n_y)
+    n_y = terms.window.n_y
+    r_y = np.empty(n_y)
     r_y[0::2], r_y[1::2] = r_t, r_w
-    r_norm = np.empty(window.n_y)
-    r_norm[0::2] = r_t / (phi * fluid.rho_o_ref * vol)
-    r_norm[1::2] = r_w / (phi * fluid.rho_w_ref * vol)
+    r_norm = np.empty(n_y)
+    r_norm[0::2] = r_t / terms.scale[0]
+    r_norm[1::2] = r_w / terms.scale[1]
     return r_y, r_norm
 
 
@@ -292,21 +333,23 @@ class CellSystem:
     conservation residual itself.
     """
 
-    window: SpaceTimeWindow
+    terms: WindowTerms
     r_y: np.ndarray          # conservation residual
     r_norm: np.ndarray       # r_y scaled per row by phi * rho_ref * |E|
     _own: np.ndarray = field(repr=False)
     _prev: np.ndarray = field(repr=False)
     _faces: _FaceClosure = field(repr=False)
 
+    @property
+    def window(self):
+        return self.terms.window
+
     @cached_property
     def blocks(self):
         """The Jacobian's 2x2 blocks: column k holds block k of
         `SpaceTimeWindow.jacobian_blocks`, row e its entry e."""
         fc = self._faces
-        a = fc.a
-        if np.any(a <= 0) or not np.all(np.isfinite(a)):
-            raise SingularFluxBlock("auxiliary-flux diagonal is not positive")
+        a = self.terms.a
         lam_o, dlo_ds, dlo_dpl, dlo_dpr, up_o = fc.oil
         lam_w, dlw_ds, dlw_dpl, dlw_dpr, up_w = fc.water
         w = self.window
@@ -390,13 +433,15 @@ class CellSystem:
         w = self.window
         pat = w.jacobian_pattern
         shape = (w.n_y, w.n_y)
-        full = self.blocks.ravel().take(pat.entry)
+        vals = self.blocks
+        full = vals.ravel().take(pat.entry)
         unreduced = sp.csc_matrix((full, pat.indices, pat.indptr),
                                   shape=shape)
         local = self.local
+        # the local pivots, from the cells' own blocks
+        a_pp, a_ps, a_sp, a_ss = vals.take(local, axis=1)
         self.__dict__.pop("blocks")
         at = pat.own.take(local, axis=1)
-        a_pp, a_ps, a_sp, a_ss = full.take(at)
         a_ps = a_ps / a_ss
         data = full.copy()
         data[at[0]] = a_pp - a_ps * a_sp
@@ -419,14 +464,13 @@ class CellSystem:
                                a_ss, a_ps, a_sp, unreduced, pat.unknowns)
 
 
-def linearize(window, state, props, wells, model):
-    """Residual of the flux-eliminated system at `state`, the Jacobian on
-    demand."""
-    rho = _densities(model.fluid, state.p)
-    fc = _face_closure(window, state, props, model, rho)
-    r_t, r_w, own, prev = _cell_terms(window, state, props, wells, model,
-                                      rho)
-    _add_divergence(window, fc.oil[0] * fc.ut_o, fc.water[0] * fc.ut_w,
-                    r_t, r_w)
-    r_y, r_norm = _rows(window, props, model.fluid, r_t, r_w)
-    return CellSystem(window, r_y, r_norm, own, prev, fc)
+def linearize(terms, state):
+    """Residual of the flux-eliminated system of the window of `terms` at
+    `state`, the Jacobian on demand."""
+    rho = _densities(terms.model.fluid, state.p)
+    fc = _face_closure(terms, state, rho)
+    r_t, r_w, own, prev = _cell_terms(terms, state, rho)
+    _add_divergence(terms.window, fc.oil[0] * fc.ut_o,
+                    fc.water[0] * fc.ut_w, r_t, r_w)
+    r_y, r_norm = _rows(terms, r_t, r_w)
+    return CellSystem(terms, r_y, r_norm, own, prev, fc)

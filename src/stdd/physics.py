@@ -191,14 +191,15 @@ class FluidRockModel:
         lam = kr * rho / mu
         return lam, dkr * rho / mu, kr * drho / mu
 
-    def upwind_mobility(self, phase, ut, s_left, s_right, rho_left,
-                        rho_right):
+    def upwind_mobility(self, phase, ut, left, right, sw, rho):
         """Interface mobility: upstream k_r with arithmetic interface density.
 
-        `rho_left` and `rho_right` are the phase's `density` pairs
-        (rho, drho/dp) of the two cells.  The upstream cell is the left one
-        when the auxiliary flux is positive; ties take the right cell.
-        Returns (lambda*, d/dS_up, d/dp_left, d/dp_right, upwind_is_left).
+        The faces join cells `left` to cells `right`, and `sw` and `rho`,
+        the phase's `density` pair (rho, drho/dp), are given per cell:
+        k_r is evaluated once per cell and gathered to the faces.  The
+        upstream cell is the left one when the auxiliary flux `ut` is
+        positive; ties take the right cell.  Returns (lambda*, d/dS_up,
+        d/dp_left, d/dp_right, upwind_is_left) per face.
         """
         ut = np.asarray(ut, dtype=float)
         up_left = ut > 0.0
@@ -206,14 +207,15 @@ class FluidRockModel:
             one = np.ones_like(ut)
             zero = np.zeros_like(ut)
             return one, zero, zero, zero, up_left
-        s_up = np.where(up_left, s_left, s_right)
-        kr, dkr = self.relcap.relperm(phase, s_up)
-        rho_l, drho_l = rho_left
-        rho_r, drho_r = rho_right
-        mu = self.fluid.viscosity(phase)
-        half = 0.5 / mu
-        lam = half * (rho_l + rho_r) * kr
-        return lam, half * (rho_l + rho_r) * dkr, half * drho_l * kr, half * drho_r * kr, up_left
+        kr, dkr = self.relcap.relperm(phase, sw)
+        up = np.where(up_left, left, right)
+        rho_c, drho_c = rho
+        half = 0.5 / self.fluid.viscosity(phase)
+        kr_up = kr.take(up)
+        rho_face = half * (rho_c.take(left) + rho_c.take(right))
+        return (rho_face * kr_up, rho_face * dkr.take(up),
+                half * drho_c.take(left) * kr_up,
+                half * drho_c.take(right) * kr_up, up_left)
 
 
 def property_curves(model: FluidRockModel, n: int = 81):

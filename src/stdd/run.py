@@ -16,7 +16,8 @@ from . import output
 from .adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
                          cell_permeability, classify, decompose, delta_change,
                          final_spatial, residual_indicator, transfer_state)
-from .assembly import CellProperties, ResolvedWells, StateField, linearize
+from .assembly import (CellProperties, ResolvedWells, StateField, linearize,
+                       window_terms)
 from .config import UNIFORM_IDENTIFIER, RunConfig
 from .errors import MismatchedProblem, NonConvergence, StddError
 from .mesh import build_window
@@ -54,9 +55,10 @@ class Problem:
     # -- per-window closures ----------------------------------------------
 
     def maps(self, window):
-        """(props, wells) of the window: its cells' porosity and
-        permeability, and the wells resolved onto its cells.  `run()`
-        calls this once per window it builds."""
+        """The `WindowTerms` of the window: its cells' porosity and
+        permeability, the wells resolved onto its cells, and the terms of
+        its system that they fix.  `run()` calls this once per window it
+        builds."""
         phi = self.base.average_to(window, self.phi_base)
         kx, ky = cell_permeability(window, self.base, self.kx_base,
                                    self.ky_base, self.cfg.upscaling,
@@ -65,7 +67,7 @@ class Problem:
         wells = self._wells(window, props)
         for arr in (*vars(props).values(), *vars(wells).values()):
             arr.setflags(write=False)
-        return props, wells
+        return window_terms(window, props, wells, self.model)
 
     def _wells(self, window, props):
         cfg = self.cfg
@@ -126,11 +128,11 @@ class Problem:
         return None
 
 
-def _predict(pb, ncfg, trial, maps, prev, final, s_now):
+def _predict(pb, ncfg, terms, prev, final, s_now):
     """Identifier map of the next window, and the predictor solve's
     `LedgerEntry`, converged or not.
 
-    The all-coarse trial window, whose (props, wells) are `maps`, is
+    The all-coarse trial window, whose `WindowTerms` are `terms`, is
     solved from the final level `final` of the window `prev` (or from the
     initial state, when `prev` is None).
     The predicted saturation deltas say where the front will move *during*
@@ -139,17 +141,15 @@ def _predict(pb, ncfg, trial, maps, prev, final, s_now):
     linearization is Newton's first.  `s_now` is the saturation raster at
     the next window's start.
     """
+    trial = terms.window
     if prev is None:
         tp, ts = _initial_trace(pb.cfg, trial)
     else:
         tp, ts = transfer_state(prev, *final, trial, pb.base, pb.phi_base)
-    props, wells = maps
-    start = linearize(trial, StateField.from_trace(trial, tp, ts), props,
-                      wells, pb.model)
+    start = linearize(terms, StateField.from_trace(trial, tp, ts))
     eta = residual_indicator(trial, start.r_norm, pb.base, pb.tiling)
     try:
-        sol, entry = newton_solve_window(trial, props, wells, tp, ts,
-                                         pb.model, ncfg, start=start)
+        sol, entry = newton_solve_window(terms, tp, ts, ncfg, start=start)
     except NonConvergence as fail:
         # predictor failed: refine everywhere rather than guess
         big = np.full(pb.tiling.shape, pb.thresholds.theta_ds + 1.0)
@@ -173,13 +173,15 @@ def _initial_trace(cfg, window):
             np.full(n, cfg.initial_saturation))
 
 
-def window_mass(window, state, final, props, wells, model):
+def window_mass(terms, state, final):
     """(injected, produced water, produced oil, water in place at end/start).
 
-    Masses in lb over the window; "in place" values are snapshots at the
-    window's final level `final`, (P, S) per spatial cell, and at its
-    entry trace.
+    Masses in lb over the window of `terms`; "in place" values are
+    snapshots at the window's final level `final`, (P, S) per spatial
+    cell, and at its entry trace.
     """
+    window, props, wells, model = (terms.window, terms.props, terms.wells,
+                                   terms.model)
     sp_idx = window.st_spatial
     injected = float(np.sum(wells.inj_w[sp_idx] * window.st_dt))
     wi = wells.prod_wi[sp_idx]
@@ -239,12 +241,12 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
         trial = build_window(decompose(pb.constant_idmap(4), pb.tiling,
                                        pb.table),
                              length, cfg.reservoir, dz=cfg.dz)
-        trial_maps = pb.maps(trial)
+        trial_terms = pb.maps(trial)
     ledger = RunLedger()
     snapshots = []
     balance = {"injected": 0.0, "produced_w": 0.0, "produced_o": 0.0,
                "initial_w": None, "final_w": 0.0}
-    window = maps = final = idmap = None
+    window = terms = final = idmap = None
     t = 0.0                 # the window's start, days
     s2d = np.full(base.shape, cfg.initial_saturation)
 
@@ -252,8 +254,8 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
         for widx in range(round(cfg.horizon / length)):
             new_map = fixed
             if fixed is None:
-                new_map, solve = _predict(pb, ncfg, trial, trial_maps,
-                                          window, final, s2d)
+                new_map, solve = _predict(pb, ncfg, trial_terms, window,
+                                          final, s2d)
                 ledger.predictor.append(solve)
             if new_map is not idmap:
                 subs = decompose(new_map, pb.tiling, pb.table)
@@ -261,12 +263,12 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
 
             # a predicted map gets one escalated retry, a fixed map none
             attempts = 1 if fixed is not None else 2
-            new, new_maps = window, maps
+            new, new_terms = window, terms
             for attempt in range(attempts):
                 if new is None or tuple(subs) != new.subdomains:
                     new = build_window(subs, length, cfg.reservoir,
                                        dz=cfg.dz)
-                    new_maps = pb.maps(new)
+                    new_terms = pb.maps(new)
                 if window is None:
                     trace = _initial_trace(cfg, new)
                 elif new.subdomains == window.subdomains:
@@ -275,8 +277,8 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                     trace = transfer_state(window, *final, new, base,
                                            pb.phi_base)
                 try:
-                    state, entry = newton_solve_window(
-                        new, *new_maps, *trace, pb.model, ncfg)
+                    state, entry = newton_solve_window(new_terms, *trace,
+                                                       ncfg)
                     break
                 except NonConvergence as fail:
                     ledger.failed.append(fail.entry)
@@ -287,13 +289,12 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                             f"window {widx} failed to converge{how}: {fail}")
                     idmap = _escalate(idmap)
                     subs = decompose(idmap, pb.tiling, pb.table)
-            window, maps = new, new_maps
+            window, terms = new, new_terms
             ledger.entries.append(entry)
             final = final_spatial(window, state)
             t_end = t + window.delta_t
 
-            inj, pw, po, w_end, w_start = window_mass(
-                window, state, final, *maps, pb.model)
+            inj, pw, po, w_end, w_start = window_mass(terms, state, final)
             balance["injected"] += inj
             balance["produced_w"] += pw
             balance["produced_o"] += po
@@ -382,11 +383,14 @@ PROBLEM_KEYS = ("reservoir", "base_shape", "horizon", "wells", "permeability")
 SUMMARY_KEYS = PROBLEM_KEYS + ("label", "mode", "snapshots", "cost_metric",
                                "all_in_cost", "lu_cost", "total_wall_ms",
                                "run_wall_ms")
+# The keys of each `snapshots` entry that `compare` reads.
+SNAPSHOT_KEYS = ("time", "sw")
 
 
 def _read_summary(run_dir):
-    """The run summary in `run_dir`; `MismatchedProblem` if it is not JSON
-    or lacks a key of `SUMMARY_KEYS`."""
+    """The run summary in `run_dir`; `MismatchedProblem` if it is not JSON,
+    lacks a key of `SUMMARY_KEYS`, or a snapshot is not an object with the
+    keys of `SNAPSHOT_KEYS`."""
     path = os.path.join(run_dir, "run_summary.json")
     try:
         summary = output.read_summary(path)
@@ -395,6 +399,15 @@ def _read_summary(run_dir):
         raise MismatchedProblem(f"{path} is no run summary: {exc}") from exc
     if missing:
         raise MismatchedProblem(f"{path} lacks {missing[0]!r}")
+    if not isinstance(summary["snapshots"], list):
+        raise MismatchedProblem(f"{path}: 'snapshots' is not a list")
+    for k, snap in enumerate(summary["snapshots"]):
+        if not isinstance(snap, dict):
+            raise MismatchedProblem(f"{path}: snapshot {k} is not an object")
+        missing = [key for key in SNAPSHOT_KEYS if key not in snap]
+        if missing:
+            raise MismatchedProblem(
+                f"{path}: snapshot {k} lacks {missing[0]!r}")
     return summary
 
 

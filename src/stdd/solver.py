@@ -15,8 +15,10 @@ its first linearization.  A swept Jacobian, whose remaining system stores
 more than `SYMMETRIC_MIN_STORED` of its structural pattern over the
 remaining unknowns (`CellSystem.stored_share`), is factored in that
 numbering in symmetric mode with diagonal pivots; any other in COLAMD's
-order with partial pivoting.  `linear_solve` recovers the eliminated
-updates and checks the whole update against the unreduced Jacobian.
+order with partial pivoting.  The factor's panels are one column wide
+unless the solve's first factor is dense (`WIDE_PANEL_MIN_FILL`).
+`linear_solve` recovers the eliminated updates and checks the whole update
+against the unreduced Jacobian.
 """
 
 from __future__ import annotations
@@ -116,17 +118,18 @@ class RunLedger:
 
 
 # SuperLU supernodes: no relaxation, because relaxed supernodes pad the
-# 2x2-block Jacobians with stored zeros; four-column panels, because one
-# column slows the densest factors and eight the sparser ones.
+# 2x2-block Jacobians with stored zeros.
 SUPERLU_RELAX = 1
-SUPERLU_PANEL_SIZE = 4
+# The factor entries per unknown above which a solve's factors use
+# four-column panels rather than one-column ones (see `linear_solve`).
+WIDE_PANEL_MIN_FILL = 100.0
 # The stored share of the structural pattern, over the unknowns left after
 # the elimination, above which a window is swept: water flows through most
 # of what remains.  Below, COLAMD gains from the zero-mobility entries.
 SYMMETRIC_MIN_STORED = 0.55
 
 
-def linear_solve(jac, residual, symmetric=False):
+def linear_solve(jac, residual, symmetric=False, panel_size=1):
     """Direct sparse solve of J dy = -r with a relative-residual check;
     returns the update and the factor's stored entries (`SuperLU.nnz`).
 
@@ -134,9 +137,9 @@ def linear_solve(jac, residual, symmetric=False):
     saturations are already eliminated, and the update of each is
     recovered after the solve.  `residual` and the returned update are
     the full, natural-numbered vectors, and the check is on the
-    unreduced J.  The factor uses unrelaxed supernodes and four-column
-    panels (`SUPERLU_RELAX`, `SUPERLU_PANEL_SIZE`): by default in COLAMD's
-    order with partial pivoting; with `symmetric`, in the matrix's own
+    unreduced J.  The factor uses unrelaxed supernodes (`SUPERLU_RELAX`)
+    and panels `panel_size` columns wide: by default in COLAMD's order
+    with partial pivoting; with `symmetric`, in the matrix's own
     numbering in symmetric mode, pivoting on the diagonal unless it is
     below 0.01 of its column's largest entry.
 
@@ -144,9 +147,12 @@ def linear_solve(jac, residual, symmetric=False):
     Jacobians: on the recorded Newton Jacobians of the desk presets, the
     unrelaxed factors hold 0.74-0.96x the default fill and take 3-28%
     less time (up to 2% more, within noise, on the densest static-dd
-    factors), and the solutions agree to round-off.  One-column panels
-    are faster still on uniform-fine and dynamic-dd but up to 24% slower
-    than the defaults on those dense static-dd factors.
+    factors), and the solutions agree to round-off.  The panel width
+    leaves the fill as it is.  Against four-column panels, one-column
+    ones factor the benchmark prefixes' Jacobians, at 17-70 factor
+    entries per unknown, 4-21% faster, and static-dd's first window, at
+    73-78, 3-13% faster; static-dd's later, swept windows, at 150-190,
+    they factor 11-45% slower.  Hence `WIDE_PANEL_MIN_FILL`.
     """
     path = {}
     if symmetric:
@@ -154,7 +160,7 @@ def linear_solve(jac, residual, symmetric=False):
                     options={"SymmetricMode": True})
     try:
         lu = spla.splu(jac.matrix, relax=SUPERLU_RELAX,
-                       panel_size=SUPERLU_PANEL_SIZE, **path)
+                       panel_size=panel_size, **path)
         x = lu.solve(-jac._reduce(residual))
     except (RuntimeError, ValueError) as exc:
         raise SingularMatrix(str(exc)) from exc
@@ -170,18 +176,22 @@ def linear_solve(jac, residual, symmetric=False):
     return dy, lu.nnz
 
 
-def newton_solve_window(window, props, wells, trace_p, trace_s, model,
-                        cfg: NewtonConfig, start=None):
-    """Solve one window to tolerance; returns (StateField, LedgerEntry),
-    or raises `NonConvergence` with the failed solve's entry.
+def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
+                        start=None):
+    """Solve the window of `terms` (`WindowTerms`) to tolerance; returns
+    (StateField, LedgerEntry), or raises `NonConvergence` with the failed
+    solve's entry.
 
     The initial guess replicates the entry trace across all time levels;
     `start` is its `linearize`, if the caller already has it.  A state
     that already satisfies the tolerance returns after zero update
     iterations.  If the first linearization is swept, every Jacobian of
-    the solve is factored on the symmetric path.
+    the solve is factored on the symmetric path.  The first factor has
+    one-column panels, and so do the others unless it stores more than
+    `WIDE_PANEL_MIN_FILL` entries per unknown.
     """
     t0 = time.perf_counter()
+    window, model = terms.window, terms.model
     state = StateField.from_trace(window, trace_p, trace_s)
     norms = []
     lu_nnz = 0              # SuperLU's stored entries over the solves
@@ -190,8 +200,7 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
         return LedgerEntry(iterations, norms, window.n_y,
                            (time.perf_counter() - t0) * 1.0e3, lu_nnz)
 
-    sys_ = (linearize(window, state, props, wells, model) if start is None
-            else start)
+    sys_ = linearize(terms, state) if start is None else start
     for k in range(cfg.max_iters + 1):
         norm = float(np.max(np.abs(sys_.r_norm))) if window.n_st else 0.0
         norms.append(norm)
@@ -201,9 +210,13 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
             break
         if k == 0:          # the factor path of every solve
             symmetric = bool(sys_.stored_share > SYMMETRIC_MIN_STORED)
+            panel = 1
         jac, r_y = sys_.jacobian(), sys_.r_y
         del sys_                # freed before the factor
-        dy, nnz = linear_solve(jac, r_y, symmetric=symmetric)
+        dy, nnz = linear_solve(jac, r_y, symmetric=symmetric,
+                               panel_size=panel)
+        if k == 0 and nnz > WIDE_PANEL_MIN_FILL * jac.matrix.shape[0]:
+            panel = 4
         lu_nnz += nnz
         del jac                 # freed before the next linearization
         dp, ds = dy[0::2], dy[1::2]
@@ -215,7 +228,7 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
             # in place: a fresh state per iteration grows the heap
             state.p += dp
             state.s += ds
-            sys_ = linearize(window, state, props, wells, model)
+            sys_ = linearize(terms, state)
             continue
         # halve the step while the norm does not decrease; the accepted
         # step's linearization serves the next iteration
@@ -223,7 +236,7 @@ def newton_solve_window(window, props, wells, trace_p, trace_s, model,
         for _ in range(MAX_HALVINGS + 1):
             trial = StateField(state.p + step * dp, state.s + step * ds,
                                state.trace_p, state.trace_s)
-            sys_ = linearize(window, trial, props, wells, model)
+            sys_ = linearize(terms, trial)
             if (step <= 1.0 / 2**MAX_HALVINGS
                     or np.max(np.abs(sys_.r_norm)) <= norm):
                 break

@@ -9,8 +9,11 @@ pressure-gradient fluxes and the Darcy fluxes of each phase.
 
 `assemble` builds the four blocks and `schur_reduce` eliminates the flux
 block by sparse products, independently of the closed-form face kernel
-of `stdd.assembly.CellSystem.jacobian`.  The cell terms and the face
-closure are shared with the program.
+of `stdd.assembly.CellSystem.jacobian`.  The cell terms and the window
+terms are shared with the program.  The face closure is evaluated face
+by face here (`face_closure`, `upwind_mobility`), where the program
+evaluates each closure once per cell and gathers it to the faces;
+`face_wise_linearize` is the program's linearization on this closure.
 """
 
 from __future__ import annotations
@@ -20,11 +23,66 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from stdd.assembly import (_add_divergence, _cell_terms, _densities,
-                           _face_closure, _rows)
+from stdd.assembly import (CellSystem, _add_divergence, _cell_terms,
+                           _densities, _FaceClosure, _rows, window_terms)
 from stdd.errors import SingularFluxBlock
 from stdd.mesh import SpaceTimeWindow
 from stdd.physics import OIL, WATER
+
+
+def upwind_mobility(model, phase, ut, s_left, s_right, rho_left, rho_right):
+    """`FluidRockModel.upwind_mobility` face by face: k_r of the upstream
+    saturation, with the phase's density pairs of the two cells."""
+    ut = np.asarray(ut, dtype=float)
+    up_left = ut > 0.0
+    if model.linear:
+        one = np.ones_like(ut)
+        zero = np.zeros_like(ut)
+        return one, zero, zero, zero, up_left
+    s_up = np.where(up_left, s_left, s_right)
+    kr, dkr = model.relcap.relperm(phase, s_up)
+    rho_l, drho_l = rho_left
+    rho_r, drho_r = rho_right
+    half = 0.5 / model.fluid.viscosity(phase)
+    lam = half * (rho_l + rho_r) * kr
+    return (lam, half * (rho_l + rho_r) * dkr, half * drho_l * kr,
+            half * drho_r * kr, up_left)
+
+
+def face_upwind(terms, state, rho, phase, ut):
+    """`upwind_mobility` of every face of the window of `terms`."""
+    f = terms.window.faces
+    r, dr = rho[phase]
+    return upwind_mobility(terms.model, phase, ut, state.s[f.c_left],
+                           state.s[f.c_right], (r[f.c_left], dr[f.c_left]),
+                           (r[f.c_right], dr[f.c_right]))
+
+
+def face_closure(terms, state, rho):
+    """The program's `_FaceClosure` with `pc` evaluated on each face's
+    two cells and `upwind_mobility` face by face."""
+    f, model = terms.window.faces, terms.model
+    pl, pr = state.p[f.c_left], state.p[f.c_right]
+    pc_l, dpc_l = model.pc(state.s[f.c_left])
+    pc_r, dpc_r = model.pc(state.s[f.c_right])
+    drive_o = pl - pr
+    drive_w = (pl - pc_l) - (pr - pc_r)
+    ut_o = drive_o / terms.a
+    ut_w = drive_w / terms.a
+    return _FaceClosure(drive_o, drive_w, dpc_l, dpc_r, ut_o, ut_w,
+                        face_upwind(terms, state, rho, OIL, ut_o),
+                        face_upwind(terms, state, rho, WATER, ut_w))
+
+
+def face_wise_linearize(terms, state):
+    """`stdd.assembly.linearize` on the face-wise `face_closure`."""
+    rho = _densities(terms.model.fluid, state.p)
+    fc = face_closure(terms, state, rho)
+    r_t, r_w, own, prev = _cell_terms(terms, state, rho)
+    _add_divergence(terms.window, fc.oil[0] * fc.ut_o, fc.water[0] * fc.ut_w,
+                    r_t, r_w)
+    r_y, r_norm = _rows(terms, r_t, r_w)
+    return CellSystem(terms, r_y, r_norm, own, prev, fc)
 
 
 def n_dofs(window):
@@ -79,19 +137,15 @@ def assemble(window, state, props, wells, model, *, fluxes=None):
     f = window.faces
     nf = window.n_faces
     n_y = window.n_y
+    terms = window_terms(window, props, wells, model)
     rho = _densities(model.fluid, state.p)
-    fc = _face_closure(window, state, props, model, rho)
-    a, ut_o, ut_w, oil, water = fc.a, fc.ut_o, fc.ut_w, fc.oil, fc.water
+    fc = face_closure(terms, state, rho)
+    a, ut_o, ut_w, oil, water = terms.a, fc.ut_o, fc.ut_w, fc.oil, fc.water
     if fluxes is not None:
-        def upwind(phase, ut):
-            r, dr = rho[phase]
-            return model.upwind_mobility(
-                phase, ut, state.s[f.c_left], state.s[f.c_right],
-                (r[f.c_left], dr[f.c_left]), (r[f.c_right], dr[f.c_right]))
-
         ut_o = np.asarray(fluxes["aux_o"], dtype=float)
         ut_w = np.asarray(fluxes["aux_w"], dtype=float)
-        oil, water = upwind(OIL, ut_o), upwind(WATER, ut_w)
+        oil = face_upwind(terms, state, rho, OIL, ut_o)
+        water = face_upwind(terms, state, rho, WATER, ut_w)
     lam_o, dlam_o_ds, dlam_o_dpl, dlam_o_dpr, up_o = oil
     lam_w, dlam_w_ds, dlam_w_dpl, dlam_w_dpr, up_w = water
     if fluxes is None:
@@ -102,10 +156,9 @@ def assemble(window, state, props, wells, model, *, fluxes=None):
         u_w = np.asarray(fluxes["darcy_w"], dtype=float)
     flux_vals = {"aux_o": ut_o, "aux_w": ut_w, "darcy_o": u_o, "darcy_w": u_w}
 
-    r_t, r_w, own, prev = _cell_terms(window, state, props, wells, model,
-                                      rho)
+    r_t, r_w, own, prev = _cell_terms(terms, state, rho)
     _add_divergence(window, u_o, u_w, r_t, r_w)
-    r_y, r_norm = _rows(window, props, model.fluid, r_t, r_w)
+    r_y, r_norm = _rows(terms, r_t, r_w)
 
     rows, cols = window.jacobian_blocks()
     k = len(own) + len(prev)

@@ -14,7 +14,8 @@ import scipy.sparse.linalg as spla
 
 from mixed_system import assemble, n_dofs, schur_reduce
 from stdd.adaptivity import BaseGrid, Tiling, upscale_permeability
-from stdd.assembly import CellProperties, ResolvedWells, StateField
+from stdd.assembly import (CellProperties, ResolvedWells, StateField,
+                           window_terms)
 from stdd.config import preset
 from stdd.mesh import Subdomain, build_window
 from stdd.output import write_curves_csv
@@ -60,11 +61,11 @@ def static_solution():
     window = build_window(subs, cfg.delta_t, cfg.reservoir, dz=cfg.dz)
     n = window.n_spatial
     ncfg = NewtonConfig(max_iters=60, max_ds=0.2)
-    props, wells = pb.maps(window)
+    terms = pb.maps(window)
     state, entry = newton_solve_window(
-        window, props, wells, np.full(n, cfg.initial_pressure),
-        np.full(n, cfg.initial_saturation), pb.model, ncfg)
-    sys_ = assemble(window, state, props, wells, pb.model)
+        terms, np.full(n, cfg.initial_pressure),
+        np.full(n, cfg.initial_saturation), ncfg)
+    sys_ = assemble(window, state, terms.props, terms.wells, pb.model)
     return window, state, entry, sys_
 
 
@@ -86,8 +87,8 @@ class TestLinearOneIteration:
         wells.prod_wi[n - 1] = 1.0
         wells.prod_bhp[:] = 1000.0
         _, entry = newton_solve_window(
-            w, props, wells, np.full(n, 1000.0), np.full(n, 0.3), model,
-            NewtonConfig())
+            window_terms(w, props, wells, model), np.full(n, 1000.0),
+            np.full(n, 0.3), NewtonConfig())
         assert entry.iterations == 1
         assert time.perf_counter() - t0 < 5.0
 
@@ -110,8 +111,9 @@ class TestWindowEqualsSequential:
         cfg = NewtonConfig(max_iters=60, tol=1e-12)
 
         w4 = build_window([Subdomain(box, (1.0, 1.0), 1.0)], 4.0, box)
-        st4, _ = newton_solve_window(w4, props, wells, np.full(n, 1000.0),
-                                     np.full(n, 0.3), model, cfg)
+        st4, _ = newton_solve_window(window_terms(w4, props, wells, model),
+                                     np.full(n, 1000.0), np.full(n, 0.3),
+                                     cfg)
         fin = w4.final_level_cells()
         p_mono, s_mono = st4.p[fin], st4.s[fin]
 
@@ -119,8 +121,8 @@ class TestWindowEqualsSequential:
         w1 = build_window([Subdomain(box, (1.0, 1.0), 1.0)], 1.0, box)
         f1 = w1.final_level_cells()
         for _ in range(4):
-            st1, _ = newton_solve_window(w1, props, wells, tp, ts, model,
-                                         cfg)
+            st1, _ = newton_solve_window(window_terms(w1, props, wells,
+                                                      model), tp, ts, cfg)
             tp, ts = st1.p[f1].copy(), st1.s[f1].copy()
 
         assert np.max(np.abs(p_mono - tp)) <= 1e-8
@@ -227,7 +229,8 @@ class TestStaticDecomposition:
         assert window.bundles
         cfg = preset("static-dd")
         pb = Problem(cfg)
-        props, wells = pb.maps(window)
+        terms = pb.maps(window)
+        props, wells = terms.props, terms.wells
         fx = sys_.fluxes
         r0 = sys_.r_y
         for b in window.bundles[:20]:

@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from jacobian_oracle import full_jacobian, window_jacobian
-from mixed_system import assemble, n_dofs, schur_reduce
+from mixed_system import (assemble, face_wise_linearize, n_dofs,
+                          schur_reduce, upwind_mobility)
 from stdd.assembly import (CellProperties, ResolvedWells, StateField,
-                           linearize)
+                           linearize, window_terms)
 from stdd.errors import MissingPrevTrace, ZeroPermeability
 from stdd.mesh import Subdomain, build_window
 from stdd.physics import (BETA_C, BrooksCoreyModel, FluidModel,
@@ -318,12 +319,12 @@ class TestBackwardEulerEquivalence:
             pc_l, _ = m.pc(s[i])
             pc_r, _ = m.pc(s[i + 1])
             ut_w = t * ((p[i] - pc_l) - (p[i + 1] - pc_r))
-            lam_o = m.upwind_mobility("o", ut_o, s[i], s[i + 1],
-                                      m.density("o", p[i]),
-                                      m.density("o", p[i + 1]))[0]
-            lam_w = m.upwind_mobility("w", ut_w, s[i], s[i + 1],
-                                      m.density("w", p[i]),
-                                      m.density("w", p[i + 1]))[0]
+            lam_o = upwind_mobility(m, "o", ut_o, s[i], s[i + 1],
+                                    m.density("o", p[i]),
+                                    m.density("o", p[i + 1]))[0]
+            lam_w = upwind_mobility(m, "w", ut_w, s[i], s[i + 1],
+                                    m.density("w", p[i]),
+                                    m.density("w", p[i + 1]))[0]
             uo, uw = lam_o * ut_o, lam_w * ut_w
             r[2 * i] += uo + uw
             r[2 * i + 2] -= uo + uw
@@ -438,7 +439,8 @@ class TestDirectJacobian:
         red = schur_reduce(assemble(w, state, props, wells, m))
         want = red.jacobian.tocsc()
         want.sort_indices()
-        got = full_jacobian(linearize(w, state, props, wells, m))
+        got = full_jacobian(linearize(window_terms(w, props, wells, m),
+                                      state))
         assert got.format == "csc" and got.shape == want.shape
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
@@ -455,7 +457,7 @@ class TestDirectJacobian:
         state, props, wells = self.case(w, seed=3)
         sys_ = assemble(w, state, props, wells, m)
         red = schur_reduce(sys_)
-        got = linearize(w, state, props, wells, m)
+        got = linearize(window_terms(w, props, wells, m), state)
         assert np.max(np.abs(got.r_norm - sys_.r_norm)) <= \
             1e-14 * np.max(np.abs(sys_.r_norm))
         assert np.max(np.abs(got.r_y - red.residual)) <= \
@@ -464,14 +466,83 @@ class TestDirectJacobian:
     def test_pattern_built_once_per_window(self):
         w = fine_box_window()
         state, props, wells = self.case(w, seed=1)
-        m = model()
-        a = linearize(w, state, props, wells, m).jacobian().matrix
+        terms = window_terms(w, props, wells, model())
+        a = linearize(terms, state).jacobian().matrix
         pattern = w.jacobian_pattern
         state.p += 1.0
-        b = linearize(w, state, props, wells, m).jacobian().matrix
+        b = linearize(terms, state).jacobian().matrix
         assert w.jacobian_pattern is pattern
         assert not np.shares_memory(a.indices, pattern.indices)
         assert not np.shares_memory(a.indices, b.indices)
+
+
+class TestPerCellClosures:
+    """Capillary pressure and relative permeability evaluated once per
+    cell and gathered to the faces give the face-wise closure's residual
+    and Jacobian blocks bit for bit."""
+
+    @staticmethod
+    def edge_state(window, seed):
+        """A random state with saturations at, below and just above s_wirr
+        and at 1 - s_or, and a block of cells at one pressure and one
+        saturation, whose faces carry no flux (ut == 0 ties)."""
+        rng = np.random.default_rng(seed)
+        state = random_state(window, seed)
+        n = window.n_st
+        s = rng.choice([0.2, 0.15, 0.2 + 1e-4, 0.8, 0.85], n)
+        pick = rng.random(n) < 0.5
+        state.s[pick] = s[pick]
+        tie = np.arange(n) < max(2, n // 3)
+        state.p[tie] = 1000.0
+        state.s[tie] = 0.2
+        return state
+
+    @pytest.mark.parametrize("make", [uniform_window, fine_box_window,
+                                      time_refined_window, line_window])
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_equal_to_face_wise(self, make, kind, seed):
+        w = make()
+        _, props, wells = TestDirectJacobian.case(w, seed)
+        terms = window_terms(w, props, wells, MODELS[kind]())
+        state = self.edge_state(w, seed)
+        want = face_wise_linearize(terms, state)
+        got = linearize(terms, state)
+        assert np.any(want._faces.ut_o == 0.0)
+        assert np.array_equal(got.r_y, want.r_y)
+        assert np.array_equal(got.r_norm, want.r_norm)
+        assert np.array_equal(got.blocks, want.blocks)
+        for name in ("oil", "water"):
+            for a, b in zip(getattr(got._faces, name),
+                            getattr(want._faces, name)):
+                assert np.array_equal(a, b)
+
+    def test_terms_belong_to_their_window_and_props(self):
+        """Terms are built per window and per properties: nothing of one
+        leaks into a linearization with another."""
+        w = fine_box_window()
+        state, props, wells = TestDirectJacobian.case(w, 1)
+        m = model()
+        stiff = CellProperties(phi=props.phi * 1.5, kx=props.kx * 4.0,
+                               ky=props.ky * 4.0)
+        soft, hard = (window_terms(w, pr, wells, m) for pr in (props, stiff))
+        assert not np.array_equal(soft.a, hard.a)
+        for terms in (soft, hard, soft):
+            got = linearize(terms, state)
+            want = assemble(w, state, terms.props, wells, m)
+            assert np.array_equal(got.r_norm, want.r_norm)
+        a, b = linearize(soft, state), linearize(hard, state)
+        assert not np.array_equal(a.r_y, b.r_y)
+        assert not np.array_equal(a.blocks, b.blocks)
+        # a second window of one decomposition, and one of another
+        twin = fine_box_window()
+        other = uniform_window()
+        assert np.array_equal(window_terms(twin, props, wells, m).a, soft.a)
+        n = other.n_spatial
+        terms = window_terms(other, uniform_props(n), ResolvedWells.none(n),
+                             m)
+        assert len(terms.a) == other.n_faces != w.n_faces
+        assert terms.window is other
 
 
 class TestOrderedPattern:
@@ -484,7 +555,7 @@ class TestOrderedPattern:
         is a permutation of the cells other than the natural one."""
         w = make()
         state, props, wells = TestDirectJacobian.case(w, seed=2)
-        sys_ = linearize(w, state, props, wells, model())
+        sys_ = linearize(window_terms(w, props, wells, model()), state)
         u = w.jacobian_pattern.unknowns
         order = u[0::2] // 2
         assert np.array_equal(np.sort(order), np.arange(w.n_st))
@@ -506,8 +577,8 @@ class TestOrderedPattern:
         state, props, wells = TestDirectJacobian.case(w, seed=1)
         pattern = w.jacobian_pattern
         kept = pattern.indices.copy(), pattern.indptr.copy()
-        jacs = [linearize(w, state, props, wells, model()).jacobian().matrix
-                for _ in range(2)]
+        terms = window_terms(w, props, wells, model())
+        jacs = [linearize(terms, state).jacobian().matrix for _ in range(2)]
         for jac in jacs:
             for a in (jac.indices, jac.indptr):
                 assert not np.shares_memory(a, pattern.indices)

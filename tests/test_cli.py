@@ -258,6 +258,35 @@ class TestCompare:
                      "--b", str(toy_run)]) == EXIT_CONFIG
         assert str(old / "run_summary.json") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", run_module.SNAPSHOT_KEYS)
+    def test_snapshot_without_a_key_is_config_error(self, toy_run, tmp_path,
+                                                    capsys, key):
+        """A snapshot entry that lacks a key `compare` reads exits with
+        code 2, naming the file, the snapshot and the key."""
+        old = tmp_path / "old"
+        shutil.copytree(toy_run, old)
+        summary = json.loads((old / "run_summary.json").read_text())
+        del summary["snapshots"][1][key]
+        (old / "run_summary.json").write_text(json.dumps(summary))
+        assert main(["compare", "--a", str(old),
+                     "--b", str(toy_run)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(old / "run_summary.json") in err
+        assert f"snapshot 1 lacks {key!r}" in err
+
+    @pytest.mark.parametrize("snapshots", [[7], ["snap"], [[1.0, "a.csv"]],
+                                           {"0": {}}, 3])
+    def test_snapshots_not_objects_are_config_error(self, toy_run, tmp_path,
+                                                    capsys, snapshots):
+        old = tmp_path / "old"
+        shutil.copytree(toy_run, old)
+        summary = json.loads((old / "run_summary.json").read_text())
+        summary["snapshots"] = snapshots
+        (old / "run_summary.json").write_text(json.dumps(summary))
+        assert main(["compare", "--a", str(toy_run),
+                     "--b", str(old)]) == EXIT_CONFIG
+        assert str(old / "run_summary.json") in capsys.readouterr().err
+
     def test_missing_directory_is_io_error(self, toy_run, tmp_path, capsys):
         rc = main(["compare", "--a", str(toy_run),
                    "--b", str(tmp_path / "nothing")])

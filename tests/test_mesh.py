@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from stdd.adaptivity import IdentifierMap, Tiling, decompose
 from stdd.config import preset
 from stdd.errors import (MisalignedInterface, NonIntegerRatio, TilingGap,
                          TilingOverlap)
-from stdd.mesh import Subdomain, build_window
+from stdd.mesh import Subdomain, build_window, minimum_degree_order
 
 
 def two_subdomain_window(dt_f=1.0, dt_c=5.0, delta_t=5.0):
@@ -302,6 +304,75 @@ class TestFaceCompleteness:
         # the interface ranges hold exactly these faces
         ranges = [i for a, b, _ in w._interfaces for i in range(a, b)]
         assert ranges == between.tolist()
+
+
+def full_factor_order(n, rows, cols):
+    """The oracle of `minimum_degree_order`: SuperLU's MMD column order
+    of a full symmetric-mode factor of the graph's diagonally dominant
+    matrix, which is what it returned before it used an incomplete
+    factor."""
+    off = rows != cols
+    i = np.concatenate([rows[off], cols[off]])
+    j = np.concatenate([cols[off], rows[off]])
+    graph = sp.csc_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    graph.sum_duplicates()
+    graph.data[:] = -1.0
+    spd = (graph + sp.diags(np.diff(graph.indptr) + 1.0)).tocsc()
+    lu = spla.splu(spd, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    return np.argsort(lu.perm_c)
+
+
+class TestMinimumDegreeOrder:
+    """The order is the one a full SuperLU factor takes, cell for cell."""
+
+    @staticmethod
+    def check(n, rows, cols):
+        got = minimum_degree_order(n, np.asarray(rows), np.asarray(cols))
+        assert np.array_equal(np.sort(got), np.arange(n))
+        assert np.array_equal(got, full_factor_order(n, np.asarray(rows),
+                                                     np.asarray(cols)))
+
+    @pytest.mark.parametrize("mode", ["uniform-fine", "uniform-coarse",
+                                      "static-dd"])
+    def test_toy_windows(self, mode):
+        cfg = preset("toy")
+        tiling = Tiling(cfg.reservoir, *cfg.tile)
+        shape = tiling.shape
+        ids = np.full(shape, {"uniform-fine": 1, "uniform-coarse": 4,
+                              "static-dd": 4}[mode])
+        if mode == "static-dd":
+            ids[shape[0] // 4:shape[0] // 2, shape[1] // 4:shape[1] // 2] = 1
+        z = np.zeros(shape)
+        w = build_window(decompose(IdentifierMap(ids, z, z, z), tiling,
+                                   cfg.table), cfg.delta_t, cfg.reservoir)
+        self.check(w.n_st, *w.jacobian_blocks())
+
+    @pytest.mark.parametrize("name", ["toy", "ratio3"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_decompositions(self, name, seed):
+        w = random_window(name, seed)
+        self.check(w.n_st, *w.jacobian_blocks())
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_graphs(self, seed):
+        """Repeated edges and self-loops included."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        m = int(rng.integers(0, 4 * n))
+        self.check(n, np.concatenate([np.arange(n), rng.integers(0, n, m)]),
+                   np.concatenate([np.arange(n), rng.integers(0, n, m)]))
+
+    def test_disconnected_graph(self):
+        """Two paths and an isolated cell."""
+        rows = [0, 1, 2, 3, 4, 5, 6, 0, 1, 4, 5]
+        cols = [0, 1, 2, 3, 4, 5, 6, 1, 2, 5, 6]
+        self.check(7, rows, cols)
+
+    def test_one_cell(self):
+        self.check(1, [0], [0])
+        assert minimum_degree_order(1, np.zeros(1, int),
+                                    np.zeros(1, int)).tolist() == [0]
 
 
 def window_dump(w):

@@ -132,36 +132,66 @@ class TestMobility:
                 0.5 * thin.mobility(WATER, sw, 1200.0)[0], rel=1e-14)
 
 
+def face_upwind(model, phase, ut, s_left, s_right, rho_left, rho_right):
+    """`upwind_mobility` of one face from cell 0 to cell 1, whose
+    saturations and density pairs are given."""
+    rho = tuple(np.array([lv, rv]) for lv, rv in zip(rho_left, rho_right))
+    out = model.upwind_mobility(phase, np.array([ut]), np.array([0]),
+                                np.array([1]), np.array([s_left, s_right]),
+                                rho)
+    return [v[0] for v in out]
+
+
 class TestUpwindMobility:
     def test_positive_flux_takes_left(self, model):
         rho = model.density(WATER, 1000.0)
-        lam, *_ = model.upwind_mobility(WATER, 1.0, 0.5, 0.2, rho, rho)
+        lam, *_ = face_upwind(model, WATER, 1.0, 0.5, 0.2, rho, rho)
         assert lam == pytest.approx(64.0 * 0.25, rel=1e-12)
 
     def test_negative_flux_takes_right(self, model):
         rho = model.density(WATER, 1000.0)
-        lam, *_ = model.upwind_mobility(WATER, -1.0, 0.5, 0.2, rho, rho)
+        lam, *_ = face_upwind(model, WATER, -1.0, 0.5, 0.2, rho, rho)
         assert lam == 0.0
 
     def test_tie_takes_right(self, model):
         rho = model.density(WATER, 1000.0)
-        lam, *_, up_left = model.upwind_mobility(WATER, 0.0, 0.5, 0.2,
-                                                 rho, rho)
+        lam, *_, up_left = face_upwind(model, WATER, 0.0, 0.5, 0.2, rho,
+                                       rho)
         assert not up_left
         assert lam == 0.0
 
     def test_equal_states_sign_independent(self, model):
         rho = model.density(OIL, 1100.0)
-        a = model.upwind_mobility(OIL, 3.0, 0.4, 0.4, rho, rho)[0]
-        b = model.upwind_mobility(OIL, -3.0, 0.4, 0.4, rho, rho)[0]
+        a = face_upwind(model, OIL, 3.0, 0.4, 0.4, rho, rho)[0]
+        b = face_upwind(model, OIL, -3.0, 0.4, 0.4, rho, rho)[0]
         assert a == b
 
     def test_depends_on_sign_only(self, model):
         args = (0.6, 0.3, model.density(WATER, 1050.0),
                 model.density(WATER, 950.0))
-        small = model.upwind_mobility(WATER, 1e-9, *args)[0]
-        large = model.upwind_mobility(WATER, 1e9, *args)[0]
+        small = face_upwind(model, WATER, 1e-9, *args)[0]
+        large = face_upwind(model, WATER, 1e9, *args)[0]
         assert small == large
+
+    def test_gathers_each_cells_values(self, model):
+        """Faces share cells: each face takes its upstream cell's k_r and
+        the mean of its two cells' densities."""
+        sw = np.array([0.3, 0.5, 0.7])
+        p = np.array([900.0, 1000.0, 1100.0])
+        left, right = np.array([0, 1, 0]), np.array([1, 2, 2])
+        ut = np.array([1.0, -1.0, 0.0])
+        rho = model.density(WATER, p)
+        lam, dlam, dl, dr, up = model.upwind_mobility(WATER, ut, left,
+                                                      right, sw, rho)
+        kr, dkr = model.relcap.krw(sw)
+        assert up.tolist() == [True, False, False]
+        half = 0.5 / model.fluid.mu_w
+        for k, c in enumerate([0, 2, 2]):
+            mean = half * (rho[0][left[k]] + rho[0][right[k]])
+            assert lam[k] == mean * kr[c]
+            assert dlam[k] == mean * dkr[c]
+            assert dl[k] == half * rho[1][left[k]] * kr[c]
+            assert dr[k] == half * rho[1][right[k]] * kr[c]
 
 
 class TestConstantMobilityModel:

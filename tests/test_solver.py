@@ -14,7 +14,7 @@ from artifact_readers import read_ledger_csv
 from jacobian_oracle import (PlainJacobian, full_jacobian, local_saturations,
                              window_jacobian)
 from stdd.assembly import (CellProperties, ResolvedWells, StateField,
-                           linearize)
+                           linearize, window_terms)
 from stdd.config import preset
 from stdd.errors import ConfigError, NonConvergence, SingularMatrix
 from stdd.mesh import Subdomain, build_window
@@ -82,7 +82,8 @@ class TestLinearSolve:
         update."""
         w = make()
         state, props_, wells = test_assembly.TestDirectJacobian.case(w, 2)
-        sys_ = linearize(w, state, props_, wells, nonlinear_model())
+        sys_ = linearize(window_terms(w, props_, wells, nonlinear_model()),
+                         state)
         assert len(sys_.local) == 0
         jac = PlainJacobian(full_jacobian(sys_))
         lus = []
@@ -117,8 +118,8 @@ class TestLocalElimination:
         s = np.full(n, 0.2)
         s[list(wet)] = 0.6
         state = StateField.from_trace(w, np.full(n, 1000.0), s)
-        return w, linearize(w, state, props(n), corner_wells(n),
-                            nonlinear_model())
+        return w, linearize(window_terms(w, props(n), corner_wells(n),
+                                         nonlinear_model()), state)
 
     @staticmethod
     def assembly_system(make, s0=None):
@@ -130,7 +131,8 @@ class TestLocalElimination:
             n = w.n_spatial
             state = StateField.from_trace(w, np.full(n, 1000.0),
                                           np.full(n, s0))
-        return w, linearize(w, state, props_, wells, nonlinear_model())
+        return w, linearize(window_terms(w, props_, wells,
+                                         nonlinear_model()), state)
 
     CASES = {
         "uniform": lambda: TestLocalElimination.assembly_system(
@@ -266,8 +268,8 @@ class TestNewtonWindow:
         w = strip_window()
         n = w.n_spatial
         state, entry = newton_solve_window(
-            w, props(n), corner_wells(n), np.full(n, 1000.0),
-            np.full(n, 0.3), linear_model(), NewtonConfig())
+            window_terms(w, props(n), corner_wells(n), linear_model()),
+            np.full(n, 1000.0), np.full(n, 0.3), NewtonConfig())
         assert entry.norms[-1] <= 1e-6
         assert entry.iterations == 1
 
@@ -276,22 +278,22 @@ class TestNewtonWindow:
         n = w.n_spatial
         cfg = NewtonConfig(max_iters=30)
         state, entry = newton_solve_window(
-            w, props(n), corner_wells(n), np.full(n, 1000.0),
-            np.full(n, 0.3), nonlinear_model(), cfg)
+            window_terms(w, props(n), corner_wells(n), nonlinear_model()),
+            np.full(n, 1000.0), np.full(n, 0.3), cfg)
         fin = w.final_level_cells()
         # no wells, no flow: the converged steady trace re-solves instantly
         quiet = ResolvedWells.none(n)
         st0, e0 = newton_solve_window(
-            w, props(n), quiet, np.full(n, 1000.0), np.full(n, 0.3),
-            nonlinear_model(), cfg)
+            window_terms(w, props(n), quiet, nonlinear_model()),
+            np.full(n, 1000.0), np.full(n, 0.3), cfg)
         assert e0.iterations == 0
 
     def test_norm_sequence_decreases_to_tolerance(self):
         w = strip_window()
         n = w.n_spatial
         _, entry = newton_solve_window(
-            w, props(n), corner_wells(n), np.full(n, 1000.0),
-            np.full(n, 0.3), nonlinear_model(), NewtonConfig(max_iters=30))
+            window_terms(w, props(n), corner_wells(n), nonlinear_model()),
+            np.full(n, 1000.0), np.full(n, 0.3), NewtonConfig(max_iters=30))
         assert entry.norms[-1] <= 1e-6
         assert entry.norms[0] > entry.norms[-1]
 
@@ -303,8 +305,9 @@ class TestNewtonWindow:
         m = FluidRockModel(FluidModel(), BrooksCoreyModel(),
                            use_capillarity=False)
         _, entry = newton_solve_window(
-            w, props(n), corner_wells(n, rate=0.02), np.full(n, 1000.0),
-            np.full(n, 0.5), m, NewtonConfig(max_iters=30, tol=1e-11))
+            window_terms(w, props(n), corner_wells(n, rate=0.02), m),
+            np.full(n, 1000.0), np.full(n, 0.5),
+            NewtonConfig(max_iters=30, tol=1e-11))
         tail = [x for x in entry.norms if x > 0][-2:]
         assert tail[1] / tail[0] < 0.02
 
@@ -313,8 +316,9 @@ class TestNewtonWindow:
         n = w.n_spatial
         with pytest.raises(NonConvergence) as exc:
             newton_solve_window(
-                w, props(n), corner_wells(n, rate=1.0), np.full(n, 1000.0),
-                np.full(n, 0.25), nonlinear_model(),
+                window_terms(w, props(n), corner_wells(n, rate=1.0),
+                             nonlinear_model()),
+                np.full(n, 1000.0), np.full(n, 0.25),
                 NewtonConfig(max_iters=1))
         assert exc.value.entry.iterations == 1
         assert exc.value.entry.norms[-1] > 1e-6
@@ -334,7 +338,8 @@ class TestNewtonWindow:
 
         w4 = build_window([Subdomain(box, (1.0, 1.0), dt)], 4 * dt, box)
         st4, _ = newton_solve_window(
-            w4, pr, wells, np.full(n, 1000.0), np.full(n, 0.3), m, cfg)
+            window_terms(w4, pr, wells, m), np.full(n, 1000.0),
+            np.full(n, 0.3), cfg)
         fin = w4.final_level_cells()
         p4, s4 = st4.p[fin], st4.s[fin]
 
@@ -342,7 +347,8 @@ class TestNewtonWindow:
         w1 = build_window([Subdomain(box, (1.0, 1.0), dt)], dt, box)
         f1 = w1.final_level_cells()
         for _ in range(4):
-            st1, _ = newton_solve_window(w1, pr, wells, tp, ts, m, cfg)
+            st1, _ = newton_solve_window(window_terms(w1, pr, wells, m), tp,
+                                         ts, cfg)
             tp, ts = st1.p[f1].copy(), st1.s[f1].copy()
 
         order = np.lexsort((w4.cell_cx[:n], w4.cell_cy[:n]))
@@ -360,8 +366,8 @@ class TestNewtonWindow:
         m = nonlinear_model()
         cfg = NewtonConfig(max_iters=60, max_ds=0.05)
         st, entry = newton_solve_window(
-            w, props(n), corner_wells(n, rate=0.05), np.full(n, 1000.0),
-            np.full(n, 0.2), m, cfg)
+            window_terms(w, props(n), corner_wells(n, rate=0.05), m),
+            np.full(n, 1000.0), np.full(n, 0.2), cfg)
         # converged despite the aggressive front; more iterations than the
         # uncapped run, each saturation move bounded
         assert entry.norms[-1] <= 1e-6
@@ -377,16 +383,17 @@ class TestNewtonWindow:
         evaluated = []
         real = stdd.solver.linearize
 
-        def recording(window, state, *args):
-            sys_ = real(window, state, *args)
+        def recording(terms, state):
+            sys_ = real(terms, state)
             evaluated.append((np.concatenate([state.p, state.s]),
                               float(np.max(np.abs(sys_.r_norm)))))
             return sys_
 
         monkeypatch.setattr(stdd.solver, "linearize", recording)
         _, entry = newton_solve_window(
-            w, props(n), corner_wells(n, rate=0.05), np.full(n, 1000.0),
-            np.full(n, 0.2), nonlinear_model(), NewtonConfig(damping=damping))
+            window_terms(w, props(n), corner_wells(n, rate=0.05),
+                         nonlinear_model()),
+            np.full(n, 1000.0), np.full(n, 0.2), NewtonConfig(damping=damping))
         assert entry.norms[-1] <= 1e-6
         return entry, evaluated
 
@@ -444,7 +451,8 @@ class TestFactorPath:
     def test_symmetric_solve_matches_colamd(self, make):
         w = make()
         state, props_, wells = test_assembly.TestDirectJacobian.case(w, 2)
-        sys_ = linearize(w, state, props_, wells, nonlinear_model())
+        sys_ = linearize(window_terms(w, props_, wells, nonlinear_model()),
+                         state)
         jac = sys_.jacobian()
         ref, _ = linear_solve(jac, sys_.r_y)
         dy, _ = linear_solve(jac, sys_.r_y, symmetric=True)
@@ -466,21 +474,20 @@ class TestFactorPath:
         w = make()
         n = w.n_spatial
         trace = np.full(n, 1000.0), np.full(n, s0)
-        args = props(n), corner_wells(n, rate=0.05)
-        first = linearize(w, StateField.from_trace(w, *trace), *args,
-                          nonlinear_model())
+        terms = window_terms(w, props(n), corner_wells(n, rate=0.05),
+                             nonlinear_model())
+        first = linearize(terms, StateField.from_trace(w, *trace))
         share = first.stored_share
         assert (share > stdd.solver.SYMMETRIC_MIN_STORED) == swept
         paths = []
         real = stdd.solver.linear_solve
 
-        def recorded(jacobian, residual, symmetric=False):
+        def recorded(jacobian, residual, symmetric=False, **kwargs):
             paths.append(symmetric)
-            return real(jacobian, residual, symmetric=symmetric)
+            return real(jacobian, residual, symmetric=symmetric, **kwargs)
 
         monkeypatch.setattr(stdd.solver, "linear_solve", recorded)
-        _, entry = newton_solve_window(w, *args, *trace, nonlinear_model(),
-                                       NewtonConfig())
+        _, entry = newton_solve_window(terms, *trace, NewtonConfig())
         assert entry.norms[-1] <= 1e-6 and entry.iterations > 1
         assert paths == [swept] * entry.iterations
 
@@ -494,7 +501,8 @@ class TestFactorPath:
                                   np.arange(w.n_y))
         n = w.n_spatial
         trace = np.full(n, 1000.0), np.full(n, 0.2)
-        args = props(n), corner_wells(n, rate=0.05)
+        terms = window_terms(w, props(n), corner_wells(n, rate=0.05),
+                             nonlinear_model())
         systems, errors = [], []
         real_linearize = stdd.solver.linearize
         real_solve = stdd.solver.linear_solve
@@ -503,9 +511,10 @@ class TestFactorPath:
             systems.append(real_linearize(*a))
             return systems[-1]
 
-        def solved(jacobian, residual, symmetric=False):
+        def solved(jacobian, residual, symmetric=False, **kwargs):
             assert not symmetric
-            dy, fill = real_solve(jacobian, residual, symmetric=symmetric)
+            dy, fill = real_solve(jacobian, residual, symmetric=symmetric,
+                                  **kwargs)
             # the blocks that the fill dropped are rebuilt on this read
             ref = spla.splu(full_jacobian(systems[-1])).solve(-residual)
             errors.append(np.max(np.abs(dy - ref)) / np.max(np.abs(ref)))
@@ -513,11 +522,44 @@ class TestFactorPath:
 
         monkeypatch.setattr(stdd.solver, "linearize", linearized)
         monkeypatch.setattr(stdd.solver, "linear_solve", solved)
-        _, entry = newton_solve_window(w, *args, *trace, nonlinear_model(),
-                                       NewtonConfig())
+        _, entry = newton_solve_window(terms, *trace, NewtonConfig())
         assert entry.norms[-1] <= 1e-6
         assert len(errors) == entry.iterations > 1
         assert max(errors) <= 1e-10
+
+    @pytest.mark.parametrize("least, wide", [(float("inf"), 1), (0.0, 4)])
+    def test_panel_width_follows_the_first_fill(self, monkeypatch, least,
+                                                wide):
+        """A solve's first factor has one-column panels, and the others
+        four-column ones only if that factor stores more than
+        `WIDE_PANEL_MIN_FILL` entries per unknown.  The width does not
+        change the fill."""
+        w = test_assembly.fine_box_window()
+        n = w.n_spatial
+        terms = window_terms(w, props(n), corner_wells(n, rate=0.05),
+                             nonlinear_model())
+        factors = []
+
+        class Spla:
+            def __getattr__(self, name):
+                return getattr(spla, name)
+
+            def splu(self, a, **kwargs):
+                lu = spla.splu(a, **kwargs)
+                other = dict(kwargs, panel_size=5 - kwargs["panel_size"])
+                factors.append((kwargs["panel_size"], lu.nnz,
+                                spla.splu(a, **other).nnz))
+                return lu
+
+        monkeypatch.setattr(stdd.solver, "spla", Spla())
+        monkeypatch.setattr(stdd.solver, "WIDE_PANEL_MIN_FILL", least)
+        _, entry = newton_solve_window(terms, np.full(n, 1000.0),
+                                       np.full(n, 0.2), NewtonConfig())
+        assert entry.norms[-1] <= 1e-6
+        widths = [p for p, _, _ in factors]
+        assert widths == [1] + [wide] * (entry.iterations - 1)
+        assert len(widths) > 2
+        assert all(a == b for _, a, b in factors)
 
 
 run_module = importlib.import_module("stdd.run")
@@ -537,12 +579,12 @@ def newton_calls(monkeypatch):
     calls = []
     real = run_module.newton_solve_window
 
-    def recorded(window, *args, **kwargs):
+    def recorded(terms, *args, **kwargs):
         start = len(dofs)
         try:
-            return real(window, *args, **kwargs)
+            return real(terms, *args, **kwargs)
         finally:
-            calls.append((window, dofs[start:]))
+            calls.append((terms.window, dofs[start:]))
 
     monkeypatch.setattr(run_module, "newton_solve_window", recorded)
     return calls
@@ -684,12 +726,12 @@ class TestMarch:
     def test_no_state_linearized_twice(self, tmp_path, monkeypatch):
         """The predictor's warm start is linearized once: its residual
         is the indicator and Newton's first."""
-        seen = []           # the windows are kept, so their ids stay apart
+        seen = []           # the terms are kept, so their ids stay apart
         real = stdd.solver.linearize
 
-        def recorded(window, state, *args):
-            seen.append((window, state.p.tobytes(), state.s.tobytes()))
-            return real(window, state, *args)
+        def recorded(terms, state):
+            seen.append((terms, state.p.tobytes(), state.s.tobytes()))
+            return real(terms, state)
 
         monkeypatch.setattr(stdd.solver, "linearize", recorded)
         monkeypatch.setattr(run_module, "linearize", recorded)
