@@ -14,10 +14,9 @@ evaluates the residual that remains on cell unknowns, and
 filled face by face in closed form.  The expanded system is not built; the
 tests keep it as their oracle.
 
-What no state changes is computed once per window (`WindowTerms`): the
-auxiliary-flux diagonal, pore volumes, row normalizers and well terms.
-Capillary pressure and relative permeability are evaluated once per cell
-per linearization and gathered to the faces.
+The auxiliary-flux diagonal, which no state changes, is computed once per
+window (`WindowTerms`).  Capillary pressure and relative permeability are
+evaluated once per cell per linearization and gathered to the faces.
 
 `CellSystem.jacobian` turns the blocks into the sparse matrix that is
 factored, in the numbering of the window's one pattern
@@ -94,29 +93,14 @@ class StateField:
 @dataclass(frozen=True)
 class WindowTerms:
     """A window with its cells' properties, its wells and the closures,
-    and the terms of its system that no state changes, computed once per
-    window by `window_terms`.
-
-    `a` is each face's auxiliary-flux diagonal, `pv` each space-time
-    cell's pore volume and `scale` its two rows' normalizers phi * rho_ref
-    * |E| (total, water).  `inj_dt` is the water mass each cell takes in
-    from an injector over its time step; `prod` holds the cells with a
-    producer, and `prod_wi`, `prod_bhp` and `prod_dt` their well index,
-    bottom-hole pressure and time step.
-    """
+    and each face's auxiliary-flux diagonal `a`, computed once per window
+    by `window_terms`."""
 
     window: SpaceTimeWindow
     props: CellProperties
     wells: ResolvedWells
     model: FluidRockModel
     a: np.ndarray = field(repr=False)
-    pv: np.ndarray = field(repr=False)
-    scale: tuple = field(repr=False)
-    inj_dt: np.ndarray = field(repr=False)
-    prod: np.ndarray = field(repr=False)
-    prod_wi: np.ndarray = field(repr=False)
-    prod_bhp: np.ndarray = field(repr=False)
-    prod_dt: np.ndarray = field(repr=False)
 
 
 def window_terms(window, props, wells, model):
@@ -131,18 +115,7 @@ def window_terms(window, props, wells, model):
     a = (f.h_left / kl + f.h_right / kr) / (2.0 * BETA_C * e)
     if np.any(a <= 0) or not np.all(np.isfinite(a)):
         raise SingularFluxBlock("auxiliary-flux diagonal is not positive")
-    sp_idx = window.st_spatial
-    phi = props.phi[sp_idx]
-    vol = window.cell_vol[sp_idx]
-    fluid = model.fluid
-    wi = wells.prod_wi[sp_idx]
-    prod = np.nonzero(wi > 0)[0]
-    return WindowTerms(
-        window, props, wells, model, a=a, pv=phi * vol,
-        scale=(phi * fluid.rho_o_ref * vol, phi * fluid.rho_w_ref * vol),
-        inj_dt=wells.inj_w[sp_idx] * window.st_dt, prod=prod,
-        prod_wi=wi[prod], prod_bhp=wells.prod_bhp[sp_idx][prod],
-        prod_dt=window.st_dt[prod])
+    return WindowTerms(window, props, wells, model, a)
 
 
 @dataclass
@@ -203,12 +176,14 @@ def _cell_terms(terms, state, rho):
     cell with a previous level, against that level's, in the block order
     of `SpaceTimeWindow.jacobian_blocks`.
     """
-    window, model = terms.window, terms.model
+    window, props, wells, model = (terms.window, terms.props, terms.wells,
+                                   terms.model)
     if len(state.trace_p) != window.n_spatial:
         raise MissingPrevTrace("trace does not cover the window's spatial cells")
     sp_idx = window.st_spatial
     fluid = model.fluid
-    pv = terms.pv
+    pv = props.phi[sp_idx] * window.cell_vol[sp_idx]
+    dt_c = window.st_dt
     p, s = state.p, state.s
 
     prev = window.st_prev
@@ -228,14 +203,16 @@ def _cell_terms(terms, state, rho):
     prev_block = -_mass_block(pv[hp], rho_wp[hp], drho_wp[hp], rho_op[hp],
                               drho_op[hp], sp_[hp])
 
-    r_w -= terms.inj_dt
-    r_t -= terms.inj_dt
+    inj = wells.inj_w[sp_idx]
+    r_w -= inj * dt_c
+    r_t -= inj * dt_c
 
-    prod = terms.prod
+    wi = wells.prod_wi[sp_idx]
+    prod = np.nonzero(wi > 0)[0]
     if len(prod):
-        wi_p = terms.prod_wi
-        dd = p[prod] - terms.prod_bhp     # drawdown, psi
-        dtp = terms.prod_dt
+        wi_p = wi[prod]
+        dd = p[prod] - wells.prod_bhp[sp_idx][prod]     # drawdown, psi
+        dtp = dt_c[prod]
         lw, dlw_ds, dlw_dp = model.mobility(WATER, s[prod], p[prod])
         lo, dlo_ds, dlo_dp = model.mobility(OIL, s[prod], p[prod])
         rate_w = wi_p * lw * dd
@@ -262,12 +239,15 @@ def _add_divergence(window, u_o, u_w, r_t, r_w):
 def _rows(terms, r_t, r_w):
     """Interleaved residual (rows 2c total, 2c + 1 water) and its
     normalization by phi * rho_ref * |E| per row."""
-    n_y = terms.window.n_y
-    r_y = np.empty(n_y)
+    window, fluid = terms.window, terms.model.fluid
+    sp_idx = window.st_spatial
+    phi = terms.props.phi[sp_idx]
+    vol = window.cell_vol[sp_idx]
+    r_y = np.empty(window.n_y)
     r_y[0::2], r_y[1::2] = r_t, r_w
-    r_norm = np.empty(n_y)
-    r_norm[0::2] = r_t / terms.scale[0]
-    r_norm[1::2] = r_w / terms.scale[1]
+    r_norm = np.empty(window.n_y)
+    r_norm[0::2] = r_t / (phi * fluid.rho_o_ref * vol)
+    r_norm[1::2] = r_w / (phi * fluid.rho_w_ref * vol)
     return r_y, r_norm
 
 

@@ -56,8 +56,8 @@ class Problem:
 
     def maps(self, window):
         """The `WindowTerms` of the window: its cells' porosity and
-        permeability, the wells resolved onto its cells, and the terms of
-        its system that they fix.  `run()` calls this once per window it
+        permeability, the wells resolved onto its cells, and its faces'
+        auxiliary-flux diagonal.  `run()` calls this once per window it
         builds."""
         phi = self.base.average_to(window, self.phi_base)
         kx, ky = cell_permeability(window, self.base, self.kx_base,

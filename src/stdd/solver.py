@@ -15,10 +15,8 @@ its first linearization.  A swept Jacobian, whose remaining system stores
 more than `SYMMETRIC_MIN_STORED` of its structural pattern over the
 remaining unknowns (`CellSystem.stored_share`), is factored in that
 numbering in symmetric mode with diagonal pivots; any other in COLAMD's
-order with partial pivoting.  The factor's panels are one column wide
-unless the solve's first factor is dense (`WIDE_PANEL_MIN_FILL`).
-`linear_solve` recovers the eliminated updates and checks the whole update
-against the unreduced Jacobian.
+order with partial pivoting.  `linear_solve` recovers the eliminated
+updates and checks the whole update against the unreduced Jacobian.
 """
 
 from __future__ import annotations
@@ -118,18 +116,17 @@ class RunLedger:
 
 
 # SuperLU supernodes: no relaxation, because relaxed supernodes pad the
-# 2x2-block Jacobians with stored zeros.
+# 2x2-block Jacobians with stored zeros; one-column panels (see
+# `linear_solve`).
 SUPERLU_RELAX = 1
-# The factor entries per unknown above which a solve's factors use
-# four-column panels rather than one-column ones (see `linear_solve`).
-WIDE_PANEL_MIN_FILL = 100.0
+SUPERLU_PANEL_SIZE = 1
 # The stored share of the structural pattern, over the unknowns left after
 # the elimination, above which a window is swept: water flows through most
 # of what remains.  Below, COLAMD gains from the zero-mobility entries.
 SYMMETRIC_MIN_STORED = 0.55
 
 
-def linear_solve(jac, residual, symmetric=False, panel_size=1):
+def linear_solve(jac, residual, symmetric=False):
     """Direct sparse solve of J dy = -r with a relative-residual check;
     returns the update and the factor's stored entries (`SuperLU.nnz`).
 
@@ -137,9 +134,9 @@ def linear_solve(jac, residual, symmetric=False, panel_size=1):
     saturations are already eliminated, and the update of each is
     recovered after the solve.  `residual` and the returned update are
     the full, natural-numbered vectors, and the check is on the
-    unreduced J.  The factor uses unrelaxed supernodes (`SUPERLU_RELAX`)
-    and panels `panel_size` columns wide: by default in COLAMD's order
-    with partial pivoting; with `symmetric`, in the matrix's own
+    unreduced J.  The factor uses unrelaxed supernodes and one-column
+    panels (`SUPERLU_RELAX`, `SUPERLU_PANEL_SIZE`): by default in COLAMD's
+    order with partial pivoting; with `symmetric`, in the matrix's own
     numbering in symmetric mode, pivoting on the diagonal unless it is
     below 0.01 of its column's largest entry.
 
@@ -151,8 +148,9 @@ def linear_solve(jac, residual, symmetric=False, panel_size=1):
     leaves the fill as it is.  Against four-column panels, one-column
     ones factor the benchmark prefixes' Jacobians, at 17-70 factor
     entries per unknown, 4-21% faster, and static-dd's first window, at
-    73-78, 3-13% faster; static-dd's later, swept windows, at 150-190,
-    they factor 11-45% slower.  Hence `WIDE_PANEL_MIN_FILL`.
+    73-78, 3-13% faster.  On the desk static-dd's later, swept windows,
+    at 150-190, they are 11-45% slower; no benchmark workload has
+    factors that dense, so one width serves every window.
     """
     path = {}
     if symmetric:
@@ -160,7 +158,7 @@ def linear_solve(jac, residual, symmetric=False, panel_size=1):
                     options={"SymmetricMode": True})
     try:
         lu = spla.splu(jac.matrix, relax=SUPERLU_RELAX,
-                       panel_size=panel_size, **path)
+                       panel_size=SUPERLU_PANEL_SIZE, **path)
         x = lu.solve(-jac._reduce(residual))
     except (RuntimeError, ValueError) as exc:
         raise SingularMatrix(str(exc)) from exc
@@ -186,9 +184,7 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
     `start` is its `linearize`, if the caller already has it.  A state
     that already satisfies the tolerance returns after zero update
     iterations.  If the first linearization is swept, every Jacobian of
-    the solve is factored on the symmetric path.  The first factor has
-    one-column panels, and so do the others unless it stores more than
-    `WIDE_PANEL_MIN_FILL` entries per unknown.
+    the solve is factored on the symmetric path.
     """
     t0 = time.perf_counter()
     window, model = terms.window, terms.model
@@ -210,13 +206,9 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
             break
         if k == 0:          # the factor path of every solve
             symmetric = bool(sys_.stored_share > SYMMETRIC_MIN_STORED)
-            panel = 1
         jac, r_y = sys_.jacobian(), sys_.r_y
         del sys_                # freed before the factor
-        dy, nnz = linear_solve(jac, r_y, symmetric=symmetric,
-                               panel_size=panel)
-        if k == 0 and nnz > WIDE_PANEL_MIN_FILL * jac.matrix.shape[0]:
-            panel = 4
+        dy, nnz = linear_solve(jac, r_y, symmetric=symmetric)
         lu_nnz += nnz
         del jac                 # freed before the next linearization
         dp, ds = dy[0::2], dy[1::2]

@@ -482,9 +482,9 @@ class TestFactorPath:
         paths = []
         real = stdd.solver.linear_solve
 
-        def recorded(jacobian, residual, symmetric=False, **kwargs):
+        def recorded(jacobian, residual, symmetric=False):
             paths.append(symmetric)
-            return real(jacobian, residual, symmetric=symmetric, **kwargs)
+            return real(jacobian, residual, symmetric=symmetric)
 
         monkeypatch.setattr(stdd.solver, "linear_solve", recorded)
         _, entry = newton_solve_window(terms, *trace, NewtonConfig())
@@ -511,10 +511,9 @@ class TestFactorPath:
             systems.append(real_linearize(*a))
             return systems[-1]
 
-        def solved(jacobian, residual, symmetric=False, **kwargs):
+        def solved(jacobian, residual, symmetric=False):
             assert not symmetric
-            dy, fill = real_solve(jacobian, residual, symmetric=symmetric,
-                                  **kwargs)
+            dy, fill = real_solve(jacobian, residual, symmetric=symmetric)
             # the blocks that the fill dropped are rebuilt on this read
             ref = spla.splu(full_jacobian(systems[-1])).solve(-residual)
             errors.append(np.max(np.abs(dy - ref)) / np.max(np.abs(ref)))
@@ -526,40 +525,6 @@ class TestFactorPath:
         assert entry.norms[-1] <= 1e-6
         assert len(errors) == entry.iterations > 1
         assert max(errors) <= 1e-10
-
-    @pytest.mark.parametrize("least, wide", [(float("inf"), 1), (0.0, 4)])
-    def test_panel_width_follows_the_first_fill(self, monkeypatch, least,
-                                                wide):
-        """A solve's first factor has one-column panels, and the others
-        four-column ones only if that factor stores more than
-        `WIDE_PANEL_MIN_FILL` entries per unknown.  The width does not
-        change the fill."""
-        w = test_assembly.fine_box_window()
-        n = w.n_spatial
-        terms = window_terms(w, props(n), corner_wells(n, rate=0.05),
-                             nonlinear_model())
-        factors = []
-
-        class Spla:
-            def __getattr__(self, name):
-                return getattr(spla, name)
-
-            def splu(self, a, **kwargs):
-                lu = spla.splu(a, **kwargs)
-                other = dict(kwargs, panel_size=5 - kwargs["panel_size"])
-                factors.append((kwargs["panel_size"], lu.nnz,
-                                spla.splu(a, **other).nnz))
-                return lu
-
-        monkeypatch.setattr(stdd.solver, "spla", Spla())
-        monkeypatch.setattr(stdd.solver, "WIDE_PANEL_MIN_FILL", least)
-        _, entry = newton_solve_window(terms, np.full(n, 1000.0),
-                                       np.full(n, 0.2), NewtonConfig())
-        assert entry.norms[-1] <= 1e-6
-        widths = [p for p, _, _ in factors]
-        assert widths == [1] + [wide] * (entry.iterations - 1)
-        assert len(widths) > 2
-        assert all(a == b for _, a, b in factors)
 
 
 run_module = importlib.import_module("stdd.run")
