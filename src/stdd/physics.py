@@ -212,10 +212,16 @@ class FluidRockModel:
         rho_c, drho_c = rho
         half = 0.5 / self.fluid.viscosity(phase)
         kr_up = kr.take(up)
-        rho_face = half * (rho_c.take(left) + rho_c.take(right))
+        rho_face = self.face_density(phase, left, right, rho_c)
         return (rho_face * kr_up, rho_face * dkr.take(up),
                 half * drho_c.take(left) * kr_up,
                 half * drho_c.take(right) * kr_up, up_left)
+
+    def face_density(self, phase, left, right, rho):
+        """Per face, the mean of the per-cell density `rho` of cells
+        `left` and `right`, over the phase's viscosity."""
+        half = 0.5 / self.fluid.viscosity(phase)
+        return half * (rho.take(left) + rho.take(right))
 
 
 def property_curves(model: FluidRockModel, n: int = 81):

@@ -6,6 +6,10 @@ form; above tolerance, fill the reduced Jacobian, solve it directly and
 update.  `stdd.run` marches the windows.  Each solve, converged or not,
 is one `LedgerEntry`, and `RunLedger` sums the run's costs over them all.
 
+Newton's Jacobian is exact but for the front slope
+(`stdd.assembly.CellSystem.newton_blocks`); the residual and the tolerance
+are exact, so a converged state meets the exact equations.
+
 The Jacobian fill (`CellSystem.jacobian`) eliminates the local saturations
 exactly: those whose row and column stay in their cell's 2x2 block, as they
 do ahead of the front, where water is immobile.  Every Jacobian is filled
@@ -16,7 +20,8 @@ more than `SYMMETRIC_MIN_STORED` of its structural pattern over the
 remaining unknowns (`CellSystem.stored_share`), is factored in that
 numbering in symmetric mode with diagonal pivots; any other in COLAMD's
 order with partial pivoting.  `linear_solve` recovers the eliminated
-updates and checks the whole update against the unreduced Jacobian.
+updates and checks the whole update against the unreduced Jacobian that
+Newton factors.
 """
 
 from __future__ import annotations

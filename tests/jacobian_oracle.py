@@ -3,7 +3,8 @@ local saturations: the oracles of the elimination tests.
 
 `stdd.assembly.CellSystem.jacobian` finds and eliminates the local
 saturations on the block values while it fills the matrix; these helpers
-rebuild what it leaves out.
+rebuild what it leaves out.  `full_jacobian` assembles the exact
+Jacobian, and `newton_jacobian` the one that Newton factors.
 """
 
 from __future__ import annotations
@@ -12,27 +13,35 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def full_jacobian(sys_):
+def full_jacobian(sys_, vals=None):
     """The unreduced Jacobian of the linearization `sys_` as CSC in the
     natural numbering, with no stored zeros, assembled entry by entry
-    from its blocks: entry e of the block at (row cell i, column cell j)
-    sits at row 2i + e // 2 and column 2j + e % 2."""
+    from its blocks `vals`, by default the exact `sys_.blocks`: entry e
+    of the block at (row cell i, column cell j) sits at row 2i + e // 2
+    and column 2j + e % 2."""
     w = sys_.window
     rows, cols = w.jacobian_blocks()
     e = np.arange(4)[:, None]
+    vals = sys_.blocks if vals is None else vals
     jac = sp.coo_matrix(
-        (sys_.blocks.ravel(),
+        (vals.ravel(),
          ((2 * rows + e // 2).ravel(), (2 * cols + e % 2).ravel())),
         shape=(w.n_y, w.n_y)).tocsc()
     jac.eliminate_zeros()
     return jac
 
 
+def newton_jacobian(sys_):
+    """`full_jacobian` of the blocks that Newton factors, with the front
+    slope (`sys_.newton_blocks`)."""
+    return full_jacobian(sys_, sys_.newton_blocks)
+
+
 def window_jacobian(sys_):
-    """`full_jacobian(sys_)` in the window's numbering: its row and
+    """`newton_jacobian(sys_)` in the window's numbering: its row and
     column k is natural unknown `jacobian_pattern.unknowns[k]`."""
     u = sys_.window.jacobian_pattern.unknowns
-    jac = full_jacobian(sys_)[u][:, u].tocsc()
+    jac = newton_jacobian(sys_)[u][:, u].tocsc()
     jac.sort_indices()
     return jac
 

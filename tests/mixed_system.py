@@ -82,7 +82,7 @@ def face_wise_linearize(terms, state):
     _add_divergence(terms.window, fc.oil[0] * fc.ut_o, fc.water[0] * fc.ut_w,
                     r_t, r_w)
     r_y, r_norm = _rows(terms, r_t, r_w)
-    return CellSystem(terms, r_y, r_norm, own, prev, fc)
+    return CellSystem(terms, r_y, r_norm, own, prev, fc, rho[WATER][0])
 
 
 def n_dofs(window):

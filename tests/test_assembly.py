@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import stdd.assembly
 from jacobian_oracle import full_jacobian, window_jacobian
 from mixed_system import (assemble, face_wise_linearize, n_dofs,
                           schur_reduce, upwind_mobility)
-from stdd.assembly import (CellProperties, ResolvedWells, StateField,
-                           linearize, window_terms)
+from stdd.assembly import (FRONT_KRW_SLOPE, CellProperties, ResolvedWells,
+                           StateField, linearize, window_terms)
 from stdd.errors import MissingPrevTrace, ZeroPermeability
 from stdd.mesh import Subdomain, build_window
-from stdd.physics import (BETA_C, BrooksCoreyModel, FluidModel,
+from stdd.physics import (BETA_C, WATER, BrooksCoreyModel, FluidModel,
                           FluidRockModel)
 
 
@@ -543,6 +544,124 @@ class TestPerCellClosures:
                              m)
         assert len(terms.a) == other.n_faces != w.n_faces
         assert terms.window is other
+
+
+class TestFrontSlope:
+    """Newton's Jacobian with the front slope: the exact one but for the
+    water saturation entries of the faces whose upwind cell is a front
+    cell."""
+
+    @staticmethod
+    def front_state(window, seed):
+        """A random state in which about half of the cells are dry, at,
+        below or just above s_wirr, next to wet ones, and a block of
+        cells at one pressure, whose faces carry no flux without
+        capillarity (ut == 0 ties)."""
+        rng = np.random.default_rng(seed)
+        state = random_state(window, seed)
+        n = window.n_st
+        dry = rng.random(n) < 0.5
+        state.s[dry] = rng.choice([0.2, 0.15, 0.2 + 1e-4], n)[dry]
+        state.p[:max(2, n // 3)] = 1000.0
+        return state
+
+    @staticmethod
+    def expected_change(terms, state):
+        """The dense change that the front slope makes to the exact
+        Jacobian, found apart from the program: a front cell's k_rw slope
+        is below the floor while some face brings it water from a cell
+        with k_rw > 0; on each face it is upwind of, the derivative of
+        the water flux out of the face's left cell and into its right one
+        against its saturation gains ut_w * rho_face * (floor - dk_rw)."""
+        w, m = terms.window, terms.model
+        cl, cr = w.faces.c_left, w.faces.c_right
+        kr, dkr = m.relcap.krw(state.s)
+        pc = m.pc(state.s)[0]
+        ut = ((state.p[cl] - pc[cl]) - (state.p[cr] - pc[cr])) / terms.a
+        up = np.where(ut > 0, cl, cr)
+        down = np.where(ut > 0, cr, cl)
+        front = np.zeros(w.n_st, dtype=bool)
+        front[down[(ut != 0) & (kr[up] > 0)]] = True
+        front &= dkr < FRONT_KRW_SLOPE
+        rho = m.fluid.density(WATER, state.p)[0]
+        change = np.zeros((w.n_y, w.n_y))
+        faces = np.flatnonzero(front[up])
+        for f in faces:
+            rho_face = 0.5 * (rho[cl[f]] + rho[cr[f]]) / m.fluid.mu_w
+            d = ut[f] * rho_face * (FRONT_KRW_SLOPE - dkr[up[f]])
+            col = 2 * up[f] + 1
+            change[[2 * cl[f], 2 * cl[f] + 1], col] += d
+            change[[2 * cr[f], 2 * cr[f] + 1], col] -= d
+        return change, len(faces)
+
+    @pytest.mark.parametrize("make", [uniform_window, fine_box_window,
+                                      time_refined_window])
+    @pytest.mark.parametrize("kind", ["capillarity", "no-capillarity"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_only_front_faces_change(self, make, kind, seed):
+        w = make()
+        _, props, wells = TestDirectJacobian.case(w, seed)
+        terms = window_terms(w, props, wells, MODELS[kind]())
+        state = self.front_state(w, seed)
+        sys_ = linearize(terms, state)
+        exact = full_jacobian(sys_).toarray()
+        newton = full_jacobian(sys_, sys_.newton_blocks).toarray()
+        change, n_faces = self.expected_change(terms, state)
+        assert n_faces > 0
+        assert not np.any((newton != exact) & (change == 0.0))
+        assert np.max(np.abs(newton - exact - change)) <= \
+            1e-13 * np.max(np.abs(exact))
+        # pressure columns stay bit for bit
+        assert np.array_equal(sys_.newton_blocks[[0, 2]],
+                              sys_.blocks[[0, 2]])
+
+    @pytest.mark.parametrize("make", [uniform_window, fine_box_window,
+                                      time_refined_window])
+    def test_residual_bitwise_unchanged(self, make, monkeypatch):
+        """The residual does not see the floor: the same bits with the
+        floor off, and after Newton's Jacobian is filled; with the floor
+        off, Newton's blocks are the exact ones."""
+        w = make()
+        _, props, wells = TestDirectJacobian.case(w, 1)
+        terms = window_terms(w, props, wells, model())
+        state = self.front_state(w, 1)
+        sys_ = linearize(terms, state)
+        r_y, r_norm = sys_.r_y.copy(), sys_.r_norm.copy()
+        assert not np.array_equal(sys_.newton_blocks, sys_.blocks)
+        sys_.jacobian()
+        assert np.array_equal(sys_.r_y, r_y)
+        assert np.array_equal(sys_.r_norm, r_norm)
+        monkeypatch.setattr(stdd.assembly, "FRONT_KRW_SLOPE", 0.0)
+        off = linearize(terms, state)
+        assert np.array_equal(off.r_y, r_y)
+        assert np.array_equal(off.r_norm, r_norm)
+        assert np.array_equal(off.newton_blocks, off.blocks)
+
+    def test_dry_cell_without_inflow_stays_local(self, monkeypatch):
+        """Water flows east along a line from cell 0.  Cell 1 is the front
+        cell, and cell 2's water row sees its saturation; cells 3-5, at
+        s_wirr and taking in no water, stay local.  Without the floor
+        cell 2 is local too."""
+        w = line_window(n=6)
+        n = w.n_spatial
+        s = np.full(n, 0.2)
+        s[0] = 0.6
+        p = 1000.0 - 10.0 * np.arange(n)
+        terms = window_terms(w, uniform_props(n), ResolvedWells.none(n),
+                             model())
+        state = StateField.from_trace(w, p, s)
+        assert np.array_equal(linearize(terms, state).local, [3, 4, 5])
+        monkeypatch.setattr(stdd.assembly, "FRONT_KRW_SLOPE", 0.0)
+        assert np.array_equal(linearize(terms, state).local, [2, 3, 4, 5])
+
+    @pytest.mark.parametrize("make", [uniform_window, fine_box_window,
+                                      time_refined_window, line_window])
+    def test_constant_model_untouched(self, make):
+        w = make()
+        _, props, wells = TestDirectJacobian.case(w, 0)
+        terms = window_terms(w, props, wells, MODELS["constant"]())
+        sys_ = linearize(terms, self.front_state(w, 0))
+        assert np.array_equal(sys_.newton_blocks, sys_.blocks)
 
 
 class TestOrderedPattern:
