@@ -83,15 +83,26 @@ class StateField:
     trace_s: np.ndarray
 
     @classmethod
-    def from_trace(cls, window: SpaceTimeWindow, trace_p, trace_s):
-        """Warm start: replicate the entry trace across all time levels."""
+    def from_trace(cls, window: SpaceTimeWindow, trace_p, trace_s,
+                   delta_s=None):
+        """Warm start: replicate the entry trace across all time levels.
+
+        With `delta_s`, a saturation change over the whole window per
+        spatial cell, a level ending at t_k after the window's start
+        starts at trace_s + delta_s * t_k / delta_t instead, clipped into
+        [0, 1].  Pressure and the trace itself are unchanged."""
         trace_p = np.asarray(trace_p, dtype=float)
         trace_s = np.asarray(trace_s, dtype=float)
         if len(trace_p) != window.n_spatial or len(trace_s) != window.n_spatial:
             raise MissingPrevTrace(
                 f"trace covers {len(trace_p)} cells, window has {window.n_spatial}")
-        return cls(p=trace_p[window.st_spatial].copy(),
-                   s=trace_s[window.st_spatial].copy(),
+        sp = window.st_spatial
+        s = trace_s[sp]
+        if delta_s is not None:
+            elapsed = window.st_level * window.st_dt / window.delta_t
+            s = np.clip(s + np.asarray(delta_s, dtype=float)[sp] * elapsed,
+                        0.0, 1.0)
+        return cls(p=trace_p[sp], s=s,
                    trace_p=trace_p.copy(), trace_s=trace_s.copy())
 
 

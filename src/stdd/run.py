@@ -129,8 +129,9 @@ class Problem:
 
 
 def _predict(pb, ncfg, terms, prev, final, s_now):
-    """Identifier map of the next window, and the predictor solve's
-    `LedgerEntry`, converged or not.
+    """Identifier map of the next window, the predictor solve's
+    `LedgerEntry`, converged or not, and the trial's predicted (P, S)
+    change over the window per trial cell (None if the solve failed).
 
     The all-coarse trial window, whose `WindowTerms` are `terms`, is
     solved from the final level `final` of the window `prev` (or from the
@@ -153,12 +154,13 @@ def _predict(pb, ncfg, terms, prev, final, s_now):
     except NonConvergence as fail:
         # predictor failed: refine everywhere rather than guess
         big = np.full(pb.tiling.shape, pb.thresholds.theta_ds + 1.0)
-        return classify(eta, big, big.copy(), pb.thresholds), fail.entry
-    s_pred = pb.base.rasterize(trial, final_spatial(trial, sol)[1])
+        return classify(eta, big, big.copy(), pb.thresholds), fail.entry, None
+    p_end, s_end = final_spatial(trial, sol)
+    s_pred = pb.base.rasterize(trial, s_end)
     d_s_now, _ = delta_change(s_now, s_now, pb.tiling)
     d_s_pred, d_t = delta_change(s_now, s_pred, pb.tiling)
     return (classify(eta, np.maximum(d_s_now, d_s_pred), d_t, pb.thresholds),
-            entry)
+            entry, (p_end - tp, s_end - ts))
 
 
 def _escalate(idmap):
@@ -207,10 +209,12 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     predicted before the window (dynamic-dd) by a solve on the all-coarse
     trial window, which is built and mapped once.  The map is decomposed,
     and the window is solved by Newton from the previous window's final
-    level.  A window is built and mapped only when its decomposition
-    differs from the current window's; otherwise the current one is
-    solved again.  A predicted map that fails to converge is promoted
-    once and the window solved again; a fixed map is never promoted.
+    level; with a predicted map, its saturation starts moved by the
+    trial's predicted change, mapped onto the window as the trace is.  A
+    window is built and mapped only when its decomposition differs from
+    the current window's; otherwise the current one is solved again.  A
+    predicted map that fails to converge is promoted once and the window
+    solved again, from the same seed; a fixed map is never promoted.
     Every Newton solve, the predictor's and the failed ones included, goes
     into one `RunLedger`, and the summary's costs are its sums.
 
@@ -252,10 +256,10 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
 
     try:
         for widx in range(round(cfg.horizon / length)):
-            new_map = fixed
+            new_map, change = fixed, None
             if fixed is None:
-                new_map, solve = _predict(pb, ncfg, trial_terms, window,
-                                          final, s2d)
+                new_map, solve, change = _predict(pb, ncfg, trial_terms,
+                                                  window, final, s2d)
                 ledger.predictor.append(solve)
             if new_map is not idmap:
                 subs = decompose(new_map, pb.tiling, pb.table)
@@ -276,9 +280,15 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                 else:
                     trace = transfer_state(window, *final, new, base,
                                            pb.phi_base)
+                # Newton starts from the predicted saturation change,
+                # mapped as the trace is
+                delta_s = None
+                if change is not None:
+                    delta_s = transfer_state(trial, *change, new, base,
+                                             pb.phi_base)[1]
                 try:
-                    state, entry = newton_solve_window(new_terms, *trace,
-                                                       ncfg)
+                    state, entry = newton_solve_window(
+                        new_terms, *trace, ncfg, delta_s=delta_s)
                     break
                 except NonConvergence as fail:
                     ledger.failed.append(fail.entry)

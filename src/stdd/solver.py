@@ -180,20 +180,22 @@ def linear_solve(jac, residual, symmetric=False):
 
 
 def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
-                        start=None):
+                        start=None, delta_s=None):
     """Solve the window of `terms` (`WindowTerms`) to tolerance; returns
     (StateField, LedgerEntry), or raises `NonConvergence` with the failed
     solve's entry.
 
-    The initial guess replicates the entry trace across all time levels;
-    `start` is its `linearize`, if the caller already has it.  A state
-    that already satisfies the tolerance returns after zero update
-    iterations.  If the first linearization is swept, every Jacobian of
-    the solve is factored on the symmetric path.
+    The initial guess replicates the entry trace across all time levels,
+    its saturation moved linearly in time along `delta_s`, a predicted
+    change over the window per spatial cell, if given
+    (`StateField.from_trace`); `start` is its `linearize`, if the caller
+    already has it.  A state that already satisfies the tolerance returns
+    after zero update iterations.  If the first linearization is swept,
+    every Jacobian of the solve is factored on the symmetric path.
     """
     t0 = time.perf_counter()
     window, model = terms.window, terms.model
-    state = StateField.from_trace(window, trace_p, trace_s)
+    state = StateField.from_trace(window, trace_p, trace_s, delta_s)
     norms = []
     lu_nnz = 0              # SuperLU's stored entries over the solves
 

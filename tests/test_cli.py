@@ -154,11 +154,11 @@ class TestExitCodes:
         real = run_module.newton_solve_window
         calls = []
 
-        def fail_window_1(*args):
+        def fail_window_1(*args, **kwargs):
             calls.append(None)
             if len(calls) == 2:     # uniform-coarse: one solve a window
                 raise SingularMatrix("injected")
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(run_module, "newton_solve_window",
                             fail_window_1)

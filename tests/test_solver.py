@@ -13,6 +13,7 @@ import test_assembly
 from artifact_readers import read_ledger_csv
 from jacobian_oracle import (PlainJacobian, local_saturations,
                              newton_jacobian, window_jacobian)
+from stdd.adaptivity import decompose
 from stdd.assembly import (CellProperties, ResolvedWells, StateField,
                            linearize, window_terms)
 from stdd.config import preset
@@ -711,6 +712,137 @@ class TestMarch:
         assert len(set(keys)) == len(keys) > 0
 
 
+def seeded_calls(monkeypatch, fail_predictor=False):
+    """Per `newton_solve_window` call that `run()` makes from now on: the
+    trace and `delta_s` it was given and the returned state, or None if
+    it raised.  With `fail_predictor`, every solve of the all-coarse
+    trial gets one iteration, and fails."""
+    calls = []
+    real = run_module.newton_solve_window
+
+    def recorded(terms, trace_p, trace_s, cfg, *args, **kwargs):
+        trial = {s.identifier for s in terms.window.subdomains} == {4}
+        if fail_predictor and trial:
+            cfg = replace(cfg, max_iters=1)
+        call = {"trial": trial, "trace": (trace_p.copy(), trace_s.copy()),
+                "delta_s": kwargs.get("delta_s"), "state": None}
+        calls.append(call)
+        call["state"], entry = real(terms, trace_p, trace_s, cfg, *args,
+                                    **kwargs)
+        return call["state"], entry
+
+    monkeypatch.setattr(run_module, "newton_solve_window", recorded)
+    return calls
+
+
+class TestPredictedSeed:
+    """A predicted window's Newton starts from its trace plus the
+    predictor's saturation change, linear in time across its levels."""
+
+    @staticmethod
+    def trace(w, seed=0):
+        rng = np.random.default_rng(seed)
+        n = w.n_spatial
+        return 1000.0 + 50.0 * rng.random(n), 0.2 + 0.6 * rng.random(n)
+
+    @pytest.mark.parametrize("make", [test_assembly.uniform_window,
+                                      test_assembly.fine_box_window,
+                                      test_assembly.time_refined_window])
+    def test_zero_change_is_the_trace_start(self, make):
+        w = make()
+        p, s = self.trace(w)
+        plain = StateField.from_trace(w, p, s)
+        seeded = StateField.from_trace(w, p, s, np.zeros(w.n_spatial))
+        for name in ("p", "s", "trace_p", "trace_s"):
+            assert (getattr(seeded, name).tobytes()
+                    == getattr(plain, name).tobytes()), name
+
+    def test_each_level_moves_with_its_end_time(self):
+        """Coarse cells' two levels end at 1/2 and 1, the fine box's four
+        at 1/4 ... 1: each starts at trace + change * t_k / delta_t,
+        clipped into [0, 1]."""
+        w = test_assembly.fine_box_window()
+        p, s = self.trace(w, 1)
+        change = np.random.default_rng(2).uniform(-1.0, 1.0, w.n_spatial)
+        state = StateField.from_trace(w, p, s, change)
+        assert {s_.dt for s_ in w.subdomains} == {0.5, 0.25}
+        clipped = 0
+        for c in range(w.n_spatial):
+            levels = np.flatnonzero(w.st_spatial == c)   # in time order
+            n = len(levels)
+            assert n in (2, 4)
+            for k, st in enumerate(levels, start=1):
+                guess = s[c] + change[c] * k / n
+                clipped += not 0.0 <= guess <= 1.0
+                assert state.s[st] == pytest.approx(
+                    min(max(guess, 0.0), 1.0), abs=1e-15)
+                assert state.p[st] == p[c]
+        assert clipped > 0
+
+    def test_trace_is_kept_bitwise(self):
+        w = test_assembly.time_refined_window()
+        p, s = self.trace(w, 3)
+        state = StateField.from_trace(w, p, s, np.full(w.n_spatial, 0.5))
+        assert state.trace_p.tobytes() == p.tobytes()
+        assert state.trace_s.tobytes() == s.tobytes()
+        fin = w.final_level_cells()
+        np.testing.assert_allclose(
+            state.s[fin], np.minimum(s[w.st_spatial[fin]] + 0.5, 1.0),
+            rtol=0.0, atol=1e-15)
+
+    def test_run_seeds_main_windows_only(self, tmp_path, monkeypatch):
+        """On the toy `dynamic-dd` run the predictor starts from its
+        trace, each main window from its transferred trace moved by the
+        mapped change; every converged state keeps that trace bitwise, so
+        accumulation and mass see the trace."""
+        calls = seeded_calls(monkeypatch)
+        summary = run(replace(preset("toy"), horizon=4.0), tmp_path,
+                      emit_vtk=False)
+        assert [c["trial"] for c in calls] == [True, False] * 2
+        for c in calls:
+            assert (c["delta_s"] is None) == c["trial"]
+            for given, kept in zip(c["trace"], (c["state"].trace_p,
+                                                c["state"].trace_s)):
+                assert kept.tobytes() == given.tobytes()
+        main = [c for c in calls if not c["trial"]]
+        assert all(len(c["delta_s"]) == len(c["trace"][1]) for c in main)
+        assert any(np.max(np.abs(c["delta_s"])) > 0.01 for c in main)
+        assert summary["mass_balance"]["relative_error"] <= 1e-5
+
+    def test_failed_predictor_gives_no_seed(self, tmp_path, monkeypatch):
+        """A predictor that raises `NonConvergence` refines every tile and
+        hands the window no change: it starts from its trace."""
+        cfg = preset("toy")
+        pb = run_module.Problem(cfg)
+        trial = build_window(
+            decompose(pb.constant_idmap(4), pb.tiling, pb.table),
+            cfg.window_length, cfg.reservoir, dz=cfg.dz)
+        s_now = np.full(pb.base.shape, cfg.initial_saturation)
+        _, entry, change = run_module._predict(
+            pb, NewtonConfig(max_iters=1), pb.maps(trial), None, None, s_now)
+        assert entry.iterations == 1 and change is None
+
+        calls = seeded_calls(monkeypatch, fail_predictor=True)
+        summary = run(replace(cfg, horizon=2.0), tmp_path, emit_vtk=False)
+        assert [c["trial"] for c in calls] == [True, False]
+        assert calls[0]["state"] is None
+        assert calls[1]["delta_s"] is None
+        assert summary["predictor_cost"] > 0
+
+    @pytest.mark.parametrize("mode, iterations, cost", [
+        ("uniform-fine", 106, 84_800), ("uniform-coarse", 21, 672),
+        ("static-dd", 54, 172_800)])
+    def test_fixed_maps_keep_their_counts(self, tmp_path, monkeypatch, mode,
+                                          iterations, cost):
+        """Fixed maps have no predictor, so no seed: their counts are
+        those from before the seed."""
+        calls = seeded_calls(monkeypatch)
+        summary = run(replace(preset("toy"), mode=mode), tmp_path,
+                      emit_vtk=False)
+        assert all(c["delta_s"] is None for c in calls)
+        assert summary["iterations"] == iterations
+        assert summary["cost_metric"] == cost
+
 
 def solved_dofs(monkeypatch):
     """The reduced DOFs of every `linear_solve` made from now on."""
@@ -822,8 +954,9 @@ class TestNewtonConfigValidation:
 
 class TestNewtonCounts:
     """Counts that a change to the linear solves must not move.  A change
-    to the Jacobian that Newton factors moves them, and is re-pinned on
-    purpose: the front slope took this one from 20 iterations to 14."""
+    to the Jacobian that Newton factors, or to its start, moves them, and
+    is re-pinned on purpose: the front slope took the first day from 20
+    iterations to 14."""
 
     def test_uniform_fine_first_day(self, tmp_path):
         """The desk `uniform-fine` run's first window (13,200 cells,
@@ -836,13 +969,25 @@ class TestNewtonCounts:
         assert summary["iterations"] == 14
         assert summary["cost_metric"] == 369_600
 
+    def test_dynamic_dd_prefix(self, tmp_path):
+        """The benchmark's 8-day `dynamic-dd` prefix on field 7.  Each main
+        window starts from its trace plus the predictor's saturation
+        change, which took it from 71 iterations (cost 329,006) to 46."""
+        cfg = replace(preset("dynamic-dd"), horizon=8.0)
+        assert cfg.permeability == {"kind": "channelized", "seed": 7}
+        summary = run(cfg, tmp_path, emit_vtk=False)
+        assert summary["windows"] == 4
+        assert summary["failed_cost"] == 0
+        assert summary["iterations"] == 46
+        assert summary["cost_metric"] == 217_580
+
 
 class TestChannelizedPrefix:
-    """The 8-day `dynamic-dd` prefix on the channelized seeds whose window
-    0 failed even after its escalation before Newton's Jacobian took the
-    front slope."""
+    """The 8-day `dynamic-dd` prefix on channelized seeds 0-9.  Window 0
+    of seeds 2, 3 and 5 failed even after its escalation before Newton's
+    Jacobian took the front slope."""
 
-    @pytest.mark.parametrize("seed", [2, 3, 5])
+    @pytest.mark.parametrize("seed", range(10))
     def test_converges_without_a_failed_attempt(self, tmp_path, seed):
         cfg = preset("dynamic-dd")
         cfg = replace(cfg, horizon=8.0,
