@@ -12,12 +12,12 @@ Run:  python demos/03_upscaling.py
 
 import numpy as np
 
-from stdd.adaptivity import upscale_permeability
+from stdd.adaptivity import upscale_blocks
 from stdd.permfields import channelized_field, gaussian_field
 
 
 def report(name, k, direction="x"):
-    eff = upscale_permeability(k, 0.5, 0.5, direction)
+    eff = upscale_blocks(k[None], 0.5, 0.5, direction)[0]
     harm = k.size / np.sum(1.0 / k)
     arith = np.mean(k)
     # relative slack: a block that hits a bound matches it to round-off

@@ -277,13 +277,6 @@ def transfer_state(old_window, final_p, final_s, new_window, base: BaseGrid,
             base.average_to(new_window, s_base, pv))
 
 
-def upscale_permeability(k_block, hx, hy, direction, method="flow"):
-    """Effective directional permeability of one block of fine cells:
-    `upscale_blocks` of a stack of one."""
-    k = np.asarray(k_block, dtype=float)
-    return float(upscale_blocks(k[None], hx, hy, direction, method)[0])
-
-
 def upscale_blocks(k_blocks, hx, hy, direction, method="flow"):
     """Effective directional permeability of each of a stack of blocks.
 

@@ -29,7 +29,8 @@ factored, in the numbering of the window's one pattern
 its row and its column stay in the cell's own block, as ahead of the
 front, where water is immobile; the fill finds these on the block values
 and eliminates each exactly through its 1x1 pivot before the matrix is
-built (`ReducedJacobian`).
+built (`ReducedJacobian`), which keeps Newton's blocks for the check of
+each update.
 """
 
 from __future__ import annotations
@@ -275,8 +276,9 @@ class ReducedJacobian:
     column k is unknown `unknowns[k]` of the natural numbering.  Cell
     `local[i]`'s saturation was eliminated with its pivot `a_ss[i]`, its
     (p, s) entry over the pivot `a_ps[i]` and its (s, p) entry `a_sp[i]`.
-    `unreduced` is the whole Jacobian in the window's numbering, whose row
-    and column k is unknown `numbering[k]`.
+    The whole Jacobian is kept as Newton's 2x2 blocks: column k of
+    `blocks` holds the block at (row cell `rows[k]`, column cell
+    `cols[k]`), row e its entry e.
     """
 
     matrix: sp.csc_matrix
@@ -285,13 +287,23 @@ class ReducedJacobian:
     a_ss: np.ndarray
     a_ps: np.ndarray
     a_sp: np.ndarray
-    unreduced: sp.csc_matrix = field(repr=False)
-    numbering: np.ndarray = field(repr=False)
+    blocks: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
 
     @property
     def nnz(self):
         """The stored entries of the matrix that is factored."""
         return self.matrix.nnz
+
+    @property
+    def stored_share(self):
+        """The stored share of the structural pattern over the unknowns
+        that remain: `nnz` over the pattern's entries in the kept rows
+        and columns."""
+        kept = np.full((self.matrix.shape[0] + len(self.local)) // 2, 2)
+        kept[self.local] = 1
+        return self.nnz / np.dot(kept.take(self.rows), kept.take(self.cols))
 
     def _reduce(self, r):
         """The residual `r` of J dy = -r folded onto the remaining
@@ -312,15 +324,18 @@ class ReducedJacobian:
         return dy
 
     def _dot(self, dy):
-        """The unreduced Jacobian times the natural-numbered `dy`."""
+        """The whole Jacobian times the natural-numbered `dy`, block by
+        block."""
+        v, n = self.blocks, len(dy) // 2
+        dp, ds = dy[0::2].take(self.cols), dy[1::2].take(self.cols)
         out = np.empty(len(dy))
-        out[self.numbering] = self.unreduced @ dy.take(self.numbering)
+        out[0::2] = np.bincount(self.rows, v[0] * dp + v[1] * ds, n)
+        out[1::2] = np.bincount(self.rows, v[2] * dp + v[3] * ds, n)
         return out
 
 
 # The k_rw slope that Newton's Jacobian gives a front cell
-# (`CellSystem._front_slope`).  On the benchmark prefixes 0.003 and 0.03
-# take 2-12% more iterations than 0.01, and 0.1 50-100% more.
+# (`CellSystem._front_slope`).
 FRONT_KRW_SLOPE = 0.01
 
 
@@ -448,52 +463,35 @@ class CellSystem:
         local[w.faces.c_right[ll[2] | ll[3] | lr[1] | lr[3]]] = False
         return np.flatnonzero(local)
 
-    @property
-    def stored_share(self):
-        """The stored share of the window's structural pattern in the
-        matrix that `jacobian` fills, over the unknowns that remain: each
-        local saturation takes its diagonal and its (p, s) and (s, p)
-        entries out, and its cell's pressure diagonal stays stored."""
-        w, vals, local = self.window, self.newton_blocks, self.local
-        stored = (np.count_nonzero(vals) - len(local)
-                  - np.count_nonzero(vals[1:3].take(local, axis=1)))
-        unknowns = np.full(w.n_st, 2)
-        unknowns[local] = 1
-        rows, cols = w.jacobian_blocks()
-        return stored / np.dot(unknowns[rows], unknowns[cols])
-
     def jacobian(self):
         """The `ReducedJacobian`, filled into the window's
         `jacobian_pattern`.
 
         Each local saturation is eliminated exactly in the fill: its 1x1
         pivot a_ss folds a_ps a_sp / a_ss into its cell's pressure
-        diagonal, which adds no fill, and its three entries are zeroed.
-        The zeros (those, an upwind side, a zero mobility) are then
-        dropped, as they would otherwise be stored and slow the
-        factorization, and the remaining rows renumbered.  The cached
-        `newton_blocks` are dropped once filled, and recomputed if read
+        diagonal, which adds no fill, and its three entries are zeroed in
+        the gathered block values.  The zeros (those, an upwind side, a
+        zero mobility) are then dropped, as they would otherwise be stored
+        and slow the factorization, and the remaining rows renumbered.
+        The blocks themselves go to the `ReducedJacobian` for its check;
+        the cached `newton_blocks` are dropped, and recomputed if read
         again.
         """
         w = self.window
         pat = w.jacobian_pattern
-        shape = (w.n_y, w.n_y)
         vals = self.newton_blocks
-        full = vals.ravel().take(pat.entry)
-        unreduced = sp.csc_matrix((full, pat.indices, pat.indptr),
-                                  shape=shape)
+        data = vals.ravel().take(pat.entry)
         local = self.local
         # the local pivots, from the cells' own blocks
         a_pp, a_ps, a_sp, a_ss = vals.take(local, axis=1)
         self.__dict__.pop("newton_blocks")
         at = pat.own.take(local, axis=1)
         a_ps = a_ps / a_ss
-        data = full.copy()
         data[at[0]] = a_pp - a_ps * a_sp
         data[at[1:]] = 0.0
         # this compacts the index arrays in place, hence their copies
         jac = sp.csc_matrix((data, pat.indices.copy(), pat.indptr.copy()),
-                            shape=shape)
+                            shape=(w.n_y, w.n_y))
         jac.eliminate_zeros()
         # the local saturations' rows and columns are empty now
         dropped = np.zeros(w.n_y, dtype=bool)
@@ -506,7 +504,7 @@ class CellSystem:
              jac.indptr.take(np.append(keep, w.n_y))),
             shape=(len(keep), len(keep)))
         return ReducedJacobian(matrix, pat.unknowns.take(keep), local,
-                               a_ss, a_ps, a_sp, unreduced, pat.unknowns)
+                               a_ss, a_ps, a_sp, vals, *w.jacobian_blocks)
 
 
 def linearize(terms, state):

@@ -316,8 +316,6 @@ def _ini_dict(cp):
                     sub[k] = v
                 elif k in ("seed", "max_iters", "n_channels"):
                     sub[k] = int(v)
-                elif k == "damping":
-                    sub[k] = _parse_bool(v)
                 else:
                     sub[k] = float(v)
             d[section] = sub

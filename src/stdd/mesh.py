@@ -22,8 +22,9 @@ A face is its axis and its two space-time cells; its spatial cells, cell
 extents, cross-section and time slab all follow from the window's cell
 arrays, and so do the interface bundles.
 
-A window keeps one CSC pattern of its Jacobian (`jacobian_pattern`),
-built on first use from the structure alone, with the cells numbered in
+A window keeps the cells of its Jacobian's 2x2 blocks (`jacobian_blocks`)
+and one CSC pattern of the Jacobian (`jacobian_pattern`), both built on
+first use from the structure alone, the pattern with the cells numbered in
 the minimum-degree order of their graph (`minimum_degree_order`).  Windows
 of one decomposition and length are equal, so a run solves consecutive
 windows of one decomposition on the same window object, pattern included.
@@ -289,9 +290,10 @@ class SpaceTimeWindow:
                 ))
         return tuple(out)
 
+    @cached_property
     def jacobian_blocks(self):
         """(row cell, column cell) of every 2x2 block of the flux-eliminated
-        Jacobian.
+        Jacobian, computed on first read.
 
         The blocks are, in order: each cell against itself, each cell with
         a previous level against that level, each face's left cell against
@@ -301,15 +303,18 @@ class SpaceTimeWindow:
         hp = np.nonzero(self.st_prev >= 0)[0]
         cl, cr = self.faces.c_left, self.faces.c_right
         c = np.arange(self.n_st)
-        return (np.concatenate([c, hp, cl, cr]),
-                np.concatenate([c, self.st_prev[hp], cr, cl]))
+        blocks = (np.concatenate([c, hp, cl, cr]),
+                  np.concatenate([c, self.st_prev[hp], cr, cl]))
+        for a in blocks:
+            a.setflags(write=False)
+        return blocks
 
     @cached_property
     def jacobian_pattern(self):
         """The Jacobian's CSC pattern, its cells numbered in the
         minimum-degree order of the graph whose edges are the blocks; a
         cell's p and s unknowns stay adjacent."""
-        rows, cols = self.jacobian_blocks()
+        rows, cols = self.jacobian_blocks
         return _block_pattern(rows, cols,
                               minimum_degree_order(self.n_st, rows, cols))
 

@@ -15,13 +15,13 @@ exactly: those whose row and column stay in their cell's 2x2 block, as they
 do ahead of the front, where water is immobile.  Every Jacobian is filled
 in the window's one cell numbering, minimum degree, and SuperLU factors
 what remains with one of two sets of options, chosen per Newton solve by
-its first linearization.  A swept Jacobian, whose remaining system stores
-more than `SYMMETRIC_MIN_STORED` of its structural pattern over the
-remaining unknowns (`CellSystem.stored_share`), is factored in that
-numbering in symmetric mode with diagonal pivots; any other in COLAMD's
-order with partial pivoting.  `linear_solve` recovers the eliminated
-updates and checks the whole update against the unreduced Jacobian that
-Newton factors.
+its first Jacobian.  A swept Jacobian, whose remaining matrix stores more
+than `SYMMETRIC_MIN_STORED` of its structural pattern
+(`ReducedJacobian.stored_share`), is factored in that numbering in
+symmetric mode with diagonal pivots; any other in COLAMD's order with
+partial pivoting.  `linear_solve` recovers the eliminated updates and
+checks the whole update against the Jacobian that Newton factors, on its
+2x2 blocks.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ import scipy.sparse.linalg as spla
 from .assembly import StateField, linearize
 from .errors import NonConvergence, SingularMatrix
 
-# Damping halves a step at most this many times.
-MAX_HALVINGS = 4
-# A linear solve fails when |J dy + r| exceeds 1e4 x this x |r|.
-LINEAR_TOL = 1.0e-10
+# |J dy + r| ≤ LINEAR_TOL · max|r|
+LINEAR_TOL = 1.0e-6
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,6 @@ class NewtonConfig:
 
     tol: float = 1.0e-6        # on the max norm of the normalized residual
     max_iters: int = 60
-    damping: bool = False      # halve the step while the norm increases
     max_ds: float = 0.2        # per-cell saturation step cap (0 disables)
 
     def __post_init__(self):
@@ -57,8 +54,6 @@ class NewtonConfig:
         if not (isinstance(self.max_iters, numbers.Integral)
                 and _number(self.max_iters) and self.max_iters >= 1):
             raise ValueError("max_iters must be an integer >= 1")
-        if not isinstance(self.damping, bool):
-            raise ValueError("damping must be true or false")
         if not (_number(self.max_ds) and self.max_ds >= 0):
             raise ValueError("max_ds must be a non-negative number")
 
@@ -120,9 +115,8 @@ class RunLedger:
         return rows
 
 
-# SuperLU supernodes: no relaxation, because relaxed supernodes pad the
-# 2x2-block Jacobians with stored zeros; one-column panels (see
-# `linear_solve`).
+# SuperLU: unrelaxed supernodes, which store no padding zeros in the 2x2
+# block Jacobians, and one-column panels for every window.
 SUPERLU_RELAX = 1
 SUPERLU_PANEL_SIZE = 1
 # The stored share of the structural pattern, over the unknowns left after
@@ -138,24 +132,13 @@ def linear_solve(jac, residual, symmetric=False):
     `jac` is a `ReducedJacobian`: SuperLU factors its matrix, whose local
     saturations are already eliminated, and the update of each is
     recovered after the solve.  `residual` and the returned update are
-    the full, natural-numbered vectors, and the check is on the
-    unreduced J.  The factor uses unrelaxed supernodes and one-column
-    panels (`SUPERLU_RELAX`, `SUPERLU_PANEL_SIZE`): by default in COLAMD's
-    order with partial pivoting; with `symmetric`, in the matrix's own
-    numbering in symmetric mode, pivoting on the diagonal unless it is
-    below 0.01 of its column's largest entry.
-
-    Relaxed supernodes store padding zeros in these block-structured
-    Jacobians: on the recorded Newton Jacobians of the desk presets, the
-    unrelaxed factors hold 0.74-0.96x the default fill and take 3-28%
-    less time (up to 2% more, within noise, on the densest static-dd
-    factors), and the solutions agree to round-off.  The panel width
-    leaves the fill as it is.  Against four-column panels, one-column
-    ones factor the benchmark prefixes' Jacobians, at 17-70 factor
-    entries per unknown, 4-21% faster, and static-dd's first window, at
-    73-78, 3-13% faster.  On the desk static-dd's later, swept windows,
-    at 150-190, they are 11-45% slower; no benchmark workload has
-    factors that dense, so one width serves every window.
+    the full, natural-numbered vectors, and the check is on Newton's
+    whole J, through its 2x2 blocks.  The factor uses unrelaxed
+    supernodes and one-column panels (`SUPERLU_RELAX`,
+    `SUPERLU_PANEL_SIZE`): by default in COLAMD's order with partial
+    pivoting; with `symmetric`, in the matrix's own numbering in
+    symmetric mode, pivoting on the diagonal unless it is below 0.01 of
+    its column's largest entry.
     """
     path = {}
     if symmetric:
@@ -173,7 +156,7 @@ def linear_solve(jac, residual, symmetric=False):
     scale = np.max(np.abs(residual)) if len(residual) else 0.0
     if scale > 0:
         lin_res = np.max(np.abs(jac._dot(dy) + residual))
-        if lin_res > LINEAR_TOL * scale * 1.0e4:
+        if lin_res > LINEAR_TOL * scale:
             raise SingularMatrix(
                 f"linear residual {lin_res:.3e} vs scale {scale:.3e}")
     return dy, lu.nnz
@@ -190,8 +173,8 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
     change over the window per spatial cell, if given
     (`StateField.from_trace`); `start` is its `linearize`, if the caller
     already has it.  A state that already satisfies the tolerance returns
-    after zero update iterations.  If the first linearization is swept,
-    every Jacobian of the solve is factored on the symmetric path.
+    after zero update iterations.  If the first Jacobian is swept, every
+    Jacobian of the solve is factored on the symmetric path.
     """
     t0 = time.perf_counter()
     window, model = terms.window, terms.model
@@ -211,10 +194,10 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
             return state, entry(k)
         if k == cfg.max_iters:
             break
-        if k == 0:          # the factor path of every solve
-            symmetric = bool(sys_.stored_share > SYMMETRIC_MIN_STORED)
         jac, r_y = sys_.jacobian(), sys_.r_y
         del sys_                # freed before the factor
+        if k == 0:          # the factor path of every solve
+            symmetric = bool(jac.stored_share > SYMMETRIC_MIN_STORED)
         dy, nnz = linear_solve(jac, r_y, symmetric=symmetric)
         lu_nnz += nnz
         del jac                 # freed before the next linearization
@@ -223,23 +206,9 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
         # constant-mobility model is exactly linear and must not be chopped
         if cfg.max_ds > 0 and not model.linear:
             ds = np.clip(ds, -cfg.max_ds, cfg.max_ds)
-        if not cfg.damping:
-            # in place: a fresh state per iteration grows the heap
-            state.p += dp
-            state.s += ds
-            sys_ = linearize(terms, state)
-            continue
-        # halve the step while the norm does not decrease; the accepted
-        # step's linearization serves the next iteration
-        step = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            trial = StateField(state.p + step * dp, state.s + step * ds,
-                               state.trace_p, state.trace_s)
-            sys_ = linearize(terms, trial)
-            if (step <= 1.0 / 2**MAX_HALVINGS
-                    or np.max(np.abs(sys_.r_norm)) <= norm):
-                break
-            step *= 0.5
-        state = trial
+        # in place: a fresh state per iteration grows the heap
+        state.p += dp
+        state.s += ds
+        sys_ = linearize(terms, state)
 
     raise NonConvergence(entry(cfg.max_iters))

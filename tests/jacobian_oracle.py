@@ -20,7 +20,7 @@ def full_jacobian(sys_, vals=None):
     of the block at (row cell i, column cell j) sits at row 2i + e // 2
     and column 2j + e % 2."""
     w = sys_.window
-    rows, cols = w.jacobian_blocks()
+    rows, cols = w.jacobian_blocks
     e = np.arange(4)[:, None]
     vals = sys_.blocks if vals is None else vals
     jac = sp.coo_matrix(

@@ -160,7 +160,7 @@ def assemble(window, state, props, wells, model, *, fluxes=None):
     _add_divergence(window, u_o, u_w, r_t, r_w)
     r_y, r_norm = _rows(terms, r_t, r_w)
 
-    rows, cols = window.jacobian_blocks()
+    rows, cols = window.jacobian_blocks
     k = len(own) + len(prev)
     A = sp.coo_matrix(
         (np.concatenate([own, prev]).ravel(),

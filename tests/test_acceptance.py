@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from mixed_system import assemble, n_dofs, schur_reduce
-from stdd.adaptivity import BaseGrid, Tiling, upscale_permeability
+from stdd.adaptivity import BaseGrid, Tiling, upscale_blocks
 from stdd.assembly import (CellProperties, ResolvedWells, StateField,
                            window_terms)
 from stdd.config import preset
@@ -322,7 +322,7 @@ class TestUpscalingBounds:
             for j in range(10):
                 for k, d in ((kx, "x"), (ky, "y")):
                     blk = k[i * 10:(i + 1) * 10, j * 10:(j + 1) * 10]
-                    val = upscale_permeability(blk, base.hx, base.hy, d)
+                    val = upscale_blocks(blk[None], base.hx, base.hy, d)[0]
                     harm = blk.size / np.sum(1.0 / blk)
                     arith = np.mean(blk)
                     assert harm - 1e-9 <= val <= arith + 1e-9
@@ -331,6 +331,6 @@ class TestUpscalingBounds:
         rng = np.random.default_rng(7)
         vals = rng.uniform(1.0, 100.0, 20)
         k = vals[:, None]                       # 20 cells in series along x
-        eff = upscale_permeability(k, 1.0, 1.0, "x")
+        eff = upscale_blocks(k[None], 1.0, 1.0, "x")[0]
         harm = len(vals) / np.sum(1.0 / vals)
         assert abs(eff - harm) <= 1e-10 * harm

@@ -11,8 +11,7 @@ from scipy.linalg import solveh_banded
 from stdd.adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
                              cell_permeability, classify, decompose,
                              delta_change, final_spatial, residual_indicator,
-                             transfer_state, upscale_blocks,
-                             upscale_permeability)
+                             transfer_state, upscale_blocks)
 from stdd.config import RunConfig, WellSpec
 from stdd.errors import NonIntegerRatio
 from stdd.mesh import Subdomain, _int_ratio, build_window
@@ -288,25 +287,25 @@ class TestUpscaling:
     def test_homogeneous_exact(self):
         k = np.full((5, 5), 123.0)
         for d in ("x", "y"):
-            assert upscale_permeability(k, 0.5, 0.5, d) == \
+            assert upscale_blocks(k[None], 0.5, 0.5, d)[0] == \
                 pytest.approx(123.0, rel=1e-12)
 
     def test_series_equals_harmonic(self):
         # two layers in series along x: harmonic mean 2*1*4/(1+4) = 1.6
         k = np.array([[1.0, 1.0], [4.0, 4.0]])
-        got = upscale_permeability(k, 1.0, 1.0, "x")
+        got = upscale_blocks(k[None], 1.0, 1.0, "x")[0]
         assert got == pytest.approx(1.6, abs=1e-10)
 
     def test_parallel_equals_arithmetic(self):
         # two layers parallel to flow: arithmetic mean 2.5
         k = np.array([[1.0, 4.0], [1.0, 4.0]])
-        got = upscale_permeability(k, 1.0, 1.0, "x")
+        got = upscale_blocks(k[None], 1.0, 1.0, "x")[0]
         assert got == pytest.approx(2.5, rel=1e-10)
 
     def test_checkerboard_between_bounds(self):
         k = np.where((np.add.outer(np.arange(6), np.arange(6)) % 2) == 0,
                      1.0, 4.0)
-        got = upscale_permeability(k, 1.0, 1.0, "x")
+        got = upscale_blocks(k[None], 1.0, 1.0, "x")[0]
         assert 1.6 < got < 2.5
 
     def test_wiener_bounds_random_tiles(self):
@@ -320,37 +319,37 @@ class TestUpscaling:
                 blk = kx[i * 5:(i + 1) * 5, j * 5:(j + 1) * 5]
                 lo = blk.size / np.sum(1.0 / blk)
                 hi = np.mean(blk)
-                for val in (upscale_permeability(blk, base.hx, base.hy, "x"),
-                            upscale_permeability(blk, base.hx, base.hy, "y")):
+                for d in ("x", "y"):
+                    val = upscale_blocks(blk[None], base.hx, base.hy, d)[0]
                     assert lo - 1e-9 <= val <= hi + 1e-9
 
     def test_layered_method_closed_form(self):
         k = np.array([[1.0, 2.0], [3.0, 4.0]])
         # harmonic along x per row, then arithmetic across rows
         expect = 0.5 * (2 / (1 + 1 / 3) + 2 / (0.5 + 0.25))
-        got = upscale_permeability(k, 1.0, 1.0, "x", method="layered")
+        got = upscale_blocks(k[None], 1.0, 1.0, "x", method="layered")[0]
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_direction_transpose_symmetry(self):
         rng = np.random.default_rng(4)
         k = rng.uniform(1.0, 10.0, (4, 6))
-        a = upscale_permeability(k, 0.5, 0.5, "y")
-        b = upscale_permeability(k.T, 0.5, 0.5, "x")
+        a = upscale_blocks(k[None], 0.5, 0.5, "y")[0]
+        b = upscale_blocks(k.T[None], 0.5, 0.5, "x")[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(2, 2), (5, 5), (3, 7), (8, 2)])
     def test_flow_matches_loop_assembly(self, shape):
         k = np.exp(np.random.default_rng(9).normal(3.0, 1.5, shape))
-        assert upscale_permeability(k, 0.5, 0.7, "x") == \
+        assert upscale_blocks(k[None], 0.5, 0.7, "x")[0] == \
             ref_upscale_flow(k, 0.5, 0.7)
 
     @pytest.mark.parametrize("shape", [(2, 2), (5, 5), (3, 7), (8, 2),
                                        (6, 1), (10, 10)])
     def test_flow_matches_sparse_solve(self, shape):
         k = np.exp(np.random.default_rng(3).normal(3.0, 1.5, shape))
-        assert upscale_permeability(k, 0.5, 0.7, "x") == pytest.approx(
+        assert upscale_blocks(k[None], 0.5, 0.7, "x")[0] == pytest.approx(
             ref_upscale_flow(k, 0.5, 0.7, solve="sparse"), rel=1e-12)
-        assert upscale_permeability(k, 0.5, 0.7, "y") == pytest.approx(
+        assert upscale_blocks(k[None], 0.5, 0.7, "y")[0] == pytest.approx(
             ref_upscale_flow(k.T, 0.7, 0.5, solve="sparse"), rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(5, 5), (2, 3), (1, 4), (4, 1)])
@@ -364,7 +363,7 @@ class TestUpscaling:
         assert got.shape == (40,)
         assert got.tolist() == [ref_upscale(k, 0.5, 0.7, direction)
                                 for k in ks]
-        assert [upscale_permeability(k, 0.5, 0.7, direction)
+        assert [upscale_blocks(k[None], 0.5, 0.7, direction)[0]
                 for k in ks] == got.tolist()
 
     @pytest.mark.parametrize("direction", ["x", "y"])
@@ -372,7 +371,8 @@ class TestUpscaling:
         ks = np.random.default_rng(6).uniform(1.0, 10.0, (7, 3, 4))
         got = upscale_blocks(ks, 0.5, 0.5, direction, method="layered")
         assert got.tolist() == [
-            upscale_permeability(k, 0.5, 0.5, direction, method="layered")
+            upscale_blocks(k[None], 0.5, 0.5, direction,
+                           method="layered")[0]
             for k in ks]
 
     def test_cell_permeability_passthrough_on_base_cells(self):
@@ -570,8 +570,10 @@ class TestOwnerMap:
         kyb = self.rng.uniform(1, 10, self.base.shape)
         kx, ky = cell_permeability(self.window, self.base, kxb, kyb)
         for c, (si, sj) in enumerate(self.blocks()):
-            assert kx[c] == upscale_permeability(kxb[si, sj], 0.5, 0.5, "x")
-            assert ky[c] == upscale_permeability(kyb[si, sj], 0.5, 0.5, "y")
+            assert kx[c] == upscale_blocks(kxb[None, si, sj], 0.5, 0.5,
+                                           "x")[0]
+            assert ky[c] == upscale_blocks(kyb[None, si, sj], 0.5, 0.5,
+                                           "y")[0]
 
     def test_residual_indicator(self):
         # several levels per cell where the decomposition refines time

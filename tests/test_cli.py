@@ -98,6 +98,7 @@ class TestExitCodes:
         ("invalid relcap", {"relcap": {"s_or": 0.9}}, EXIT_CONFIG),
         ("unknown threshold", {"thresholds": {"theta": 0.1}}, EXIT_CONFIG),
         ("newton typo", {"newton": {"max_iter": 1}}, EXIT_CONFIG),
+        ("newton damping", {"newton": {"damping": True}}, EXIT_CONFIG),
         ("unknown permeability key",
          {"permeability": {"kind": "gaussian", "bogus": 1}}, EXIT_CONFIG),
         ("horizon not whole windows", {"horizon": 9.0}, EXIT_CONFIG),

@@ -260,6 +260,7 @@ value = 1000
                      "[run]\nhorizon = abc\n",
                      "[run]\nhorizn = 4\n",
                      "[newtonn]\nmax_iters = 40\n",
+                     "[newton]\ndamping = true\n",
                      "[well.injector]\ntile = 0 0\n"
                      "kind = rate-water-injector\nvalue = 0.1\nrw = 0.1\n"):
             p.write_text(text)

@@ -346,13 +346,13 @@ class TestMinimumDegreeOrder:
         z = np.zeros(shape)
         w = build_window(decompose(IdentifierMap(ids, z, z, z), tiling,
                                    cfg.table), cfg.delta_t, cfg.reservoir)
-        self.check(w.n_st, *w.jacobian_blocks())
+        self.check(w.n_st, *w.jacobian_blocks)
 
     @pytest.mark.parametrize("name", ["toy", "ratio3"])
     @pytest.mark.parametrize("seed", range(3))
     def test_random_decompositions(self, name, seed):
         w = random_window(name, seed)
-        self.check(w.n_st, *w.jacobian_blocks())
+        self.check(w.n_st, *w.jacobian_blocks)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_graphs(self, seed):

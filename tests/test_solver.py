@@ -21,8 +21,8 @@ from stdd.errors import ConfigError, NonConvergence, SingularMatrix
 from stdd.mesh import Subdomain, build_window
 from stdd.physics import BrooksCoreyModel, FluidModel, FluidRockModel
 from stdd.run import run
-from stdd.solver import (MAX_HALVINGS, NewtonConfig, RunLedger,
-                         linear_solve, newton_solve_window)
+from stdd.solver import (NewtonConfig, RunLedger, linear_solve,
+                         newton_solve_window)
 
 
 def nonlinear_model():
@@ -214,7 +214,9 @@ class TestLocalElimination:
         """The filled matrix is the unreduced one with each local
         saturation's row and column removed and a_ps a_sp / a_ss taken
         off its cell's pressure diagonal, entry for entry, in the window's
-        numbering; the product is with the unreduced matrix."""
+        numbering; its stored share is over the pattern's entries in the
+        kept rows and columns; the product is with the unreduced
+        matrix."""
         w, sys_ = self.CASES[case]()
         full = window_jacobian(sys_).toarray()
         s = local_saturations(sp.csc_matrix(full))[0]
@@ -224,6 +226,12 @@ class TestLocalElimination:
         jac = sys_.jacobian()
         assert np.array_equal(jac.unknowns, w.jacobian_pattern.unknowns[kept])
         assert np.array_equal(jac.matrix.toarray(), full[kept][:, kept])
+        pat = w.jacobian_pattern
+        pattern = sp.csc_matrix(
+            (np.ones(pat.nnz), pat.indices, pat.indptr),
+            shape=(w.n_y, w.n_y)).toarray()
+        assert jac.stored_share == (np.count_nonzero(full[kept][:, kept])
+                                    / np.count_nonzero(pattern[kept][:, kept]))
         dy = np.random.default_rng(0).standard_normal(w.n_y)
         want = newton_jacobian(sys_) @ dy
         assert np.allclose(jac._dot(dy), want, rtol=0,
@@ -381,7 +389,7 @@ class TestNewtonWindow:
         assert np.all(st.s >= 0.2 - 1e-9)
 
     @staticmethod
-    def front_with_recorded_residuals(monkeypatch, damping):
+    def front_with_recorded_residuals(monkeypatch):
         """Newton on a front entering a strip at irreducible saturation;
         returns its ledger entry and, for every residual it evaluated, the
         state's (p, s) as one vector and the norm."""
@@ -400,54 +408,17 @@ class TestNewtonWindow:
         _, entry = newton_solve_window(
             window_terms(w, props(n), corner_wells(n, rate=0.05),
                          nonlinear_model()),
-            np.full(n, 1000.0), np.full(n, 0.2), NewtonConfig(damping=damping))
+            np.full(n, 1000.0), np.full(n, 0.2), NewtonConfig())
         assert entry.norms[-1] <= 1e-6
         return entry, evaluated
 
-    def test_damping_accepts_descent_or_shortest_step(self, monkeypatch):
-        """With `damping`, Newton converges on the front, and every step it
-        takes either lowers the norm or is the shortest one (MAX_HALVINGS
-        halvings)."""
-        entry, evaluated = self.front_with_recorded_residuals(monkeypatch,
-                                                              True)
-        # after the first, every residual is a trial x + 2**-j * d of the
-        # iterate x; a trial off the current step's line starts the next
-        # step from the last trial, which that step accepted
-        x, norm = evaluated[0]
-        steps = []               # per step: iterate norm, trial norms
-        full = last = None
-        for v, tnorm in evaluated[1:]:
-            if full is not None and np.allclose(
-                    v - x, (full - x) * 0.5 ** len(steps[-1][1]),
-                    rtol=1e-9, atol=1e-9):
-                steps[-1][1].append(tnorm)
-                last = v
-                continue
-            if full is not None:
-                x, norm = last, steps[-1][1][-1]
-            full = last = v
-            steps.append((norm, [tnorm]))
-        assert [n for n, _ in steps] + [steps[-1][1][-1]] == entry.norms
-        # one linearization per trial, none for an accepted iterate
-        assert len(evaluated) == 1 + sum(len(t) for _, t in steps)
-        for norm, trials in steps:
-            assert 1 <= len(trials) <= MAX_HALVINGS + 1
-            assert all(t > norm for t in trials[:-1])
-            assert trials[-1] <= norm or len(trials) == MAX_HALVINGS + 1
-        # the case exercises both halving and the shortest step
-        assert any(len(t) > 1 for _, t in steps)
-        assert any(len(t) == MAX_HALVINGS + 1 for _, t in steps)
-
-    @pytest.mark.parametrize("damping", [False, True])
-    def test_each_state_linearized_once(self, monkeypatch, damping):
-        """An accepted line-search trial's linearization serves the next
-        iteration, so no state is linearized twice."""
-        entry, evaluated = self.front_with_recorded_residuals(monkeypatch,
-                                                              damping)
+    def test_each_state_linearized_once(self, monkeypatch):
+        """Each iteration linearizes its updated state once, and that
+        linearization serves the next iteration."""
+        entry, evaluated = self.front_with_recorded_residuals(monkeypatch)
         keys = [v.tobytes() for v, _ in evaluated]
         assert len(set(keys)) == len(keys)
-        if not damping:
-            assert len(evaluated) == entry.iterations + 1
+        assert len(evaluated) == entry.iterations + 1
 
 
 class TestFactorPath:
@@ -484,7 +455,7 @@ class TestFactorPath:
         terms = window_terms(w, props(n), corner_wells(n, rate=0.05),
                              nonlinear_model())
         first = linearize(terms, StateField.from_trace(w, *trace))
-        share = first.stored_share
+        share = first.jacobian().stored_share
         assert (share > stdd.solver.SYMMETRIC_MIN_STORED) == swept
         paths = []
         real = stdd.solver.linear_solve
