@@ -34,7 +34,7 @@ from .errors import (ConfigError, MeshError,  # noqa: E402
 from .mesh import SpaceTimeWindow, Subdomain, build_window  # noqa: E402
 from .physics import (BETA_C, STB_TO_FT3, BrooksCoreyModel,  # noqa: E402
                       FluidModel, FluidRockModel, property_curves)
-from .run import Problem, compare, run  # noqa: E402
+from .run import Problem, compare  # noqa: E402
 from .solver import (LedgerEntry, NewtonConfig, RunLedger,  # noqa: E402
                      newton_solve_window)
 

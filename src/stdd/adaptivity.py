@@ -17,7 +17,6 @@ pore-volume weighting, which preserves total water pore volume exactly.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from scipy.linalg import solveh_banded
 
 from .errors import NonIntegerRatio
 from .mesh import Subdomain, _int_ratio, _raster
+from .physics import finite_number
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,8 @@ class Thresholds:
     theta_eta: float = 0.5
 
     def __post_init__(self):
-        for v in (self.theta_ds, self.theta_dt, self.theta_eta):
-            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and v >= 0):
-                raise ValueError("thresholds must be non-negative numbers")
+        if not all(finite_number(v) and v >= 0 for v in vars(self).values()):
+            raise ValueError("thresholds must be non-negative numbers")
 
 
 @dataclass(frozen=True)
@@ -277,25 +275,20 @@ def transfer_state(old_window, final_p, final_s, new_window, base: BaseGrid,
             base.average_to(new_window, s_base, pv))
 
 
-def upscale_blocks(k_blocks, hx, hy, direction, method="flow"):
+def upscale_blocks(k_blocks, hx, hy, direction):
     """Effective directional permeability of each of a stack of blocks.
 
     `k_blocks` is (blocks, mx, my): each block's fine permeability for
-    the flow direction.  "flow": impose a unit pressure drop across the
-    block in `direction` with no-flow lateral boundaries, solve the
-    single-phase two-point flux problem, and return the flux-equivalent
-    permeability; the blocks' problems are stacked uncoupled into one
-    banded system and solved in one call.  "layered": harmonic mean along
-    the direction, arithmetic across it.
+    the flow direction.  Impose a unit pressure drop across the block in
+    `direction` with no-flow lateral boundaries, solve the single-phase
+    two-point flux problem, and return the flux-equivalent permeability;
+    the blocks' problems are stacked uncoupled into one banded system and
+    solved in one call.
     """
     k = np.asarray(k_blocks, dtype=float)
     if direction == "y":
-        return upscale_blocks(k.transpose(0, 2, 1), hy, hx, "x", method)
+        return upscale_blocks(k.transpose(0, 2, 1), hy, hx, "x")
     nb, mx, my = k.shape
-    if method == "layered":
-        return np.mean(mx / np.sum(1.0 / k, axis=1), axis=1)
-    if method != "flow":
-        raise ValueError(f"unknown upscaling method {method!r}")
     if mx == 1:
         return np.mean(k, axis=(1, 2))
 
@@ -335,7 +328,7 @@ def upscale_blocks(k_blocks, hx, hy, direction, method="flow"):
 
 
 def cell_permeability(window, base: BaseGrid, kx_base, ky_base,
-                      method="flow", cache=None):
+                      cache=None):
     """Per-cell (kx, ky) for a window, upscaling blocks coarser than base.
 
     Base-resolution subdomains take the base values as they are.  `cache`
@@ -369,9 +362,9 @@ def cell_permeability(window, base: BaseGrid, kx_base, ky_base,
     for keys in todo.values():
         blocks = [(slice(a, b), slice(c, d)) for a, b, c, d in keys]
         vx = upscale_blocks(np.stack([kx_base[b] for b in blocks]),
-                            base.hx, base.hy, "x", method)
+                            base.hx, base.hy, "x")
         vy = upscale_blocks(np.stack([ky_base[b] for b in blocks]),
-                            base.hx, base.hy, "y", method)
+                            base.hx, base.hy, "y")
         cache.update(zip(keys, zip(vx.tolist(), vy.tolist())))
     for c, key in coarse:
         kx[c], ky[c] = cache[key]

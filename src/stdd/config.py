@@ -12,7 +12,6 @@ import configparser
 import inspect
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import ConfigError
 from .mesh import _int_ratio
 from .permfields import GENERATORS, LAYOUTS, load_fields
 from .physics import (MOBILITY_MODELS, BrooksCoreyModel, FluidModel,
-                      FluidRockModel)
+                      FluidRockModel, finite_number)
 from .solver import NewtonConfig
 
 MODES = ("uniform-fine", "uniform-coarse", "static-dd", "dynamic-dd")
@@ -56,6 +55,8 @@ class WellSpec:
     def __post_init__(self):
         if self.kind not in WELL_KINDS:
             raise ConfigError(f"unknown well kind {self.kind!r}")
+        if not (finite_number(self.value) and finite_number(self.r_w)):
+            raise ConfigError("well value and radius must be finite numbers")
         if self.kind == "rate-water-injector" and self.value <= 0:
             raise ConfigError("injection rate must be positive")
         if self.kind == "bhp-producer" and self.value < 0:
@@ -84,7 +85,6 @@ class RunConfig:
     fluid: dict = field(default_factory=dict)        # FluidModel overrides
     relcap: dict = field(default_factory=dict)       # BrooksCoreyModel overrides
     mobility_model: str = "brooks-corey"
-    use_capillarity: bool = True
     permeability: dict = field(default_factory=lambda: {
         "kind": "channelized", "seed": 7})
     wells: list = field(default_factory=lambda: [
@@ -92,7 +92,6 @@ class RunConfig:
         WellSpec((43, 11), "bhp-producer", 1000.0)])
     thresholds: dict = field(default_factory=dict)  # over THRESHOLD_DEFAULTS
     newton: dict = field(default_factory=dict)      # over NEWTON_DEFAULTS
-    upscaling: str = "flow"
     initial_pressure: float = 1000.0     # psi
     initial_saturation: float = 0.2
     emit_fine_levels: bool = False
@@ -107,19 +106,18 @@ class RunConfig:
 
     def validate(self):
         for key in SCALARS:
-            v = getattr(self, key)
-            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and math.isfinite(v)):
+            if not finite_number(getattr(self, key)):
                 raise ConfigError(f"{key} must be a finite number")
-        for key in ("use_capillarity", "emit_fine_levels"):
-            if not isinstance(getattr(self, key), bool):
-                raise ConfigError(f"{key} must be true or false")
+        if not isinstance(self.emit_fine_levels, bool):
+            raise ConfigError("emit_fine_levels must be true or false")
         for key, n in GEOMETRY.items():
-            if len(getattr(self, key)) != n:
-                raise ConfigError(f"{key} must hold {n} numbers")
+            v = getattr(self, key)
+            if len(v) != n or not all(map(finite_number, v)):
+                raise ConfigError(f"{key} must hold {n} finite numbers")
         if set(self.table) != {1, 2, 3, 4}:
             raise ConfigError("table must define identifiers 1..4")
-        if any(len(row) != 3 for row in self.table.values()):
+        if any(len(row) != 3 or not all(map(finite_number, row))
+               for row in self.table.values()):
             raise ConfigError("each table row must be (hx, hy, dt)")
         if min(*self.base_cell, *self.tile,
                *(v for row in self.table.values() for v in row)) <= 0:
@@ -159,8 +157,6 @@ class RunConfig:
                 f"unknown mobility model {self.mobility_model!r}")
         if not (0 <= self.initial_saturation <= 1):
             raise ConfigError("initial saturation must lie in [0, 1]")
-        if self.upscaling not in ("flow", "layered"):
-            raise ConfigError(f"unknown upscaling {self.upscaling!r}")
         if not (0 < self.phi <= 1):
             raise ConfigError("porosity must lie in (0, 1]")
         unknown = set(self.newton) - set(NEWTON_DEFAULTS)
@@ -182,8 +178,7 @@ class RunConfig:
         return FluidRockModel(
             fluid=FluidModel(**self.fluid),
             relcap=BrooksCoreyModel(**self.relcap),
-            mobility_model=self.mobility_model,
-            use_capillarity=self.use_capillarity)
+            mobility_model=self.mobility_model)
 
     # -- derived geometry -------------------------------------------------
 
@@ -298,9 +293,9 @@ def _ini_dict(cp):
             raise ValueError(f"unknown section [{section}]")
     if cp.has_section("run"):
         for key, v in cp["run"].items():
-            if key in ("mode", "mobility_model", "upscaling", "label"):
+            if key in ("mode", "mobility_model", "label"):
                 d[key] = v
-            elif key in ("use_capillarity", "emit_fine_levels"):
+            elif key == "emit_fine_levels":
                 d[key] = _parse_bool(v)
             elif key in GEOMETRY:
                 d[key] = [float(x) for x in v.split()]

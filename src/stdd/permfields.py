@@ -24,8 +24,9 @@ def load_permeability(path, shape, layout="row-major"):
     if values.size != nx * ny:
         raise DimensionMismatch(
             f"{path}: {values.size} values, expected {nx}x{ny}={nx * ny}")
-    if np.any(values <= 0):
-        raise NonPositivePermeability(f"{path}: non-positive value present")
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise NonPositivePermeability(
+            f"{path}: a value is not finite and positive")
     if layout == "row-major":
         return values.reshape(ny, nx).T.copy()
     if layout == "column-major":
@@ -81,9 +82,7 @@ def channelized_field(shape, seed=0, *, k_background=5.0, k_channel=500.0,
         path = y + np.cumsum(steps)
         # reflect the centerline into the interior band
         path = np.clip(path, width, ny - 1 - width)
-        for i in range(nx):
-            mask = np.abs(jj + 0.5 - path[i]) <= width
-            field[i, mask] = k_channel
+        field[np.abs(jj + 0.5 - path[:, None]) <= width] = k_channel
     return field
 
 

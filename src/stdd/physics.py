@@ -7,6 +7,8 @@ assembly.  Field units throughout: ft, day, psi, cP, md, lb/ft^3.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,13 @@ OIL, WATER = "o", "w"
 MOBILITY_MODELS = ("brooks-corey", "constant")
 
 
+def finite_number(v):
+    """A finite real number, and not a bool: the check of every number
+    setting."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 @dataclass(frozen=True)
 class FluidModel:
     """Viscosity, compressibility and reference density per phase."""
@@ -39,6 +48,8 @@ class FluidModel:
     p_ref_w: float = 1000.0
 
     def __post_init__(self):
+        if not all(map(finite_number, vars(self).values())):
+            raise ValueError("fluid values must be finite numbers")
         if self.mu_o <= 0 or self.mu_w <= 0:
             raise ValueError("viscosities must be positive")
         if self.c_o < 0 or self.c_w < 0:
@@ -83,6 +94,8 @@ class BrooksCoreyModel:
     eps_s: float = 1.0e-3
 
     def __post_init__(self):
+        if not all(map(finite_number, vars(self).values())):
+            raise ValueError("relcap values must be finite numbers")
         if self.s_or < 0 or self.s_wirr < 0 or self.s_or + self.s_wirr >= 1:
             raise ValueError("residual saturations must satisfy s_or + s_wirr < 1")
         if not (0 < self.kr0_o <= 1 and 0 < self.kr0_w <= 1):
@@ -91,6 +104,8 @@ class BrooksCoreyModel:
             raise ValueError("relperm exponents must be positive")
         if self.p_entry < 0:
             raise ValueError("entry pressure must be non-negative")
+        if self.eps_s <= 0:
+            raise ValueError("eps_s must be positive")
 
     @property
     def _span(self):
@@ -153,13 +168,12 @@ class FluidRockModel:
     `mobility_model` selects between the Brooks-Corey closure chain and a
     constant unit mobility (lambda* = 1, all derivatives zero, capillarity
     off), which makes the discrete system linear and is used for solver
-    verification.
+    verification.  `relcap.p_entry = 0` turns capillarity off.
     """
 
     fluid: FluidModel
     relcap: BrooksCoreyModel
     mobility_model: str = "brooks-corey"
-    use_capillarity: bool = True
 
     def __post_init__(self):
         if self.mobility_model not in MOBILITY_MODELS:
@@ -173,7 +187,7 @@ class FluidRockModel:
         return self.fluid.density(phase, p)
 
     def pc(self, sw):
-        if self.linear or not self.use_capillarity:
+        if self.linear:
             z = np.zeros_like(np.asarray(sw, dtype=float))
             return z, z
         return self.relcap.pc(sw)

@@ -61,8 +61,7 @@ class Problem:
         builds."""
         phi = self.base.average_to(window, self.phi_base)
         kx, ky = cell_permeability(window, self.base, self.kx_base,
-                                   self.ky_base, self.cfg.upscaling,
-                                   self._perm_cache)
+                                   self.ky_base, self._perm_cache)
         props = CellProperties(phi=phi, kx=kx, ky=ky)
         wells = self._wells(window, props)
         for arr in (*vars(props).values(), *vars(wells).values()):

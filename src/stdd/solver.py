@@ -35,9 +35,12 @@ import scipy.sparse.linalg as spla
 
 from .assembly import StateField, linearize
 from .errors import NonConvergence, SingularMatrix
+from .physics import finite_number
 
 # |J dy + r| ≤ LINEAR_TOL · max|r|
 LINEAR_TOL = 1.0e-6
+# Per-cell cap on a Newton saturation update
+MAX_DS = 0.2
 
 
 @dataclass(frozen=True)
@@ -46,21 +49,13 @@ class NewtonConfig:
 
     tol: float = 1.0e-6        # on the max norm of the normalized residual
     max_iters: int = 60
-    max_ds: float = 0.2        # per-cell saturation step cap (0 disables)
 
     def __post_init__(self):
-        if not (_number(self.tol) and self.tol > 0):
+        if not (finite_number(self.tol) and self.tol > 0):
             raise ValueError("tol must be a positive number")
         if not (isinstance(self.max_iters, numbers.Integral)
-                and _number(self.max_iters) and self.max_iters >= 1):
+                and finite_number(self.max_iters) and self.max_iters >= 1):
             raise ValueError("max_iters must be an integer >= 1")
-        if not (_number(self.max_ds) and self.max_ds >= 0):
-            raise ValueError("max_ds must be a non-negative number")
-
-
-def _number(v):
-    """A real number, and not a bool."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass
@@ -204,8 +199,8 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
         dp, ds = dy[0::2], dy[1::2]
         # saturation chopping keeps iterates near the physical range; the
         # constant-mobility model is exactly linear and must not be chopped
-        if cfg.max_ds > 0 and not model.linear:
-            ds = np.clip(ds, -cfg.max_ds, cfg.max_ds)
+        if not model.linear:
+            ds = np.clip(ds, -MAX_DS, MAX_DS)
         # in place: a fresh state per iteration grows the heap
         state.p += dp
         state.s += ds

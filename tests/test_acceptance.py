@@ -60,7 +60,7 @@ def static_solution():
     subs = decompose(pb.static_idmap(), pb.tiling, pb.table)
     window = build_window(subs, cfg.delta_t, cfg.reservoir, dz=cfg.dz)
     n = window.n_spatial
-    ncfg = NewtonConfig(max_iters=60, max_ds=0.2)
+    ncfg = NewtonConfig(max_iters=60)
     terms = pb.maps(window)
     state, entry = newton_solve_window(
         terms, np.full(n, cfg.initial_pressure),

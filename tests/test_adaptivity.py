@@ -323,13 +323,6 @@ class TestUpscaling:
                     val = upscale_blocks(blk[None], base.hx, base.hy, d)[0]
                     assert lo - 1e-9 <= val <= hi + 1e-9
 
-    def test_layered_method_closed_form(self):
-        k = np.array([[1.0, 2.0], [3.0, 4.0]])
-        # harmonic along x per row, then arithmetic across rows
-        expect = 0.5 * (2 / (1 + 1 / 3) + 2 / (0.5 + 0.25))
-        got = upscale_blocks(k[None], 1.0, 1.0, "x", method="layered")[0]
-        assert got == pytest.approx(expect, rel=1e-12)
-
     def test_direction_transpose_symmetry(self):
         rng = np.random.default_rng(4)
         k = rng.uniform(1.0, 10.0, (4, 6))
@@ -365,15 +358,6 @@ class TestUpscaling:
                                 for k in ks]
         assert [upscale_blocks(k[None], 0.5, 0.7, direction)[0]
                 for k in ks] == got.tolist()
-
-    @pytest.mark.parametrize("direction", ["x", "y"])
-    def test_layered_batch_equals_single_blocks(self, direction):
-        ks = np.random.default_rng(6).uniform(1.0, 10.0, (7, 3, 4))
-        got = upscale_blocks(ks, 0.5, 0.5, direction, method="layered")
-        assert got.tolist() == [
-            upscale_blocks(k[None], 0.5, 0.5, direction,
-                           method="layered")[0]
-            for k in ks]
 
     def test_cell_permeability_passthrough_on_base_cells(self):
         res = (0.0, 0.0, 4.0, 2.0)

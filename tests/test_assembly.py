@@ -87,8 +87,7 @@ class TestResidualBasics:
             p=np.array([1001.0, 1000.0]), s=np.array([0.5, 0.5]),
             trace_p=np.array([1001.0, 1000.0]),
             trace_s=np.array([0.5, 0.5]))
-        m = FluidRockModel(FluidModel(), BrooksCoreyModel(),
-                           use_capillarity=False)
+        m = FluidRockModel(FluidModel(), BrooksCoreyModel(p_entry=0.0))
         fluxes = assemble(w, state, uniform_props(2, k=1.0),
                           ResolvedWells.none(2), m).fluxes
         assert fluxes["aux_o"][0] == pytest.approx(BETA_C, rel=1e-13)
@@ -99,8 +98,7 @@ class TestResidualBasics:
             p=np.full(w.n_st, 1000.0), s=np.full(w.n_st, 0.5),
             trace_p=np.full(w.n_spatial, 1000.0),
             trace_s=np.full(w.n_spatial, 0.5))
-        m = FluidRockModel(FluidModel(), BrooksCoreyModel(),
-                           use_capillarity=False)
+        m = FluidRockModel(FluidModel(), BrooksCoreyModel(p_entry=0.0))
         fluxes = assemble(w, state, uniform_props(w.n_spatial),
                           ResolvedWells.none(w.n_spatial), m).fluxes
         for arr in fluxes.values():
@@ -403,7 +401,7 @@ def uniform_window():
 MODELS = {
     "capillarity": model,
     "no-capillarity": lambda: FluidRockModel(
-        FluidModel(), BrooksCoreyModel(), use_capillarity=False),
+        FluidModel(), BrooksCoreyModel(p_entry=0.0)),
     "constant": lambda: FluidRockModel(
         FluidModel(), BrooksCoreyModel(), mobility_model="constant"),
 }

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -20,6 +21,11 @@ from stdd.run import compare, run
 
 run_module = importlib.import_module("stdd.run")
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def test_stdd_run_names_the_module():
+    import stdd.run as driver
+    assert driver is run_module
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +105,23 @@ class TestExitCodes:
         ("unknown threshold", {"thresholds": {"theta": 0.1}}, EXIT_CONFIG),
         ("newton typo", {"newton": {"max_iter": 1}}, EXIT_CONFIG),
         ("newton damping", {"newton": {"damping": True}}, EXIT_CONFIG),
+        ("capillarity switch", {"use_capillarity": False}, EXIT_CONFIG),
+        ("upscaling method", {"upscaling": "flow"}, EXIT_CONFIG),
+        ("newton max_ds", {"newton": {"max_ds": 0.2}}, EXIT_CONFIG),
+        ("NaN viscosity", {"fluid": {"mu_w": math.nan}}, EXIT_CONFIG),
+        ("zero pc floor", {"relcap": {"eps_s": 0.0}}, EXIT_CONFIG),
+        ("infinite relperm exponent", {"relcap": {"n_w": math.inf}},
+         EXIT_CONFIG),
+        ("NaN injection rate",
+         {"wells": [{"tile": [0, 0], "kind": "rate-water-injector",
+                     "value": math.nan},
+                    {"tile": [7, 1], "kind": "bhp-producer",
+                     "value": 1000.0}]}, EXIT_CONFIG),
+        ("infinite well radius",
+         {"wells": [{"tile": [0, 0], "kind": "rate-water-injector",
+                     "value": 0.1, "r_w": math.inf},
+                    {"tile": [7, 1], "kind": "bhp-producer",
+                     "value": 1000.0}]}, EXIT_CONFIG),
         ("unknown permeability key",
          {"permeability": {"kind": "gaussian", "bogus": 1}}, EXIT_CONFIG),
         ("horizon not whole windows", {"horizon": 9.0}, EXIT_CONFIG),
@@ -380,7 +403,7 @@ steps["import"] = loaded()
 stdd.Problem(stdd.preset("dynamic-dd"))
 steps["channelized Problem"] = loaded()
 with tempfile.TemporaryDirectory() as out:
-    stdd.run(stdd.preset("toy"), out)  # the toy preset is dynamic-dd
+    stdd.run.run(stdd.preset("toy"), out)  # the toy preset is dynamic-dd
 steps["toy dynamic-dd run"] = loaded()
 print(json.dumps(steps))
 """

@@ -1,8 +1,9 @@
 """Configuration loading, validation, and presets."""
 
 import json
+import math
 import pathlib
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -10,6 +11,7 @@ import stdd.config
 from stdd.config import (MODES, NEWTON_DEFAULTS, THRESHOLD_DEFAULTS,
                          RunConfig, WellSpec, load_config, preset)
 from stdd.errors import ConfigError
+from stdd.physics import BrooksCoreyModel, FluidModel
 
 
 class TestValidation:
@@ -111,25 +113,31 @@ class TestSchema:
             set(RunConfig.__dataclass_fields__)
 
     @pytest.mark.parametrize("section, defaults", [
-        ("newton", NEWTON_DEFAULTS), ("thresholds", THRESHOLD_DEFAULTS)])
+        ("newton", NEWTON_DEFAULTS), ("thresholds", THRESHOLD_DEFAULTS),
+        ("fluid", asdict(FluidModel())),
+        ("relcap", asdict(BrooksCoreyModel()))])
     def test_section_properties_are_the_defaults(self, section, defaults):
         assert set(self.SCHEMA["properties"][section]["properties"]) == \
             set(defaults)
 
     @staticmethod
     def admitted_and_ruled_out(bound):
-        """Values of a schema bound's type and bound, and values it rules
-        out: the wrong type (a bool is not a number) or past the bound."""
+        """Values of a schema bound's type and bounds, and values it rules
+        out: the wrong type (a bool is not a number, nor is NaN or an
+        infinity) or past a bound."""
         if bound["type"] == "boolean":
             return [True, False], ["no", "false", 0, 1]
         step = 1 if bound["type"] == "integer" else 0.5
-        good, bad = [], [True, "1"]
+        good, bad = [], [True, "1", math.nan, math.inf, -math.inf]
         if "minimum" in bound:
             good.append(bound["minimum"])
             bad.append(bound["minimum"] - step)
         if "exclusiveMinimum" in bound:
             good.append(bound["exclusiveMinimum"] + 1.0e-9)
             bad.append(bound["exclusiveMinimum"])
+        if "maximum" in bound:
+            good.append(bound["maximum"])
+            bad.append(bound["maximum"] + step)
         if bound["type"] == "integer":
             bad.append(good[0] + 1.5)
         return good, bad
@@ -137,8 +145,9 @@ class TestSchema:
     def test_bounds_match_the_validator(self):
         """The schema's bounds are the ones `RunConfig` enforces: a
         threshold may be zero but not negative, a uniform permeability
-        must be positive, and every value of a `newton` key or a flag
-        that the schema rules out is a ConfigError."""
+        must be positive, and every value of a `newton`, `thresholds`,
+        `fluid` or `relcap` key or a flag that the schema rules out is a
+        ConfigError."""
         props = self.SCHEMA["properties"]
         for name in THRESHOLD_DEFAULTS:
             bound = props["thresholds"]["properties"][name]
@@ -154,10 +163,12 @@ class TestSchema:
                 RunConfig(permeability={"kind": "uniform",
                                         "value": value}).validate()
         RunConfig(permeability={"kind": "uniform", "value": 1.0e-9}).validate()
-        checks = [(props["newton"]["properties"][k], lambda v, k=k:
-                   RunConfig(newton={k: v})) for k in NEWTON_DEFAULTS]
-        checks += [(props[k], lambda v, k=k: RunConfig(**{k: v}))
-                   for k in ("use_capillarity", "emit_fine_levels")]
+        checks = [(props[section]["properties"][k], lambda v, s=section, k=k:
+                   RunConfig(**{s: {k: v}}))
+                  for section in ("newton", "thresholds", "fluid", "relcap")
+                  for k in props[section]["properties"]]
+        checks.append((props["emit_fine_levels"],
+                       lambda v: RunConfig(emit_fine_levels=v)))
         for bound, config in checks:
             good, bad = self.admitted_and_ruled_out(bound)
             for v in good:
@@ -261,6 +272,11 @@ value = 1000
                      "[run]\nhorizn = 4\n",
                      "[newtonn]\nmax_iters = 40\n",
                      "[newton]\ndamping = true\n",
+                     "[run]\nuse_capillarity = false\n",
+                     "[run]\nupscaling = flow\n",
+                     "[newton]\nmax_ds = 0.2\n",
+                     "[fluid]\nmu_w = nan\n",
+                     "[relcap]\neps_s = 0\n",
                      "[well.injector]\ntile = 0 0\n"
                      "kind = rate-water-injector\nvalue = 0.1\nrw = 0.1\n"):
             p.write_text(text)

@@ -36,6 +36,13 @@ class TestLoadFile:
         with pytest.raises(NonPositivePermeability):
             load_permeability(p, (2, 2))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        p = tmp_path / "k.txt"
+        p.write_text(f"1 {bad}\n3 4\n")
+        with pytest.raises(NonPositivePermeability):
+            load_permeability(p, (2, 2))
+
     def test_unknown_layout(self, tmp_path):
         p = tmp_path / "k.txt"
         p.write_text("1 2\n3 4\n")
@@ -88,6 +95,22 @@ class TestGenerators:
     def test_channelized_deterministic(self):
         assert np.array_equal(channelized_field(self.SHAPE, 1),
                               channelized_field(self.SHAPE, 1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_channelized_matches_column_loop(self, seed):
+        """Each channel's cells, set with one mask, are the ones a loop
+        over the x-columns sets: the same draws, column by column."""
+        nx, ny = self.SHAPE
+        rng = np.random.default_rng(seed)
+        expect = np.full(self.SHAPE, 5.0)
+        jj = np.arange(ny)
+        for _ in range(3):
+            y = rng.uniform(0.15, 0.85) * ny
+            path = y + np.cumsum(rng.standard_normal(nx) * 0.15 * ny / 30.0)
+            path = np.clip(path, 3.0, ny - 1 - 3.0)
+            for i in range(nx):
+                expect[i, np.abs(jj + 0.5 - path[i]) <= 3.0] = 500.0
+        assert np.array_equal(channelized_field(self.SHAPE, seed), expect)
 
     def test_channels_span_x(self):
         k = channelized_field(self.SHAPE, 9)

@@ -203,9 +203,13 @@ class TestConstantMobilityModel:
         val, dval = m.pc(0.4)
         assert val == 0.0 and dval == 0.0
 
-    def test_capillarity_switch(self, fluid, relcap):
-        m = FluidRockModel(fluid, relcap, use_capillarity=False)
-        assert m.pc(0.4)[0] == 0.0
+    def test_capillarity_switch(self, fluid):
+        """A zero entry pressure turns capillarity off, in the run's
+        closures and in the printed curves alike."""
+        m = FluidRockModel(fluid, BrooksCoreyModel(p_entry=0.0))
+        val, dval = m.pc(np.linspace(0.0, 1.0, 11))
+        assert np.all(val == 0.0) and np.all(dval == 0.0)
+        assert np.all(property_curves(m)[:, 3] == 0.0)
 
 
 class TestParameterValidation:

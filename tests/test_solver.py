@@ -317,8 +317,7 @@ class TestNewtonWindow:
         faster than a fixed linear rate."""
         w = strip_window(nx=6, ny=1)
         n = w.n_spatial
-        m = FluidRockModel(FluidModel(), BrooksCoreyModel(),
-                           use_capillarity=False)
+        m = FluidRockModel(FluidModel(), BrooksCoreyModel(p_entry=0.0))
         _, entry = newton_solve_window(
             window_terms(w, props(n), corner_wells(n, rate=0.02), m),
             np.full(n, 1000.0), np.full(n, 0.5),
@@ -379,7 +378,7 @@ class TestNewtonWindow:
             pass
 
         m = nonlinear_model()
-        cfg = NewtonConfig(max_iters=60, max_ds=0.05)
+        cfg = NewtonConfig(max_iters=60)
         st, entry = newton_solve_window(
             window_terms(w, props(n), corner_wells(n, rate=0.05), m),
             np.full(n, 1000.0), np.full(n, 0.2), cfg)

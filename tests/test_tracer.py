@@ -18,7 +18,6 @@ def load_tracer():
 
 
 def test_toy_run_counters(tmp_path):
-    # `stdd.run` names the function; the module is in sys.modules
     driver, mesh = sys.modules["stdd.run"], sys.modules["stdd.mesh"]
     built = []
     build = driver.build_window
