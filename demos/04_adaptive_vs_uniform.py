@@ -4,8 +4,9 @@ Runs the same channelized waterflood twice on a 40 x 10 ft strip: once
 on the uniformly fine grid with the fine time step everywhere, and once
 with dynamic tile-by-tile refinement that keeps fine resolution only
 around the water front.  The comparison reports the cost metric (Newton
-iterations x reduced degrees of freedom) and the saturation mismatch at
-every shared snapshot time.
+iterations x reduced degrees of freedom), the all-in cost that adds the
+adaptive run's predictor solves, and the saturation mismatch at every
+shared snapshot time.
 
 The domain is large enough that most tiles sit far from the front at
 any instant, which is exactly when adaptivity pays off; on the bundled
@@ -51,7 +52,9 @@ def main():
     for d in rep["saturation_differences"]:
         print(f"{d['time']:>10.2f}{d['linf']:>10.4f}{d['l2']:>10.4f}")
     adaptive_share = rep["b"]["cost_metric"] / rep["a"]["cost_metric"]
-    print(f"\nadaptive cost / uniform cost = {adaptive_share:.3f}")
+    all_in_share = rep["b"]["all_in_cost"] / rep["a"]["all_in_cost"]
+    print(f"\nadaptive cost / uniform cost = {adaptive_share:.3f}"
+          f"  (all-in, predictor solves included: {all_in_share:.3f})")
     print("the adaptive run concentrates fine 0.5 ft cells and 0.5 day"
           "\nsteps near the front; the far field keeps coarse 2.5 ft cells"
           "\nand the full 2-day step")

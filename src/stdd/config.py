@@ -12,6 +12,7 @@ import configparser
 import inspect
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -53,6 +54,11 @@ class WellSpec:
     r_w: float = 0.25
 
     def __post_init__(self):
+        if not (isinstance(self.tile, tuple) and len(self.tile) == 2
+                and all(isinstance(v, numbers.Integral)
+                        and not isinstance(v, bool) for v in self.tile)):
+            raise ConfigError(
+                f"well tile {self.tile!r} is not two integer indices")
         if self.kind not in WELL_KINDS:
             raise ConfigError(f"unknown well kind {self.kind!r}")
         if not (finite_number(self.value) and finite_number(self.r_w)):
@@ -228,12 +234,16 @@ class RunConfig:
 
 def _check_permeability(kind="uniform", **params):
     """Raise TypeError or ValueError unless the spec can build a field;
-    a generator's field must be finite and positive on an 8x8 grid."""
+    a generator's parameters but its seed must be finite numbers, and its
+    field finite and positive on an 8x8 grid."""
     if kind == "file":
         inspect.signature(load_fields).bind(None, **params)
         if params.get("layout", "row-major") not in LAYOUTS:
             raise ValueError(f"unknown layout {params['layout']!r}")
     elif kind in GENERATORS:
+        for name, v in params.items():
+            if name != "seed" and not finite_number(v):
+                raise ValueError(f"{name} must be a finite number")
         k = GENERATORS[kind]((8, 8), **params)
         if not np.all(np.isfinite(k) & (k > 0)):
             raise ValueError("permeability must be finite and positive")

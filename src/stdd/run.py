@@ -127,7 +127,7 @@ class Problem:
         return None
 
 
-def _predict(pb, ncfg, terms, prev, final, s_now):
+def _predict(pb, ncfg, terms, prev, final, s_now, seed=None):
     """Identifier map of the next window, the predictor solve's
     `LedgerEntry`, converged or not, and the trial's predicted (P, S)
     change over the window per trial cell (None if the solve failed).
@@ -137,9 +137,11 @@ def _predict(pb, ncfg, terms, prev, final, s_now):
     initial state, when `prev` is None).
     The predicted saturation deltas say where the front will move *during*
     the window, so refinement leads the front instead of trailing it.  The
-    trial's warm-start residual provides the residual indicator, and its
-    linearization is Newton's first.  `s_now` is the saturation raster at
-    the next window's start.
+    trial's warm-start residual provides the residual indicator.  Newton
+    starts from that warm start, or, given `seed` (the previous
+    predictor's saturation change per trial cell), from the trace moved
+    along it as a main window is; the indicator stays the unseeded one.
+    `s_now` is the saturation raster at the next window's start.
     """
     trial = terms.window
     if prev is None:
@@ -149,7 +151,9 @@ def _predict(pb, ncfg, terms, prev, final, s_now):
     start = linearize(terms, StateField.from_trace(trial, tp, ts))
     eta = residual_indicator(trial, start.r_norm, pb.base, pb.tiling)
     try:
-        sol, entry = newton_solve_window(terms, tp, ts, ncfg, start=start)
+        sol, entry = newton_solve_window(
+            terms, tp, ts, ncfg, start=start if seed is None else None,
+            delta_s=seed)
     except NonConvergence as fail:
         # predictor failed: refine everywhere rather than guess
         big = np.full(pb.tiling.shape, pb.thresholds.theta_ds + 1.0)
@@ -206,7 +210,10 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     Each window's identifier map is the mode's fixed map (constant 1 or 4
     for the uniform references, the configured box for static-dd) or is
     predicted before the window (dynamic-dd) by a solve on the all-coarse
-    trial window, which is built and mapped once.  The map is decomposed,
+    trial window, which is built and mapped once; each predictor solve
+    after the first starts from the previous one's saturation change, as
+    the front moves about as far in one window as in the one before,
+    unless that predictor failed.  The map is decomposed,
     and the window is solved by Newton from the previous window's final
     level; with a predicted map, its saturation starts moved by the
     trial's predicted change, mapped onto the window as the trace is.  A
@@ -249,7 +256,7 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     snapshots = []
     balance = {"injected": 0.0, "produced_w": 0.0, "produced_o": 0.0,
                "initial_w": None, "final_w": 0.0}
-    window = terms = final = idmap = None
+    window = terms = final = idmap = seed = None
     t = 0.0                 # the window's start, days
     s2d = np.full(base.shape, cfg.initial_saturation)
 
@@ -258,8 +265,10 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
             new_map, change = fixed, None
             if fixed is None:
                 new_map, solve, change = _predict(pb, ncfg, trial_terms,
-                                                  window, final, s2d)
+                                                  window, final, s2d, seed)
                 ledger.predictor.append(solve)
+                # the next predictor starts from this one's change
+                seed = None if change is None else change[1]
             if new_map is not idmap:
                 subs = decompose(new_map, pb.tiling, pb.table)
             idmap = new_map
@@ -390,8 +399,8 @@ def _emit_fine_levels(outdir, widx, start, window, state, base, origin,
 # that `compare` reads.
 PROBLEM_KEYS = ("reservoir", "base_shape", "horizon", "wells", "permeability")
 SUMMARY_KEYS = PROBLEM_KEYS + ("label", "mode", "snapshots", "cost_metric",
-                               "all_in_cost", "lu_cost", "total_wall_ms",
-                               "run_wall_ms")
+                               "predictor_cost", "all_in_cost", "lu_cost",
+                               "total_wall_ms", "run_wall_ms")
 # The keys of each `snapshots` entry that `compare` reads.
 SNAPSHOT_KEYS = ("time", "sw")
 

@@ -122,6 +122,19 @@ class TestExitCodes:
                      "value": 0.1, "r_w": math.inf},
                     {"tile": [7, 1], "kind": "bhp-producer",
                      "value": 1000.0}]}, EXIT_CONFIG),
+        ("fractional well tile",
+         {"wells": [{"tile": [0.5, 0], "kind": "rate-water-injector",
+                     "value": 0.1},
+                    {"tile": [7, 1], "kind": "bhp-producer",
+                     "value": 1000.0}]}, EXIT_CONFIG),
+        ("boolean well tile",
+         {"wells": [{"tile": [True, 0], "kind": "rate-water-injector",
+                     "value": 0.1},
+                    {"tile": [7, 1], "kind": "bhp-producer",
+                     "value": 1000.0}]}, EXIT_CONFIG),
+        ("NaN channel width",
+         {"permeability": {"kind": "channelized", "seed": 7,
+                           "width": math.nan}}, EXIT_CONFIG),
         ("unknown permeability key",
          {"permeability": {"kind": "gaussian", "bogus": 1}}, EXIT_CONFIG),
         ("horizon not whole windows", {"horizon": 9.0}, EXIT_CONFIG),
@@ -206,6 +219,23 @@ class TestCompare:
         assert "end-to-end wall ratio (a/b): 1.0000" in out
         assert "LU cost ratio (a/b): 1.0000  (above 0.2)" in out
         assert "0.00000" in out
+
+    def test_each_run_prints_its_predictor_cost(self, toy_run, capsys):
+        """Each run's row holds its cost metric, predictor cost and
+        all-in cost, in that order."""
+        summary = json.loads((toy_run / "run_summary.json").read_text())
+        assert main(["compare", "--a", str(toy_run),
+                     "--b", str(toy_run)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:5] == ["cost", "metric", "predictor",
+                                        "cost", "all-in"]
+        rows = [line.split() for line in lines[1:3]]
+        assert rows[0] == rows[1]
+        assert rows[0][:4] == [summary["label"],
+                               *(str(summary[key]) for key in (
+                                   "cost_metric", "predictor_cost",
+                                   "all_in_cost"))]
+        assert summary["predictor_cost"] > 0
 
     def test_newton_wall_counts_every_solve(self, toy_run):
         """`total_wall_ms` adds the predictor's solves (and any failed

@@ -42,6 +42,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig(wells=[WellSpec((44, 0), "rate-water-injector", 1.0)])
 
+    @pytest.mark.parametrize("tile", [(0.5, 0), (0, 1.0), (True, 0),
+                                      ("0", 0), (0,), (0, 0, 0), [0, 0]])
+    def test_well_tile_is_two_integer_indices(self, tile):
+        with pytest.raises(ConfigError, match="two integer indices"):
+            WellSpec(tile, "rate-water-injector", 1.0)
+
     def test_bad_well_kind(self):
         with pytest.raises(ConfigError):
             WellSpec((0, 0), "gas-injector", 1.0)
@@ -280,6 +286,49 @@ value = 1000
                      "[well.injector]\ntile = 0 0\n"
                      "kind = rate-water-injector\nvalue = 0.1\nrw = 0.1\n"):
             p.write_text(text)
+            with pytest.raises(ConfigError):
+                load_config(p)
+
+
+# (kind, parameter, a finite value) of every number a field generator
+# takes but its seed
+GENERATOR_NUMBERS = [
+    ("uniform", "value", 50.0), ("gaussian", "mean_log", 2.0),
+    ("gaussian", "sigma_log", 0.5), ("gaussian", "corr_len", 2.0),
+    ("channelized", "k_background", 2.0), ("channelized", "k_channel", 50.0),
+    ("channelized", "n_channels", 2), ("channelized", "width", 2.0),
+    ("channelized", "wiggle", 0.1)]
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+class TestGeneratorNumbers:
+    """NaN or an infinite generator parameter is a ConfigError, in JSON
+    and in INI; a finite one builds the field."""
+
+    @pytest.mark.parametrize("text", [*NON_FINITE, "finite"])
+    @pytest.mark.parametrize("kind, key, finite", GENERATOR_NUMBERS,
+                             ids=[f"{k}-{p}" for k, p, _ in GENERATOR_NUMBERS])
+    def test_json(self, tmp_path, kind, key, finite, text):
+        value = NON_FINITE.get(text, finite)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"permeability": {"kind": kind, "seed": 7,
+                                                  key: value}}))
+        if text == "finite":
+            assert load_config(p).permeability[key] == finite
+        else:
+            with pytest.raises(ConfigError, match=key):
+                load_config(p)
+
+    @pytest.mark.parametrize("text", [*NON_FINITE, "finite"])
+    @pytest.mark.parametrize("kind, key, finite", GENERATOR_NUMBERS,
+                             ids=[f"{k}-{p}" for k, p, _ in GENERATOR_NUMBERS])
+    def test_ini(self, tmp_path, kind, key, finite, text):
+        p = tmp_path / "cfg.ini"
+        p.write_text(f"[permeability]\nkind = {kind}\nseed = 7\n"
+                     f"{key} = {finite if text == 'finite' else text}\n")
+        if text == "finite":
+            assert load_config(p).permeability[key] == finite
+        else:
             with pytest.raises(ConfigError):
                 load_config(p)
 

@@ -682,17 +682,18 @@ class TestMarch:
         assert len(set(keys)) == len(keys) > 0
 
 
-def seeded_calls(monkeypatch, fail_predictor=False):
+def seeded_calls(monkeypatch, fail_predictors=()):
     """Per `newton_solve_window` call that `run()` makes from now on: the
     trace and `delta_s` it was given and the returned state, or None if
-    it raised.  With `fail_predictor`, every solve of the all-coarse
-    trial gets one iteration, and fails."""
+    it raised.  The solves of the all-coarse trial whose positions among
+    the trial's solves are in `fail_predictors` get one iteration, and
+    fail."""
     calls = []
     real = run_module.newton_solve_window
 
     def recorded(terms, trace_p, trace_s, cfg, *args, **kwargs):
         trial = {s.identifier for s in terms.window.subdomains} == {4}
-        if fail_predictor and trial:
+        if trial and sum(c["trial"] for c in calls) in fail_predictors:
             cfg = replace(cfg, max_iters=1)
         call = {"trial": trial, "trace": (trace_p.copy(), trace_s.copy()),
                 "delta_s": kwargs.get("delta_s"), "state": None}
@@ -705,9 +706,27 @@ def seeded_calls(monkeypatch, fail_predictor=False):
     return calls
 
 
+def predictions(monkeypatch, seeded=True):
+    """The (identifier map, entry, change) of every `_predict` call that
+    `run()` makes from now on.  Without `seeded`, each predictor starts
+    from its trace, as before the predictor took a seed."""
+    results = []
+    real = run_module._predict
+
+    def recorded(pb, ncfg, terms, prev, final, s_now, seed=None):
+        results.append(real(pb, ncfg, terms, prev, final, s_now,
+                            seed if seeded else None))
+        return results[-1]
+
+    monkeypatch.setattr(run_module, "_predict", recorded)
+    return results
+
+
 class TestPredictedSeed:
     """A predicted window's Newton starts from its trace plus the
-    predictor's saturation change, linear in time across its levels."""
+    predictor's saturation change, linear in time across its levels; a
+    predictor after the first starts from its trace plus the previous
+    predictor's change."""
 
     @staticmethod
     def trace(w, seed=0):
@@ -760,20 +779,26 @@ class TestPredictedSeed:
             state.s[fin], np.minimum(s[w.st_spatial[fin]] + 0.5, 1.0),
             rtol=0.0, atol=1e-15)
 
-    def test_run_seeds_main_windows_only(self, tmp_path, monkeypatch):
-        """On the toy `dynamic-dd` run the predictor starts from its
-        trace, each main window from its transferred trace moved by the
-        mapped change; every converged state keeps that trace bitwise, so
-        accumulation and mass see the trace."""
+    def test_run_seeds_predictors_and_main_windows(self, tmp_path,
+                                                   monkeypatch):
+        """On the toy `dynamic-dd` run the first predictor starts from its
+        trace and each later one from its trace moved by the previous
+        predictor's saturation change, handed on bitwise; each main window
+        starts from its transferred trace moved by the mapped change.
+        Every converged state keeps its trace bitwise, so accumulation and
+        mass see the trace."""
         calls = seeded_calls(monkeypatch)
-        summary = run(replace(preset("toy"), horizon=4.0), tmp_path,
-                      emit_vtk=False)
-        assert [c["trial"] for c in calls] == [True, False] * 2
+        predicted = predictions(monkeypatch)
+        summary = run(preset("toy"), tmp_path, emit_vtk=False)
+        assert [c["trial"] for c in calls] == [True, False] * 4
         for c in calls:
-            assert (c["delta_s"] is None) == c["trial"]
             for given, kept in zip(c["trace"], (c["state"].trace_p,
                                                 c["state"].trace_s)):
                 assert kept.tobytes() == given.tobytes()
+        trials = [c for c in calls if c["trial"]]
+        assert trials[0]["delta_s"] is None
+        for c, (_, _, change) in zip(trials[1:], predicted):
+            assert c["delta_s"].tobytes() == change[1].tobytes()
         main = [c for c in calls if not c["trial"]]
         assert all(len(c["delta_s"]) == len(c["trace"][1]) for c in main)
         assert any(np.max(np.abs(c["delta_s"])) > 0.01 for c in main)
@@ -792,12 +817,46 @@ class TestPredictedSeed:
             pb, NewtonConfig(max_iters=1), pb.maps(trial), None, None, s_now)
         assert entry.iterations == 1 and change is None
 
-        calls = seeded_calls(monkeypatch, fail_predictor=True)
+        calls = seeded_calls(monkeypatch, fail_predictors={0})
         summary = run(replace(cfg, horizon=2.0), tmp_path, emit_vtk=False)
         assert [c["trial"] for c in calls] == [True, False]
         assert calls[0]["state"] is None
         assert calls[1]["delta_s"] is None
         assert summary["predictor_cost"] > 0
+
+    def test_failed_predictor_leaves_the_next_unseeded(self, tmp_path,
+                                                       monkeypatch):
+        """Window 0's predictor fails, so window 1's predictor starts from
+        its trace, and window 2's from window 1's predicted change."""
+        calls = seeded_calls(monkeypatch, fail_predictors={0})
+        predicted = predictions(monkeypatch)
+        run(replace(preset("toy"), horizon=6.0), tmp_path, emit_vtk=False)
+        trials = [c for c in calls if c["trial"]]
+        assert [c["state"] is None for c in trials] == [True, False, False]
+        assert predicted[0][2] is None
+        assert trials[0]["delta_s"] is None and trials[1]["delta_s"] is None
+        assert (trials[2]["delta_s"].tobytes()
+                == predicted[1][2][1].tobytes())
+
+    def test_seed_keeps_the_marking(self, tmp_path, monkeypatch):
+        """The toy `dynamic-dd` run marks the same identifiers from the
+        same indicator η with the predictor's seed as without, and keeps
+        its main windows' counts; the predictor's cost falls from 864."""
+        counts = {}
+        maps = {}
+        for seeded in (True, False):
+            with monkeypatch.context() as patch:
+                predicted = predictions(patch, seeded)
+                summary = run(preset("toy"), tmp_path / str(seeded),
+                              emit_vtk=False)
+            counts[seeded] = (summary["iterations"], summary["cost_metric"],
+                              summary["predictor_cost"])
+            maps[seeded] = [idmap for idmap, _, _ in predicted]
+        assert counts == {True: (35, 73_198, 672), False: (35, 73_198, 864)}
+        assert len(maps[True]) == len(maps[False]) == 4
+        for a, b in zip(maps[True], maps[False]):
+            assert a.identifiers.tobytes() == b.identifiers.tobytes()
+            np.testing.assert_allclose(a.eta, b.eta, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("mode, iterations, cost", [
         ("uniform-fine", 106, 84_800), ("uniform-coarse", 21, 672),
@@ -942,7 +1001,10 @@ class TestNewtonCounts:
     def test_dynamic_dd_prefix(self, tmp_path):
         """The benchmark's 8-day `dynamic-dd` prefix on field 7.  Each main
         window starts from its trace plus the predictor's saturation
-        change, which took it from 71 iterations (cost 329,006) to 46."""
+        change, which took it from 71 iterations (cost 329,006) to 46;
+        each predictor after the first starts from its trace plus the
+        previous predictor's change, which took the predictor's cost from
+        33,792 to 27,456."""
         cfg = replace(preset("dynamic-dd"), horizon=8.0)
         assert cfg.permeability == {"kind": "channelized", "seed": 7}
         summary = run(cfg, tmp_path, emit_vtk=False)
@@ -950,6 +1012,7 @@ class TestNewtonCounts:
         assert summary["failed_cost"] == 0
         assert summary["iterations"] == 46
         assert summary["cost_metric"] == 217_580
+        assert summary["predictor_cost"] == 27_456
 
 
 class TestChannelizedPrefix:
