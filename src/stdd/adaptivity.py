@@ -262,17 +262,24 @@ def decompose(idmap: IdentifierMap, tiling: Tiling, table: dict):
 
 def transfer_state(old_window, final_p, final_s, new_window, base: BaseGrid,
                    phi_base):
-    """Map a final window state onto a new decomposition's spatial cells.
+    """Map a final window state onto a new decomposition's spatial cells,
+    each half by `transfer_field`.
 
-    Coarse-to-fine is constant injection; fine-to-coarse averages with
-    pore-volume weights for saturation (exactly conserving water pore
-    volume) and, as a smoothness heuristic, for pressure too.
+    Pore-volume weights exactly conserve water pore volume in the
+    saturation; for pressure they are a smoothness heuristic.
     """
+    return (transfer_field(old_window, final_p, new_window, base, phi_base),
+            transfer_field(old_window, final_s, new_window, base, phi_base))
+
+
+def transfer_field(old_window, values, new_window, base: BaseGrid,
+                   phi_base):
+    """Map per-spatial-cell `values` of one decomposition onto another's:
+    coarse-to-fine is constant injection, fine-to-coarse averages with
+    pore-volume weights."""
     pv = phi_base * base.cell_volume
-    p_base = base.rasterize(old_window, final_p)
-    s_base = base.rasterize(old_window, final_s)
-    return (base.average_to(new_window, p_base, pv),
-            base.average_to(new_window, s_base, pv))
+    return base.average_to(new_window, base.rasterize(old_window, values),
+                           pv)
 
 
 def upscale_blocks(k_blocks, hx, hy, direction):

@@ -9,13 +9,15 @@ from __future__ import annotations
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import output
 from .adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
                          cell_permeability, classify, decompose, delta_change,
-                         final_spatial, residual_indicator, transfer_state)
+                         final_spatial, residual_indicator, transfer_field,
+                         transfer_state)
 from .assembly import (CellProperties, ResolvedWells, StateField, linearize,
                        window_terms)
 from .config import UNIFORM_IDENTIFIER, RunConfig
@@ -129,19 +131,22 @@ class Problem:
 
 def _predict(pb, ncfg, terms, prev, final, s_now, seed=None):
     """Identifier map of the next window, the predictor solve's
-    `LedgerEntry`, converged or not, and the trial's predicted (P, S)
+    `LedgerEntry`, converged or not, and the trial's predicted saturation
     change over the window per trial cell (None if the solve failed).
 
     The all-coarse trial window, whose `WindowTerms` are `terms`, is
     solved from the final level `final` of the window `prev` (or from the
-    initial state, when `prev` is None).
-    The predicted saturation deltas say where the front will move *during*
-    the window, so refinement leads the front instead of trailing it.  The
-    trial's warm-start residual provides the residual indicator.  Newton
-    starts from that warm start, or, given `seed` (the previous
-    predictor's saturation change per trial cell), from the trace moved
-    along it as a main window is; the indicator stays the unseeded one.
-    `s_now` is the saturation raster at the next window's start.
+    initial state, when `prev` is None) to √tol of `ncfg.tol` (or to tol,
+    if larger), about one quadratic Newton step short of tol: the change
+    is read only as tile deltas against θ_ΔS and as a seed that the main
+    window's Newton refines to tol.  The predicted saturation deltas say
+    where the front will move *during* the window, so refinement leads
+    the front instead of trailing it.  The trial's warm-start residual
+    provides the residual indicator.  Newton starts from that warm start,
+    or, given `seed` (the previous predictor's saturation change per
+    trial cell), from the trace moved along it as a main window is; the
+    indicator stays the unseeded one.  `s_now` is the saturation raster
+    at the next window's start.
     """
     trial = terms.window
     if prev is None:
@@ -150,20 +155,21 @@ def _predict(pb, ncfg, terms, prev, final, s_now, seed=None):
         tp, ts = transfer_state(prev, *final, trial, pb.base, pb.phi_base)
     start = linearize(terms, StateField.from_trace(trial, tp, ts))
     eta = residual_indicator(trial, start.r_norm, pb.base, pb.tiling)
+    loose = replace(ncfg, tol=max(ncfg.tol, math.sqrt(ncfg.tol)))
     try:
         sol, entry = newton_solve_window(
-            terms, tp, ts, ncfg, start=start if seed is None else None,
+            terms, tp, ts, loose, start=start if seed is None else None,
             delta_s=seed)
     except NonConvergence as fail:
         # predictor failed: refine everywhere rather than guess
         big = np.full(pb.tiling.shape, pb.thresholds.theta_ds + 1.0)
         return classify(eta, big, big.copy(), pb.thresholds), fail.entry, None
-    p_end, s_end = final_spatial(trial, sol)
+    s_end = final_spatial(trial, sol)[1]
     s_pred = pb.base.rasterize(trial, s_end)
     d_s_now, _ = delta_change(s_now, s_now, pb.tiling)
     d_s_pred, d_t = delta_change(s_now, s_pred, pb.tiling)
     return (classify(eta, np.maximum(d_s_now, d_s_pred), d_t, pb.thresholds),
-            entry, (p_end - tp, s_end - ts))
+            entry, s_end - ts)
 
 
 def _escalate(idmap):
@@ -210,19 +216,21 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     Each window's identifier map is the mode's fixed map (constant 1 or 4
     for the uniform references, the configured box for static-dd) or is
     predicted before the window (dynamic-dd) by a solve on the all-coarse
-    trial window, which is built and mapped once; each predictor solve
-    after the first starts from the previous one's saturation change, as
-    the front moves about as far in one window as in the one before,
-    unless that predictor failed.  The map is decomposed,
-    and the window is solved by Newton from the previous window's final
+    trial window, which is built and mapped once.  The predictor is
+    solved to √tol and hands on only its saturation change; each
+    predictor solve after the first starts from the previous one's
+    change, as the front moves about as far in one window as in the one
+    before, unless that predictor failed.  The map is decomposed, and the
+    window is solved by Newton to tol from the previous window's final
     level; with a predicted map, its saturation starts moved by the
-    trial's predicted change, mapped onto the window as the trace is.  A
-    window is built and mapped only when its decomposition differs from
-    the current window's; otherwise the current one is solved again.  A
-    predicted map that fails to converge is promoted once and the window
-    solved again, from the same seed; a fixed map is never promoted.
-    Every Newton solve, the predictor's and the failed ones included, goes
-    into one `RunLedger`, and the summary's costs are its sums.
+    trial's predicted change, mapped onto the window as the trace's
+    saturation is.  A window is built and mapped only when its
+    decomposition differs from the current window's; otherwise the
+    current one is solved again.  A predicted map that fails to converge
+    is promoted once and the window solved again, from the same seed; a
+    fixed map is never promoted.  Every Newton solve, the predictor's and
+    the failed ones included, goes into one `RunLedger`, and the
+    summary's costs are its sums.
 
     Artifacts: resolved config, property curves, permeability field,
     per-window saturation/pressure snapshots (CSV and VTK), identifier
@@ -267,8 +275,7 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                 new_map, solve, change = _predict(pb, ncfg, trial_terms,
                                                   window, final, s2d, seed)
                 ledger.predictor.append(solve)
-                # the next predictor starts from this one's change
-                seed = None if change is None else change[1]
+                seed = change   # the next predictor starts from it
             if new_map is not idmap:
                 subs = decompose(new_map, pb.tiling, pb.table)
             idmap = new_map
@@ -292,8 +299,8 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                 # mapped as the trace is
                 delta_s = None
                 if change is not None:
-                    delta_s = transfer_state(trial, *change, new, base,
-                                             pb.phi_base)[1]
+                    delta_s = transfer_field(trial, change, new, base,
+                                             pb.phi_base)
                 try:
                     state, entry = newton_solve_window(
                         new_terms, *trace, ncfg, delta_s=delta_s)

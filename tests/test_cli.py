@@ -207,6 +207,79 @@ class TestExitCodes:
             == {0}
 
 
+# (kind, parameter, a value out of its range) of a field generator; each
+# built a field and ran before the ranges were checked
+OUT_OF_RANGE = [
+    ("channelized", "width", -1), ("channelized", "width", 0),
+    ("channelized", "n_channels", -2), ("channelized", "wiggle", -1),
+    ("gaussian", "corr_len", -2), ("gaussian", "corr_len", 0),
+    ("gaussian", "sigma_log", -1)]
+
+# The toy preset's grid and wells, one uniform-coarse window
+TOY_INI = """\
+[run]
+reservoir = 0 0 20 5
+horizon = 2
+delta_t = 2
+mode = uniform-coarse
+
+[table]
+1 = 0.5 0.5 0.5
+2 = 0.5 0.5 2.0
+3 = 2.5 2.5 0.5
+4 = 2.5 2.5 2.0
+
+[well.injector]
+tile = 0 0
+kind = rate-water-injector
+value = 0.1
+
+[well.producer]
+tile = 7 1
+kind = bhp-producer
+value = 1000
+"""
+
+
+class TestGeneratorRanges:
+    """A field generator's `width` and `corr_len` must be positive, its
+    `n_channels`, `sigma_log` and `wiggle` not negative: anything else is
+    a config error, exit 2 before any output, in JSON and in INI."""
+
+    CASES = pytest.mark.parametrize(
+        "kind, key, value", OUT_OF_RANGE,
+        ids=[f"{k}-{p}={v}" for k, p, v in OUT_OF_RANGE])
+
+    @staticmethod
+    def simulate(tmp_path, path):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        return rc, out.exists()
+
+    @CASES
+    def test_json(self, tmp_path, kind, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            **replace(preset("toy"), mode="uniform-coarse",
+                      horizon=2.0).to_dict(),
+            "permeability": {"kind": kind, "seed": 7, key: value}}))
+        assert self.simulate(tmp_path, path) == (EXIT_CONFIG, False)
+
+    @CASES
+    def test_ini(self, tmp_path, kind, key, value):
+        path = tmp_path / "cfg.ini"
+        path.write_text(TOY_INI + f"\n[permeability]\nkind = {kind}\n"
+                        f"seed = 7\n{key} = {value}\n")
+        assert self.simulate(tmp_path, path) == (EXIT_CONFIG, False)
+
+    def test_ini_in_range_runs(self, tmp_path):
+        """The INI above runs with each generator's defaults."""
+        for kind in ("channelized", "gaussian"):
+            path = tmp_path / f"{kind}.ini"
+            path.write_text(TOY_INI + f"\n[permeability]\nkind = {kind}\n")
+            assert self.simulate(tmp_path / kind, path) == (EXIT_OK, True)
+
+
 class TestCompare:
     def test_identical_runs(self, toy_run, capsys):
         rc = main(["compare", "--a", str(toy_run), "--b", str(toy_run)])

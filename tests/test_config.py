@@ -152,8 +152,8 @@ class TestSchema:
         """The schema's bounds are the ones `RunConfig` enforces: a
         threshold may be zero but not negative, a uniform permeability
         must be positive, and every value of a `newton`, `thresholds`,
-        `fluid` or `relcap` key or a flag that the schema rules out is a
-        ConfigError."""
+        `fluid` or `relcap` key, a field generator's parameter or a flag
+        that the schema rules out is a ConfigError."""
         props = self.SCHEMA["properties"]
         for name in THRESHOLD_DEFAULTS:
             bound = props["thresholds"]["properties"][name]
@@ -175,6 +175,13 @@ class TestSchema:
                   for k in props[section]["properties"]]
         checks.append((props["emit_fine_levels"],
                        lambda v: RunConfig(emit_fine_levels=v)))
+        for kind, keys in (("gaussian", ("sigma_log", "corr_len")),
+                           ("channelized", ("n_channels", "width",
+                                            "wiggle"))):
+            checks += [(props["permeability"]["properties"][k],
+                        lambda v, kind=kind, k=k:
+                        RunConfig(permeability={"kind": kind, k: v}))
+                       for k in keys]
         for bound, config in checks:
             good, bad = self.admitted_and_ruled_out(bound)
             for v in good:
