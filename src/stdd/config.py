@@ -235,9 +235,9 @@ class RunConfig:
 def _check_permeability(kind="uniform", **params):
     """Raise TypeError or ValueError unless the spec can build a field;
     a generator's parameters but its seed must be finite numbers, `width`
-    and `corr_len` positive, `n_channels` a non-negative integer,
-    `sigma_log` and `wiggle` non-negative, and its field finite and
-    positive on an 8x8 grid."""
+    and `corr_len` positive, `n_channels`, `sigma_log` and `wiggle`
+    non-negative, and its field finite and positive on an 8x8 grid (whose
+    build rejects a fractional `n_channels`)."""
     if kind == "file":
         inspect.signature(load_fields).bind(None, **params)
         if params.get("layout", "row-major") not in LAYOUTS:
@@ -250,8 +250,6 @@ def _check_permeability(kind="uniform", **params):
                 raise ValueError(f"{name} must be positive")
             if name in ("n_channels", "sigma_log", "wiggle") and v < 0:
                 raise ValueError(f"{name} must not be negative")
-        if not isinstance(params.get("n_channels", 0), numbers.Integral):
-            raise ValueError("n_channels must be an integer")
         k = GENERATORS[kind]((8, 8), **params)
         if not np.all(np.isfinite(k) & (k > 0)):
             raise ValueError("permeability must be finite and positive")
