@@ -22,6 +22,8 @@ Newton factors the exact Jacobian but for the front slope
 (`CellSystem.newton_blocks`): ahead of the water front k_rw and its slope
 vanish, so on the faces whose upwind cell is a front cell the water
 mobility's saturation derivative takes the k_rw slope `FRONT_KRW_SLOPE`.
+Those faces' upwind cells (`CellSystem.front_cells`) are the cells whose
+Newton step `front_saturation_cap` bounds.
 
 `CellSystem.jacobian` turns Newton's blocks into the sparse matrix that is
 factored, in the numbering of the window's one pattern
@@ -339,6 +341,19 @@ class ReducedJacobian:
 FRONT_KRW_SLOPE = 0.01
 
 
+def front_saturation_cap(relcap):
+    """The saturation s_wirr + Δ up to which one Newton step may raise a
+    front cell (`CellSystem.front_cells`): at s_wirr + Δ the exact k_rw
+    is twice the front slope's line, kr0_w (Δ / span)^n_w =
+    2 FRONT_KRW_SLOPE Δ.  Beyond it the line, which the step was solved
+    on, holds the cell's k_rw at less than half its true value.  Infinite,
+    no cap, for n_w <= 1, where k_rw over the line does not grow with Δ."""
+    if relcap.n_w <= 1:
+        return np.inf
+    return relcap.s_wirr + (2.0 * FRONT_KRW_SLOPE * relcap.span**relcap.n_w
+                            / relcap.kr0_w) ** (1.0 / (relcap.n_w - 1.0))
+
+
 @dataclass
 class CellSystem:
     """One Newton linearization on cell unknowns only.
@@ -372,25 +387,28 @@ class CellSystem:
     def newton_blocks(self):
         """The blocks of the Jacobian that Newton factors: `blocks` with
         the front slope (`_front_slope`) in place of the water mobility's
-        saturation derivative."""
-        return self._fill_blocks(self._front_slope())
+        saturation derivative on the faces it floors."""
+        faces, floor = self._front_slope
+        slope = self._faces.water[1].copy()
+        slope[faces] = floor
+        return self._fill_blocks(slope)
 
+    @cached_property
     def _front_slope(self):
-        """Each face's saturation derivative of its upwind water mobility
-        in Newton's Jacobian.
+        """The faces whose upwind cell is a front cell, and the
+        rho_face * FRONT_KRW_SLOPE / mu_w that Newton's Jacobian gives
+        their water mobility's saturation derivative.
 
         A front cell's k_rw slope is below `FRONT_KRW_SLOPE`, while it
         takes in water across a face from a cell whose k_rw is positive.
         Water that enters it will also leave it, which the exact
-        derivative, zero at s_wirr, does not show.  On each face whose
-        upwind cell is a front cell the derivative is
-        rho_face * FRONT_KRW_SLOPE / mu_w; elsewhere it is exact.  The
-        constant-mobility model has no front.
+        derivative, zero at s_wirr, does not show.  The constant-mobility
+        model has no front.
         """
         fc, model = self._faces, self.terms.model
-        lam, dlam_ds, _, _, up_left = fc.water
         if model.linear:
-            return dlam_ds
+            return np.empty(0, dtype=np.intp), np.empty(0)
+        lam, dlam_ds, _, _, up_left = fc.water
         w = self.window
         cl, cr = w.faces.c_left, w.faces.c_right
         takes_in = np.zeros(w.n_st, dtype=bool)
@@ -400,9 +418,16 @@ class CellSystem:
             WATER, cl.take(faces), cr.take(faces), self._rho_w)
         # the faces whose upwind cell's k_rw slope is below the floor
         slow = dlam_ds.take(faces) < floor
-        slope = dlam_ds.copy()
-        slope[faces[slow]] = floor[slow]
-        return slope
+        return faces[slow], floor[slow]
+
+    @cached_property
+    def front_cells(self):
+        """The front cells, in ascending order: the upwind cells of the
+        faces whose slope `_front_slope` floors."""
+        faces = self._front_slope[0]
+        f = self.window.faces
+        return np.unique(np.where(self._faces.water[4].take(faces),
+                                  f.c_left.take(faces), f.c_right.take(faces)))
 
     def _fill_blocks(self, dlw_ds):
         """The blocks with `dlw_ds` as each face's saturation derivative

@@ -62,7 +62,9 @@ def gaussian_field(shape, seed=0, *, mean_log=3.0, sigma_log=1.0,
     noise = rng.standard_normal(shape)
     smooth = gaussian_filter(noise, sigma=corr_len, mode="reflect")
     smooth = (smooth - smooth.mean()) / smooth.std()
-    return np.exp(mean_log + sigma_log * smooth)
+    # an overflow is inf, which the field's users reject
+    with np.errstate(over="ignore"):
+        return np.exp(mean_log + sigma_log * smooth)
 
 
 def channelized_field(shape, seed=0, *, k_background=5.0, k_channel=500.0,

@@ -108,7 +108,7 @@ class BrooksCoreyModel:
             raise ValueError("eps_s must be positive")
 
     @property
-    def _span(self):
+    def span(self):
         # summed before subtraction so the common default span is the
         # closest double to its exact value
         return 1.0 - (self.s_or + self.s_wirr)
@@ -116,7 +116,7 @@ class BrooksCoreyModel:
     def _se(self, sw):
         sc = np.clip(np.asarray(sw, dtype=float), self.s_wirr,
                      1.0 - self.s_or)
-        return np.clip((sc - self.s_wirr) / self._span, 0.0, 1.0)
+        return np.clip((sc - self.s_wirr) / self.span, 0.0, 1.0)
 
     def krw(self, sw):
         """Water relative permeability and d/dS_w."""
@@ -125,7 +125,7 @@ class BrooksCoreyModel:
         kr = self.kr0_w * se**self.n_w
         dkr = np.where(
             (sw > self.s_wirr) & (sw < 1.0 - self.s_or),
-            self.kr0_w * self.n_w * se ** (self.n_w - 1.0) / self._span,
+            self.kr0_w * self.n_w * se ** (self.n_w - 1.0) / self.span,
             0.0,
         )
         return kr, dkr
@@ -138,7 +138,7 @@ class BrooksCoreyModel:
         dkr = np.where(
             (sw > self.s_wirr) & (sw < 1.0 - self.s_or),
             -self.kr0_o * self.n_o * (1.0 - se) ** (self.n_o - 1.0)
-            / self._span,
+            / self.span,
             0.0,
         )
         return kr, dkr

@@ -8,7 +8,12 @@ is one `LedgerEntry`, and `RunLedger` sums the run's costs over them all.
 
 Newton's Jacobian is exact but for the front slope
 (`stdd.assembly.CellSystem.newton_blocks`); the residual and the tolerance
-are exact, so a converged state meets the exact equations.
+are exact, so a converged state meets the exact equations.  Each
+saturation update is chopped (`chop_saturation`) to at most `MAX_DS` per
+cell, and each front cell, whose k_rw the step took from the front
+slope's line, rises to no more than `stdd.assembly.front_saturation_cap`,
+where the exact k_rw is twice that line: a trust region on the few cells
+where Newton's residual grows.
 
 The Jacobian fill (`CellSystem.jacobian`) eliminates the local saturations
 exactly: those whose row and column stay in their cell's 2x2 block, as they
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import StateField, linearize
+from .assembly import StateField, front_saturation_cap, linearize
 from .errors import NonConvergence, SingularMatrix
 from .physics import finite_number
 
@@ -157,6 +162,25 @@ def linear_solve(jac, residual, symmetric=False):
     return dy, lu.nnz
 
 
+def chop_saturation(model, s, ds, front):
+    """Add Newton's saturation update `ds` to `s` in place, chopped.
+
+    Each cell moves by at most `MAX_DS`, which keeps iterates near the
+    physical range.  A front cell (`CellSystem.front_cells`), whose k_rw
+    the step took from the front slope's line, then rises no higher than
+    `front_saturation_cap`, where that line is half of k_rw; one already
+    above the cap is not moved down to it.  The constant-mobility model
+    is exactly linear and is not chopped.
+    """
+    if model.linear:
+        s += ds
+        return
+    s_front = s.take(front)
+    s += np.clip(ds, -MAX_DS, MAX_DS)
+    s[front] = np.minimum(s.take(front), np.maximum(
+        s_front, front_saturation_cap(model.relcap)))
+
+
 def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
                         start=None, delta_s=None):
     """Solve the window of `terms` (`WindowTerms`) to tolerance; returns
@@ -189,21 +213,16 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
             return state, entry(k)
         if k == cfg.max_iters:
             break
-        jac, r_y = sys_.jacobian(), sys_.r_y
+        jac, r_y, front = sys_.jacobian(), sys_.r_y, sys_.front_cells
         del sys_                # freed before the factor
         if k == 0:          # the factor path of every solve
             symmetric = bool(jac.stored_share > SYMMETRIC_MIN_STORED)
         dy, nnz = linear_solve(jac, r_y, symmetric=symmetric)
         lu_nnz += nnz
         del jac                 # freed before the next linearization
-        dp, ds = dy[0::2], dy[1::2]
-        # saturation chopping keeps iterates near the physical range; the
-        # constant-mobility model is exactly linear and must not be chopped
-        if not model.linear:
-            ds = np.clip(ds, -MAX_DS, MAX_DS)
         # in place: a fresh state per iteration grows the heap
-        state.p += dp
-        state.s += ds
+        state.p += dy[0::2]
+        chop_saturation(model, state.s, dy[1::2], front)
         sys_ = linearize(terms, state)
 
     raise NonConvergence(entry(cfg.max_iters))

@@ -590,7 +590,7 @@ class TestFrontSlope:
             col = 2 * up[f] + 1
             change[[2 * cl[f], 2 * cl[f] + 1], col] += d
             change[[2 * cr[f], 2 * cr[f] + 1], col] -= d
-        return change, len(faces)
+        return change, up[faces]
 
     @pytest.mark.parametrize("make", [uniform_window, fine_box_window,
                                       time_refined_window])
@@ -604,8 +604,8 @@ class TestFrontSlope:
         sys_ = linearize(terms, state)
         exact = full_jacobian(sys_).toarray()
         newton = full_jacobian(sys_, sys_.newton_blocks).toarray()
-        change, n_faces = self.expected_change(terms, state)
-        assert n_faces > 0
+        change, upwind = self.expected_change(terms, state)
+        assert len(upwind) > 0
         assert not np.any((newton != exact) & (change == 0.0))
         assert np.max(np.abs(newton - exact - change)) <= \
             1e-13 * np.max(np.abs(exact))
@@ -660,6 +660,28 @@ class TestFrontSlope:
         terms = window_terms(w, props, wells, MODELS["constant"]())
         sys_ = linearize(terms, self.front_state(w, 0))
         assert np.array_equal(sys_.newton_blocks, sys_.blocks)
+        assert len(sys_.front_cells) == 0
+
+    @pytest.mark.parametrize("make", [uniform_window, fine_box_window,
+                                      time_refined_window])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_front_cells_are_the_floored_faces_upwind_cells(self, make,
+                                                            seed):
+        """`front_cells` are the upwind cells of the faces whose slope the
+        floor changes, each once, in ascending order, and reading them
+        leaves Newton's blocks as they are."""
+        w = make()
+        _, props, wells = TestDirectJacobian.case(w, seed)
+        terms = window_terms(w, props, wells, model())
+        state = self.front_state(w, seed)
+        sys_ = linearize(terms, state)
+        _, upwind = self.expected_change(terms, state)
+        assert len(upwind) > 0
+        assert np.array_equal(sys_.front_cells, np.unique(upwind))
+        blocks = sys_.newton_blocks.copy()
+        fresh = linearize(terms, state)
+        fresh.front_cells
+        assert np.array_equal(fresh.newton_blocks, blocks)
 
 
 class TestOrderedPattern:

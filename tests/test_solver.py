@@ -15,15 +15,17 @@ from artifact_readers import read_ledger_csv
 from jacobian_oracle import (PlainJacobian, local_saturations,
                              newton_jacobian, window_jacobian)
 from stdd.adaptivity import decompose
-from stdd.assembly import (CellProperties, ResolvedWells, StateField,
-                           linearize, window_terms)
+from stdd.assembly import (FRONT_KRW_SLOPE, CellProperties, ResolvedWells,
+                           StateField, front_saturation_cap, linearize,
+                           window_terms)
 from stdd.config import preset
 from stdd.errors import ConfigError, NonConvergence, SingularMatrix
 from stdd.mesh import Subdomain, build_window
+from stdd.output import read_grid_csv
 from stdd.physics import BrooksCoreyModel, FluidModel, FluidRockModel
 from stdd.run import run
-from stdd.solver import (NewtonConfig, RunLedger, linear_solve,
-                         newton_solve_window)
+from stdd.solver import (MAX_DS, NewtonConfig, RunLedger, chop_saturation,
+                         linear_solve, newton_solve_window)
 
 
 def nonlinear_model():
@@ -421,6 +423,122 @@ class TestNewtonWindow:
         assert len(evaluated) == entry.iterations + 1
 
 
+class TestFrontTrustRegion:
+    """A front cell, whose k_rw slope Newton's Jacobian floors, rises in
+    one step no higher than s_wirr + Δ, where k_rw is twice the slope's
+    line; every other cell moves by at most `MAX_DS`."""
+
+    def test_cap_is_where_k_rw_doubles_the_line(self):
+        """0.2072 for the defaults; for any n_w > 1, k_rw at the cap is
+        twice the front slope's line."""
+        assert front_saturation_cap(BrooksCoreyModel()) == pytest.approx(
+            0.2072, rel=1e-12)
+        rc = BrooksCoreyModel(s_wirr=0.1, s_or=0.3, kr0_w=0.5, n_w=3.0)
+        cap = front_saturation_cap(rc)
+        assert 0.1 < cap < 0.7
+        assert rc.krw(cap)[0] == pytest.approx(
+            2.0 * FRONT_KRW_SLOPE * (cap - 0.1), rel=1e-12)
+
+    def test_floored_cell_stops_at_the_cap(self):
+        """Front cells 0-3 rise to the cap, stay below it, stay above it
+        and fall; cells 4-6, not floored, get the ±MAX_DS clip only."""
+        m = nonlinear_model()
+        cap = front_saturation_cap(m.relcap)
+        s = np.array([0.2, 0.2, 0.5, 0.4, 0.2, 0.3, 0.5])
+        ds = np.array([0.3, 0.005, 0.1, -0.1, 0.3, -0.5, 0.05])
+        chop_saturation(m, s, ds, np.array([0, 1, 2, 3]))
+        np.testing.assert_allclose(
+            s, [cap, 0.205, 0.5, 0.3, 0.2 + MAX_DS, 0.3 - MAX_DS, 0.55],
+            rtol=0.0, atol=1e-15)
+        assert s[0] == cap and s[2] == 0.5
+
+    def test_unfloored_cells_get_the_clip_only(self):
+        m = nonlinear_model()
+        rng = np.random.default_rng(0)
+        s = rng.uniform(0.2, 0.8, 50)
+        ds = rng.uniform(-0.5, 0.5, 50)
+        got = s.copy()
+        chop_saturation(m, got, ds, np.empty(0, dtype=np.intp))
+        assert got.tobytes() == (s + np.clip(ds, -MAX_DS, MAX_DS)).tobytes()
+
+    def test_no_cap_for_n_w_1(self):
+        """For n_w = 1 there is no cap: a front cell gets the clip only,
+        and a front entering the strip converges."""
+        m = FluidRockModel(FluidModel(), BrooksCoreyModel(n_w=1.0))
+        assert front_saturation_cap(m.relcap) == np.inf
+        s = np.array([0.2, 0.4])
+        chop_saturation(m, s, np.array([0.3, 0.1]), np.array([0, 1]))
+        assert s.tolist() == [0.2 + MAX_DS, 0.4 + 0.1]
+        w = strip_window()
+        n = w.n_spatial
+        terms = window_terms(w, props(n), corner_wells(n), m)
+        st, entry = newton_solve_window(
+            terms, np.full(n, 1000.0), np.full(n, 0.2), NewtonConfig())
+        assert entry.norms[-1] <= 1e-6
+
+    def test_constant_mobility_is_unchopped(self):
+        s = np.array([0.2, 0.2, 0.9])
+        ds = np.array([0.5, -0.7, 0.01])
+        want = s + ds
+        chop_saturation(linear_model(), s, ds, np.array([0, 1]))
+        assert s.tobytes() == want.tobytes()
+
+    def test_newton_caps_each_steps_front_cells(self, monkeypatch):
+        """In a front entering a strip, each update keeps the cells that
+        its linearization floors at or below max(s, cap), the cap binds
+        on some step, and every other cell moves by at most MAX_DS."""
+        w = strip_window()
+        n = w.n_spatial
+        m = nonlinear_model()
+        cap = front_saturation_cap(m.relcap)
+        seen = []
+        real = stdd.solver.linearize
+
+        def recording(terms, state):
+            sys_ = real(terms, state)
+            seen.append((state.s.copy(), sys_.front_cells))
+            return sys_
+
+        monkeypatch.setattr(stdd.solver, "linearize", recording)
+        _, entry = newton_solve_window(
+            window_terms(w, props(n), corner_wells(n, rate=0.05), m),
+            np.full(n, 1000.0), np.full(n, 0.2), NewtonConfig())
+        assert entry.norms[-1] <= 1e-6
+        bound = 0
+        for (s, front), (s_next, _) in zip(seen, seen[1:]):
+            assert np.all(s_next[front] <= np.maximum(s[front], cap))
+            bound += np.sum((s_next[front] == cap) & (s[front] < cap))
+            rest = np.setdiff1d(np.arange(len(s)), front)
+            assert np.all(np.abs(s_next[rest] - s[rest]) <= MAX_DS + 1e-15)
+        assert bound > 0
+
+    def test_toy_marks_the_same_with_the_cap_off(self, tmp_path,
+                                                  monkeypatch):
+        """The toy `dynamic-dd` run marks bitwise the identifiers it
+        marks with the cap off, ends each window within 1e-6 of it, and
+        takes no more iterations."""
+        summaries, maps, snaps = {}, {}, {}
+        for capped in (True, False):
+            with monkeypatch.context() as patch:
+                if not capped:
+                    patch.setattr(stdd.solver, "front_saturation_cap",
+                                  lambda relcap: np.inf)
+                predicted = predictions(patch)
+                out = tmp_path / str(capped)
+                summaries[capped] = run(preset("toy"), out, emit_vtk=False)
+            maps[capped] = [m.identifiers for m, _, _ in predicted]
+            snaps[capped] = [read_grid_csv(out / s["sw"])
+                             for s in summaries[capped]["snapshots"]]
+        assert len(maps[True]) == len(maps[False]) == 4
+        for a, b in zip(maps[True], maps[False]):
+            assert a.tobytes() == b.tobytes()
+        assert len(snaps[True]) == len(snaps[False]) == 4
+        for a, b in zip(snaps[True], snaps[False]):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-6)
+        assert (summaries[True]["iterations"]
+                <= summaries[False]["iterations"])
+
+
 class TestFactorPath:
     """The symmetric path on swept windows, COLAMD on the others."""
 
@@ -772,7 +890,9 @@ class TestPredictorTolerance:
     def test_tol_predictor_marks_the_same(self, tmp_path, monkeypatch):
         """A predictor solved to tol marks the toy's windows bitwise as
         the √tol one does, and the main windows keep their counts; only
-        the predictor's cost moves, from 672 to 480."""
+        the predictor's cost moves, from 672 to 448.  The front trust
+        region took the main windows from 35 iterations (cost 73,198) to
+        33 (69,678) and the √tol predictor's cost from 480 to 448."""
         counts, maps = {}, {}
         for trial_tol in (None, self.TOL):
             with monkeypatch.context() as patch:
@@ -784,8 +904,8 @@ class TestPredictorTolerance:
                                  summary["cost_metric"],
                                  summary["predictor_cost"])
             maps[trial_tol] = [m.identifiers for m, _, _ in predicted]
-        assert counts == {None: (35, 73_198, 480),
-                          self.TOL: (35, 73_198, 672)}
+        assert counts == {None: (33, 69_678, 448),
+                          self.TOL: (33, 69_678, 672)}
         assert len(maps[None]) == len(maps[self.TOL]) == 4
         for a, b in zip(maps[None], maps[self.TOL]):
             assert a.tobytes() == b.tobytes()
@@ -912,7 +1032,9 @@ class TestPredictedSeed:
         predictor's seed as without, and keeps its main windows' counts;
         the predictor's cost falls from 704.  Solving the predictor to
         √tol instead of tol took it from 672 to 480 seeded and from 864
-        to 704 unseeded.
+        to 704 unseeded; the front trust region took the seeded one from
+        480 to 448 and the main windows from 35 iterations (cost 73,198)
+        to 33 (69,678).
 
         Each seeded predictor's indicator η is bitwise the one `_predict`
         gives on the same inputs unseeded.  Across the two runs η agrees
@@ -932,7 +1054,7 @@ class TestPredictedSeed:
             counts[seeded] = (summary["iterations"], summary["cost_metric"],
                               summary["predictor_cost"])
             maps[seeded] = [idmap for idmap, _, _ in predicted]
-        assert counts == {True: (35, 73_198, 480), False: (35, 73_198, 704)}
+        assert counts == {True: (33, 69_678, 448), False: (33, 69_678, 704)}
         assert len(maps[True]) == len(maps[False]) == len(unseeded) == 4
         for a, b in zip(maps[True], maps[False]):
             assert a.identifiers.tobytes() == b.identifiers.tobytes()
@@ -944,12 +1066,14 @@ class TestPredictedSeed:
             np.testing.assert_allclose(a.eta, b.eta, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("mode, iterations, cost", [
-        ("uniform-fine", 106, 84_800), ("uniform-coarse", 21, 672),
-        ("static-dd", 54, 172_800)])
+        ("uniform-fine", 102, 81_600), ("uniform-coarse", 21, 672),
+        ("static-dd", 48, 153_600)])
     def test_fixed_maps_keep_their_counts(self, tmp_path, monkeypatch, mode,
                                           iterations, cost):
         """Fixed maps have no predictor, so no seed: their counts are
-        those from before the seed."""
+        those from before the seed, but for the front trust region's,
+        which took `uniform-fine` from 106 iterations (cost 84,800) to
+        102 and `static-dd` from 54 (172,800) to 48."""
         calls = seeded_calls(monkeypatch)
         summary = run(replace(preset("toy"), mode=mode), tmp_path,
                       emit_vtk=False)
@@ -1101,15 +1225,26 @@ class TestNewtonCounts:
         (cost 329,006) to 46; each predictor after the first starts from
         its trace plus the previous predictor's change, which took the
         predictor's cost from 33,792 to 27,456, and solving it to √tol
-        instead of tol took that to 23,232."""
+        instead of tol took that to 23,232.  The front trust region took
+        the main windows from 46 iterations (cost 217,580) to 43
+        (203,574); the predictor's cost stays 23,232."""
         assert preset("dynamic-dd").permeability == {"kind": "channelized",
                                                      "seed": 7}
-        assert self.dynamic_dd_prefix(tmp_path, 7) == (46, 217_580, 23_232)
+        assert self.dynamic_dd_prefix(tmp_path, 7) == (43, 203_574, 23_232)
 
     def test_dynamic_dd_prefix_field_4(self, tmp_path):
         """The benchmark's other `dynamic-dd` field; solving the
-        predictor to √tol took its cost from 33,792 to 24,288."""
-        assert self.dynamic_dd_prefix(tmp_path, 4) == (43, 196_484, 24_288)
+        predictor to √tol took its cost from 33,792 to 24,288.  The front
+        trust region took the main windows from 43 iterations (cost
+        196,484) to 40 (181,598) and the predictor's cost from 24,288 to
+        25,344."""
+        assert self.dynamic_dd_prefix(tmp_path, 4) == (40, 181_598, 25_344)
+
+
+# The 8-day `dynamic-dd` prefix's main-window iterations on channelized
+# seeds 0-9; before the front trust region they were 40, 55, 45, 32, 43,
+# 33, 38, 46, 63 and 38 (433 in all, now 383)
+PREFIX_ITERATIONS = (36, 49, 42, 27, 40, 26, 33, 43, 50, 37)
 
 
 class TestChannelizedPrefix:
@@ -1125,3 +1260,4 @@ class TestChannelizedPrefix:
         summary = run(cfg, tmp_path, emit_vtk=False)
         assert summary["windows"] == 4
         assert summary["failed_cost"] == 0
+        assert summary["iterations"] == PREFIX_ITERATIONS[seed]
