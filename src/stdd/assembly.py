@@ -347,11 +347,17 @@ def front_saturation_cap(relcap):
     is twice the front slope's line, kr0_w (Δ / span)^n_w =
     2 FRONT_KRW_SLOPE Δ.  Beyond it the line, which the step was solved
     on, holds the cell's k_rw at less than half its true value.  Infinite,
-    no cap, for n_w <= 1, where k_rw over the line does not grow with Δ."""
+    no cap, for n_w <= 1, where k_rw over the line does not grow with Δ,
+    and wherever Δ overflows or is too small to move s_wirr.  For n_w
+    just above 1, Δ underflows, and a cap at s_wirr would hold a front
+    cell there, where its slope is floored, in every step."""
     if relcap.n_w <= 1:
         return np.inf
-    return relcap.s_wirr + (2.0 * FRONT_KRW_SLOPE * relcap.span**relcap.n_w
-                            / relcap.kr0_w) ** (1.0 / (relcap.n_w - 1.0))
+    with np.errstate(over="ignore", under="ignore"):
+        delta = (2.0 * FRONT_KRW_SLOPE * np.float64(relcap.span)**relcap.n_w
+                 / relcap.kr0_w) ** (1.0 / (relcap.n_w - 1.0))
+    cap = float(relcap.s_wirr + delta)
+    return cap if relcap.s_wirr < cap < np.inf else np.inf
 
 
 @dataclass

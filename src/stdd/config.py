@@ -9,6 +9,7 @@ assembly happens.
 from __future__ import annotations
 
 import configparser
+import functools
 import inspect
 import json
 import math
@@ -168,11 +169,16 @@ class RunConfig:
         unknown = set(self.newton) - set(NEWTON_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown newton keys: {sorted(unknown)}")
+        base_shape = (_int_ratio(x1 - x0, self.base_cell[0], ConfigError,
+                                 "reservoir/base x"),
+                      _int_ratio(y1 - y0, self.base_cell[1], ConfigError,
+                                 "reservoir/base y"))
         for name, build in (("fluid", FluidModel),
                             ("relcap", BrooksCoreyModel),
                             ("thresholds", Thresholds),
                             ("newton", NewtonConfig),
-                            ("permeability", _check_permeability)):
+                            ("permeability", functools.partial(
+                                _check_permeability, base_shape))):
             try:
                 build(**getattr(self, name))
             except (TypeError, ValueError) as exc:
@@ -232,12 +238,13 @@ class RunConfig:
             raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _check_permeability(kind="uniform", **params):
-    """Raise TypeError or ValueError unless the spec can build a field;
-    a generator's parameters but its seed must be finite numbers, `width`
-    and `corr_len` positive, `n_channels`, `sigma_log` and `wiggle`
-    non-negative, and its field finite and positive on an 8x8 grid (whose
-    build rejects a fractional `n_channels`)."""
+def _check_permeability(shape, kind="uniform", **params):
+    """Raise TypeError or ValueError unless the spec can build a field on
+    the base grid's `shape`; a generator's parameters but its seed must be
+    finite numbers, `width` and `corr_len` positive, `n_channels`,
+    `sigma_log` and `wiggle` non-negative, and the field it builds on
+    `shape` finite and positive (the build rejects a fractional
+    `n_channels`).  A file's values are checked when it is read."""
     if kind == "file":
         inspect.signature(load_fields).bind(None, **params)
         if params.get("layout", "row-major") not in LAYOUTS:
@@ -250,7 +257,7 @@ def _check_permeability(kind="uniform", **params):
                 raise ValueError(f"{name} must be positive")
             if name in ("n_channels", "sigma_log", "wiggle") and v < 0:
                 raise ValueError(f"{name} must not be negative")
-        k = GENERATORS[kind]((8, 8), **params)
+        k = GENERATORS[kind](shape, **params)
         if not np.all(np.isfinite(k) & (k > 0)):
             raise ValueError("permeability must be finite and positive")
     else:

@@ -21,8 +21,7 @@ from .adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
 from .assembly import (CellProperties, ResolvedWells, StateField, linearize,
                        window_terms)
 from .config import UNIFORM_IDENTIFIER, RunConfig
-from .errors import (ConfigError, MismatchedProblem, NonConvergence,
-                     StddError)
+from .errors import MismatchedProblem, NonConvergence, StddError
 from .mesh import build_window
 from .physics import BETA_C, OIL, STB_TO_FT3, WATER, property_curves
 from .permfields import load_fields, make_field
@@ -53,10 +52,6 @@ class Problem:
         if kind == "file":
             return load_fields(self.base.shape, **p)
         k = make_field(kind, self.base.shape, **p)
-        # the config check builds the field on a small grid only
-        if not np.all(np.isfinite(k) & (k > 0)):
-            raise ConfigError(f"the {kind} permeability is not finite and "
-                              f"positive on the {self.base.shape} base grid")
         return k, k.copy()
 
     # -- per-window closures ----------------------------------------------
@@ -245,8 +240,8 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     window that fails to converge raises with its last attempt's entry.
     """
     t0 = time.perf_counter()
-    pb = Problem(cfg)
     os.makedirs(outdir, exist_ok=True)
+    pb = Problem(cfg)
     base = pb.base
     origin = (cfg.reservoir[0], cfg.reservoir[1])
 

@@ -182,9 +182,8 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path),
                      "--out", str(out)]) == code
-        # a config error, or a missing input file, stops before anything
-        # is assembled or written
-        assert out.exists() == (code not in (EXIT_CONFIG, EXIT_IO))
+        # a config error stops before anything is assembled or written
+        assert out.exists() == (code != EXIT_CONFIG)
         assert (out / "FAILED").exists() == (code == EXIT_NONCONVERGENCE)
 
     def test_any_solver_error_leaves_ledger_and_marker(self, tmp_path,
@@ -273,13 +272,13 @@ class TestGeneratorRanges:
                         f"seed = 7\n{key} = {value}\n")
         assert self.simulate(tmp_path, path) == (EXIT_CONFIG, False)
 
-    # builds finite and positive on the config check's 8x8 grid, but
-    # overflows on the toy's 40x10 base grid
+    # builds finite and positive on an 8x8 grid, but overflows on the
+    # toy's 40x10 base grid
     OVERFLOW = {"kind": "gaussian", "seed": 7, "sigma_log": 350}
 
     def test_overflowing_field_json(self, tmp_path):
-        """A field that the config check builds finite but the base grid
-        does not is a config error, exit 2 before any output."""
+        """A field that is finite on a small grid but overflows on the
+        base grid is a config error, exit 2 before any output."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             **replace(preset("toy"), mode="uniform-coarse",

@@ -438,6 +438,8 @@ class TestFrontTrustRegion:
         assert 0.1 < cap < 0.7
         assert rc.krw(cap)[0] == pytest.approx(
             2.0 * FRONT_KRW_SLOPE * (cap - 0.1), rel=1e-12)
+        # span^n_w underflows to 0, and so would Δ: no cap
+        assert front_saturation_cap(BrooksCoreyModel(n_w=1e6)) == np.inf
 
     def test_floored_cell_stops_at_the_cap(self):
         """Front cells 0-3 rise to the cap, stay below it, stay above it
@@ -475,6 +477,51 @@ class TestFrontTrustRegion:
         st, entry = newton_solve_window(
             terms, np.full(n, 1000.0), np.full(n, 0.2), NewtonConfig())
         assert entry.norms[-1] <= 1e-6
+
+    @staticmethod
+    def strip_iterations(monkeypatch, relcap, capped):
+        """Newton's iterations for a front entering the strip, with the
+        cap on or off."""
+        with monkeypatch.context() as patch:
+            if not capped:
+                patch.setattr(stdd.solver, "front_saturation_cap",
+                              lambda relcap: np.inf)
+            w = strip_window()
+            n = w.n_spatial
+            m = FluidRockModel(FluidModel(), relcap)
+            _, entry = newton_solve_window(
+                window_terms(w, props(n), corner_wells(n), m),
+                np.full(n, 1000.0), np.full(n, 0.2), NewtonConfig())
+        assert entry.norms[-1] <= 1e-6
+        return entry.iterations
+
+    @pytest.mark.parametrize("relcap", [
+        {"n_w": 1.05}, {"n_w": 1.11}, {"kr0_w": 0.01, "n_w": 1.0001}])
+    def test_no_cap_where_delta_leaves_no_range(self, monkeypatch, relcap):
+        """Where Δ underflows below s_wirr's last digit (n_w just above
+        1) or overflows (k_rw below the doubled line up to Δ > 1e300),
+        there is no cap: a cap at s_wirr would hold a front cell there in
+        every step.  The strip converges as it does with the cap off."""
+        rc = BrooksCoreyModel(**relcap)
+        assert front_saturation_cap(rc) == np.inf
+        assert (self.strip_iterations(monkeypatch, rc, True)
+                == self.strip_iterations(monkeypatch, rc, False))
+
+    @pytest.mark.parametrize("n_w", [1.12, 1.2, 1.5])
+    def test_small_cap_moves_the_front(self, monkeypatch, n_w):
+        """For n_w between 1 and 2 the cap is a small Δ above s_wirr
+        (1.5e-10 at n_w = 1.2), where k_rw is still twice the line; a
+        front cell stopped there has left the floored range, so the strip
+        converges with at most one iteration more than with the cap
+        off."""
+        rc = BrooksCoreyModel(n_w=n_w)
+        cap = front_saturation_cap(rc)
+        assert rc.s_wirr < cap < rc.s_wirr + 1e-4
+        assert rc.krw(cap)[0] == pytest.approx(
+            2.0 * FRONT_KRW_SLOPE * (cap - rc.s_wirr), rel=1e-6)
+        assert rc.krw(cap)[1] > FRONT_KRW_SLOPE
+        assert (self.strip_iterations(monkeypatch, rc, True)
+                <= self.strip_iterations(monkeypatch, rc, False) + 1)
 
     def test_constant_mobility_is_unchopped(self):
         s = np.array([0.2, 0.2, 0.9])
