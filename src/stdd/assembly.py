@@ -18,21 +18,20 @@ The auxiliary-flux diagonal, which no state changes, is computed once per
 window (`WindowTerms`).  Capillary pressure and relative permeability are
 evaluated once per cell per linearization and gathered to the faces.
 
-Newton factors the exact Jacobian but for the front slope
-(`CellSystem.newton_blocks`): ahead of the water front k_rw and its slope
-vanish, so on the faces whose upwind cell is a front cell the water
-mobility's saturation derivative takes the k_rw slope `FRONT_KRW_SLOPE`.
-Those faces' upwind cells (`CellSystem.front_cells`) are the cells whose
-Newton step `front_saturation_cap` bounds.
+`CellSystem.newton_blocks` are the exact blocks but for the front slope:
+ahead of the water front k_rw and its slope vanish, so on the faces whose
+upwind cell is a front cell the water mobility's saturation derivative
+takes the k_rw slope `FRONT_KRW_SLOPE`.  Those faces' upwind cells
+(`CellSystem.front_cells`) are the cells whose Newton step
+`front_saturation_cap` bounds.
 
-`CellSystem.jacobian` turns Newton's blocks into the sparse matrix that is
-factored, in the numbering of the window's one pattern
+`CellSystem.jacobian` turns either set of blocks into the sparse matrix
+that is factored, in the numbering of the window's one pattern
 (`SpaceTimeWindow.jacobian_pattern`).  A cell's saturation is local when
 its row and its column stay in the cell's own block, as ahead of the
 front, where water is immobile; the fill finds these on the block values
-and eliminates each exactly through its 1x1 pivot before the matrix is
-built (`ReducedJacobian`), which keeps Newton's blocks for the check of
-each update.
+and eliminates each exactly through its 1x1 pivot (`ReducedJacobian`,
+which keeps the blocks for the check of each update).
 """
 
 from __future__ import annotations
@@ -347,10 +346,9 @@ def front_saturation_cap(relcap):
     is twice the front slope's line, kr0_w (Δ / span)^n_w =
     2 FRONT_KRW_SLOPE Δ.  Beyond it the line, which the step was solved
     on, holds the cell's k_rw at less than half its true value.  Infinite,
-    no cap, for n_w <= 1, where k_rw over the line does not grow with Δ,
-    and wherever Δ overflows or is too small to move s_wirr.  For n_w
-    just above 1, Δ underflows, and a cap at s_wirr would hold a front
-    cell there, where its slope is floored, in every step."""
+    no cap, for n_w = 1, where k_rw over the line does not grow with Δ,
+    and wherever Δ overflows or is too small to move s_wirr, where a cap
+    would hold a floored front cell in every step."""
     if relcap.n_w <= 1:
         return np.inf
     with np.errstate(over="ignore", under="ignore"):
@@ -472,15 +470,15 @@ class CellSystem:
         np.negative(ll, out=ll)
         return vals
 
-    @cached_property
-    def local(self):
+    def _local(self, vals):
         """The cells whose saturation is local: its row and its column
         hold nonzeros only in the cell's own block, with a nonzero
-        diagonal, in `newton_blocks`.  Such a cell has no other time
+        diagonal, in the blocks `vals`.  Such a cell has no other time
         level, whose mass terms would link it, and no face whose water
         flux moves with it, as ahead of the front, where water is
-        immobile; a front cell is linked by its front slope."""
-        w, vals = self.window, self.newton_blocks
+        immobile; in `newton_blocks` a front cell is linked by its front
+        slope."""
+        w = self.window
         n, nf = w.n_st, w.n_faces
         local = vals[3, :n] != 0
         local[w.st_prev >= 0] = False
@@ -494,9 +492,9 @@ class CellSystem:
         local[w.faces.c_right[ll[2] | ll[3] | lr[1] | lr[3]]] = False
         return np.flatnonzero(local)
 
-    def jacobian(self):
-        """The `ReducedJacobian`, filled into the window's
-        `jacobian_pattern`.
+    def jacobian(self, exact=False):
+        """The `ReducedJacobian` of `newton_blocks`, or with `exact` of
+        `blocks`, filled into the window's `jacobian_pattern`.
 
         Each local saturation is eliminated exactly in the fill: its 1x1
         pivot a_ss folds a_ps a_sp / a_ss into its cell's pressure
@@ -505,17 +503,17 @@ class CellSystem:
         zero mobility) are then dropped, as they would otherwise be stored
         and slow the factorization, and the remaining rows renumbered.
         The blocks themselves go to the `ReducedJacobian` for its check;
-        the cached `newton_blocks` are dropped, and recomputed if read
-        again.
+        the cached blocks are dropped, and recomputed if read again.
         """
         w = self.window
         pat = w.jacobian_pattern
-        vals = self.newton_blocks
+        name = "blocks" if exact else "newton_blocks"
+        vals = getattr(self, name)
         data = vals.ravel().take(pat.entry)
-        local = self.local
+        local = self._local(vals)
         # the local pivots, from the cells' own blocks
         a_pp, a_ps, a_sp, a_ss = vals.take(local, axis=1)
-        self.__dict__.pop("newton_blocks")
+        self.__dict__.pop(name)
         at = pat.own.take(local, axis=1)
         a_ps = a_ps / a_ss
         data[at[0]] = a_pp - a_ps * a_sp

@@ -100,8 +100,9 @@ class BrooksCoreyModel:
             raise ValueError("residual saturations must satisfy s_or + s_wirr < 1")
         if not (0 < self.kr0_o <= 1 and 0 < self.kr0_w <= 1):
             raise ValueError("endpoint relperms must lie in (0, 1]")
-        if self.n_o <= 0 or self.n_w <= 0:
-            raise ValueError("relperm exponents must be positive")
+        # below 1 a relperm's slope is infinite at its endpoint
+        if self.n_o < 1 or self.n_w < 1:
+            raise ValueError("relperm exponents must be at least 1")
         if self.p_entry < 0:
             raise ValueError("entry pressure must be non-negative")
         if self.eps_s <= 0:

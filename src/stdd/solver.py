@@ -6,31 +6,26 @@ form; above tolerance, fill the reduced Jacobian, solve it directly and
 update.  `stdd.run` marches the windows.  Each solve, converged or not,
 is one `LedgerEntry`, and `RunLedger` sums the run's costs over them all.
 
-Newton's Jacobian is exact but for the front slope
-(`stdd.assembly.CellSystem.newton_blocks`); the residual and the tolerance
-are exact, so a converged state meets the exact equations.  Each
-saturation update is chopped (`chop_saturation`) to at most `MAX_DS` per
-cell, and each front cell, whose k_rw the step took from the front
-slope's line, rises to no more than `stdd.assembly.front_saturation_cap`,
-where the exact k_rw is twice that line: a trust region on the few cells
-where Newton's residual grows.
+The residual and the tolerance are exact, so a converged state meets the
+exact equations.  Each saturation update is clipped to `MAX_DS` per cell
+(`chop_saturation`).  Above √tol Newton factors the front slope's Jacobian
+(`stdd.assembly.CellSystem.newton_blocks`), and each front cell rises to no
+more than `stdd.assembly.front_saturation_cap`; within √tol, one quadratic
+step from tol, it factors the exact Jacobian and applies the clip only.
 
-The Jacobian fill (`CellSystem.jacobian`) eliminates the local saturations
-exactly: those whose row and column stay in their cell's 2x2 block, as they
-do ahead of the front, where water is immobile.  Every Jacobian is filled
-in the window's one cell numbering, minimum degree, and SuperLU factors
-what remains with one of two sets of options, chosen per Newton solve by
-its first Jacobian.  A swept Jacobian, whose remaining matrix stores more
-than `SYMMETRIC_MIN_STORED` of its structural pattern
-(`ReducedJacobian.stored_share`), is factored in that numbering in
-symmetric mode with diagonal pivots; any other in COLAMD's order with
-partial pivoting.  `linear_solve` recovers the eliminated updates and
-checks the whole update against the Jacobian that Newton factors, on its
-2x2 blocks.
+The fill (`CellSystem.jacobian`) eliminates the local saturations exactly.
+Every Jacobian is filled in the window's minimum-degree numbering, and
+SuperLU factors what remains on one of two paths, chosen per Newton solve
+by its first Jacobian: a swept one, storing more than
+`SYMMETRIC_MIN_STORED` of its pattern (`ReducedJacobian.stored_share`), in
+that numbering in symmetric mode; any other in COLAMD's order.
+`linear_solve` recovers the eliminated updates and checks the whole update
+against the factored Jacobian on its 2x2 blocks.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -192,8 +187,9 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
     change over the window per spatial cell, if given
     (`StateField.from_trace`); `start` is its `linearize`, if the caller
     already has it.  A state that already satisfies the tolerance returns
-    after zero update iterations.  If the first Jacobian is swept, every
-    Jacobian of the solve is factored on the symmetric path.
+    after zero update iterations.  A step from a norm within √tol factors
+    the exact Jacobian and gives the chop no front cells.  If the first
+    Jacobian is swept, every one of the solve is factored symmetrically.
     """
     t0 = time.perf_counter()
     window, model = terms.window, terms.model
@@ -205,6 +201,7 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
         return LedgerEntry(iterations, norms, window.n_y,
                            (time.perf_counter() - t0) * 1.0e3, lu_nnz)
 
+    tail, no_front = math.sqrt(cfg.tol), np.empty(0, dtype=np.intp)
     sys_ = linearize(terms, state) if start is None else start
     for k in range(cfg.max_iters + 1):
         norm = float(np.max(np.abs(sys_.r_norm))) if window.n_st else 0.0
@@ -213,7 +210,9 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
             return state, entry(k)
         if k == cfg.max_iters:
             break
-        jac, r_y, front = sys_.jacobian(), sys_.r_y, sys_.front_cells
+        exact = norm <= tail
+        jac, r_y = sys_.jacobian(exact), sys_.r_y
+        front = no_front if exact else sys_.front_cells
         del sys_                # freed before the factor
         if k == 0:          # the factor path of every solve
             symmetric = bool(jac.stored_share > SYMMETRIC_MIN_STORED)

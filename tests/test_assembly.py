@@ -648,9 +648,9 @@ class TestFrontSlope:
         terms = window_terms(w, uniform_props(n), ResolvedWells.none(n),
                              model())
         state = StateField.from_trace(w, p, s)
-        assert np.array_equal(linearize(terms, state).local, [3, 4, 5])
+        assert np.array_equal(linearize(terms, state).jacobian().local, [3, 4, 5])
         monkeypatch.setattr(stdd.assembly, "FRONT_KRW_SLOPE", 0.0)
-        assert np.array_equal(linearize(terms, state).local, [2, 3, 4, 5])
+        assert np.array_equal(linearize(terms, state).jacobian().local, [2, 3, 4, 5])
 
     @pytest.mark.parametrize("make", [uniform_window, fine_box_window,
                                       time_refined_window, line_window])

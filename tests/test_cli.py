@@ -112,6 +112,8 @@ class TestExitCodes:
         ("zero pc floor", {"relcap": {"eps_s": 0.0}}, EXIT_CONFIG),
         ("infinite relperm exponent", {"relcap": {"n_w": math.inf}},
          EXIT_CONFIG),
+        ("water exponent below 1", {"relcap": {"n_w": 0.5}}, EXIT_CONFIG),
+        ("oil exponent below 1", {"relcap": {"n_o": 0.5}}, EXIT_CONFIG),
         ("NaN injection rate",
          {"wells": [{"tile": [0, 0], "kind": "rate-water-injector",
                      "value": math.nan},
@@ -379,6 +381,28 @@ class TestCompare:
         lu = [line for line in out.splitlines() if line.startswith("LU")]
         assert lu[0].endswith("(above 0.2)")
         assert "above" not in out.replace(lu[0], "")
+
+    def test_uniform_reference_as_a_is_not_flagged(self, toy_run, tmp_path,
+                                                   capsys):
+        """With a uniform reference as `a` and an adaptive run as `b`, the
+        ratios are about the budget's inverse and nothing is flagged; two
+        uniform runs are still flagged."""
+        fine = tmp_path / "fine"
+        shutil.copytree(toy_run, fine)
+        summary = json.loads((toy_run / "run_summary.json").read_text())
+        assert summary["mode"] == "dynamic-dd"
+        summary["mode"] = "uniform-fine"
+        for key in ("cost_metric", "all_in_cost", "lu_cost"):
+            summary[key] *= 5
+        (fine / "run_summary.json").write_text(json.dumps(summary))
+        rep = compare(fine, toy_run)
+        assert rep["all_in_cost_ratio"] > 1 and rep["lu_cost_ratio"] > 1
+        assert rep["over_budget"] == []
+        assert main(["compare", "--a", str(fine),
+                     "--b", str(toy_run)]) == EXIT_OK
+        assert "above" not in capsys.readouterr().out
+        assert compare(fine, fine)["over_budget"] == ["all_in_cost_ratio",
+                                                      "lu_cost_ratio"]
 
     @pytest.mark.parametrize("key", run_module.SUMMARY_KEYS)
     def test_summary_without_a_key_is_config_error(self, toy_run, tmp_path,

@@ -221,6 +221,18 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             BrooksCoreyModel(s_or=0.6, s_wirr=0.5)
 
+    @pytest.mark.parametrize("key", ["n_w", "n_o"])
+    def test_relperm_exponent_at_least_1(self, key):
+        """Below 1 a relperm's slope is infinite at its endpoint; 1 is
+        linear and valid."""
+        with pytest.raises(ValueError):
+            BrooksCoreyModel(**{key: 0.5})
+        with pytest.raises(ValueError):
+            BrooksCoreyModel(**{key: 1.0 - 1.0e-9})
+        m = BrooksCoreyModel(**{key: 1.0})
+        for curve in (m.krw, m.kro):
+            assert np.all(np.isfinite(curve(np.linspace(0.0, 1.0, 11))))
+
     def test_bad_mobility_model(self, fluid, relcap):
         with pytest.raises(ValueError):
             FluidRockModel(fluid, relcap, mobility_model="quadratic")

@@ -12,8 +12,9 @@ import scipy.sparse.linalg as spla
 import stdd.solver
 import test_assembly
 from artifact_readers import read_ledger_csv
-from jacobian_oracle import (PlainJacobian, local_saturations,
-                             newton_jacobian, window_jacobian)
+from jacobian_oracle import (PlainJacobian, full_jacobian,
+                             local_saturations, newton_jacobian,
+                             window_jacobian)
 from stdd.adaptivity import decompose
 from stdd.assembly import (FRONT_KRW_SLOPE, CellProperties, ResolvedWells,
                            StateField, front_saturation_cap, linearize,
@@ -88,7 +89,7 @@ class TestLinearSolve:
         state, props_, wells = test_assembly.TestDirectJacobian.case(w, 2)
         sys_ = linearize(window_terms(w, props_, wells, nonlinear_model()),
                          state)
-        assert len(sys_.local) == 0
+        assert len(sys_.jacobian().local) == 0
         jac = PlainJacobian(newton_jacobian(sys_))
         lus = []
 
@@ -173,8 +174,9 @@ class TestLocalElimination:
         w, sys_ = self.CASES[case]()
         s = local_saturations(newton_jacobian(sys_))[0]
         assert np.array_equal(s % 2, np.ones(len(s)))
-        assert np.array_equal(sys_.local, s // 2)
-        assert len(sys_.local) == local
+        jac = sys_.jacobian()
+        assert np.array_equal(jac.local, s // 2)
+        assert len(jac.local) == local
 
     def test_zero_pivot_is_kept(self):
         """A saturation whose diagonal vanishes is not local, as the
@@ -184,8 +186,9 @@ class TestLocalElimination:
         vals[3, 4] = 0.0            # cell 4's own (water, s) entry
         vars(sys_)["newton_blocks"] = vals
         s = local_saturations(newton_jacobian(sys_))[0]
-        assert np.array_equal(sys_.local, s // 2)
-        assert len(s) == 15 and 4 not in sys_.local
+        local = sys_.jacobian().local
+        assert np.array_equal(local, s // 2)
+        assert len(s) == 15 and 4 not in local
 
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("case, local", LOCAL)
@@ -199,7 +202,7 @@ class TestLocalElimination:
         w, sys_ = self.CASES[case]()
         jac = sys_.jacobian()
         full = window_jacobian(sys_)
-        assert len(sys_.local) == local
+        assert len(jac.local) == local
         assert jac.matrix.shape[0] == w.n_y - local
         dy, fill = linear_solve(jac, sys_.r_y, symmetric=symmetric)
         ref = spla.splu(newton_jacobian(sys_)).solve(-sys_.r_y)
@@ -255,10 +258,10 @@ class TestLocalElimination:
         """A cell with another time level in the window, and a cell on a
         face that carries water, keep their saturation."""
         _, sys_ = self.strip_system(dt=0.5)
-        assert len(sys_.local) == 0
+        assert len(sys_.jacobian().local) == 0
         # cell 0 is wet: water leaves it across its faces to cells 1 and 8
         _, sys_ = self.strip_system(wet=[0])
-        assert np.array_equal(sys_.local,
+        assert np.array_equal(sys_.jacobian().local,
                               np.setdiff1d(np.arange(16), [0, 1, 8]))
 
     def test_plain_matrix(self):
@@ -586,6 +589,96 @@ class TestFrontTrustRegion:
                 <= summaries[False]["iterations"])
 
 
+class TestNewtonTail:
+    """A step from a norm within √tol, one quadratic step from tol,
+    factors the exact Jacobian (`CellSystem.blocks`) and is chopped by
+    the clip only; a step from above it factors the front slope's
+    Jacobian (`CellSystem.newton_blocks`) and caps the front cells."""
+
+    @staticmethod
+    def steps(monkeypatch):
+        """Newton on a front entering the fine box at irreducible
+        saturation, whose front cells stay floored into the tail; per
+        step: whether it is a tail step, the linearization, the
+        factored `ReducedJacobian`, the residual, the update, the front
+        cells that the chop was given, and the saturation before and
+        after."""
+        w = test_assembly.fine_box_window()
+        n = w.n_spatial
+        terms = window_terms(w, props(n), corner_wells(n, rate=0.05),
+                             nonlinear_model())
+        systems, solves, chops, saturations = [], [], [], []
+        real_linearize = stdd.solver.linearize
+        real_solve = stdd.solver.linear_solve
+        real_chop = stdd.solver.chop_saturation
+
+        def linearized(terms, state):
+            systems.append(real_linearize(terms, state))
+            saturations.append(state.s.copy())
+            return systems[-1]
+
+        def solved(jacobian, residual, symmetric=False):
+            dy, fill = real_solve(jacobian, residual, symmetric=symmetric)
+            solves.append((jacobian, residual, dy))
+            return dy, fill
+
+        def chopped(model, s, ds, front):
+            chops.append(front.copy())
+            real_chop(model, s, ds, front)
+
+        monkeypatch.setattr(stdd.solver, "linearize", linearized)
+        monkeypatch.setattr(stdd.solver, "linear_solve", solved)
+        monkeypatch.setattr(stdd.solver, "chop_saturation", chopped)
+        _, entry = newton_solve_window(terms, np.full(n, 1000.0),
+                                       np.full(n, 0.2), NewtonConfig())
+        assert entry.norms[-1] <= 1e-6
+        assert len(solves) == len(chops) == entry.iterations
+        tail = [norm <= math.sqrt(NewtonConfig().tol)
+                for norm in entry.norms[:-1]]
+        assert any(tail) and not all(tail)
+        return list(zip(tail, systems, *zip(*solves), chops, saturations,
+                        saturations[1:]))
+
+    def test_tail_factors_the_exact_blocks(self, monkeypatch):
+        """Each step factors the exact blocks within √tol and Newton's
+        above it, and the two differ on a tail step: the front cells
+        are still floored there."""
+        floored_tail = False
+        for tail, sys_, jac, *_ in self.steps(monkeypatch):
+            # the blocks that the fill dropped are rebuilt on these reads
+            want = sys_.blocks if tail else sys_.newton_blocks
+            assert np.array_equal(jac.blocks, want)
+            floored_tail |= tail and not np.array_equal(
+                sys_.blocks, sys_.newton_blocks)
+        assert floored_tail
+
+    def test_tail_has_no_front_cap(self, monkeypatch):
+        """A tail step gives the chop no front cells and adds the clipped
+        update bit for bit; a step above √tol gives it the linearization's
+        front cells, which stay at or below max(s, cap)."""
+        cap = front_saturation_cap(nonlinear_model().relcap)
+        capped = 0
+        for tail, sys_, _, _, dy, front, s, s_next in self.steps(
+                monkeypatch):
+            if tail:
+                assert len(front) == 0
+                want = s + np.clip(dy[1::2], -MAX_DS, MAX_DS)
+                assert s_next.tobytes() == want.tobytes()
+            else:
+                assert np.array_equal(front, sys_.front_cells)
+                assert np.all(s_next[front] <= np.maximum(s[front], cap))
+                capped += len(front)
+        assert capped > 0
+
+    def test_linear_check_holds_on_both_paths(self, monkeypatch):
+        """On either path the update solves the unreduced system of the
+        blocks it factored, to `LINEAR_TOL` of the residual's scale."""
+        for _, sys_, jac, r, dy, *_ in self.steps(monkeypatch):
+            lin = full_jacobian(sys_, jac.blocks) @ dy + r
+            assert (np.max(np.abs(lin))
+                    <= stdd.solver.LINEAR_TOL * np.max(np.abs(r)))
+
+
 class TestFactorPath:
     """The symmetric path on swept windows, COLAMD on the others."""
 
@@ -637,8 +730,9 @@ class TestFactorPath:
     def test_colamd_solves_match_the_natural_oracle(self, monkeypatch):
         """Each COLAMD-path update of a Newton solve, factored in the
         window's minimum-degree numbering, is the update of the natural
-        numbered unreduced Jacobian to 1e-10 relative: a front entering
-        the fine box at irreducible saturation."""
+        numbered unreduced Jacobian that it factors to 1e-10 relative:
+        Newton's above √tol, the exact one within.  A front entering the
+        fine box at irreducible saturation takes both."""
         w = test_assembly.fine_box_window()
         assert not np.array_equal(w.jacobian_pattern.unknowns,
                                   np.arange(w.n_y))
@@ -646,7 +740,7 @@ class TestFactorPath:
         trace = np.full(n, 1000.0), np.full(n, 0.2)
         terms = window_terms(w, props(n), corner_wells(n, rate=0.05),
                              nonlinear_model())
-        systems, errors = [], []
+        systems, errors, tails = [], [], []
         real_linearize = stdd.solver.linearize
         real_solve = stdd.solver.linear_solve
 
@@ -657,8 +751,12 @@ class TestFactorPath:
         def solved(jacobian, residual, symmetric=False):
             assert not symmetric
             dy, fill = real_solve(jacobian, residual, symmetric=symmetric)
+            sys_ = systems[-1]
+            tails.append(np.max(np.abs(sys_.r_norm)) <= math.sqrt(1e-6))
             # the blocks that the fill dropped are rebuilt on this read
-            ref = spla.splu(newton_jacobian(systems[-1])).solve(-residual)
+            factored = (full_jacobian(sys_) if tails[-1]
+                        else newton_jacobian(sys_))
+            ref = spla.splu(factored).solve(-residual)
             errors.append(np.max(np.abs(dy - ref)) / np.max(np.abs(ref)))
             return dy, fill
 
@@ -667,6 +765,7 @@ class TestFactorPath:
         _, entry = newton_solve_window(terms, *trace, NewtonConfig())
         assert entry.norms[-1] <= 1e-6
         assert len(errors) == entry.iterations > 1
+        assert any(tails) and not all(tails)
         assert max(errors) <= 1e-10
 
 
@@ -937,9 +1036,9 @@ class TestPredictorTolerance:
     def test_tol_predictor_marks_the_same(self, tmp_path, monkeypatch):
         """A predictor solved to tol marks the toy's windows bitwise as
         the √tol one does, and the main windows keep their counts; only
-        the predictor's cost moves, from 672 to 448.  The front trust
-        region took the main windows from 35 iterations (cost 73,198) to
-        33 (69,678) and the √tol predictor's cost from 480 to 448."""
+        the predictor's cost moves, from 672 to 448.  The exact Newton
+        tail took the main windows from 33 iterations (cost 69,678) to
+        31 (66,158)."""
         counts, maps = {}, {}
         for trial_tol in (None, self.TOL):
             with monkeypatch.context() as patch:
@@ -951,8 +1050,8 @@ class TestPredictorTolerance:
                                  summary["cost_metric"],
                                  summary["predictor_cost"])
             maps[trial_tol] = [m.identifiers for m, _, _ in predicted]
-        assert counts == {None: (33, 69_678, 448),
-                          self.TOL: (33, 69_678, 672)}
+        assert counts == {None: (31, 66_158, 448),
+                          self.TOL: (31, 66_158, 672)}
         assert len(maps[None]) == len(maps[self.TOL]) == 4
         for a, b in zip(maps[None], maps[self.TOL]):
             assert a.tobytes() == b.tobytes()
@@ -1080,8 +1179,8 @@ class TestPredictedSeed:
         the predictor's cost falls from 704.  Solving the predictor to
         √tol instead of tol took it from 672 to 480 seeded and from 864
         to 704 unseeded; the front trust region took the seeded one from
-        480 to 448 and the main windows from 35 iterations (cost 73,198)
-        to 33 (69,678).
+        480 to 448, and the exact Newton tail the main windows from 33
+        iterations (cost 69,678) to 31 (66,158).
 
         Each seeded predictor's indicator η is bitwise the one `_predict`
         gives on the same inputs unseeded.  Across the two runs η agrees
@@ -1101,7 +1200,7 @@ class TestPredictedSeed:
             counts[seeded] = (summary["iterations"], summary["cost_metric"],
                               summary["predictor_cost"])
             maps[seeded] = [idmap for idmap, _, _ in predicted]
-        assert counts == {True: (33, 69_678, 448), False: (33, 69_678, 704)}
+        assert counts == {True: (31, 66_158, 448), False: (31, 66_158, 704)}
         assert len(maps[True]) == len(maps[False]) == len(unseeded) == 4
         for a, b in zip(maps[True], maps[False]):
             assert a.identifiers.tobytes() == b.identifiers.tobytes()
@@ -1113,14 +1212,14 @@ class TestPredictedSeed:
             np.testing.assert_allclose(a.eta, b.eta, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("mode, iterations, cost", [
-        ("uniform-fine", 102, 81_600), ("uniform-coarse", 21, 672),
-        ("static-dd", 48, 153_600)])
+        ("uniform-fine", 100, 80_000), ("uniform-coarse", 21, 672),
+        ("static-dd", 47, 150_400)])
     def test_fixed_maps_keep_their_counts(self, tmp_path, monkeypatch, mode,
                                           iterations, cost):
         """Fixed maps have no predictor, so no seed: their counts are
-        those from before the seed, but for the front trust region's,
-        which took `uniform-fine` from 106 iterations (cost 84,800) to
-        102 and `static-dd` from 54 (172,800) to 48."""
+        those from before the seed, but for Newton's: the exact tail
+        took `uniform-fine` from 102 iterations (cost 81,600) to 100 and
+        `static-dd` from 48 (153,600) to 47."""
         calls = seeded_calls(monkeypatch)
         summary = run(replace(preset("toy"), mode=mode), tmp_path,
                       emit_vtk=False)
@@ -1272,26 +1371,25 @@ class TestNewtonCounts:
         (cost 329,006) to 46; each predictor after the first starts from
         its trace plus the previous predictor's change, which took the
         predictor's cost from 33,792 to 27,456, and solving it to √tol
-        instead of tol took that to 23,232.  The front trust region took
-        the main windows from 46 iterations (cost 217,580) to 43
-        (203,574); the predictor's cost stays 23,232."""
+        instead of tol took that to 23,232.  The exact Newton tail took
+        the main windows from 43 iterations (cost 203,574) to 40
+        (187,808); the predictor's cost stays 23,232."""
         assert preset("dynamic-dd").permeability == {"kind": "channelized",
                                                      "seed": 7}
-        assert self.dynamic_dd_prefix(tmp_path, 7) == (43, 203_574, 23_232)
+        assert self.dynamic_dd_prefix(tmp_path, 7) == (40, 187_808, 23_232)
 
     def test_dynamic_dd_prefix_field_4(self, tmp_path):
         """The benchmark's other `dynamic-dd` field; solving the
-        predictor to √tol took its cost from 33,792 to 24,288.  The front
-        trust region took the main windows from 43 iterations (cost
-        196,484) to 40 (181,598) and the predictor's cost from 24,288 to
-        25,344."""
-        assert self.dynamic_dd_prefix(tmp_path, 4) == (40, 181_598, 25_344)
+        predictor to √tol took its cost from 33,792 to 24,288.  The exact
+        Newton tail took the main windows from 40 iterations (cost
+        181,598) to 39 (178,348); the predictor's cost stays 25,344."""
+        assert self.dynamic_dd_prefix(tmp_path, 4) == (39, 178_348, 25_344)
 
 
 # The 8-day `dynamic-dd` prefix's main-window iterations on channelized
-# seeds 0-9; before the front trust region they were 40, 55, 45, 32, 43,
-# 33, 38, 46, 63 and 38 (433 in all, now 383)
-PREFIX_ITERATIONS = (36, 49, 42, 27, 40, 26, 33, 43, 50, 37)
+# seeds 0-9; before the exact Newton tail they were 36, 49, 42, 27, 40,
+# 26, 33, 43, 50 and 37 (383 in all, now 371)
+PREFIX_ITERATIONS = (36, 46, 41, 27, 39, 26, 32, 40, 49, 35)
 
 
 class TestChannelizedPrefix:
