@@ -20,6 +20,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solveh_banded
 
 from .errors import NonIntegerRatio
@@ -56,6 +57,16 @@ class Tiling:
     def tile_max(self, base_field):
         """Per-tile max of a base-grid field."""
         return self.blocks(base_field).max(axis=(1, 3))
+
+    def inside(self, box):
+        """The (ntx, nty) mask of the tiles whose centres lie strictly
+        inside `box`, (x0, y0, x1, y1) in ft."""
+        x0, y0, _, _ = self.reservoir
+        bx0, by0, bx1, by1 = box
+        ntx, nty = self.shape
+        cx = x0 + (np.arange(ntx) + 0.5) * self.tile_hx
+        cy = y0 + (np.arange(nty) + 0.5) * self.tile_hy
+        return np.outer((bx0 < cx) & (cx < bx1), (by0 < cy) & (cy < by1))
 
 
 @dataclass
@@ -334,45 +345,32 @@ def upscale_blocks(k_blocks, hx, hy, direction):
     return q_in * (mx * hx) / (my * hy)
 
 
-def cell_permeability(window, base: BaseGrid, kx_base, ky_base,
-                      cache=None):
-    """Per-cell (kx, ky) for a window, upscaling blocks coarser than base.
+def block_permeability(base: BaseGrid, kx_base, ky_base, mi, mj):
+    """(kx, ky) of every block of mi x mj base cells on their lattice, as
+    (nx // mi, ny // mj) arrays: one `upscale_blocks` call per direction,
+    or the base fields themselves for (1, 1)."""
+    if (mi, mj) == (1, 1):
+        return kx_base, ky_base
+    out = []
+    for k, direction in ((kx_base, "x"), (ky_base, "y")):
+        blocks = sliding_window_view(k, (mi, mj))[::mi, ::mj]
+        out.append(upscale_blocks(blocks.reshape(-1, mi, mj), base.hx,
+                                  base.hy, direction).reshape(len(blocks), -1))
+    return tuple(out)
 
-    Base-resolution subdomains take the base values as they are.  `cache`
-    maps block index bounds to computed values so repeated decompositions
-    reuse earlier solves; the blocks not in it are upscaled in one
-    `upscale_blocks` call per block shape and direction.
-    """
-    kx = np.empty(window.n_spatial)
-    ky = np.empty(window.n_spatial)
-    if cache is None:
-        cache = {}
-    coarse = []             # (cell, block bounds) of each upscaled cell
-    todo = {}               # block shape -> bounds of the uncached blocks
+
+def cell_permeability(window, base: BaseGrid, by_shape):
+    """Per-cell (kx, ky) for a window: each subdomain takes one slice of
+    `by_shape(mi, mj)`, the `block_permeability` of its cells' shape of mi
+    x mj base cells.  A subdomain off that shape's block lattice raises
+    NonIntegerRatio."""
+    kx, ky = np.empty((2, window.n_spatial))
     for k, (sub, (i0, j0, mi, mj)) in enumerate(
             zip(window.subdomains, base.owner(window).blocks)):
-        nx, ny = sub.nx, sub.ny
-        first = window.spatial_offset[k]
-        if mi == 1 and mj == 1:
-            cells = slice(first, first + nx * ny)
-            # window cells run x-fastest, base arrays are (x, y)
-            kx[cells] = kx_base[i0:i0 + nx, j0:j0 + ny].ravel(order="F")
-            ky[cells] = ky_base[i0:i0 + nx, j0:j0 + ny].ravel(order="F")
-            continue
-        for c in range(nx * ny):
-            bi = i0 + (c % nx) * mi
-            bj = j0 + (c // nx) * mj
-            key = (bi, bi + mi, bj, bj + mj)
-            coarse.append((first + c, key))
-            if key not in cache:
-                todo.setdefault((mi, mj), {})[key] = None
-    for keys in todo.values():
-        blocks = [(slice(a, b), slice(c, d)) for a, b, c, d in keys]
-        vx = upscale_blocks(np.stack([kx_base[b] for b in blocks]),
-                            base.hx, base.hy, "x")
-        vy = upscale_blocks(np.stack([ky_base[b] for b in blocks]),
-                            base.hx, base.hy, "y")
-        cache.update(zip(keys, zip(vx.tolist(), vy.tolist())))
-    for c, key in coarse:
-        kx[c], ky[c] = cache[key]
+        bi = _int_ratio(i0, mi, NonIntegerRatio, "block lattice in x", least=0)
+        bj = _int_ratio(j0, mj, NonIntegerRatio, "block lattice in y", least=0)
+        cells = slice(window.spatial_offset[k], window.spatial_offset[k + 1])
+        for out, field in zip((kx, ky), by_shape(mi, mj)):
+            # window cells run x-fastest, block arrays are (x, y)
+            out[cells] = field[bi:bi + sub.nx, bj:bj + sub.ny].ravel(order="F")
     return kx, ky

@@ -10,9 +10,9 @@ relations are linear in the fluxes with an invertible 4x4 block per face,
 so they are eliminated exactly: each auxiliary flux takes its closure
 value `drive / a` and each Darcy flux `lambda* * aux`.  `linearize`
 evaluates the residual that remains on cell unknowns, and
-`CellSystem.blocks` holds the Schur complement A - B D^-1 C as 2x2 blocks,
-filled face by face in closed form.  The expanded system is not built; the
-tests keep it as their oracle.
+`CellSystem.blocks` is the Schur complement A - B D^-1 C as 2x2 blocks,
+filled face by face in closed form each time it is read.  The expanded
+system is not built; the tests keep it as their oracle.
 
 The auxiliary-flux diagonal, which no state changes, is computed once per
 window (`WindowTerms`).  Capillary pressure and relative permeability are
@@ -381,13 +381,13 @@ class CellSystem:
     def window(self):
         return self.terms.window
 
-    @cached_property
+    @property
     def blocks(self):
         """The exact Jacobian's 2x2 blocks: column k holds block k of
         `SpaceTimeWindow.jacobian_blocks`, row e its entry e."""
         return self._fill_blocks(self._faces.water[1])
 
-    @cached_property
+    @property
     def newton_blocks(self):
         """The blocks of the Jacobian that Newton factors: `blocks` with
         the front slope (`_front_slope`) in place of the water mobility's
@@ -502,18 +502,15 @@ class CellSystem:
         the gathered block values.  The zeros (those, an upwind side, a
         zero mobility) are then dropped, as they would otherwise be stored
         and slow the factorization, and the remaining rows renumbered.
-        The blocks themselves go to the `ReducedJacobian` for its check;
-        the cached blocks are dropped, and recomputed if read again.
+        The blocks, read once, go to the `ReducedJacobian` for its check.
         """
         w = self.window
         pat = w.jacobian_pattern
-        name = "blocks" if exact else "newton_blocks"
-        vals = getattr(self, name)
+        vals = self.blocks if exact else self.newton_blocks
         data = vals.ravel().take(pat.entry)
         local = self._local(vals)
         # the local pivots, from the cells' own blocks
         a_pp, a_ps, a_sp, a_ss = vals.take(local, axis=1)
-        self.__dict__.pop(name)
         at = pat.own.take(local, axis=1)
         a_ps = a_ps / a_ss
         data[at[0]] = a_pp - a_ps * a_sp

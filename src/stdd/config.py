@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .adaptivity import Thresholds
+from .adaptivity import Thresholds, Tiling
 from .errors import ConfigError
 from .mesh import _int_ratio
 from .permfields import GENERATORS, LAYOUTS, load_fields
@@ -130,9 +130,11 @@ class RunConfig:
                *(v for row in self.table.values() for v in row)) <= 0:
             raise ConfigError("cell sizes, tiles and time steps must be "
                               "positive")
+        for key in ("reservoir", "static_fine_box"):
+            x0, y0, x1, y1 = getattr(self, key)
+            if not (x1 > x0 and y1 > y0):
+                raise ConfigError(f"{key} must have positive extent")
         x0, y0, x1, y1 = self.reservoir
-        if not (x1 > x0 and y1 > y0):
-            raise ConfigError("reservoir box must have positive extent")
         if self.horizon <= 0 or self.delta_t <= 0 or self.dz <= 0:
             raise ConfigError("horizon, delta_t and dz must be positive")
         if self.mode not in MODES:
@@ -149,8 +151,12 @@ class RunConfig:
             _int_ratio(self.delta_t, dt, ConfigError, f"delta_t/dt id {k}")
         _int_ratio(self.horizon, self.window_length, ConfigError,
                    "horizon/window length")
-        ntx = round((x1 - x0) / self.tile[0])
-        nty = round((y1 - y0) / self.tile[1])
+        tiling = Tiling(self.reservoir, *self.tile)
+        if (self.mode == "static-dd"
+                and not tiling.inside(self.static_fine_box).any()):
+            raise ConfigError(f"static_fine_box {self.static_fine_box} "
+                              "holds no tile centre")
+        ntx, nty = tiling.shape
         for w in self.wells:
             i, j = w.tile
             if not (0 <= i < ntx and 0 <= j < nty):
@@ -360,8 +366,9 @@ def _ini_dict(cp):
 def preset(name, scale="desk"):
     """Named experiment configurations.
 
-    `scale` selects the horizon: "desk" runs 60 days, "paper" 100 days.
-    The spatial grid (220x60 fine cells over 110x30 ft) is identical.
+    `scale` selects the horizon: "desk" runs 60 days (`static-dd` 40),
+    "paper" 100 days; `toy` keeps its 8 days at either scale.  The
+    spatial grid (220x60 fine cells over 110x30 ft) is identical.
     """
     horizon = {"desk": 60.0, "paper": 100.0}.get(scale)
     if horizon is None:
@@ -376,7 +383,8 @@ def preset(name, scale="desk"):
                          permeability={"kind": "gaussian", "seed": 7},
                          **common)
     if name == "static-dd":
-        return RunConfig(mode="static-dd", delta_t=5.0, horizon=40.0,
+        return RunConfig(mode="static-dd", delta_t=5.0,
+                         horizon=horizon if scale == "paper" else 40.0,
                          tile=(5.0, 5.0),
                          table={1: (0.5, 0.5, 1.0), 2: (0.5, 0.5, 5.0),
                                 3: (5.0, 5.0, 1.0), 4: (5.0, 5.0, 5.0)},

@@ -6,6 +6,7 @@ run directories.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -15,9 +16,9 @@ import numpy as np
 
 from . import output
 from .adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
-                         cell_permeability, classify, decompose, delta_change,
-                         final_spatial, residual_indicator, transfer_field,
-                         transfer_state)
+                         block_permeability, cell_permeability, classify,
+                         decompose, delta_change, final_spatial,
+                         residual_indicator, transfer_field, transfer_state)
 from .assembly import (CellProperties, ResolvedWells, StateField, linearize,
                        window_terms)
 from .config import UNIFORM_IDENTIFIER, RunConfig
@@ -33,7 +34,8 @@ COST_RATIO_BUDGET = 0.2
 
 
 class Problem:
-    """A RunConfig resolved into concrete fields and closures."""
+    """A RunConfig resolved into concrete fields and closures; each cell
+    shape's `block_permeability(mi, mj)` is upscaled once, on first use."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -44,7 +46,8 @@ class Problem:
         self.model = cfg.fluid_rock_model()
         self.phi_base = np.full(self.base.shape, cfg.phi)
         self.kx_base, self.ky_base = self._fields(cfg)
-        self._perm_cache = {}
+        self.block_permeability = functools.cache(functools.partial(
+            block_permeability, self.base, self.kx_base, self.ky_base))
 
     def _fields(self, cfg):
         p = dict(cfg.permeability)
@@ -62,8 +65,7 @@ class Problem:
         auxiliary-flux diagonal.  `run()` calls this once per window it
         builds."""
         phi = self.base.average_to(window, self.phi_base)
-        kx, ky = cell_permeability(window, self.base, self.kx_base,
-                                   self.ky_base, self._perm_cache)
+        kx, ky = cell_permeability(window, self.base, self.block_permeability)
         props = CellProperties(phi=phi, kx=kx, ky=ky)
         wells = self._wells(window, props)
         for arr in (*vars(props).values(), *vars(wells).values()):
@@ -99,6 +101,17 @@ class Problem:
         owner = self.base.owner(window).cells
         return np.unique(self.tiling.blocks(owner)[i, :, j, :])
 
+    def trace(self, old, final, new):
+        """The (P, S) per spatial cell that window `new` starts from: the
+        initial state without an `old` window, `old`'s final level `final`
+        itself if `new is old`, else `final` by `transfer_state`."""
+        if old is None:
+            return (np.full(new.n_spatial, self.cfg.initial_pressure),
+                    np.full(new.n_spatial, self.cfg.initial_saturation))
+        if new is old:
+            return final
+        return transfer_state(old, *final, new, self.base, self.phi_base)
+
     # -- identifier maps --------------------------------------------------
 
     def constant_idmap(self, identifier):
@@ -111,13 +124,7 @@ class Problem:
     def static_idmap(self):
         """Fine inside the configured box, coarse elsewhere; no buffering."""
         idmap = self.constant_idmap(4)
-        ntx, nty = self.tiling.shape
-        fx0, fy0, fx1, fy1 = self.cfg.static_fine_box
-        x0, y0, _, _ = self.cfg.reservoir
-        cx = x0 + (np.arange(ntx) + 0.5) * self.cfg.tile[0]
-        cy = y0 + (np.arange(nty) + 0.5) * self.cfg.tile[1]
-        idmap.identifiers[np.outer((fx0 < cx) & (cx < fx1),
-                                   (fy0 < cy) & (cy < fy1))] = 1
+        idmap.identifiers[self.tiling.inside(self.cfg.static_fine_box)] = 1
         return idmap
 
     def fixed_idmap(self):
@@ -146,10 +153,7 @@ def _predict(pb, ncfg, terms, prev, final, s_now, seed=None):
     raster at the next window's start.
     """
     trial = terms.window
-    if prev is None:
-        tp, ts = _initial_trace(pb.cfg, trial)
-    else:
-        tp, ts = transfer_state(prev, *final, trial, pb.base, pb.phi_base)
+    tp, ts = pb.trace(prev, final, trial)
     start = linearize(terms, StateField.from_trace(trial, tp, ts))
     eta = residual_indicator(trial, start.r_norm, pb.base, pb.tiling)
     loose = replace(ncfg, tol=max(ncfg.tol, math.sqrt(ncfg.tol)))
@@ -173,12 +177,6 @@ def _escalate(idmap):
     """`idmap` with every tile promoted one step toward identifier 1."""
     ids = np.where(idmap.identifiers == 4, 2, 1)
     return IdentifierMap(ids, idmap.eta, idmap.delta_s, idmap.delta_t)
-
-
-def _initial_trace(cfg, window):
-    n = window.n_spatial
-    return (np.full(n, cfg.initial_pressure),
-            np.full(n, cfg.initial_saturation))
 
 
 def window_mass(terms, state, final):
@@ -278,19 +276,15 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
 
             # a predicted map gets one escalated retry, a fixed map none
             attempts = 1 if fixed is not None else 2
-            new, new_terms = window, terms
+            new = None
             for attempt in range(attempts):
-                if new is None or tuple(subs) != new.subdomains:
+                if window is not None and tuple(subs) == window.subdomains:
+                    new, new_terms = window, terms
+                elif new is None or tuple(subs) != new.subdomains:
                     new = build_window(subs, length, cfg.reservoir,
                                        dz=cfg.dz)
                     new_terms = pb.maps(new)
-                if window is None:
-                    trace = _initial_trace(cfg, new)
-                elif new.subdomains == window.subdomains:
-                    trace = final
-                else:
-                    trace = transfer_state(window, *final, new, base,
-                                           pb.phi_base)
+                trace = pb.trace(window, final, new)
                 # Newton starts from the predicted saturation change,
                 # mapped as the trace is
                 delta_s = None

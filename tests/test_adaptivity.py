@@ -1,6 +1,7 @@
 """Region classification, decomposition, transfer, and upscaling."""
 
 import importlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solveh_banded
 
 from stdd.adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
-                             cell_permeability, classify, decompose,
-                             delta_change, final_spatial, residual_indicator,
-                             transfer_state, upscale_blocks)
-from stdd.config import RunConfig, WellSpec
+                             block_permeability, cell_permeability, classify,
+                             decompose, delta_change, final_spatial,
+                             residual_indicator, transfer_state,
+                             upscale_blocks)
+from stdd.config import RunConfig, WellSpec, preset
 from stdd.errors import NonIntegerRatio
 from stdd.mesh import Subdomain, _int_ratio, build_window
 
@@ -366,22 +368,96 @@ class TestUpscaling:
         kxb = rng.uniform(1, 10, base.shape)
         kyb = rng.uniform(1, 10, base.shape)
         w = build_window([Subdomain(res, (0.5, 0.5), 1.0)], 1.0, res)
-        kx, ky = cell_permeability(w, base, kxb, kyb)
+        kx, ky = cell_permeability(
+            w, base, partial(block_permeability, base, kxb, kyb))
         assert np.array_equal(base.rasterize(w, kx), kxb)
         assert np.array_equal(base.rasterize(w, ky), kyb)
 
-    def test_cell_permeability_cache_reused(self):
+    def test_each_shape_upscaled_once_per_problem(self, tmp_path,
+                                                  monkeypatch):
+        """Over a toy dynamic-dd run, which maps its trial window and
+        several main windows, the one coarse cell shape (5 x 5 base cells)
+        is upscaled once per direction; base-size cells upscale nothing."""
+        real, calls, depth = upscale_blocks, [], []
+
+        def counted(k_blocks, hx, hy, direction):
+            if not depth:       # not the y direction's own x call
+                calls.append((np.shape(k_blocks), direction))
+            depth.append(None)
+            try:
+                return real(k_blocks, hx, hy, direction)
+            finally:
+                depth.pop()
+
+        maps = []
+        real_maps = run_module.Problem.maps
+        monkeypatch.setattr("stdd.adaptivity.upscale_blocks", counted)
+        monkeypatch.setattr(run_module.Problem, "maps",
+                            lambda pb, w: maps.append(w) or real_maps(pb, w))
+        run_module.run(preset("toy"), tmp_path / "run", emit_vtk=False)
+        assert len(maps) > 2
+        # every 5 x 5 block of the 40 x 10 base grid, in one call each
+        assert calls == [((16, 5, 5), "x"), ((16, 5, 5), "y")]
+
+    def test_subdomain_off_its_block_lattice_raises(self):
+        """2 x 2 ft cells that start one base cell past the 2 ft lattice
+        have no slice of their shape's blocks."""
         res = (0.0, 0.0, 4.0, 2.0)
         base = BaseGrid(res, (0.5, 0.5))
-        rng = np.random.default_rng(6)
-        kxb = rng.uniform(1, 10, base.shape)
-        kyb = rng.uniform(1, 10, base.shape)
-        w = build_window([Subdomain(res, (2.0, 2.0), 1.0)], 1.0, res)
-        cache = {}
-        kx1, _ = cell_permeability(w, base, kxb, kyb, cache=cache)
-        assert len(cache) == w.n_spatial
-        kx2, _ = cell_permeability(w, base, kxb, kyb, cache=cache)
-        assert np.array_equal(kx1, kx2)
+        k = np.random.default_rng(6).uniform(1, 10, base.shape)
+        w = build_window([Subdomain((0.0, 0.0, 0.5, 2.0), (0.5, 0.5), 1.0),
+                          Subdomain((0.5, 0.0, 2.5, 2.0), (2.0, 2.0), 1.0),
+                          Subdomain((2.5, 0.0, 4.0, 2.0), (0.5, 0.5), 1.0)],
+                         1.0, res)
+        with pytest.raises(NonIntegerRatio, match="lattice"):
+            cell_permeability(w, base, partial(block_permeability, base, k, k))
+
+
+class TestTrace:
+    """`Problem.trace`, the one rule for the state a window starts from."""
+
+    def setup_method(self):
+        self.pb = pb = run_module.Problem(preset("toy"))
+        self.coarse, self.fine = (
+            build_window(decompose(pb.constant_idmap(k), pb.tiling, pb.table),
+                         2.0, pb.cfg.reservoir) for k in (4, 1))
+        rng = np.random.default_rng(11)
+        n = self.coarse.n_spatial
+        self.final = (rng.uniform(900, 1100, n), rng.uniform(0.2, 0.8, n))
+
+    def test_initial_state_without_an_old_window(self):
+        p, s = self.pb.trace(None, None, self.fine)
+        assert np.array_equal(p, np.full(self.fine.n_spatial, 1000.0))
+        assert np.array_equal(s, np.full(self.fine.n_spatial, 0.2))
+
+    def test_same_window_keeps_the_final_level(self):
+        assert self.pb.trace(self.coarse, self.final,
+                             self.coarse) is self.final
+
+    @pytest.mark.parametrize("target", ["fine", "rebuilt"])
+    def test_another_window_is_transferred(self, target):
+        """Onto another window, even one of the same decomposition, the
+        trace is `transfer_state`'s."""
+        pb = self.pb
+        new = (self.fine if target == "fine"
+               else build_window(self.coarse.subdomains, 2.0,
+                                 pb.cfg.reservoir))
+        got = pb.trace(self.coarse, self.final, new)
+        want = transfer_state(self.coarse, *self.final, new, pb.base,
+                              pb.phi_base)
+        assert got is not self.final
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_toy_run_transfers_as_before(self, tmp_path, monkeypatch):
+        """The toy's 4 windows each change decomposition: the predictor
+        and the main window each transfer 3 times, as before the rule was
+        one."""
+        calls = []
+        real = run_module.transfer_state
+        monkeypatch.setattr(run_module, "transfer_state",
+                            lambda *a: calls.append(None) or real(*a))
+        run_module.run(preset("toy"), tmp_path / "run", emit_vtk=False)
+        assert len(calls) == 6
 
 
 def ref_flow_system(k, hx, hy):
@@ -552,7 +628,9 @@ class TestOwnerMap:
     def test_cell_permeability(self):
         kxb = self.rng.uniform(1, 10, self.base.shape)
         kyb = self.rng.uniform(1, 10, self.base.shape)
-        kx, ky = cell_permeability(self.window, self.base, kxb, kyb)
+        kx, ky = cell_permeability(
+            self.window, self.base,
+            partial(block_permeability, self.base, kxb, kyb))
         for c, (si, sj) in enumerate(self.blocks()):
             assert kx[c] == upscale_blocks(kxb[None, si, sj], 0.5, 0.5,
                                            "x")[0]

@@ -140,6 +140,11 @@ class TestExitCodes:
         ("unknown permeability key",
          {"permeability": {"kind": "gaussian", "bogus": 1}}, EXIT_CONFIG),
         ("horizon not whole windows", {"horizon": 9.0}, EXIT_CONFIG),
+        ("inverted static fine box", {"static_fine_box": [25, 0, 0, 30]},
+         EXIT_CONFIG),
+        ("static fine box holding no tile centre",
+         {"mode": "static-dd", "static_fine_box": [200, 0, 300, 30]},
+         EXIT_CONFIG),
         ("unknown mobility model", {"mobility_model": "quadratic"},
          EXIT_CONFIG),
         ("three-number reservoir", {"reservoir": [0, 0, 10]}, EXIT_CONFIG),
@@ -187,6 +192,17 @@ class TestExitCodes:
         # a config error stops before anything is assembled or written
         assert out.exists() == (code != EXIT_CONFIG)
         assert (out / "FAILED").exists() == (code == EXIT_NONCONVERGENCE)
+
+    def test_static_override_of_an_empty_box_exits_2(self, tmp_path):
+        """A box that no other mode reads is checked when `--mode`
+        selects static-dd, before any output."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**preset("toy").to_dict(),
+                                    "static_fine_box": [200, 0, 300, 30]}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--mode",
+                     "static-dd", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_any_solver_error_leaves_ledger_and_marker(self, tmp_path,
                                                        monkeypatch):

@@ -5,6 +5,7 @@ import math
 import pathlib
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 import stdd.config
@@ -12,6 +13,7 @@ from stdd.config import (MODES, NEWTON_DEFAULTS, THRESHOLD_DEFAULTS,
                          RunConfig, WellSpec, load_config, preset)
 from stdd.errors import ConfigError
 from stdd.physics import BrooksCoreyModel, FluidModel
+from stdd.run import Problem
 
 
 class TestValidation:
@@ -67,6 +69,35 @@ class TestValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"reservoirs": [0, 0, 1, 1]})
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("box", [(25.0, 0.0, 0.0, 30.0),
+                                     (0.0, 30.0, 25.0, 0.0),
+                                     (10.0, 0.0, 10.0, 30.0)])
+    def test_static_fine_box_without_extent_rejected(self, mode, box):
+        """In every mode, as the reservoir box is."""
+        with pytest.raises(ConfigError, match="static_fine_box"):
+            RunConfig(mode=mode, static_fine_box=box)
+
+    @pytest.mark.parametrize("box", [(200.0, 0.0, 300.0, 30.0),
+                                     (0.0, 0.0, 1.25, 30.0),
+                                     (1.3, 1.3, 3.7, 3.7)])
+    def test_static_fine_box_holding_no_tile_centre_rejected(self, box):
+        """static-dd refines the tiles whose centres (1.25, 3.75, ... ft
+        on the default 2.5 ft tiles) lie strictly inside the box; a box
+        that holds none would run uniformly coarse.  The other modes do
+        not read the box."""
+        with pytest.raises(ConfigError, match="no tile centre"):
+            RunConfig(mode="static-dd", static_fine_box=box)
+        RunConfig(mode="dynamic-dd", static_fine_box=box)
+
+    def test_static_fine_box_refines_the_tiles_it_validates(self):
+        """Validation and `Problem.static_idmap` read one tile-centre
+        rule: the smallest accepted box refines exactly its one tile."""
+        cfg = RunConfig(mode="static-dd", static_fine_box=(1.2, 3.7, 1.3, 3.8))
+        ids = Problem(cfg).static_idmap().identifiers
+        assert np.argwhere(ids == 1).tolist() == [[0, 1]]
+        assert np.count_nonzero(ids == 4) == ids.size - 1
 
     @pytest.mark.parametrize("mode, horizon", [
         ("dynamic-dd", 9.0), ("static-dd", 9.0), ("uniform-coarse", 9.0),
@@ -350,6 +381,14 @@ class TestPresets:
     def test_scales(self):
         assert preset("dynamic-dd", scale="desk").horizon == 60.0
         assert preset("dynamic-dd", scale="paper").horizon == 100.0
+        # static-dd's desk figures are for 40 days; paper scale is 20
+        # five-day windows
+        assert preset("static-dd", scale="desk").horizon == 40.0
+        paper = preset("static-dd", scale="paper")
+        assert paper.horizon == 100.0
+        assert paper.horizon / paper.window_length == 20
+        for scale in ("desk", "paper"):
+            assert preset("toy", scale=scale).horizon == 8.0
         with pytest.raises(ConfigError):
             preset("dynamic-dd", scale="poster")
 

@@ -16,9 +16,9 @@ from jacobian_oracle import (PlainJacobian, full_jacobian,
                              local_saturations, newton_jacobian,
                              window_jacobian)
 from stdd.adaptivity import decompose
-from stdd.assembly import (FRONT_KRW_SLOPE, CellProperties, ResolvedWells,
-                           StateField, front_saturation_cap, linearize,
-                           window_terms)
+from stdd.assembly import (FRONT_KRW_SLOPE, CellProperties, CellSystem,
+                           ResolvedWells, StateField, front_saturation_cap,
+                           linearize, window_terms)
 from stdd.config import preset
 from stdd.errors import ConfigError, NonConvergence, SingularMatrix
 from stdd.mesh import Subdomain, build_window
@@ -178,13 +178,14 @@ class TestLocalElimination:
         assert np.array_equal(jac.local, s // 2)
         assert len(jac.local) == local
 
-    def test_zero_pivot_is_kept(self):
+    def test_zero_pivot_is_kept(self, monkeypatch):
         """A saturation whose diagonal vanishes is not local, as the
         structural test needs a stored pivot."""
         _, sys_ = self.strip_system()
         vals = sys_.newton_blocks.copy()
         vals[3, 4] = 0.0            # cell 4's own (water, s) entry
-        vars(sys_)["newton_blocks"] = vals
+        monkeypatch.setattr(CellSystem, "newton_blocks",
+                            property(lambda self: vals))
         s = local_saturations(newton_jacobian(sys_))[0]
         local = sys_.jacobian().local
         assert np.array_equal(local, s // 2)
@@ -244,14 +245,16 @@ class TestLocalElimination:
                            atol=1e-13 * np.max(np.abs(want)))
 
     def test_fill_drops_the_blocks(self):
-        """The fill drops the cached blocks, so a caller that keeps the
-        linearization keeps only its residual; a second fill rebuilds
-        them into the same matrix."""
+        """The linearization keeps no blocks, so a caller that keeps it
+        keeps only its residual; a second fill computes them afresh into
+        the same matrix."""
         _, sys_ = self.strip_system(wet=[0, 5])
         first = sys_.jacobian()
         assert "newton_blocks" not in vars(sys_)
         assert "blocks" not in vars(sys_)
         again = sys_.jacobian()
+        assert again.blocks is not first.blocks
+        assert np.array_equal(again.blocks, first.blocks)
         assert np.array_equal(first.matrix.toarray(), again.matrix.toarray())
 
     def test_linked_cells_are_kept(self):
