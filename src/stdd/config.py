@@ -22,8 +22,8 @@ from .adaptivity import Thresholds, Tiling
 from .errors import ConfigError
 from .mesh import _int_ratio
 from .permfields import GENERATORS, LAYOUTS, load_fields
-from .physics import (MOBILITY_MODELS, BrooksCoreyModel, FluidModel,
-                      FluidRockModel, finite_number)
+from .physics import (BrooksCoreyModel, FluidModel, FluidRockModel,
+                      finite_number)
 from .solver import NewtonConfig
 
 MODES = ("uniform-fine", "uniform-coarse", "static-dd", "dynamic-dd")
@@ -91,7 +91,6 @@ class RunConfig:
     phi: float = 0.2
     fluid: dict = field(default_factory=dict)        # FluidModel overrides
     relcap: dict = field(default_factory=dict)       # BrooksCoreyModel overrides
-    mobility_model: str = "brooks-corey"
     permeability: dict = field(default_factory=lambda: {
         "kind": "channelized", "seed": 7})
     wells: list = field(default_factory=lambda: [
@@ -165,16 +164,10 @@ class RunConfig:
                     and w.r_w >= self.well_equivalent_radius):
                 raise ConfigError(
                     f"well radius {w.r_w} ft too large for tile {self.tile}")
-        if self.mobility_model not in MOBILITY_MODELS:
-            raise ConfigError(
-                f"unknown mobility model {self.mobility_model!r}")
         if not (0 <= self.initial_saturation <= 1):
             raise ConfigError("initial saturation must lie in [0, 1]")
         if not (0 < self.phi <= 1):
             raise ConfigError("porosity must lie in (0, 1]")
-        unknown = set(self.newton) - set(NEWTON_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown newton keys: {sorted(unknown)}")
         base_shape = (_int_ratio(x1 - x0, self.base_cell[0], ConfigError,
                                  "reservoir/base x"),
                       _int_ratio(y1 - y0, self.base_cell[1], ConfigError,
@@ -191,12 +184,9 @@ class RunConfig:
                 raise ConfigError(f"{name}: {exc}") from exc
 
     def fluid_rock_model(self):
-        """The configured fluids, rock curves and mobility model; reads
-        no permeability."""
-        return FluidRockModel(
-            fluid=FluidModel(**self.fluid),
-            relcap=BrooksCoreyModel(**self.relcap),
-            mobility_model=self.mobility_model)
+        """The configured fluids and rock curves; reads no permeability."""
+        return FluidRockModel(FluidModel(**self.fluid),
+                              BrooksCoreyModel(**self.relcap))
 
     # -- derived geometry -------------------------------------------------
 
@@ -322,7 +312,7 @@ def _ini_dict(cp):
             raise ValueError(f"unknown section [{section}]")
     if cp.has_section("run"):
         for key, v in cp["run"].items():
-            if key in ("mode", "mobility_model", "label"):
+            if key in ("mode", "label"):
                 d[key] = v
             elif key == "emit_fine_levels":
                 d[key] = _parse_bool(v)

@@ -23,9 +23,6 @@ STB_TO_FT3 = 5.615
 # Phase labels used throughout.
 OIL, WATER = "o", "w"
 
-# Mobility closures: Brooks-Corey, or a constant unit mobility.
-MOBILITY_MODELS = ("brooks-corey", "constant")
-
 
 def finite_number(v):
     """A finite real number, and not a bool: the check of every number
@@ -166,23 +163,15 @@ class BrooksCoreyModel:
 class FluidRockModel:
     """All closures needed by assembly, bundled.
 
-    `mobility_model` selects between the Brooks-Corey closure chain and a
-    constant unit mobility (lambda* = 1, all derivatives zero, capillarity
-    off), which makes the discrete system linear and is used for solver
-    verification.  `relcap.p_entry = 0` turns capillarity off.
+    `linear` replaces the Brooks-Corey closure chain by a constant unit
+    mobility (lambda* = 1, all derivatives zero, capillarity off), which
+    makes the discrete system linear; the solver's tests use it as their
+    reference.  `relcap.p_entry = 0` turns capillarity off.
     """
 
     fluid: FluidModel
     relcap: BrooksCoreyModel
-    mobility_model: str = "brooks-corey"
-
-    def __post_init__(self):
-        if self.mobility_model not in MOBILITY_MODELS:
-            raise ValueError(f"unknown mobility model {self.mobility_model!r}")
-
-    @property
-    def linear(self):
-        return self.mobility_model == "constant"
+    linear: bool = False
 
     def density(self, phase, p):
         return self.fluid.density(phase, p)

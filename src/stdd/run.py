@@ -221,10 +221,10 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     saturation is.  A window is built and mapped only when its
     decomposition differs from the current window's; otherwise the
     current one is solved again.  A predicted map that fails to converge
-    is promoted once and the window solved again, from the same seed; a
-    fixed map is never promoted.  Every Newton solve, the predictor's and
-    the failed ones included, goes into one `RunLedger`, and the
-    summary's costs are its sums.
+    is promoted once, if that changes it, and the window solved again
+    from the same seed; a fixed map is never promoted.  Every Newton
+    solve, the predictor's and the failed ones included, goes into one
+    `RunLedger`, and the summary's costs are its sums.
 
     Artifacts: resolved config, property curves, permeability field,
     per-window saturation/pressure snapshots (CSV and VTK), identifier
@@ -234,8 +234,8 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     window that fails to converge raises with its last attempt's entry.
     """
     t0 = time.perf_counter()
+    pb = Problem(cfg)       # a bad permeability file stops before output
     os.makedirs(outdir, exist_ok=True)
-    pb = Problem(cfg)
     base = pb.base
     origin = (cfg.reservoir[0], cfg.reservoir[1])
 
@@ -258,29 +258,28 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     snapshots = []
     balance = {"injected": 0.0, "produced_w": 0.0, "produced_o": 0.0,
                "initial_w": None, "final_w": 0.0}
-    window = terms = final = idmap = seed = None
+    window = terms = final = seed = None
     t = 0.0                 # the window's start, days
     s2d = np.full(base.shape, cfg.initial_saturation)
 
     try:
         for widx in range(round(cfg.horizon / length)):
-            new_map, change = fixed, None
+            idmaps, change = [fixed], None
             if fixed is None:
-                new_map, solve, change = _predict(pb, ncfg, trial_terms,
-                                                  window, final, s2d, seed)
+                idmap, solve, change = _predict(pb, ncfg, trial_terms,
+                                                window, final, s2d, seed)
                 ledger.predictor.append(solve)
                 seed = change   # the next predictor starts from it
-            if new_map is not idmap:
-                subs = decompose(new_map, pb.tiling, pb.table)
-            idmap = new_map
+                # one escalated retry, if escalating changes the map
+                idmaps, up = [idmap], _escalate(idmap)
+                if not np.array_equal(up.identifiers, idmap.identifiers):
+                    idmaps.append(up)
 
-            # a predicted map gets one escalated retry, a fixed map none
-            attempts = 1 if fixed is not None else 2
-            new = None
-            for attempt in range(attempts):
-                if window is not None and tuple(subs) == window.subdomains:
+            for attempt, idmap in enumerate(idmaps):
+                subs = tuple(decompose(idmap, pb.tiling, pb.table))
+                if window is not None and subs == window.subdomains:
                     new, new_terms = window, terms
-                elif new is None or tuple(subs) != new.subdomains:
+                else:
                     new = build_window(subs, length, cfg.reservoir,
                                        dz=cfg.dz)
                     new_terms = pb.maps(new)
@@ -297,13 +296,11 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
                     break
                 except NonConvergence as fail:
                     ledger.failed.append(fail.entry)
-                    if attempt == attempts - 1:
+                    if attempt == len(idmaps) - 1:
                         how = " after escalation" if attempt else ""
                         raise NonConvergence(
                             fail.entry,
                             f"window {widx} failed to converge{how}: {fail}")
-                    idmap = _escalate(idmap)
-                    subs = decompose(idmap, pb.tiling, pb.table)
             window, terms = new, new_terms
             ledger.entries.append(entry)
             final = final_spatial(window, state)

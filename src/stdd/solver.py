@@ -15,10 +15,10 @@ step from tol, it factors the exact Jacobian and applies the clip only.
 
 The fill (`CellSystem.jacobian`) eliminates the local saturations exactly.
 Every Jacobian is filled in the window's minimum-degree numbering, and
-SuperLU factors what remains on one of two paths, chosen per Newton solve
-by its first Jacobian: a swept one, storing more than
-`SYMMETRIC_MIN_STORED` of its pattern (`ReducedJacobian.stored_share`), in
-that numbering in symmetric mode; any other in COLAMD's order.
+SuperLU factors what remains on one of two paths, which `factor_path`
+picks per Newton solve from its first Jacobian: a swept one, storing more
+than `SYMMETRIC_MIN_STORED` of its pattern (`ReducedJacobian.stored_share`),
+in that numbering in symmetric mode; any other in COLAMD's order.
 `linear_solve` recovers the eliminated updates and checks the whole update
 against the factored Jacobian on its 2x2 blocks.
 """
@@ -110,38 +110,38 @@ class RunLedger:
         return rows
 
 
-# SuperLU: unrelaxed supernodes, which store no padding zeros in the 2x2
-# block Jacobians, and one-column panels for every window.
-SUPERLU_RELAX = 1
-SUPERLU_PANEL_SIZE = 1
+# SuperLU's factor paths: unrelaxed supernodes, which store no padding zeros
+# in the 2x2 block Jacobians, and one-column panels; in COLAMD's order with
+# partial pivoting, or in the matrix's own numbering in symmetric mode,
+# pivoting on the diagonal unless it is below 0.01 of its column's largest.
+COLAMD = dict(relax=1, panel_size=1)
+SYMMETRIC = dict(relax=1, panel_size=1, permc_spec="NATURAL",
+                 diag_pivot_thresh=0.01, options={"SymmetricMode": True})
 # The stored share of the structural pattern, over the unknowns left after
 # the elimination, above which a window is swept: water flows through most
 # of what remains.  Below, COLAMD gains from the zero-mobility entries.
 SYMMETRIC_MIN_STORED = 0.55
 
 
-def linear_solve(jac, residual, symmetric=False):
+def factor_path(jac):
+    """The factor path of a Newton solve whose first `ReducedJacobian` is
+    `jac`: `SYMMETRIC` if the window is swept, else `COLAMD`."""
+    return SYMMETRIC if jac.stored_share > SYMMETRIC_MIN_STORED else COLAMD
+
+
+def linear_solve(jac, residual, path=COLAMD):
     """Direct sparse solve of J dy = -r with a relative-residual check;
     returns the update and the factor's stored entries (`SuperLU.nnz`).
 
     `jac` is a `ReducedJacobian`: SuperLU factors its matrix, whose local
-    saturations are already eliminated, and the update of each is
-    recovered after the solve.  `residual` and the returned update are
-    the full, natural-numbered vectors, and the check is on Newton's
-    whole J, through its 2x2 blocks.  The factor uses unrelaxed
-    supernodes and one-column panels (`SUPERLU_RELAX`,
-    `SUPERLU_PANEL_SIZE`): by default in COLAMD's order with partial
-    pivoting; with `symmetric`, in the matrix's own numbering in
-    symmetric mode, pivoting on the diagonal unless it is below 0.01 of
-    its column's largest entry.
+    saturations are already eliminated, on `path` (`COLAMD` or
+    `SYMMETRIC`), and the update of each is recovered after the solve.
+    `residual` and the returned update are the full, natural-numbered
+    vectors, and the check is on Newton's whole J, through its 2x2
+    blocks.
     """
-    path = {}
-    if symmetric:
-        path = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01,
-                    options={"SymmetricMode": True})
     try:
-        lu = spla.splu(jac.matrix, relax=SUPERLU_RELAX,
-                       panel_size=SUPERLU_PANEL_SIZE, **path)
+        lu = spla.splu(jac.matrix, **path)
         x = lu.solve(-jac._reduce(residual))
     except (RuntimeError, ValueError) as exc:
         raise SingularMatrix(str(exc)) from exc
@@ -188,8 +188,8 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
     (`StateField.from_trace`); `start` is its `linearize`, if the caller
     already has it.  A state that already satisfies the tolerance returns
     after zero update iterations.  A step from a norm within √tol factors
-    the exact Jacobian and gives the chop no front cells.  If the first
-    Jacobian is swept, every one of the solve is factored symmetrically.
+    the exact Jacobian and gives the chop no front cells.  Every step
+    factors on the path that `factor_path` picks from the first Jacobian.
     """
     t0 = time.perf_counter()
     window, model = terms.window, terms.model
@@ -215,8 +215,8 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
         front = no_front if exact else sys_.front_cells
         del sys_                # freed before the factor
         if k == 0:          # the factor path of every solve
-            symmetric = bool(jac.stored_share > SYMMETRIC_MIN_STORED)
-        dy, nnz = linear_solve(jac, r_y, symmetric=symmetric)
+            path = factor_path(jac)
+        dy, nnz = linear_solve(jac, r_y, path=path)
         lu_nnz += nnz
         del jac                 # freed before the next linearization
         # in place: a fresh state per iteration grows the heap

@@ -78,8 +78,7 @@ class TestLinearOneIteration:
         w = build_window([Subdomain(box, (1.0, 1.0), 1.0)], 1.0, box)
         n = w.n_spatial
         model = FluidRockModel(FluidModel(c_o=0.0, c_w=0.0),
-                               BrooksCoreyModel(),
-                               mobility_model="constant")
+                               BrooksCoreyModel(), linear=True)
         props = CellProperties(phi=np.full(n, 0.2), kx=np.full(n, 100.0),
                                ky=np.full(n, 100.0))
         wells = ResolvedWells.none(n)

@@ -403,7 +403,7 @@ MODELS = {
     "no-capillarity": lambda: FluidRockModel(
         FluidModel(), BrooksCoreyModel(p_entry=0.0)),
     "constant": lambda: FluidRockModel(
-        FluidModel(), BrooksCoreyModel(), mobility_model="constant"),
+        FluidModel(), BrooksCoreyModel(), linear=True),
 }
 
 

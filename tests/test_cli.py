@@ -145,7 +145,7 @@ class TestExitCodes:
         ("static fine box holding no tile centre",
          {"mode": "static-dd", "static_fine_box": [200, 0, 300, 30]},
          EXIT_CONFIG),
-        ("unknown mobility model", {"mobility_model": "quadratic"},
+        ("removed mobility_model key", {"mobility_model": "constant"},
          EXIT_CONFIG),
         ("three-number reservoir", {"reservoir": [0, 0, 10]}, EXIT_CONFIG),
         ("well without kind",
@@ -175,22 +175,35 @@ class TestExitCodes:
          EXIT_CONFIG),
         ("non-number threshold", {"thresholds": {"theta_ds": "x"}},
          EXIT_CONFIG),
+        ("permeability file with a negative value",
+         {"permeability": {"kind": "file", "kx_path": "negative.txt"}},
+         EXIT_CONFIG),
+        ("permeability file of the wrong size",
+         {"permeability": {"kind": "file", "kx_path": "short.txt"}},
+         EXIT_CONFIG),
         ("missing permeability file",
          {"permeability": {"kind": "file", "kx_path": "missing.txt"}},
          EXIT_IO),
     ]
+    # the permeability files that the cases name, for the toy's 40x10
+    # base cells
+    FILES = {"negative.txt": "-1 " + "100 " * 399, "short.txt": "100 " * 399}
 
     @pytest.mark.parametrize("override, code", [c[1:] for c in CASES],
                              ids=[c[0] for c in CASES])
     def test_exit_code(self, tmp_path, monkeypatch, override, code):
         monkeypatch.chdir(tmp_path)
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**preset("toy").to_dict(), **override}))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path),
                      "--out", str(out)]) == code
-        # a config error stops before anything is assembled or written
-        assert out.exists() == (code != EXIT_CONFIG)
+        # no output directory unless the run started: a config error
+        # stops before anything is assembled or written, and so does a
+        # permeability file that cannot be read
+        assert out.exists() == (code in (EXIT_OK, EXIT_NONCONVERGENCE))
         assert (out / "FAILED").exists() == (code == EXIT_NONCONVERGENCE)
 
     def test_static_override_of_an_empty_box_exits_2(self, tmp_path):

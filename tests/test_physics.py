@@ -196,7 +196,7 @@ class TestUpwindMobility:
 
 class TestConstantMobilityModel:
     def test_unit_mobility_no_capillarity(self, fluid, relcap):
-        m = FluidRockModel(fluid, relcap, mobility_model="constant")
+        m = FluidRockModel(fluid, relcap, linear=True)
         assert m.linear
         lam, dls, dlp = m.mobility(WATER, 0.5, 1234.0)
         assert (lam, dls, dlp) == (1.0, 0.0, 0.0)
@@ -232,10 +232,6 @@ class TestParameterValidation:
         m = BrooksCoreyModel(**{key: 1.0})
         for curve in (m.krw, m.kro):
             assert np.all(np.isfinite(curve(np.linspace(0.0, 1.0, 11))))
-
-    def test_bad_mobility_model(self, fluid, relcap):
-        with pytest.raises(ValueError):
-            FluidRockModel(fluid, relcap, mobility_model="quadratic")
 
 
 class TestConstants:

@@ -25,8 +25,9 @@ from stdd.mesh import Subdomain, build_window
 from stdd.output import read_grid_csv
 from stdd.physics import BrooksCoreyModel, FluidModel, FluidRockModel
 from stdd.run import run
-from stdd.solver import (MAX_DS, NewtonConfig, RunLedger, chop_saturation,
-                         linear_solve, newton_solve_window)
+from stdd.solver import (COLAMD, MAX_DS, SYMMETRIC, NewtonConfig, RunLedger,
+                         chop_saturation, factor_path, linear_solve,
+                         newton_solve_window)
 
 
 def nonlinear_model():
@@ -37,7 +38,7 @@ def linear_model():
     # constant unit mobility, no capillarity, incompressible fluids:
     # the residual is exactly linear in (p, s)
     return FluidRockModel(FluidModel(c_o=0.0, c_w=0.0), BrooksCoreyModel(),
-                          mobility_model="constant")
+                          linear=True)
 
 
 def props(n, k=100.0):
@@ -205,16 +206,14 @@ class TestLocalElimination:
         full = window_jacobian(sys_)
         assert len(jac.local) == local
         assert jac.matrix.shape[0] == w.n_y - local
-        dy, fill = linear_solve(jac, sys_.r_y, symmetric=symmetric)
+        path = SYMMETRIC if symmetric else COLAMD
+        dy, fill = linear_solve(jac, sys_.r_y, path=path)
         ref = spla.splu(newton_jacobian(sys_)).solve(-sys_.r_y)
         assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
         if not (symmetric and case in self.SYMMETRIC_FILLS_MORE):
             assert fill <= spla.splu(full, relax=1, panel_size=4).nnz
         if symmetric and local:
-            path = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01,
-                        options={"SymmetricMode": True})
-            assert fill <= spla.splu(full, relax=1, panel_size=4,
-                                     **path).nnz
+            assert fill <= spla.splu(full, **{**path, "panel_size": 4}).nnz
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_reduced_matrix_is_the_oracle_elimination(self, case):
@@ -620,8 +619,8 @@ class TestNewtonTail:
             saturations.append(state.s.copy())
             return systems[-1]
 
-        def solved(jacobian, residual, symmetric=False):
-            dy, fill = real_solve(jacobian, residual, symmetric=symmetric)
+        def solved(jacobian, residual, path=COLAMD):
+            dy, fill = real_solve(jacobian, residual, path=path)
             solves.append((jacobian, residual, dy))
             return dy, fill
 
@@ -693,8 +692,8 @@ class TestFactorPath:
         sys_ = linearize(window_terms(w, props_, wells, nonlinear_model()),
                          state)
         jac = sys_.jacobian()
-        ref, _ = linear_solve(jac, sys_.r_y)
-        dy, _ = linear_solve(jac, sys_.r_y, symmetric=True)
+        ref, _ = linear_solve(jac, sys_.r_y, path=COLAMD)
+        dy, _ = linear_solve(jac, sys_.r_y, path=SYMMETRIC)
         assert np.max(np.abs(dy - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("make, s0, swept", [
@@ -709,26 +708,29 @@ class TestFactorPath:
         COLAMD.  Ahead of the front in a one-level strip every saturation
         is local, and what remains stores all of its pattern; the strip
         at s = 0.5 stores all of it unreduced.  There every solve is
-        symmetric."""
+        symmetric.  `factor_path` picks the path from the first Jacobian,
+        and Newton hands that same object to every solve."""
         w = make()
         n = w.n_spatial
         trace = np.full(n, 1000.0), np.full(n, s0)
         terms = window_terms(w, props(n), corner_wells(n, rate=0.05),
                              nonlinear_model())
-        first = linearize(terms, StateField.from_trace(w, *trace))
-        share = first.jacobian().stored_share
-        assert (share > stdd.solver.SYMMETRIC_MIN_STORED) == swept
+        first = linearize(terms, StateField.from_trace(w, *trace)).jacobian()
+        assert (first.stored_share > stdd.solver.SYMMETRIC_MIN_STORED) == swept
+        want = SYMMETRIC if swept else COLAMD
+        assert factor_path(first) is want
         paths = []
         real = stdd.solver.linear_solve
 
-        def recorded(jacobian, residual, symmetric=False):
-            paths.append(symmetric)
-            return real(jacobian, residual, symmetric=symmetric)
+        def recorded(jacobian, residual, path=COLAMD):
+            paths.append(path)
+            return real(jacobian, residual, path=path)
 
         monkeypatch.setattr(stdd.solver, "linear_solve", recorded)
         _, entry = newton_solve_window(terms, *trace, NewtonConfig())
         assert entry.norms[-1] <= 1e-6 and entry.iterations > 1
-        assert paths == [swept] * entry.iterations
+        assert len(paths) == entry.iterations
+        assert all(path is want for path in paths)
 
     def test_colamd_solves_match_the_natural_oracle(self, monkeypatch):
         """Each COLAMD-path update of a Newton solve, factored in the
@@ -751,9 +753,9 @@ class TestFactorPath:
             systems.append(real_linearize(*a))
             return systems[-1]
 
-        def solved(jacobian, residual, symmetric=False):
-            assert not symmetric
-            dy, fill = real_solve(jacobian, residual, symmetric=symmetric)
+        def solved(jacobian, residual, path=COLAMD):
+            assert path is COLAMD
+            dy, fill = real_solve(jacobian, residual, path=path)
             sys_ = systems[-1]
             tails.append(np.max(np.abs(sys_.r_norm)) <= math.sqrt(1e-6))
             # the blocks that the fill dropped are rebuilt on this read
@@ -845,40 +847,88 @@ class TestMarch:
                 f"{prefix}{k:03d}.csv" for k in range(n)]
 
     def test_escalation_hook_used_once(self, tmp_path, monkeypatch):
-        """A predicted map that fails is promoted once, and the solves of
-        both failed attempts are the ledger's failed cost."""
+        """The failed prediction refines every tile, so the one escalation
+        leaves the map as it is: the window is solved once, and that
+        solve is the ledger's failed cost."""
         calls = newton_calls(monkeypatch)
+        escalated = []
+        real = run_module._escalate
+
+        def recorded(idmap):
+            escalated.append((idmap, real(idmap)))
+            return escalated[-1][1]
+
+        monkeypatch.setattr(run_module, "_escalate", recorded)
         cfg = replace(preset("toy"), newton={"max_iters": 2})
-        with pytest.raises(NonConvergence, match="after escalation") as exc:
+        with pytest.raises(NonConvergence) as exc:
             run(cfg, tmp_path, emit_vtk=False)
-        # the predictor's trial solve, then the window's two attempts; the
-        # failed prediction refines every tile, so the escalation leaves
-        # the decomposition and the window as they are
-        assert len(calls) == 3
-        attempts = calls[1:]
-        trial, first, second = (w for w, _ in calls)
+        assert "escalation" not in str(exc.value)
+        [(idmap, up)] = escalated
+        assert np.all(idmap.identifiers == 1)
+        assert np.array_equal(up.identifiers, idmap.identifiers)
+        # the predictor's trial solve, then the window's one attempt
+        assert len(calls) == 2
+        (trial, _), (first, dofs) = calls
         assert {s.identifier for s in first.subdomains} == {1}
-        assert trial is not first and second is first
-        assert all(len(d) == 2 for _, d in attempts)
+        assert trial is not first and len(dofs) == 2
         assert isinstance(exc.value.ledger, RunLedger)
-        assert exc.value.ledger.failed_cost == sum(
-            sum(d) for _, d in attempts) > 0
+        assert len(exc.value.ledger.failed) == 1
+        assert exc.value.ledger.failed_cost == sum(dofs) > 0
         assert (tmp_path / "FAILED").exists()
 
     def test_failure_after_escalation_keeps_its_cause(self, tmp_path):
         """The error and the `FAILED` marker name the last attempt's
-        iterations and norm, and carry its ledger entry."""
+        iterations and norm, and carry its ledger entry; an all-fine map
+        is not escalated, so they do not say "after escalation"."""
         cfg = replace(preset("toy"), newton={"max_iters": 2})
         with pytest.raises(NonConvergence) as exc:
             run(cfg, tmp_path, emit_vtk=False)
         entry = exc.value.entry
-        assert entry is exc.value.ledger.failed[-1]
+        assert [entry] == exc.value.ledger.failed
         assert entry.iterations == 2 and entry.norms[-1] > 1e-6
         marker = (tmp_path / "FAILED").read_text()
         assert marker == f"{exc.value}\n"
-        assert marker.startswith(
-            "window 0 failed to converge after escalation: ")
+        assert marker.startswith("window 0 failed to converge: ")
         assert f"final norm {entry.norms[-1]:.3e}" in marker
+
+    def test_failed_prediction_retried_on_the_escalated_window(
+            self, tmp_path, monkeypatch):
+        """Window 0's first attempt gets one iteration and fails.  It is
+        retried once, on a new window built from the escalated map and
+        started from the predicted change; the run completes, and the
+        written map is the escalated one."""
+        maps = predictions(monkeypatch)
+        real = run_module.newton_solve_window
+        calls = []          # (window, delta_s) per call
+
+        def flaky(terms, *args, **kwargs):
+            calls.append((terms.window, kwargs.get("delta_s")))
+            if len(calls) == 2:         # after the predictor's solve
+                *args, cfg = args
+                args = (*args, replace(cfg, max_iters=1))
+            return real(terms, *args, **kwargs)
+
+        monkeypatch.setattr(run_module, "newton_solve_window", flaky)
+        cfg = preset("toy")
+        summary = run(cfg, tmp_path, emit_vtk=False)
+        (trial, _), (first, _), (retry, seed) = calls[:3]
+        # the trial and main solve of every window, and one retry
+        assert len(calls) == 2 * summary["windows"] + 1
+        assert summary["failed_cost"] == first.n_y > 0
+        pb = run_module.Problem(cfg)
+        predicted = maps[0][0]
+        escalated = run_module._escalate(predicted)
+        assert first.subdomains == tuple(
+            decompose(predicted, pb.tiling, pb.table))
+        assert retry.subdomains == tuple(
+            decompose(escalated, pb.tiling, pb.table))
+        assert {s.identifier for s in first.subdomains} == {1, 2, 4}
+        assert {s.identifier for s in retry.subdomains} == {1, 2}
+        assert retry is not first and retry is not trial
+        assert seed is not None and len(seed) == retry.n_spatial
+        written = np.loadtxt(tmp_path / "idmap_000.csv", delimiter=",",
+                             skiprows=1, usecols=2)
+        assert np.array_equal(written, escalated.identifiers.ravel())
 
     @pytest.mark.parametrize("mode", ["dynamic-dd", "uniform-fine",
                                       "static-dd"])
