@@ -31,6 +31,11 @@ from .solver import NewtonConfig, RunLedger, newton_solve_window
 # The paper's cost target for the adaptive run against the uniformly fine
 # one; `compare` flags the all-in and LU cost ratios above it.
 COST_RATIO_BUDGET = 0.2
+# The predictor is solved to this fraction of the smaller of θ_ΔS and θ_ΔT:
+# the marking reads its change only as tile deltas against them, and the
+# main window refines the seed it hands on to tol.  A looser stop moved
+# main-window iteration counts.
+PREDICTOR_THETA_FRACTION = 0.1
 
 
 class Problem:
@@ -143,20 +148,22 @@ def _predict(pb, ncfg, terms, prev, final, s_now, seed=None):
 
     The all-coarse trial window, whose `WindowTerms` are `terms`, is
     solved from the final level `final` of the window `prev` (or from the
-    initial state, when `prev` is None) to √tol of `ncfg.tol` (or to tol,
-    if larger): its change is read only as tile deltas against θ_ΔS,
-    which lead the front, and as a seed that the main window's Newton
-    refines to tol.  The trial's warm-start residual is the residual
-    indicator.  Newton starts from that warm start, or, given `seed` (the
-    previous predictor's saturation change per trial cell), from the
-    trace moved along it as a main window is.  `s_now` is the saturation
-    raster at the next window's start.
+    initial state, when `prev` is None) to `PREDICTOR_THETA_FRACTION` of
+    the smaller of θ_ΔS and θ_ΔT (or to tol, if larger): its change is
+    read only as tile deltas against those thresholds and as a seed that
+    the main window's Newton refines to tol.  The trial's warm-start
+    residual is the residual indicator.  Newton starts from that warm
+    start, or, given `seed` (the previous predictor's saturation change
+    per trial cell), from the trace moved along it as a main window
+    is.  `s_now` is the saturation raster at the next window's start.
     """
     trial = terms.window
     tp, ts = pb.trace(prev, final, trial)
     start = linearize(terms, StateField.from_trace(trial, tp, ts))
     eta = residual_indicator(trial, start.r_norm, pb.base, pb.tiling)
-    loose = replace(ncfg, tol=max(ncfg.tol, math.sqrt(ncfg.tol)))
+    theta = min(pb.thresholds.theta_ds, pb.thresholds.theta_dt)
+    loose = replace(ncfg, tol=max(ncfg.tol,
+                                  PREDICTOR_THETA_FRACTION * theta))
     try:
         sol, entry = newton_solve_window(
             terms, tp, ts, loose, start=start if seed is None else None,
@@ -211,20 +218,21 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     Each window's identifier map is the mode's fixed map (constant 1 or 4
     for the uniform references, the configured box for static-dd) or is
     predicted before the window (dynamic-dd) by a solve on the all-coarse
-    trial window, which is built and mapped once.  The predictor is
-    solved to √tol and hands on only its saturation change; each
-    predictor solve after the first starts from the previous one's
-    change, unless that predictor failed.  The map is decomposed, and the
-    window is solved by Newton to tol from the previous window's final
+    trial window, which is built and mapped once.  The predictor is solved
+    only as far as its marking reads it, to a tenth of the smaller of θ_ΔS
+    and θ_ΔT (or to tol, if larger), and hands on only its saturation
+    change; each predictor solve after the first starts from the previous
+    one's change, unless that predictor failed.  The map is decomposed, and
+    the window is solved by Newton to tol from the previous window's final
     level; with a predicted map, its saturation starts moved by the
     trial's predicted change, mapped onto the window as the trace's
     saturation is.  A window is built and mapped only when its
-    decomposition differs from the current window's; otherwise the
-    current one is solved again.  A predicted map that fails to converge
-    is promoted once, if that changes it, and the window solved again
-    from the same seed; a fixed map is never promoted.  Every Newton
-    solve, the predictor's and the failed ones included, goes into one
-    `RunLedger`, and the summary's costs are its sums.
+    decomposition differs from the current window's; otherwise the current
+    one is solved again.  A predicted map that fails to converge is
+    promoted once, if that changes it, and the window solved again from
+    the same seed; a fixed map is never promoted.  Every Newton solve, the
+    predictor's and the failed ones included, goes into one `RunLedger`,
+    and the summary's costs are its sums.
 
     Artifacts: resolved config, property curves, permeability field,
     per-window saturation/pressure snapshots (CSV and VTK), identifier

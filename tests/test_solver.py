@@ -15,7 +15,7 @@ from artifact_readers import read_ledger_csv
 from jacobian_oracle import (PlainJacobian, full_jacobian,
                              local_saturations, newton_jacobian,
                              window_jacobian)
-from stdd.adaptivity import decompose
+from stdd.adaptivity import Thresholds, decompose
 from stdd.assembly import (FRONT_KRW_SLOPE, CellProperties, CellSystem,
                            ResolvedWells, StateField, front_saturation_cap,
                            linearize, window_terms)
@@ -1064,36 +1064,70 @@ def solves_of(monkeypatch, trial_tol=None):
 
 
 class TestPredictorTolerance:
-    """The predictor is solved to √tol: its change is read as tile deltas
-    against θ_ΔS and as a seed that main-window Newton refines to tol."""
+    """The predictor is solved to a tenth of the smaller of θ_ΔS and θ_ΔT,
+    or to tol if that is larger: its change is read only as tile deltas
+    against those thresholds and as a seed that main-window Newton refines
+    to tol.  It was solved to √tol before, and to tol before that."""
 
     TOL = NewtonConfig(**preset("toy").newton).tol
 
-    def test_predictor_stops_at_root_tol(self, tmp_path, monkeypatch):
-        """Each entry `_predict` returns on the toy ends at its first norm
-        at or below √tol, and some above tol; each main window's ends at
-        or below tol."""
+    @staticmethod
+    def predictor_tol(cfg):
+        theta = Thresholds(**cfg.thresholds)
+        return max(NewtonConfig(**cfg.newton).tol,
+                   run_module.PREDICTOR_THETA_FRACTION
+                   * min(theta.theta_ds, theta.theta_dt))
+
+    def predictor_entries(self, cfg, tmp_path, monkeypatch):
+        """The entries `_predict` returns on a run of `cfg`; each ends at
+        its first norm at or below the predictor's tolerance, and each
+        main window's at or below tol."""
         predicted = predictions(monkeypatch)
         solves = solves_of(monkeypatch)
-        run(preset("toy"), tmp_path, emit_vtk=False)
+        run(cfg, tmp_path, emit_vtk=False)
         assert [trial for trial, _ in solves] == [True, False] * 4
         entries = [entry for _, entry, _ in predicted]
         assert len(entries) == 4
+        tol = self.predictor_tol(cfg)
         for e in entries:
-            assert e.norms[-1] <= math.sqrt(self.TOL)
-            assert all(n > math.sqrt(self.TOL) for n in e.norms[:-1])
-        assert any(e.norms[-1] > self.TOL for e in entries)
+            assert e.norms[-1] <= tol
+            assert all(n > tol for n in e.norms[:-1])
         main = [entry for trial, entry in solves if not trial]
-        assert all(e.norms[-1] <= self.TOL for e in main)
+        assert all(e.norms[-1] <= NewtonConfig(**cfg.newton).tol
+                   for e in main)
+        return entries
+
+    def test_predictor_stops_at_a_tenth_of_theta(self, tmp_path,
+                                                  monkeypatch):
+        """On the toy, θ_ΔS = θ_ΔT = 0.04 and tol = 1e-6: each predictor
+        entry ends at its first norm at or below 0.004, and some above
+        tol."""
+        cfg = preset("toy")
+        assert self.predictor_tol(cfg) == pytest.approx(0.004, rel=1e-12)
+        entries = self.predictor_entries(cfg, tmp_path, monkeypatch)
+        assert any(e.norms[-1] > self.TOL for e in entries)
+
+    @pytest.mark.parametrize("section, values", [
+        ("thresholds", {"theta_ds": 0.0, "theta_dt": 0.0}),
+        ("newton", {"tol": 0.01})])
+    def test_falls_back_to_tol(self, tmp_path, monkeypatch, section,
+                               values):
+        """With θ_ΔS = θ_ΔT = 0, or with a tol of 0.01 above 0.004, the
+        predictor is solved to tol."""
+        cfg = replace(preset("toy"), **{section: values})
+        assert self.predictor_tol(cfg) == NewtonConfig(**cfg.newton).tol
+        self.predictor_entries(cfg, tmp_path, monkeypatch)
 
     def test_tol_predictor_marks_the_same(self, tmp_path, monkeypatch):
-        """A predictor solved to tol marks the toy's windows bitwise as
-        the √tol one does, and the main windows keep their counts; only
-        the predictor's cost moves, from 672 to 448.  The exact Newton
-        tail took the main windows from 33 iterations (cost 69,678) to
-        31 (66,158)."""
+        """A predictor solved to tol, or to √tol as before, marks the
+        toy's windows bitwise as the one solved to a tenth of θ does, and
+        the main windows keep their counts; only the predictor's cost
+        moves, from 672 at tol to 448 at √tol and at θ/10.  The exact
+        Newton tail took the main windows from 33 iterations (cost
+        69,678) to 31 (66,158)."""
         counts, maps = {}, {}
-        for trial_tol in (None, self.TOL):
+        tols = (None, math.sqrt(self.TOL), self.TOL)
+        for trial_tol in tols:
             with monkeypatch.context() as patch:
                 predicted = predictions(patch)
                 solves_of(patch, trial_tol)
@@ -1104,10 +1138,12 @@ class TestPredictorTolerance:
                                  summary["predictor_cost"])
             maps[trial_tol] = [m.identifiers for m, _, _ in predicted]
         assert counts == {None: (31, 66_158, 448),
+                          math.sqrt(self.TOL): (31, 66_158, 448),
                           self.TOL: (31, 66_158, 672)}
-        assert len(maps[None]) == len(maps[self.TOL]) == 4
-        for a, b in zip(maps[None], maps[self.TOL]):
-            assert a.tobytes() == b.tobytes()
+        for trial_tol in tols:
+            assert len(maps[trial_tol]) == 4
+            for a, b in zip(maps[None], maps[trial_tol]):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestPredictedSeed:
@@ -1229,11 +1265,13 @@ class TestPredictedSeed:
     def test_seed_keeps_the_marking(self, tmp_path, monkeypatch):
         """The toy `dynamic-dd` run marks the same identifiers with the
         predictor's seed as without, and keeps its main windows' counts;
-        the predictor's cost falls from 704.  Solving the predictor to
+        the predictor's cost falls from 640.  Solving the predictor to
         √tol instead of tol took it from 672 to 480 seeded and from 864
         to 704 unseeded; the front trust region took the seeded one from
         480 to 448, and the exact Newton tail the main windows from 33
-        iterations (cost 69,678) to 31 (66,158).
+        iterations (cost 69,678) to 31 (66,158).  Solving the predictor
+        to a tenth of θ instead of √tol took the unseeded one from 704
+        to 640 and left the seeded one at 448.
 
         Each seeded predictor's indicator η is bitwise the one `_predict`
         gives on the same inputs unseeded.  Across the two runs η agrees
@@ -1253,7 +1291,7 @@ class TestPredictedSeed:
             counts[seeded] = (summary["iterations"], summary["cost_metric"],
                               summary["predictor_cost"])
             maps[seeded] = [idmap for idmap, _, _ in predicted]
-        assert counts == {True: (31, 66_158, 448), False: (31, 66_158, 704)}
+        assert counts == {True: (31, 66_158, 448), False: (31, 66_158, 640)}
         assert len(maps[True]) == len(maps[False]) == len(unseeded) == 4
         for a, b in zip(maps[True], maps[False]):
             assert a.identifiers.tobytes() == b.identifiers.tobytes()
@@ -1426,17 +1464,21 @@ class TestNewtonCounts:
         predictor's cost from 33,792 to 27,456, and solving it to √tol
         instead of tol took that to 23,232.  The exact Newton tail took
         the main windows from 43 iterations (cost 203,574) to 40
-        (187,808); the predictor's cost stays 23,232."""
+        (187,808); the predictor's cost stayed 23,232.  Solving the
+        predictor to a tenth of θ instead of √tol took its cost from
+        23,232 to 19,008."""
         assert preset("dynamic-dd").permeability == {"kind": "channelized",
                                                      "seed": 7}
-        assert self.dynamic_dd_prefix(tmp_path, 7) == (40, 187_808, 23_232)
+        assert self.dynamic_dd_prefix(tmp_path, 7) == (40, 187_808, 19_008)
 
     def test_dynamic_dd_prefix_field_4(self, tmp_path):
         """The benchmark's other `dynamic-dd` field; solving the
         predictor to √tol took its cost from 33,792 to 24,288.  The exact
         Newton tail took the main windows from 40 iterations (cost
-        181,598) to 39 (178,348); the predictor's cost stays 25,344."""
-        assert self.dynamic_dd_prefix(tmp_path, 4) == (39, 178_348, 25_344)
+        181,598) to 39 (178,348); the predictor's cost stayed 25,344.
+        Solving the predictor to a tenth of θ instead of √tol took its
+        cost from 25,344 to 19,008."""
+        assert self.dynamic_dd_prefix(tmp_path, 4) == (39, 178_348, 19_008)
 
 
 # The 8-day `dynamic-dd` prefix's main-window iterations on channelized
