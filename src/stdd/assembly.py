@@ -32,6 +32,8 @@ its row and its column stay in the cell's own block, as ahead of the
 front, where water is immobile; the fill finds these on the block values
 and eliminates each exactly through its 1x1 pivot (`ReducedJacobian`,
 which keeps the blocks for the check of each update).
+`CellSystem.local_jacobian` puts the blocks among a set of cells alone in
+a `ReducedJacobian`, for Newton's local steps on that set.
 """
 
 from __future__ import annotations
@@ -531,6 +533,29 @@ class CellSystem:
             shape=(len(keep), len(keep)))
         return ReducedJacobian(matrix, pat.unknowns.take(keep), local,
                                a_ss, a_ps, a_sp, vals, *w.jacobian_blocks)
+
+    def local_jacobian(self, cells):
+        """The `ReducedJacobian` of `newton_blocks` on the space-time cells
+        `cells` (ascending) with every other unknown frozen: the blocks
+        whose row and column cells are both in `cells`, the cells
+        numbered in that order, and no saturation eliminated."""
+        w = self.window
+        number = np.full(w.n_st, -1)
+        number[cells] = np.arange(len(cells))
+        rows, cols = (number.take(c) for c in w.jacobian_blocks)
+        kept = np.flatnonzero((rows >= 0) & (cols >= 0))
+        vals = self.newton_blocks[:, kept]
+        rows, cols = rows.take(kept), cols.take(kept)
+        n = 2 * len(cells)
+        # entry e of a block sits at row 2 r + e // 2, column 2 c + e % 2
+        i = 2 * rows + np.array([[0], [0], [1], [1]])
+        j = 2 * cols + np.array([[0], [1], [0], [1]])
+        matrix = sp.csc_matrix((vals.ravel(), (i.ravel(), j.ravel())),
+                               shape=(n, n))
+        matrix.eliminate_zeros()
+        none = np.empty(0, dtype=np.intp)
+        return ReducedJacobian(matrix, np.arange(n), none, none, none, none,
+                               vals, rows, cols)
 
 
 def linearize(terms, state):

@@ -121,12 +121,12 @@ def _print_report(rep):
                 if key in rep["over_budget"] else "")
 
     print(f"{'':12s}{'cost metric':>16s}{'predictor cost':>16s}"
-          f"{'all-in cost':>16s}{'LU cost':>16s}{'Newton ms':>14s}"
-          f"{'run ms':>14s}")
+          f"{'local cost':>16s}{'all-in cost':>16s}{'LU cost':>16s}"
+          f"{'Newton ms':>14s}{'run ms':>14s}")
     for r in (rep["a"], rep["b"]):
         print(f"{r['label']:12s}{r['cost_metric']:>16d}"
-              f"{r['predictor_cost']:>16}{r['all_in_cost']:>16}"
-              f"{r['lu_cost']:>16}"
+              f"{r['predictor_cost']:>16}{r['local_cost']:>16}"
+              f"{r['all_in_cost']:>16}{r['lu_cost']:>16}"
               f"{r['total_wall_ms']:>14.1f}{r['run_wall_ms']:>14.1f}")
     print(f"cost ratio (a/b): {rep['cost_ratio']:.4f}")
     print(f"all-in cost ratio (a/b): {rep['all_in_cost_ratio']:.4f}"

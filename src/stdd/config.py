@@ -116,6 +116,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be a finite number")
         if not isinstance(self.emit_fine_levels, bool):
             raise ConfigError("emit_fine_levels must be true or false")
+        if not isinstance(self.label, str):
+            raise ConfigError("label must be a string")
         for key, n in GEOMETRY.items():
             v = getattr(self, key)
             if len(v) != n or not all(map(finite_number, v)):
@@ -357,8 +359,11 @@ def preset(name, scale="desk"):
     """Named experiment configurations.
 
     `scale` selects the horizon: "desk" runs 60 days (`static-dd` 40),
-    "paper" 100 days; `toy` keeps its 8 days at either scale.  The
-    spatial grid (220x60 fine cells over 110x30 ft) is identical.
+    "paper" 100 days; `toy` keeps its 8 days and `strip` its 20 at either
+    scale.  The spatial grid (220x60 fine cells over 110x30 ft) is
+    identical but for these two.  `strip` is a 50 x 2.5 ft Buckley-Leverett
+    strip of 0.25 ft cells, incompressible and without capillarity, whose
+    saturation the tests hold against the analytic profile.
     """
     horizon = {"desk": 60.0, "paper": 100.0}.get(scale)
     if horizon is None:
@@ -396,5 +401,17 @@ def preset(name, scale="desk"):
                          permeability={"kind": "uniform", "value": 100.0},
                          wells=[WellSpec((0, 0), "rate-water-injector", 0.1),
                                 WellSpec((7, 1), "bhp-producer", 1000.0)],
+                         label=name)
+    if name == "strip":
+        return RunConfig(reservoir=(0.0, 0.0, 50.0, 2.5), horizon=20.0,
+                         delta_t=2.0, base_cell=(0.25, 0.25), tile=(2.5, 2.5),
+                         table={1: (0.25, 0.25, 0.5), 2: (0.25, 0.25, 2.0),
+                                3: (2.5, 2.5, 0.5), 4: (2.5, 2.5, 2.0)},
+                         mode="dynamic-dd",
+                         fluid={"c_o": 0.0, "c_w": 0.0},
+                         relcap={"p_entry": 0.0},
+                         permeability={"kind": "uniform", "value": 100.0},
+                         wells=[WellSpec((0, 0), "rate-water-injector", 0.05),
+                                WellSpec((19, 0), "bhp-producer", 1000.0)],
                          label=name)
     raise ConfigError(f"unknown preset {name!r}")

@@ -231,8 +231,9 @@ def run(cfg: RunConfig, outdir, *, emit_vtk=True):
     one is solved again.  A predicted map that fails to converge is
     promoted once, if that changes it, and the window solved again from
     the same seed; a fixed map is never promoted.  Every Newton solve, the
-    predictor's and the failed ones included, goes into one `RunLedger`,
-    and the summary's costs are its sums.
+    predictor's, the failed ones and the local solves of the nonlinear
+    elimination included, goes into one `RunLedger`, and the summary's
+    costs are its sums.
 
     Artifacts: resolved config, property curves, permeability field,
     per-window saturation/pressure snapshots (CSV and VTK), identifier
@@ -401,16 +402,16 @@ def _emit_fine_levels(outdir, widx, start, window, state, base, origin,
 # that `compare` reads.
 PROBLEM_KEYS = ("reservoir", "base_shape", "horizon", "wells", "permeability")
 SUMMARY_KEYS = PROBLEM_KEYS + ("label", "mode", "snapshots", "cost_metric",
-                               "predictor_cost", "all_in_cost", "lu_cost",
-                               "total_wall_ms", "run_wall_ms")
+                               "predictor_cost", "local_cost", "all_in_cost",
+                               "lu_cost", "total_wall_ms", "run_wall_ms")
 # The keys of each `snapshots` entry that `compare` reads.
 SNAPSHOT_KEYS = ("time", "sw")
 
 
 def _read_summary(run_dir):
     """The run summary in `run_dir`; `MismatchedProblem` if it is not JSON,
-    lacks a key of `SUMMARY_KEYS`, or a snapshot is not an object with the
-    keys of `SNAPSHOT_KEYS`."""
+    lacks a key of `SUMMARY_KEYS`, its label is not a string, or a
+    snapshot is not an object with the keys of `SNAPSHOT_KEYS`."""
     path = os.path.join(run_dir, "run_summary.json")
     try:
         summary = output.read_summary(path)
@@ -419,6 +420,8 @@ def _read_summary(run_dir):
         raise MismatchedProblem(f"{path} is no run summary: {exc}") from exc
     if missing:
         raise MismatchedProblem(f"{path} lacks {missing[0]!r}")
+    if not isinstance(summary["label"], str):
+        raise MismatchedProblem(f"{path}: 'label' is not a string")
     if not isinstance(summary["snapshots"], list):
         raise MismatchedProblem(f"{path}: 'snapshots' is not a list")
     for k, snap in enumerate(summary["snapshots"]):

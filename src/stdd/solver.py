@@ -21,6 +21,12 @@ than `SYMMETRIC_MIN_STORED` of its pattern (`ReducedJacobian.stored_share`),
 in that numbering in symmetric mode; any other in COLAMD's order.
 `linear_solve` recovers the eliminated updates and checks the whole update
 against the factored Jacobian on its 2x2 blocks.
+
+Where the large residual sits on a few cells, as after a transfer onto
+refined cells, Newton first solves those cells with the rest of the window
+frozen (nonlinear elimination, after Lanzkron, Rose & Wilkes 1996 and Cai
+& Li 2011): `elimination_set` picks them, `eliminate` solves them, and
+each local solve is a `LedgerEntry` of `RunLedger.local`.
 """
 
 from __future__ import annotations
@@ -41,6 +47,13 @@ from .physics import finite_number
 LINEAR_TOL = 1.0e-6
 # Per-cell cap on a Newton saturation update
 MAX_DS = 0.2
+# The nonlinear elimination's rule (`elimination_set`, `eliminate`)
+ELIM_MIN_NORM = 1.0
+ELIM_RESIDUAL_SHARE = 0.01
+ELIM_CELL_SHARE = 0.05
+ELIM_RINGS = 2
+ELIM_MAX_STEPS = 10
+ELIM_OUTSIDE_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -65,6 +78,8 @@ class LedgerEntry:
     n_reduced_dofs: int
     wall_ms: float
     lu_nnz: int = 0         # SuperLU's stored entries over its solves
+    # its local solves' entries (`eliminate`), not in its own counts
+    local: list = field(default_factory=list)
 
 
 def _cost(solves):
@@ -78,11 +93,19 @@ class RunLedger:
 
     `entries` holds the accepted windows' solves in order, so an entry's
     position is its window's index; `predictor` the dynamic predictor's
-    solves, converged or not; `failed` the failed attempts of windows."""
+    solves, converged or not; `failed` the failed attempts of windows.
+    Each of their local solves (`eliminate`) is an entry of `local`."""
 
     entries: list = field(default_factory=list)
     predictor: list = field(default_factory=list)
     failed: list = field(default_factory=list)
+
+    @property
+    def local(self):
+        """The entries of every local solve, in the order of their solves'
+        lists."""
+        return [sub for e in self.entries + self.predictor + self.failed
+                for sub in e.local]
 
     @property
     def failed_cost(self):
@@ -90,13 +113,16 @@ class RunLedger:
 
     def costs(self):
         """The summary's counts: `iterations` and `cost_metric` over the
-        accepted windows, `predictor_cost` and `failed_cost` over their
-        lists, and `all_in_cost`, `lu_cost` and `total_wall_ms` over all."""
-        every = self.entries + self.predictor + self.failed
+        accepted windows' global steps, `predictor_cost`, `failed_cost`
+        and `local_cost` over their lists, and `all_in_cost`, `lu_cost`
+        and `total_wall_ms` over all."""
+        local = self.local
+        every = self.entries + self.predictor + self.failed + local
         return {"iterations": sum(e.iterations for e in self.entries),
                 "cost_metric": _cost(self.entries),
                 "predictor_cost": _cost(self.predictor),
                 "failed_cost": self.failed_cost,
+                "local_cost": _cost(local),
                 "all_in_cost": _cost(every),
                 "lu_cost": sum(e.lu_nnz for e in every),
                 "total_wall_ms": sum(e.wall_ms for e in every)}
@@ -176,6 +202,75 @@ def chop_saturation(model, s, ds, front):
         s_front, front_saturation_cap(model.relcap)))
 
 
+# The front cells of a step that caps none (`chop_saturation`)
+_NO_FRONT = np.empty(0, dtype=np.intp)
+
+
+def _cell_norms(sys_):
+    """Each space-time cell's larger normalized residual of its two rows."""
+    r = np.abs(sys_.r_norm)
+    return np.maximum(r[0::2], r[1::2])
+
+
+def elimination_set(sys_, norm):
+    """The space-time cells, ascending, to solve locally before a global
+    step from `sys_`, whose max norm is `norm`, or None: if `norm` is above
+    `ELIM_MIN_NORM` and its cells above `ELIM_RESIDUAL_SHARE` of it are at
+    most `ELIM_CELL_SHARE` of the window's, those cells and `ELIM_RINGS`
+    rings of neighbours in the block graph (across faces and time levels).
+    """
+    w = sys_.window
+    if not norm > ELIM_MIN_NORM:
+        return None
+    inside = _cell_norms(sys_) > ELIM_RESIDUAL_SHARE * norm
+    if np.count_nonzero(inside) > ELIM_CELL_SHARE * w.n_st:
+        return None
+    rows, cols = w.jacobian_blocks
+    for _ in range(ELIM_RINGS):
+        ring = inside.copy()
+        ring[rows[inside.take(cols)]] = True
+        ring[cols[inside.take(rows)]] = True
+        inside = ring
+    return np.flatnonzero(inside)
+
+
+def eliminate(terms, state, held, cells):
+    """Newton on the space-time cells `cells` alone from `state` (updated
+    in place), until the set's maximum is at most max(`ELIM_MIN_NORM`,
+    `ELIM_OUTSIDE_FACTOR` x the maximum outside it) or for
+    `ELIM_MAX_STEPS` steps.  Each step solves the set's own blocks of
+    `newton_blocks` (`CellSystem.local_jacobian`) through `linear_solve`,
+    clipped only.  `held` is a one-item list with the linearization of
+    `state`, which the call takes, so that no caller keeps it alive
+    beside the next one.  Returns the final linearization and the solve's
+    `LedgerEntry`, whose norms are the set's maxima."""
+    t0 = time.perf_counter()
+    sys_ = held.pop()
+    outside = np.ones(sys_.window.n_st, dtype=bool)
+    outside[cells] = False
+    rows = (2 * cells[:, None] + np.arange(2)).ravel()
+    norms, lu_nnz = [], 0
+    for k in range(ELIM_MAX_STEPS + 1):
+        r = _cell_norms(sys_)
+        inner = float(np.max(r.take(cells)))
+        norms.append(inner)
+        if (k == ELIM_MAX_STEPS or inner <= max(
+                ELIM_MIN_NORM,
+                ELIM_OUTSIDE_FACTOR * np.max(r[outside], initial=0.0))):
+            break
+        jac, r_set = sys_.local_jacobian(cells), sys_.r_y[rows]
+        del sys_                # freed before the next linearization
+        dy, nnz = linear_solve(jac, r_set)
+        lu_nnz += nnz
+        state.p[cells] += dy[0::2]
+        s = state.s[cells]
+        chop_saturation(terms.model, s, dy[1::2], _NO_FRONT)
+        state.s[cells] = s
+        sys_ = linearize(terms, state)
+    return sys_, LedgerEntry(k, norms, len(rows),
+                             (time.perf_counter() - t0) * 1.0e3, lu_nnz)
+
+
 def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
                         start=None, delta_s=None):
     """Solve the window of `terms` (`WindowTerms`) to tolerance; returns
@@ -187,24 +282,37 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
     change over the window per spatial cell, if given
     (`StateField.from_trace`); `start` is its `linearize`, if the caller
     already has it.  A state that already satisfies the tolerance returns
-    after zero update iterations.  A step from a norm within √tol factors
-    the exact Jacobian and gives the chop no front cells.  Every step
-    factors on the path that `factor_path` picks from the first Jacobian.
+    after zero update iterations.  Before each global step the cells that
+    `elimination_set` picks, if any, are solved locally (`eliminate`) into
+    the entry's `local`; its own counts, wall and norms are the global
+    steps', each norm after any local solve.  A step from a norm within
+    √tol factors the exact Jacobian and gives the chop no front cells.
+    Every global step factors on the path that `factor_path` picks from
+    the first Jacobian.
     """
     t0 = time.perf_counter()
     window, model = terms.window, terms.model
     state = StateField.from_trace(window, trace_p, trace_s, delta_s)
-    norms = []
+    norms, local = [], []
     lu_nnz = 0              # SuperLU's stored entries over the solves
 
     def entry(iterations):
+        wall_ms = (time.perf_counter() - t0) * 1.0e3
         return LedgerEntry(iterations, norms, window.n_y,
-                           (time.perf_counter() - t0) * 1.0e3, lu_nnz)
+                           wall_ms - sum(e.wall_ms for e in local), lu_nnz,
+                           local)
 
-    tail, no_front = math.sqrt(cfg.tol), np.empty(0, dtype=np.intp)
+    tail = math.sqrt(cfg.tol)
     sys_ = linearize(terms, state) if start is None else start
     for k in range(cfg.max_iters + 1):
         norm = float(np.max(np.abs(sys_.r_norm))) if window.n_st else 0.0
+        cells = (elimination_set(sys_, norm)
+                 if norm > cfg.tol and k < cfg.max_iters else None)
+        if cells is not None:
+            held, sys_ = [sys_], None
+            sys_, sub = eliminate(terms, state, held, cells)
+            local.append(sub)
+            norm = float(np.max(np.abs(sys_.r_norm)))
         norms.append(norm)
         if norm <= cfg.tol:
             return state, entry(k)
@@ -212,7 +320,7 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
             break
         exact = norm <= tail
         jac, r_y = sys_.jacobian(exact), sys_.r_y
-        front = no_front if exact else sys_.front_cells
+        front = _NO_FRONT if exact else sys_.front_cells
         del sys_                # freed before the factor
         if k == 0:          # the factor path of every solve
             path = factor_path(jac)

@@ -147,6 +147,9 @@ class TestExitCodes:
          EXIT_CONFIG),
         ("removed mobility_model key", {"mobility_model": "constant"},
          EXIT_CONFIG),
+        ("number label", {"label": 7}, EXIT_CONFIG),
+        ("null label", {"label": None}, EXIT_CONFIG),
+        ("list label", {"label": ["run"]}, EXIT_CONFIG),
         ("three-number reservoir", {"reservoir": [0, 0, 10]}, EXIT_CONFIG),
         ("well without kind",
          {"wells": [{"tile": [0, 0], "value": 0.1}]}, EXIT_CONFIG),
@@ -205,6 +208,23 @@ class TestExitCodes:
         # permeability file that cannot be read
         assert out.exists() == (code in (EXIT_OK, EXIT_NONCONVERGENCE))
         assert (out / "FAILED").exists() == (code == EXIT_NONCONVERGENCE)
+
+    @pytest.mark.parametrize("label", [7, None, ["run"]],
+                             ids=["number", "null", "list"])
+    def test_compare_of_a_non_string_label_exits_2(self, toy_run, tmp_path,
+                                                   capsys, label):
+        """A summary whose label is not a string is no run summary:
+        `compare` exits 2 before printing, naming the file."""
+        old = tmp_path / "old"
+        shutil.copytree(toy_run, old)
+        summary = json.loads((old / "run_summary.json").read_text())
+        summary["label"] = label
+        (old / "run_summary.json").write_text(json.dumps(summary))
+        for a, b in ((old, toy_run), (toy_run, old)):
+            assert main(["compare", "--a", str(a),
+                         "--b", str(b)]) == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert out == "" and str(old / "run_summary.json") in err
 
     def test_static_override_of_an_empty_box_exits_2(self, tmp_path):
         """A box that no other mode reads is checked when `--mode`
@@ -345,20 +365,20 @@ class TestCompare:
         assert "0.00000" in out
 
     def test_each_run_prints_its_predictor_cost(self, toy_run, capsys):
-        """Each run's row holds its cost metric, predictor cost and
-        all-in cost, in that order."""
+        """Each run's row holds its cost metric, predictor cost, local
+        cost and all-in cost, in that order."""
         summary = json.loads((toy_run / "run_summary.json").read_text())
         assert main(["compare", "--a", str(toy_run),
                      "--b", str(toy_run)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].split()[:5] == ["cost", "metric", "predictor",
-                                        "cost", "all-in"]
+        assert lines[0].split()[:7] == ["cost", "metric", "predictor",
+                                        "cost", "local", "cost", "all-in"]
         rows = [line.split() for line in lines[1:3]]
         assert rows[0] == rows[1]
-        assert rows[0][:4] == [summary["label"],
+        assert rows[0][:5] == [summary["label"],
                                *(str(summary[key]) for key in (
                                    "cost_metric", "predictor_cost",
-                                   "all_in_cost"))]
+                                   "local_cost", "all_in_cost"))]
         assert summary["predictor_cost"] > 0
 
     def test_newton_wall_counts_every_solve(self, toy_run):

@@ -374,7 +374,7 @@ class TestGeneratorNumbers:
 class TestPresets:
     def test_all_presets_valid(self):
         for name in ("dynamic-dd", "dynamic-dd-gaussian", "static-dd",
-                     "uniform-fine", "uniform-coarse", "toy"):
+                     "uniform-fine", "uniform-coarse", "toy", "strip"):
             cfg = preset(name)
             assert cfg.label == name
 
@@ -389,6 +389,7 @@ class TestPresets:
         assert paper.horizon / paper.window_length == 20
         for scale in ("desk", "paper"):
             assert preset("toy", scale=scale).horizon == 8.0
+            assert preset("strip", scale=scale).horizon == 20.0
         with pytest.raises(ConfigError):
             preset("dynamic-dd", scale="poster")
 

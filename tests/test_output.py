@@ -307,18 +307,22 @@ class TestLedger:
 
     def test_cost_metric(self):
         """Iterations x reduced DOFs over the accepted windows; the all-in
-        cost, the fill and the wall add the predictor's and failed solves."""
+        cost, the fill and the wall add the predictor's, the failed and
+        the local solves, whichever solve's the local ones are."""
         led = self.ledger()
         led.predictor.append(LedgerEntry(3, [1.0] * 4, 10, 1.0, 7))
         led.failed.append(LedgerEntry(5, [1.0] * 6, 20, 2.0, 11))
+        led.entries[0].local.append(LedgerEntry(2, [9.0, 3.0, 1.0], 4, 0.5, 3))
+        led.failed[0].local.append(LedgerEntry(1, [5.0, 1.0], 6, 0.25, 2))
         costs = led.costs()
         assert costs["cost_metric"] == 2 * 100 + 1 * 100
         assert costs["iterations"] == 3
         assert (costs["predictor_cost"], costs["failed_cost"]) == (30, 100)
+        assert costs["local_cost"] == 2 * 4 + 1 * 6
         assert led.failed_cost == 100
-        assert costs["all_in_cost"] == 300 + 30 + 100
-        assert costs["lu_cost"] == 7 + 11
-        assert costs["total_wall_ms"] == 12.5 + 8.0 + 1.0 + 2.0
+        assert costs["all_in_cost"] == 300 + 30 + 100 + 14
+        assert costs["lu_cost"] == 7 + 11 + 3 + 2
+        assert costs["total_wall_ms"] == 12.5 + 8.0 + 1.0 + 2.0 + 0.5 + 0.25
 
 
 class TestSummaries:

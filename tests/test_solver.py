@@ -601,32 +601,35 @@ class TestNewtonTail:
     def steps(monkeypatch):
         """Newton on a front entering the fine box at irreducible
         saturation, whose front cells stay floored into the tail; per
-        step: whether it is a tail step, the linearization, the
+        global step: whether it is a tail step, the linearization, the
         factored `ReducedJacobian`, the residual, the update, the front
         cells that the chop was given, and the saturation before and
-        after."""
+        after.  The local steps of the nonlinear elimination, which
+        solve and chop fewer cells than the window's, are left out."""
         w = test_assembly.fine_box_window()
         n = w.n_spatial
         terms = window_terms(w, props(n), corner_wells(n, rate=0.05),
                              nonlinear_model())
-        systems, solves, chops, saturations = [], [], [], []
+        systems, solves, chops = [], [], []
         real_linearize = stdd.solver.linearize
         real_solve = stdd.solver.linear_solve
         real_chop = stdd.solver.chop_saturation
 
         def linearized(terms, state):
             systems.append(real_linearize(terms, state))
-            saturations.append(state.s.copy())
             return systems[-1]
 
         def solved(jacobian, residual, path=COLAMD):
             dy, fill = real_solve(jacobian, residual, path=path)
-            solves.append((jacobian, residual, dy))
+            if len(residual) == w.n_y:
+                solves.append((systems[-1], jacobian, residual, dy))
             return dy, fill
 
         def chopped(model, s, ds, front):
-            chops.append(front.copy())
+            before = s.copy()
             real_chop(model, s, ds, front)
+            if len(s) == w.n_st:
+                chops.append((front.copy(), before, s.copy()))
 
         monkeypatch.setattr(stdd.solver, "linearize", linearized)
         monkeypatch.setattr(stdd.solver, "linear_solve", solved)
@@ -638,8 +641,8 @@ class TestNewtonTail:
         tail = [norm <= math.sqrt(NewtonConfig().tol)
                 for norm in entry.norms[:-1]]
         assert any(tail) and not all(tail)
-        return list(zip(tail, systems, *zip(*solves), chops, saturations,
-                        saturations[1:]))
+        return [(t, *solve, *chop)
+                for t, solve, chop in zip(tail, solves, chops)]
 
     def test_tail_factors_the_exact_blocks(self, monkeypatch):
         """Each step factors the exact blocks within √tol and Newton's
@@ -709,7 +712,9 @@ class TestFactorPath:
         is local, and what remains stores all of its pattern; the strip
         at s = 0.5 stores all of it unreduced.  There every solve is
         symmetric.  `factor_path` picks the path from the first Jacobian,
-        and Newton hands that same object to every solve."""
+        and Newton hands that same object to every global solve; the
+        nonlinear elimination's local solves, on fewer unknowns than the
+        window's, take COLAMD."""
         w = make()
         n = w.n_spatial
         trace = np.full(n, 1000.0), np.full(n, s0)
@@ -723,21 +728,23 @@ class TestFactorPath:
         real = stdd.solver.linear_solve
 
         def recorded(jacobian, residual, path=COLAMD):
-            paths.append(path)
+            paths.append((len(residual) == w.n_y, path))
             return real(jacobian, residual, path=path)
 
         monkeypatch.setattr(stdd.solver, "linear_solve", recorded)
         _, entry = newton_solve_window(terms, *trace, NewtonConfig())
         assert entry.norms[-1] <= 1e-6 and entry.iterations > 1
-        assert len(paths) == entry.iterations
-        assert all(path is want for path in paths)
+        assert [g for g, _ in paths].count(True) == entry.iterations
+        assert all(path is (want if g else COLAMD) for g, path in paths)
 
     def test_colamd_solves_match_the_natural_oracle(self, monkeypatch):
         """Each COLAMD-path update of a Newton solve, factored in the
         window's minimum-degree numbering, is the update of the natural
         numbered unreduced Jacobian that it factors to 1e-10 relative:
         Newton's above √tol, the exact one within.  A front entering the
-        fine box at irreducible saturation takes both."""
+        fine box at irreducible saturation takes both.  The nonlinear
+        elimination's local solves, on fewer unknowns than the window's,
+        are left out (`TestNonlinearElimination` checks their matrix)."""
         w = test_assembly.fine_box_window()
         assert not np.array_equal(w.jacobian_pattern.unknowns,
                                   np.arange(w.n_y))
@@ -756,6 +763,8 @@ class TestFactorPath:
         def solved(jacobian, residual, path=COLAMD):
             assert path is COLAMD
             dy, fill = real_solve(jacobian, residual, path=path)
+            if len(residual) < w.n_y:
+                return dy, fill
             sys_ = systems[-1]
             tails.append(np.max(np.abs(sys_.r_norm)) <= math.sqrt(1e-6))
             # the blocks that the fill dropped are rebuilt on this read
@@ -772,6 +781,160 @@ class TestFactorPath:
         assert len(errors) == entry.iterations > 1
         assert any(tails) and not all(tails)
         assert max(errors) <= 1e-10
+
+
+class TestNonlinearElimination:
+    """Before a global step from a norm above 1 whose cells above 1% of
+    it are at most 5% of the window's, Newton solves those cells and two
+    rings of neighbours locally, every other unknown frozen."""
+
+    @staticmethod
+    def jump_window(jumped, wells=corner_wells):
+        """A 40 x 10 strip with `wells`, and a trace at 1,000 psi but
+        1,050 psi on the cells `jumped`, as a transfer onto refined
+        cells leaves a few."""
+        w = strip_window(nx=40, ny=10)
+        n = w.n_spatial
+        terms = window_terms(w, props(n), wells(n), nonlinear_model())
+        trace_p = np.full(n, 1000.0)
+        trace_p[jumped] = 1050.0
+        return terms, trace_p, np.full(n, 0.3)
+
+    @staticmethod
+    def solve(monkeypatch, terms, trace_p, trace_s, eliminate=True):
+        """Newton's state and entry, and the residual length of each
+        `linear_solve` it made; without `eliminate`, no local step."""
+        if not eliminate:
+            monkeypatch.setattr(stdd.solver, "ELIM_MIN_NORM", math.inf)
+        lengths = solved_dofs(monkeypatch)
+        state, entry = newton_solve_window(terms, trace_p, trace_s,
+                                           NewtonConfig())
+        monkeypatch.undo()
+        return state, entry, lengths
+
+    def test_jump_is_solved_locally_to_the_same_state(self, monkeypatch):
+        """Three jumped cells start the window at norm 126 on 11 of its
+        400 cells: one local step on them and two rings (40 cells, 80
+        unknowns) brings the norm to 0.81, and Newton ends at tol after
+        3 global steps against 4, on the state of the solve without
+        local steps, to tol."""
+        terms, trace_p, trace_s = self.jump_window([84, 85, 124])
+        w = terms.window
+        start = linearize(terms, StateField.from_trace(w, trace_p, trace_s))
+        norm = float(np.max(np.abs(start.r_norm)))
+        cells = stdd.solver.elimination_set(start, norm)
+        assert norm > 1 and len(cells) == 40
+        state, entry, lengths = self.solve(monkeypatch, terms, trace_p,
+                                           trace_s)
+        plain, plain_entry, plain_lengths = self.solve(
+            monkeypatch, terms, trace_p, trace_s, eliminate=False)
+        [local] = entry.local
+        assert (local.iterations, local.n_reduced_dofs) == (1, 2 * len(cells))
+        assert local.norms[0] == norm > 1 >= local.norms[-1]
+        assert local.norms[-1] <= entry.norms[0] < 1
+        assert (entry.iterations, plain_entry.iterations) == (3, 4)
+        assert plain_entry.local == []
+        assert entry.norms[-1] <= 1e-6 and plain_entry.norms[-1] <= 1e-6
+        # linear_solve is given the set's residual, then the window's
+        assert lengths == [2 * len(cells)] + [w.n_y] * 3
+        assert plain_lengths == [w.n_y] * 4
+        np.testing.assert_allclose(state.s, plain.s, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(state.p, plain.p, rtol=0, atol=1e-5)
+
+    def test_set_holds_two_rings(self):
+        """The set is the cells above 1% of the norm and every cell within
+        two blocks of one, across faces and time levels."""
+        w = test_assembly.fine_box_window()
+        n = w.n_spatial
+        sys_ = linearize(window_terms(w, props(n), ResolvedWells.none(n),
+                                      nonlinear_model()),
+                         StateField.from_trace(w, np.full(n, 1000.0),
+                                               np.full(n, 0.3)))
+        sys_.r_norm[:] = 0.0
+        c = w.n_st - 1          # a last level with a previous one
+        assert w.st_prev[c] >= 0
+        sys_.r_norm[2 * c + 1] = 5.0
+        graph = full_jacobian(sys_, np.ones((4, len(w.jacobian_blocks[0]))))
+        adjacency = (abs(graph[0::2, 0::2]) + abs(graph[0::2, 0::2]).T) > 0
+        near = np.zeros(w.n_st, dtype=bool)
+        near[c] = True
+        for _ in range(2):
+            near = (adjacency @ near.astype(float)) > 0
+        assert np.array_equal(stdd.solver.elimination_set(sys_, 5.0),
+                              np.flatnonzero(near))
+        assert w.st_prev[c] in np.flatnonzero(near)
+
+    def test_local_jacobian_is_the_sets_newton_blocks(self):
+        """The local matrix is the set's rows and columns of Newton's
+        unreduced Jacobian, front slope included: water at 0.6 in the
+        first cells flows down a pressure slope into cells at irreducible
+        saturation."""
+        w = test_assembly.fine_box_window()
+        n = w.n_spatial
+        s0 = np.full(n, 0.2)
+        s0[:4] = 0.6
+        sys_ = linearize(window_terms(w, props(n), corner_wells(n, rate=0.05),
+                                      nonlinear_model()),
+                         StateField.from_trace(w, 1000.0 - np.arange(n), s0))
+        assert len(sys_.front_cells)
+        assert not np.array_equal(sys_.newton_blocks, sys_.blocks)
+        cells = np.arange(0, w.n_st, 3)
+        rows = (2 * cells[:, None] + np.arange(2)).ravel()
+        want = newton_jacobian(sys_)[rows][:, rows].toarray()
+        assert np.array_equal(sys_.local_jacobian(cells).matrix.toarray(),
+                              want)
+
+    def test_spread_residual_takes_no_local_step(self, monkeypatch):
+        """Jumps on every fourth cell of a strip without wells put the
+        norm above 1 on more than 5% of the cells: no local step, and
+        every solve is the window's."""
+        terms, trace_p, trace_s = self.jump_window(slice(0, None, 4),
+                                                   ResolvedWells.none)
+        w = terms.window
+        start = linearize(terms, StateField.from_trace(w, trace_p, trace_s))
+        norm = float(np.max(np.abs(start.r_norm)))
+        big = np.maximum(*np.abs(start.r_norm).reshape(-1, 2).T) > 0.01 * norm
+        assert norm > 1 and np.count_nonzero(big) > 0.05 * w.n_st
+        assert stdd.solver.elimination_set(start, norm) is None
+        _, entry, lengths = self.solve(monkeypatch, terms, trace_p, trace_s)
+        assert entry.local == [] and entry.norms[-1] <= 1e-6
+        assert lengths == [w.n_y] * entry.iterations
+
+    def test_local_solves_are_ledger_entries(self, tmp_path, monkeypatch):
+        """The toy's `uniform-fine` run takes local steps: each local
+        solve is an entry of `RunLedger.local`, and `all_in_cost`,
+        `lu_cost` and `total_wall_ms` count them, while `iterations`,
+        `cost_metric` and `ledger.csv` count the global steps."""
+        dofs = solved_dofs(monkeypatch)
+        fill, _ = factor_fills(monkeypatch)
+        ledgers = []
+        real = stdd.solver.RunLedger
+
+        def kept():
+            ledgers.append(real())
+            return ledgers[-1]
+
+        monkeypatch.setattr(run_module, "RunLedger", kept)
+        summary = run(replace(preset("toy"), mode="uniform-fine"), tmp_path,
+                      emit_vtk=False)
+        [ledger] = ledgers
+        local = ledger.local
+        assert local and all(e.local == [] for e in local)
+        n_y = {e.n_reduced_dofs for e in ledger.entries}
+        assert all(e.n_reduced_dofs < min(n_y) for e in local)
+        assert summary["local_cost"] == sum(
+            e.iterations * e.n_reduced_dofs for e in local) > 0
+        assert summary["all_in_cost"] == sum(dofs) == (
+            summary["cost_metric"] + summary["local_cost"])
+        assert summary["lu_cost"] == sum(fill) == sum(
+            e.lu_nnz for e in ledger.entries + local)
+        assert sum(e.lu_nnz for e in local) > 0
+        assert summary["total_wall_ms"] == pytest.approx(
+            sum(e.wall_ms for e in ledger.entries + local), rel=1e-12)
+        assert summary["iterations"] == sum(
+            e.iterations for e in ledger.entries)
+        rows = read_ledger_csv(tmp_path / "ledger.csv")
+        assert len(rows) == summary["iterations"] + summary["windows"]
 
 
 run_module = importlib.import_module("stdd.run")
@@ -848,8 +1011,9 @@ class TestMarch:
 
     def test_escalation_hook_used_once(self, tmp_path, monkeypatch):
         """The failed prediction refines every tile, so the one escalation
-        leaves the map as it is: the window is solved once, and that
-        solve is the ledger's failed cost."""
+        leaves the map as it is: the window is solved once, its global
+        steps are the ledger's failed cost and its local solves, on fewer
+        unknowns than the window's, its local cost."""
         calls = newton_calls(monkeypatch)
         escalated = []
         real = run_module._escalate
@@ -870,10 +1034,13 @@ class TestMarch:
         assert len(calls) == 2
         (trial, _), (first, dofs) = calls
         assert {s.identifier for s in first.subdomains} == {1}
-        assert trial is not first and len(dofs) == 2
+        steps = [n for n in dofs if n == first.n_y]
+        assert trial is not first and len(steps) == 2
         assert isinstance(exc.value.ledger, RunLedger)
         assert len(exc.value.ledger.failed) == 1
-        assert exc.value.ledger.failed_cost == sum(dofs) > 0
+        assert exc.value.ledger.failed_cost == sum(steps) > 0
+        assert (exc.value.ledger.costs()["local_cost"]
+                == sum(dofs) - sum(steps))
         assert (tmp_path / "FAILED").exists()
 
     def test_failure_after_escalation_keeps_its_cause(self, tmp_path):
@@ -1303,14 +1470,16 @@ class TestPredictedSeed:
             np.testing.assert_allclose(a.eta, b.eta, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("mode, iterations, cost", [
-        ("uniform-fine", 100, 80_000), ("uniform-coarse", 21, 672),
-        ("static-dd", 47, 150_400)])
+        ("uniform-fine", 97, 77_600), ("uniform-coarse", 21, 672),
+        ("static-dd", 46, 147_200)])
     def test_fixed_maps_keep_their_counts(self, tmp_path, monkeypatch, mode,
                                           iterations, cost):
         """Fixed maps have no predictor, so no seed: their counts are
         those from before the seed, but for Newton's: the exact tail
         took `uniform-fine` from 102 iterations (cost 81,600) to 100 and
-        `static-dd` from 48 (153,600) to 47."""
+        `static-dd` from 48 (153,600) to 47; the nonlinear elimination
+        took `uniform-fine` from 100 (80,000) to 97 (77,600) and
+        `static-dd` from 47 (150,400) to 46 (147,200)."""
         calls = seeded_calls(monkeypatch)
         summary = run(replace(preset("toy"), mode=mode), tmp_path,
                       emit_vtk=False)
@@ -1371,7 +1540,8 @@ class TestAllInCost:
         assert summary["all_in_cost"] == sum(dofs)
         assert summary["all_in_cost"] == (summary["cost_metric"]
                                           + summary["predictor_cost"]
-                                          + summary["failed_cost"])
+                                          + summary["failed_cost"]
+                                          + summary["local_cost"])
         assert summary["predictor_cost"] > 0
         # the factors' stored entries over the same solves
         assert len(fill) == len(dofs)
@@ -1411,10 +1581,12 @@ class TestAllInCost:
         assert summary["failed_cost"] == dofs[entries[0].iterations] > 0
         assert summary["all_in_cost"] == sum(dofs) == (
             summary["cost_metric"] + summary["predictor_cost"]
-            + summary["failed_cost"])
+            + summary["failed_cost"] + summary["local_cost"])
         assert summary["lu_cost"] == sum(fill)
         assert summary["total_wall_ms"] == pytest.approx(
-            sum(e.wall_ms for e in entries), rel=1e-12)
+            sum(e.wall_ms for e in entries + [sub for e in entries
+                                              for sub in e.local]),
+            rel=1e-12)
 
 
 class TestNewtonConfigValidation:
@@ -1431,18 +1603,22 @@ class TestNewtonCounts:
     """Counts that a change to the linear solves must not move.  A change
     to the Jacobian that Newton factors, or to its start, moves them, and
     is re-pinned on purpose: the front slope took the first day from 20
-    iterations to 14."""
+    iterations to 14.  The nonlinear elimination's local steps are not
+    global iterations and do not count here."""
 
     def test_uniform_fine_first_day(self, tmp_path):
         """The desk `uniform-fine` run's first window (13,200 cells,
         channelized field 7): the benchmark's `uniform-fine` workload
-        starts with it."""
+        starts with it.  The nonlinear elimination took it from 14
+        iterations (cost 369,600) to 8 (211,200), with a local cost of
+        1,944."""
         cfg = replace(preset("uniform-fine"), horizon=1.0)
         assert cfg.permeability == {"kind": "channelized", "seed": 7}
         summary = run(cfg, tmp_path, emit_vtk=False)
         assert summary["windows"] == 1
-        assert summary["iterations"] == 14
-        assert summary["cost_metric"] == 369_600
+        assert summary["iterations"] == 8
+        assert summary["cost_metric"] == 211_200
+        assert summary["local_cost"] == 1_944
 
     @staticmethod
     def dynamic_dd_prefix(tmp_path, seed):
@@ -1466,10 +1642,12 @@ class TestNewtonCounts:
         the main windows from 43 iterations (cost 203,574) to 40
         (187,808); the predictor's cost stayed 23,232.  Solving the
         predictor to a tenth of θ instead of √tol took its cost from
-        23,232 to 19,008."""
+        23,232 to 19,008.  The nonlinear elimination took the main
+        windows from 40 iterations (cost 187,808) to 37 (172,922) and the
+        predictor's cost from 19,008 to 12,672."""
         assert preset("dynamic-dd").permeability == {"kind": "channelized",
                                                      "seed": 7}
-        assert self.dynamic_dd_prefix(tmp_path, 7) == (40, 187_808, 19_008)
+        assert self.dynamic_dd_prefix(tmp_path, 7) == (37, 172_922, 12_672)
 
     def test_dynamic_dd_prefix_field_4(self, tmp_path):
         """The benchmark's other `dynamic-dd` field; solving the
@@ -1477,14 +1655,17 @@ class TestNewtonCounts:
         Newton tail took the main windows from 40 iterations (cost
         181,598) to 39 (178,348); the predictor's cost stayed 25,344.
         Solving the predictor to a tenth of θ instead of √tol took its
-        cost from 25,344 to 19,008."""
-        assert self.dynamic_dd_prefix(tmp_path, 4) == (39, 178_348, 19_008)
+        cost from 25,344 to 19,008.  The nonlinear elimination took the
+        main windows from 39 iterations (cost 178,348) to 37 (170,088) and
+        the predictor's cost from 19,008 to 12,672."""
+        assert self.dynamic_dd_prefix(tmp_path, 4) == (37, 170_088, 12_672)
 
 
 # The 8-day `dynamic-dd` prefix's main-window iterations on channelized
 # seeds 0-9; before the exact Newton tail they were 36, 49, 42, 27, 40,
-# 26, 33, 43, 50 and 37 (383 in all, now 371)
-PREFIX_ITERATIONS = (36, 46, 41, 27, 39, 26, 32, 40, 49, 35)
+# 26, 33, 43, 50 and 37 (383 in all), and before the nonlinear
+# elimination 36, 46, 41, 27, 39, 26, 32, 40, 49 and 35 (371; now 355)
+PREFIX_ITERATIONS = (36, 41, 41, 27, 37, 26, 28, 37, 47, 35)
 
 
 class TestChannelizedPrefix:
