@@ -23,7 +23,7 @@ _apply_thread_cap()
 
 from .adaptivity import (BaseGrid, IdentifierMap, Thresholds,  # noqa: E402
                          Tiling, classify, decompose, delta_change,
-                         residual_indicator, transfer_state)
+                         residual_indicator, transfer_field)
 from .assembly import (CellProperties, CellSystem,  # noqa: E402
                        ResolvedWells, StateField, WindowTerms, linearize,
                        window_terms)

@@ -179,15 +179,14 @@ def final_spatial(window, state):
     return p, s
 
 
-def residual_indicator(window, r_norm, base: BaseGrid, tiling: Tiling):
+def residual_indicator(window, cell_norms, base: BaseGrid, tiling: Tiling):
     """Per-tile max of |normalized residual| over cells, levels, equations.
 
-    `r_norm` is the interleaved normalized conservation residual of one
-    assembly of `window`, any decomposition on the base grid.
+    `cell_norms` are the space-time cells' norms (`CellSystem.cell_norms`)
+    of one assembly of `window`, any decomposition on the base grid.
     """
-    mag = np.maximum(np.abs(r_norm[0::2]), np.abs(r_norm[1::2]))
     cell_max = np.zeros(window.n_spatial)
-    np.maximum.at(cell_max, window.st_spatial, mag)
+    np.maximum.at(cell_max, window.st_spatial, cell_norms)
     return tiling.tile_max(base.rasterize(window, cell_max))
 
 
@@ -271,23 +270,12 @@ def decompose(idmap: IdentifierMap, tiling: Tiling, table: dict):
     return subs
 
 
-def transfer_state(old_window, final_p, final_s, new_window, base: BaseGrid,
-                   phi_base):
-    """Map a final window state onto a new decomposition's spatial cells,
-    each half by `transfer_field`.
-
-    Pore-volume weights exactly conserve water pore volume in the
-    saturation; for pressure they are a smoothness heuristic.
-    """
-    return (transfer_field(old_window, final_p, new_window, base, phi_base),
-            transfer_field(old_window, final_s, new_window, base, phi_base))
-
-
 def transfer_field(old_window, values, new_window, base: BaseGrid,
                    phi_base):
     """Map per-spatial-cell `values` of one decomposition onto another's:
     coarse-to-fine is constant injection, fine-to-coarse averages with
-    pore-volume weights."""
+    pore-volume weights, which conserve water pore volume exactly in a
+    saturation and are a smoothness heuristic for pressure."""
     pv = phi_base * base.cell_volume
     return base.average_to(new_window, base.rasterize(old_window, values),
                            pv)

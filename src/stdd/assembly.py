@@ -383,6 +383,12 @@ class CellSystem:
     def window(self):
         return self.terms.window
 
+    @cached_property
+    def cell_norms(self):
+        """Each space-time cell's larger |r_norm| of its two rows."""
+        r = np.abs(self.r_norm)
+        return np.maximum(r[0::2], r[1::2])
+
     @property
     def blocks(self):
         """The exact Jacobian's 2x2 blocks: column k holds block k of

@@ -204,31 +204,23 @@ def _block_pattern(rows, cols, order):
     same rows: 2i and 2i + 1 for each cell numbered i coupled to it, in
     order of i.
     """
-    n = len(order)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    rows, cols = rank[rows], rank[cols]
-    pairs, block = np.unique(cols * n + rows, return_inverse=True)
-    if len(pairs) != len(rows):
+    n, size = len(order), 4 * len(rows)
+    rank = np.argsort(order).astype(np.int32)
+    # entry e of a block sits at row 2 r + e // 2, column 2 c + e % 2 and
+    # carries its flat index + 1; SciPy sums two entries at one position
+    i = 2 * rank[rows] + np.array([[0], [0], [1], [1]], dtype=np.int32)
+    j = 2 * rank[cols] + np.array([[0], [1], [0], [1]], dtype=np.int32)
+    csc = sp.csc_matrix((np.arange(1, size + 1), (i.ravel(), j.ravel())),
+                        shape=(2 * n, 2 * n))
+    if csc.nnz < size:
         raise MeshError("two faces join the same pair of cells")
-    j, i = np.divmod(pairs, n)
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=n))])
-    m = np.diff(ptr)                  # blocks in each column of cells
-    first = 4 * ptr[j] + 2 * (np.arange(len(pairs)) - ptr[j])
-    at = (first[:, None] + np.array([0, 0, 1, 1])
-          + 2 * m[j][:, None] * np.array([0, 1, 0, 1]))
-    indices = np.empty(4 * len(pairs), dtype=np.int32)
-    indices[at] = 2 * i[:, None] + np.array([0, 0, 1, 1])
-    indptr = np.empty(2 * n + 1, dtype=np.int32)
-    indptr[0:-1:2] = 4 * ptr[:-1]
-    indptr[1::2] = 4 * ptr[:-1] + 2 * m
-    indptr[-1] = 4 * ptr[-1]
-    pos = at[block.ravel()]
-    entry = np.empty(len(indices), dtype=np.intp)
-    entry[pos.T.ravel()] = np.arange(pos.size)
+    csc.sort_indices()
+    entry = csc.data - 1
+    pos = np.empty(size, dtype=np.intp)      # each entry's data position
+    pos[entry] = np.arange(size)
     pattern = JacobianPattern(
-        indptr=indptr, indices=indices, entry=entry,
-        own=np.ascontiguousarray(pos[:n].T),
+        indptr=csc.indptr, indices=csc.indices, entry=entry,
+        own=pos.reshape(4, -1)[:, :n].copy(),
         unknowns=(2 * order[:, None] + np.arange(2)).ravel())
     for a in vars(pattern).values():
         a.setflags(write=False)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import time
 from dataclasses import replace
@@ -18,7 +19,7 @@ from . import output
 from .adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
                          block_permeability, cell_permeability, classify,
                          decompose, delta_change, final_spatial,
-                         residual_indicator, transfer_field, transfer_state)
+                         residual_indicator, transfer_field)
 from .assembly import (CellProperties, ResolvedWells, StateField, linearize,
                        window_terms)
 from .config import UNIFORM_IDENTIFIER, RunConfig
@@ -109,13 +110,15 @@ class Problem:
     def trace(self, old, final, new):
         """The (P, S) per spatial cell that window `new` starts from: the
         initial state without an `old` window, `old`'s final level `final`
-        itself if `new is old`, else `final` by `transfer_state`."""
+        itself if `new is old`, else each half of `final` by
+        `transfer_field`."""
         if old is None:
             return (np.full(new.n_spatial, self.cfg.initial_pressure),
                     np.full(new.n_spatial, self.cfg.initial_saturation))
         if new is old:
             return final
-        return transfer_state(old, *final, new, self.base, self.phi_base)
+        return tuple(transfer_field(old, v, new, self.base, self.phi_base)
+                     for v in final)
 
     # -- identifier maps --------------------------------------------------
 
@@ -160,7 +163,7 @@ def _predict(pb, ncfg, terms, prev, final, s_now, seed=None):
     trial = terms.window
     tp, ts = pb.trace(prev, final, trial)
     start = linearize(terms, StateField.from_trace(trial, tp, ts))
-    eta = residual_indicator(trial, start.r_norm, pb.base, pb.tiling)
+    eta = residual_indicator(trial, start.cell_norms, pb.base, pb.tiling)
     theta = min(pb.thresholds.theta_ds, pb.thresholds.theta_dt)
     loose = replace(ncfg, tol=max(ncfg.tol,
                                   PREDICTOR_THETA_FRACTION * theta))
@@ -399,19 +402,23 @@ def _emit_fine_levels(outdir, widx, start, window, state, base, origin,
 # -- comparison ------------------------------------------------------------
 
 # The keys of `run_summary.json` that two comparable runs share, and all
-# that `compare` reads.
+# that `compare` reads: its counts, which are integers, and its walls.
 PROBLEM_KEYS = ("reservoir", "base_shape", "horizon", "wells", "permeability")
-SUMMARY_KEYS = PROBLEM_KEYS + ("label", "mode", "snapshots", "cost_metric",
-                               "predictor_cost", "local_cost", "all_in_cost",
-                               "lu_cost", "total_wall_ms", "run_wall_ms")
+COUNT_KEYS = ("cost_metric", "predictor_cost", "local_cost", "all_in_cost",
+              "lu_cost")
+WALL_KEYS = ("total_wall_ms", "run_wall_ms")
+SUMMARY_KEYS = (PROBLEM_KEYS + ("label", "mode", "snapshots") + COUNT_KEYS
+                + WALL_KEYS)
 # The keys of each `snapshots` entry that `compare` reads.
 SNAPSHOT_KEYS = ("time", "sw")
 
 
 def _read_summary(run_dir):
     """The run summary in `run_dir`; `MismatchedProblem` if it is not JSON,
-    lacks a key of `SUMMARY_KEYS`, its label is not a string, or a
-    snapshot is not an object with the keys of `SNAPSHOT_KEYS`."""
+    lacks a key of `SUMMARY_KEYS`, its label is not a string, a count is
+    not an integer, a wall is not a real number, or a snapshot is not an
+    object with the keys of `SNAPSHOT_KEYS` and a real `time`.  A bool is
+    no number."""
     path = os.path.join(run_dir, "run_summary.json")
     try:
         summary = output.read_summary(path)
@@ -422,6 +429,15 @@ def _read_summary(run_dir):
         raise MismatchedProblem(f"{path} lacks {missing[0]!r}")
     if not isinstance(summary["label"], str):
         raise MismatchedProblem(f"{path}: 'label' is not a string")
+
+    def number(what, value, kind=numbers.Real):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise MismatchedProblem(f"{path}: {what} is not "
+                                    f"{kind.__name__.lower()}")
+
+    for key in COUNT_KEYS + WALL_KEYS:
+        number(repr(key), summary[key],
+               numbers.Integral if key in COUNT_KEYS else numbers.Real)
     if not isinstance(summary["snapshots"], list):
         raise MismatchedProblem(f"{path}: 'snapshots' is not a list")
     for k, snap in enumerate(summary["snapshots"]):
@@ -431,6 +447,7 @@ def _read_summary(run_dir):
         if missing:
             raise MismatchedProblem(
                 f"{path}: snapshot {k} lacks {missing[0]!r}")
+        number(f"snapshot {k} 'time'", snap["time"])
     return summary
 
 

@@ -206,12 +206,6 @@ def chop_saturation(model, s, ds, front):
 _NO_FRONT = np.empty(0, dtype=np.intp)
 
 
-def _cell_norms(sys_):
-    """Each space-time cell's larger normalized residual of its two rows."""
-    r = np.abs(sys_.r_norm)
-    return np.maximum(r[0::2], r[1::2])
-
-
 def elimination_set(sys_, norm):
     """The space-time cells, ascending, to solve locally before a global
     step from `sys_`, whose max norm is `norm`, or None: if `norm` is above
@@ -222,7 +216,7 @@ def elimination_set(sys_, norm):
     w = sys_.window
     if not norm > ELIM_MIN_NORM:
         return None
-    inside = _cell_norms(sys_) > ELIM_RESIDUAL_SHARE * norm
+    inside = sys_.cell_norms > ELIM_RESIDUAL_SHARE * norm
     if np.count_nonzero(inside) > ELIM_CELL_SHARE * w.n_st:
         return None
     rows, cols = w.jacobian_blocks
@@ -251,7 +245,7 @@ def eliminate(terms, state, held, cells):
     rows = (2 * cells[:, None] + np.arange(2)).ravel()
     norms, lu_nnz = [], 0
     for k in range(ELIM_MAX_STEPS + 1):
-        r = _cell_norms(sys_)
+        r = sys_.cell_norms
         inner = float(np.max(r.take(cells)))
         norms.append(inner)
         if (k == ELIM_MAX_STEPS or inner <= max(
@@ -305,14 +299,14 @@ def newton_solve_window(terms, trace_p, trace_s, cfg: NewtonConfig,
     tail = math.sqrt(cfg.tol)
     sys_ = linearize(terms, state) if start is None else start
     for k in range(cfg.max_iters + 1):
-        norm = float(np.max(np.abs(sys_.r_norm))) if window.n_st else 0.0
+        norm = float(np.max(sys_.cell_norms, initial=0.0))
         cells = (elimination_set(sys_, norm)
                  if norm > cfg.tol and k < cfg.max_iters else None)
         if cells is not None:
             held, sys_ = [sys_], None
             sys_, sub = eliminate(terms, state, held, cells)
             local.append(sub)
-            norm = float(np.max(np.abs(sys_.r_norm)))
+            norm = float(np.max(sys_.cell_norms))
         norms.append(norm)
         if norm <= cfg.tol:
             return state, entry(k)

@@ -12,7 +12,7 @@ from scipy.linalg import solveh_banded
 from stdd.adaptivity import (BaseGrid, IdentifierMap, Thresholds, Tiling,
                              block_permeability, cell_permeability, classify,
                              decompose, delta_change, final_spatial,
-                             residual_indicator, transfer_state,
+                             residual_indicator, transfer_field,
                              upscale_blocks)
 from stdd.config import RunConfig, WellSpec, preset
 from stdd.errors import NonIntegerRatio
@@ -238,8 +238,7 @@ class TestTransfer:
         phi = np.full(base.shape, 0.2)
         vals = np.empty(2)
         vals[fine.cell_cx.argsort()] = [0.2, 0.4]
-        _, s = transfer_state(fine, np.full(2, 1000.0), vals, coarse,
-                              base, phi)
+        s = transfer_field(fine, vals, coarse, base, phi)
         assert s[0] == pytest.approx(0.3, rel=1e-15)
 
     def test_water_volume_conserved(self):
@@ -247,8 +246,7 @@ class TestTransfer:
         coarse = self.window(2.5)
         rng = np.random.default_rng(7)
         s_f = rng.uniform(0.2, 0.8, fine.n_spatial)
-        p_f = rng.uniform(900, 1100, fine.n_spatial)
-        _, s_c = transfer_state(fine, p_f, s_f, coarse, self.base, self.phi)
+        s_c = transfer_field(fine, s_f, coarse, self.base, self.phi)
         vol_f = float(np.sum(0.2 * fine.cell_vol * s_f))
         vol_c = float(np.sum(0.2 * coarse.cell_vol * s_c))
         assert vol_c == pytest.approx(vol_f, rel=1e-14)
@@ -256,8 +254,10 @@ class TestTransfer:
     def test_constant_round_trip_exact(self):
         a, b = self.window(0.5), self.window(2.5)
         p0, s0 = np.full(a.n_spatial, 1234.5), np.full(a.n_spatial, 0.42)
-        p1, s1 = transfer_state(a, p0, s0, b, self.base, self.phi)
-        p2, s2 = transfer_state(b, p1, s1, a, self.base, self.phi)
+        p1, s1 = (transfer_field(a, v, b, self.base, self.phi)
+                  for v in (p0, s0))
+        p2, s2 = (transfer_field(b, v, a, self.base, self.phi)
+                  for v in (p1, s1))
         np.testing.assert_allclose(p2, 1234.5, rtol=1e-14)
         np.testing.assert_allclose(s2, 0.42, rtol=1e-14)
 
@@ -265,8 +265,7 @@ class TestTransfer:
         coarse, fine = self.window(2.5), self.window(0.5)
         rng = np.random.default_rng(1)
         s_c = rng.uniform(0.2, 0.8, coarse.n_spatial)
-        _, s_f = transfer_state(coarse, np.full(coarse.n_spatial, 1000.0),
-                                s_c, fine, self.base, self.phi)
+        s_f = transfer_field(coarse, s_c, fine, self.base, self.phi)
         raster = self.base.rasterize(coarse, s_c)
         assert np.array_equal(self.base.rasterize(fine, s_f), raster)
 
@@ -437,27 +436,28 @@ class TestTrace:
     @pytest.mark.parametrize("target", ["fine", "rebuilt"])
     def test_another_window_is_transferred(self, target):
         """Onto another window, even one of the same decomposition, the
-        trace is `transfer_state`'s."""
+        trace is `transfer_field`'s of each half."""
         pb = self.pb
         new = (self.fine if target == "fine"
                else build_window(self.coarse.subdomains, 2.0,
                                  pb.cfg.reservoir))
         got = pb.trace(self.coarse, self.final, new)
-        want = transfer_state(self.coarse, *self.final, new, pb.base,
-                              pb.phi_base)
+        want = [transfer_field(self.coarse, v, new, pb.base, pb.phi_base)
+                for v in self.final]
         assert got is not self.final
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_toy_run_transfers_as_before(self, tmp_path, monkeypatch):
         """The toy's 4 windows each change decomposition: the predictor
-        and the main window each transfer 3 times, as before the rule was
-        one."""
+        and the main window each transfer a trace 3 times, P and S each
+        by one `transfer_field`, and each of the 4 main windows maps its
+        predicted change once."""
         calls = []
-        real = run_module.transfer_state
-        monkeypatch.setattr(run_module, "transfer_state",
+        real = run_module.transfer_field
+        monkeypatch.setattr(run_module, "transfer_field",
                             lambda *a: calls.append(None) or real(*a))
         run_module.run(preset("toy"), tmp_path / "run", emit_vtk=False)
-        assert len(calls) == 6
+        assert len(calls) == 2 * 6 + 4
 
 
 def ref_flow_system(k, hx, hy):
@@ -546,13 +546,13 @@ def ref_tile_of(tiling, x, y):
     return ti.astype(int), tj.astype(int)
 
 
-def ref_residual_indicator(window, r_norm, tiling):
-    """Per-tile max of |r_norm|, scattered through cell-centre tiles."""
+def ref_residual_indicator(window, cell_norms, tiling):
+    """Per-tile max of the cell norms, scattered through cell-centre
+    tiles."""
     eta = np.zeros(tiling.shape)
     cell = window.st_spatial
     ti, tj = ref_tile_of(tiling, window.cell_cx[cell], window.cell_cy[cell])
-    mag = np.maximum(np.abs(r_norm[0::2]), np.abs(r_norm[1::2]))
-    np.maximum.at(eta, (ti, tj), mag)
+    np.maximum.at(eta, (ti, tj), cell_norms)
     return eta
 
 
@@ -640,10 +640,10 @@ class TestOwnerMap:
     def test_residual_indicator(self):
         # several levels per cell where the decomposition refines time
         assert self.window.n_st > self.window.n_spatial
-        r_norm = self.rng.normal(size=2 * self.window.n_st)
-        eta = residual_indicator(self.window, r_norm, self.base, self.tiling)
+        norms = np.abs(self.rng.normal(size=self.window.n_st))
+        eta = residual_indicator(self.window, norms, self.base, self.tiling)
         assert np.array_equal(
-            eta, ref_residual_indicator(self.window, r_norm, self.tiling))
+            eta, ref_residual_indicator(self.window, norms, self.tiling))
 
     def test_delta_change(self):
         s0 = self.rng.random(self.base.shape)

@@ -468,6 +468,38 @@ class TestCompare:
         err = capsys.readouterr().err
         assert str(old / "run_summary.json") in err and repr(key) in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("cost_metric", 1.5), ("total_wall_ms", "12"), ("lu_cost", True),
+        ("run_wall_ms", None)])
+    def test_wrong_typed_number_is_config_error(self, toy_run, tmp_path,
+                                                capsys, key, value):
+        """A count that is not an integer or a wall that is not a real
+        number exits with code 2 before printing, naming the file and the
+        key, whichever run it is in."""
+        old = tmp_path / "old"
+        shutil.copytree(toy_run, old)
+        summary = json.loads((old / "run_summary.json").read_text())
+        summary[key] = value
+        (old / "run_summary.json").write_text(json.dumps(summary))
+        for a, b in ((old, toy_run), (toy_run, old)):
+            assert main(["compare", "--a", str(a),
+                         "--b", str(b)]) == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert str(old / "run_summary.json") in err and repr(key) in err
+
+    @pytest.mark.parametrize("time", ["8", False])
+    def test_snapshot_time_not_a_number_is_config_error(
+            self, toy_run, tmp_path, capsys, time):
+        old = tmp_path / "old"
+        shutil.copytree(toy_run, old)
+        summary = json.loads((old / "run_summary.json").read_text())
+        summary["snapshots"][1]["time"] = time
+        (old / "run_summary.json").write_text(json.dumps(summary))
+        assert main(["compare", "--a", str(old),
+                     "--b", str(toy_run)]) == EXIT_CONFIG
+        assert "snapshot 1 'time'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["{", "[1, 2]", "7"])
     def test_summary_not_an_object_is_config_error(self, toy_run, tmp_path,
                                                    capsys, text):

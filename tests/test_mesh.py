@@ -7,9 +7,10 @@ import scipy.sparse.linalg as spla
 
 from stdd.adaptivity import IdentifierMap, Tiling, decompose
 from stdd.config import preset
-from stdd.errors import (MisalignedInterface, NonIntegerRatio, TilingGap,
-                         TilingOverlap)
-from stdd.mesh import Subdomain, build_window, minimum_degree_order
+from stdd.errors import (MeshError, MisalignedInterface, NonIntegerRatio,
+                         TilingGap, TilingOverlap)
+from stdd.mesh import (Subdomain, _block_pattern, build_window,
+                       minimum_degree_order)
 
 
 def two_subdomain_window(dt_f=1.0, dt_c=5.0, delta_t=5.0):
@@ -373,6 +374,18 @@ class TestMinimumDegreeOrder:
         self.check(1, [0], [0])
         assert minimum_degree_order(1, np.zeros(1, int),
                                     np.zeros(1, int)).tolist() == [0]
+
+
+class TestBlockPattern:
+    def test_repeated_cell_pair_raises(self):
+        """A second block at one (row, column) pair of cells would sum
+        into the first's positions."""
+        w = two_subdomain_window()
+        rows, cols = w.jacobian_blocks
+        rows, cols = np.append(rows, rows[-1]), np.append(cols, cols[-1])
+        with pytest.raises(MeshError,
+                           match="two faces join the same pair of cells"):
+            _block_pattern(rows, cols, np.arange(w.n_st))
 
 
 def window_dump(w):

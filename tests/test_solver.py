@@ -1234,7 +1234,7 @@ class TestPredictorTolerance:
     """The predictor is solved to a tenth of the smaller of θ_ΔS and θ_ΔT,
     or to tol if that is larger: its change is read only as tile deltas
     against those thresholds and as a seed that main-window Newton refines
-    to tol.  It was solved to √tol before, and to tol before that."""
+    to tol."""
 
     TOL = NewtonConfig(**preset("toy").newton).tol
 
@@ -1286,12 +1286,12 @@ class TestPredictorTolerance:
         self.predictor_entries(cfg, tmp_path, monkeypatch)
 
     def test_tol_predictor_marks_the_same(self, tmp_path, monkeypatch):
-        """A predictor solved to tol, or to √tol as before, marks the
-        toy's windows bitwise as the one solved to a tenth of θ does, and
-        the main windows keep their counts; only the predictor's cost
-        moves, from 672 at tol to 448 at √tol and at θ/10.  The exact
-        Newton tail took the main windows from 33 iterations (cost
-        69,678) to 31 (66,158)."""
+        """A predictor solved to tol, or to √tol, marks the toy's windows
+        bitwise as the one solved to a tenth of θ does, and the main
+        windows keep their 31 iterations (cost 66,158); only the
+        predictor's cost moves: 672 at tol, 448 at √tol and at θ/10.
+        Pinned because the predictor's stop must not reach the marking
+        or the main windows."""
         counts, maps = {}, {}
         tols = (None, math.sqrt(self.TOL), self.TOL)
         for trial_tol in tols:
@@ -1431,14 +1431,10 @@ class TestPredictedSeed:
 
     def test_seed_keeps_the_marking(self, tmp_path, monkeypatch):
         """The toy `dynamic-dd` run marks the same identifiers with the
-        predictor's seed as without, and keeps its main windows' counts;
-        the predictor's cost falls from 640.  Solving the predictor to
-        √tol instead of tol took it from 672 to 480 seeded and from 864
-        to 704 unseeded; the front trust region took the seeded one from
-        480 to 448, and the exact Newton tail the main windows from 33
-        iterations (cost 69,678) to 31 (66,158).  Solving the predictor
-        to a tenth of θ instead of √tol took the unseeded one from 704
-        to 640 and left the seeded one at 448.
+        predictor's seed as without, and keeps its main windows' 31
+        iterations (cost 66,158); the predictor's cost is 448 seeded and
+        640 unseeded.  Pinned because the seed may only make the
+        predictor cheaper, never move the marking or the main windows.
 
         Each seeded predictor's indicator η is bitwise the one `_predict`
         gives on the same inputs unseeded.  Across the two runs η agrees
@@ -1474,12 +1470,9 @@ class TestPredictedSeed:
         ("static-dd", 46, 147_200)])
     def test_fixed_maps_keep_their_counts(self, tmp_path, monkeypatch, mode,
                                           iterations, cost):
-        """Fixed maps have no predictor, so no seed: their counts are
-        those from before the seed, but for Newton's: the exact tail
-        took `uniform-fine` from 102 iterations (cost 81,600) to 100 and
-        `static-dd` from 48 (153,600) to 47; the nonlinear elimination
-        took `uniform-fine` from 100 (80,000) to 97 (77,600) and
-        `static-dd` from 47 (150,400) to 46 (147,200)."""
+        """Fixed maps have no predictor, so no seed: every solve starts
+        from its trace alone.  The toy's counts are pinned because only a
+        change to Newton itself may move them."""
         calls = seeded_calls(monkeypatch)
         summary = run(replace(preset("toy"), mode=mode), tmp_path,
                       emit_vtk=False)
@@ -1602,16 +1595,14 @@ class TestNewtonConfigValidation:
 class TestNewtonCounts:
     """Counts that a change to the linear solves must not move.  A change
     to the Jacobian that Newton factors, or to its start, moves them, and
-    is re-pinned on purpose: the front slope took the first day from 20
-    iterations to 14.  The nonlinear elimination's local steps are not
-    global iterations and do not count here."""
+    is re-pinned on purpose.  The nonlinear elimination's local steps are
+    not global iterations and do not count here."""
 
     def test_uniform_fine_first_day(self, tmp_path):
         """The desk `uniform-fine` run's first window (13,200 cells,
         channelized field 7): the benchmark's `uniform-fine` workload
-        starts with it.  The nonlinear elimination took it from 14
-        iterations (cost 369,600) to 8 (211,200), with a local cost of
-        1,944."""
+        starts with it.  It takes 8 iterations (cost 211,200) and local
+        solves of cost 1,944."""
         cfg = replace(preset("uniform-fine"), horizon=1.0)
         assert cfg.permeability == {"kind": "channelized", "seed": 7}
         summary = run(cfg, tmp_path, emit_vtk=False)
@@ -1633,45 +1624,32 @@ class TestNewtonCounts:
 
     def test_dynamic_dd_prefix(self, tmp_path):
         """The benchmark's 8-day `dynamic-dd` prefix on field 7, the
-        preset's own.  Each main window starts from its trace plus the
-        predictor's saturation change, which took it from 71 iterations
-        (cost 329,006) to 46; each predictor after the first starts from
-        its trace plus the previous predictor's change, which took the
-        predictor's cost from 33,792 to 27,456, and solving it to √tol
-        instead of tol took that to 23,232.  The exact Newton tail took
-        the main windows from 43 iterations (cost 203,574) to 40
-        (187,808); the predictor's cost stayed 23,232.  Solving the
-        predictor to a tenth of θ instead of √tol took its cost from
-        23,232 to 19,008.  The nonlinear elimination took the main
-        windows from 40 iterations (cost 187,808) to 37 (172,922) and the
-        predictor's cost from 19,008 to 12,672."""
+        preset's own: its main windows take 37 iterations (cost 172,922)
+        and its predictors cost 12,672.  Each main window starts from its
+        trace plus the predictor's saturation change, and each predictor
+        after the first from its trace plus the previous predictor's
+        change, solved to a tenth of θ."""
         assert preset("dynamic-dd").permeability == {"kind": "channelized",
                                                      "seed": 7}
         assert self.dynamic_dd_prefix(tmp_path, 7) == (37, 172_922, 12_672)
 
     def test_dynamic_dd_prefix_field_4(self, tmp_path):
-        """The benchmark's other `dynamic-dd` field; solving the
-        predictor to √tol took its cost from 33,792 to 24,288.  The exact
-        Newton tail took the main windows from 40 iterations (cost
-        181,598) to 39 (178,348); the predictor's cost stayed 25,344.
-        Solving the predictor to a tenth of θ instead of √tol took its
-        cost from 25,344 to 19,008.  The nonlinear elimination took the
-        main windows from 39 iterations (cost 178,348) to 37 (170,088) and
-        the predictor's cost from 19,008 to 12,672."""
+        """The benchmark's other `dynamic-dd` field: its main windows
+        take 37 iterations (cost 170,088) and its predictors cost
+        12,672."""
         assert self.dynamic_dd_prefix(tmp_path, 4) == (37, 170_088, 12_672)
 
 
 # The 8-day `dynamic-dd` prefix's main-window iterations on channelized
-# seeds 0-9; before the exact Newton tail they were 36, 49, 42, 27, 40,
-# 26, 33, 43, 50 and 37 (383 in all), and before the nonlinear
-# elimination 36, 46, 41, 27, 39, 26, 32, 40, 49 and 35 (371; now 355)
+# seeds 0-9 (355 in all), pinned so that a change to Newton on fields
+# beyond the benchmark's two shows
 PREFIX_ITERATIONS = (36, 41, 41, 27, 37, 26, 28, 37, 47, 35)
 
 
 class TestChannelizedPrefix:
-    """The 8-day `dynamic-dd` prefix on channelized seeds 0-9.  Window 0
-    of seeds 2, 3 and 5 failed even after its escalation before Newton's
-    Jacobian took the front slope."""
+    """The 8-day `dynamic-dd` prefix on channelized seeds 0-9 converges
+    without a failed attempt in `PREFIX_ITERATIONS`' main-window counts:
+    window 0 of seeds 2, 3 and 5 is the hardest start among them."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_converges_without_a_failed_attempt(self, tmp_path, seed):
